@@ -37,6 +37,7 @@ from .inversion import (
     invert_fixed_point,
     invert_lambda,
     jacobian_factor,
+    route_agreement,
     verify_phi_exponential,
     verify_round_trip,
     xi_moment_series,
@@ -56,12 +57,20 @@ from .poly import (
     VarSet,
     compose,
     det,
-    diff_witness,
     jacobian,
     render_poly,
     xi_pairing,
 )
-from .report import Check, Report, failed_check, passed_check, skipped_check
+from .report import (
+    FAIL,
+    Check,
+    IdentityReport,
+    Report,
+    failed_check,
+    first_failure,
+    passed_check,
+    skipped_check,
+)
 from .weyl import verify_phi_normal_order
 
 EXIT_PASS = 0
@@ -115,19 +124,9 @@ def cmd_invert(args) -> Report:
     checks: list[Check] = []
     if args.method == "all":
         results = cross_method_results(h, args.degree, debug=args.debug)
-        base = results[FIXED_POINT]
-        agree = (results[ABHYANKAR_GURJAR].G == base.G
-                 and results[LAMBDA_SERIES].G == base.G)
-        if agree:
-            checks.append(passed_check("cross-method agreement",
-                                       detail="3 methods, coefficientwise"))
-        else:
-            wit = (diff_witness(results[ABHYANKAR_GURJAR].G.components[0],
-                                base.G.components[0])
-                   or diff_witness(results[LAMBDA_SERIES].G.components[0],
-                                   base.G.components[0]))
-            checks.append(failed_check("cross-method agreement", witness=wit))
-        shown = base
+        checks.append(route_agreement(
+            results, detail="3 methods, coefficientwise").check)
+        shown = results[FIXED_POINT]
     else:
         runner = {
             FIXED_POINT: invert_fixed_point,
@@ -151,68 +150,38 @@ def cmd_invert(args) -> Report:
 
 def _symbol_battery(n: int) -> Check:
     vs = VarSet.xiz(n)
-    for xa in itertools.product(range(3), repeat=n):
-        if sum(xa) > 2:
-            continue
-        for zb in itertools.product(range(3), repeat=n):
-            if sum(zb) > 2:
-                continue
-            rep = verify_phi_normal_order(SparsePoly.monomial(vs, xa + zb))
-            if not rep.passed:
-                return failed_check("symbol transport battery", witness=rep.witness)
-    return passed_check("symbol transport battery",
-                        detail=f"monomials |a|<=2, |b|<=2, n={n}")
+    small = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+    rep = first_failure(verify_phi_normal_order(SparsePoly.monomial(vs, xa + zb))
+                        for xa in small for zb in small)
+    return IdentityReport("symbol transport battery", rep.lhs, rep.rhs,
+                          detail=f"monomials |a|<=2, |b|<=2, n={n}").check
 
 
 def verify_suite(h: MapTuple, bound: int, xi_bound: int,
                  q: SparsePoly) -> list[Check]:
-    checks: list[Check] = []
-
     results = cross_method_results(h, bound)
-    base = results[FIXED_POINT]
-    agree = (results[ABHYANKAR_GURJAR].G == base.G
-             and results[LAMBDA_SERIES].G == base.G)
-    checks.append(passed_check("cross-method agreement") if agree
-                  else failed_check("cross-method agreement", witness=None))
-
-    rt = verify_round_trip(h, base)
-    checks.append(passed_check(rt.name) if rt.passed
-                  else failed_check(rt.name, witness=rt.witness))
+    checks = [route_agreement(results).check,
+              verify_round_trip(h, results[FIXED_POINT]).check]
 
     oracle = invert_fixed_point(h, bound + 1)
     jf = jacobian_factor(h, bound)
     jf_of_g = compose(jf, oracle.G, bound).poly
     jg = det(jacobian(oracle.G), trunc=bound)
-    chain = jf_of_g.mul(jg, trunc=bound)
-    if chain == SparsePoly.one(h.vars):
-        checks.append(passed_check("chain rule JF(G) * JG == 1"))
-    else:
-        checks.append(failed_check("chain rule JF(G) * JG == 1",
-                                   witness=diff_witness(chain, SparsePoly.one(h.vars))))
+    checks.append(IdentityReport("chain rule JF(G) * JG == 1",
+                                 jf_of_g.mul(jg, trunc=bound),
+                                 SparsePoly.one(h.vars)).check)
 
-    ident = ag_jacobian_identity(q, h, bound)
-    checks.append(passed_check(ident.name) if ident.passed
-                  else failed_check(ident.name, witness=ident.witness))
+    checks.append(ag_jacobian_identity(q, h, bound).check)
 
-    moment_ok = True
-    moment_witness = None
-    target = VarSet.xiz(h.n)
-    q_of_g = compose(q, oracle.G, bound).poly.lift(target)
+    q_of_g = compose(q, oracle.G, bound).poly.lift(VarSet.xiz(h.n))
     xi_n = xi_pairing(oracle.N)
-    for k in range(3):
-        got = xi_moment_series(h, q, k, bound)
-        expected = q_of_g.mul(xi_n.power(k, trunc=bound), trunc=bound)
-        if got != expected:
-            moment_ok = False
-            moment_witness = f"k={k}: {diff_witness(got, expected)}"
-            break
-    checks.append(passed_check("xi-moment series k=0,1,2") if moment_ok
-                  else failed_check("xi-moment series k=0,1,2", witness=moment_witness))
+    checks.append(first_failure(
+        IdentityReport("xi-moment series k=0,1,2", xi_moment_series(h, q, k, bound),
+                       q_of_g.mul(xi_n.power(k, trunc=bound), trunc=bound),
+                       where=f"k={k}")
+        for k in range(3)).check)
 
-    exp = verify_phi_exponential(h, q, xi_bound, bound)
-    checks.append(passed_check(exp.name) if exp.passed
-                  else failed_check(exp.name, witness=exp.witness))
-
+    checks.append(verify_phi_exponential(h, q, xi_bound, bound).check)
     checks.append(_symbol_battery(h.n))
     return checks
 
@@ -317,46 +286,42 @@ def _corpus_items(args):
     return gen_corpus(spec)
 
 
+def _invert_all_checks(item, degree: int, debug: bool) -> list[Check]:
+    results = cross_method_results(item.h, degree, debug=debug)
+    base = results[FIXED_POINT]
+    checks = [route_agreement(results).check, verify_round_trip(item.h, base).check]
+    if item.known_n is not None:
+        checks.append(first_failure(
+            IdentityReport("known inverse", got, known.truncate_z(degree),
+                           where=f"component {i + 1}")
+            for i, (known, got) in enumerate(zip(item.known_n.components,
+                                                 base.N.components))).check)
+    return checks
+
+
 def _run_suite_on_item(item, args, ceiling) -> Check:
     try:
         if args.run == "invert-all":
-            results = cross_method_results(item.h, args.degree, debug=args.debug)
-            base = results[FIXED_POINT]
-            if not (results[ABHYANKAR_GURJAR].G == base.G
-                    and results[LAMBDA_SERIES].G == base.G):
-                return failed_check(item.item_id, witness="cross-method mismatch")
-            rt = verify_round_trip(item.h, base)
-            if not rt.passed:
-                return failed_check(item.item_id, witness=rt.witness)
-            if item.known_n is not None:
-                for known, got in zip(item.known_n.components, base.N.components):
-                    if known.truncate_z(args.degree) != got:
-                        return failed_check(item.item_id,
-                                            witness="known inverse mismatch")
-            return passed_check(item.item_id, detail=f"invert-all D={args.degree}")
-        if args.run == "lab":
+            checks = _invert_all_checks(item, args.degree, args.debug)
+            done = f"invert-all D={args.degree}"
+        elif args.run == "lab":
             if not item.is_polynomial:
                 return skipped_check(item.item_id, detail="series map; lab is exact-only")
             eq = check_equivalences(item.h, args.m_max,
                                     known_nt_degree=item.nt_degree,
                                     term_ceiling=ceiling, label=item.item_id)
-            bad = [c for c in eq.checks if c.status == "fail"]
-            if bad:
-                return failed_check(item.item_id, witness=bad[0].witness,
-                                    detail=bad[0].name)
-            return passed_check(
-                item.item_id,
-                detail=f"lab mmax={args.m_max}, nilpotent={eq.nilpotent}")
-        # verify suite
-        q = SparsePoly.one(item.h.vars)
-        checks = verify_suite(item.h, args.degree, args.xi_degree, q)
-        bad = [c for c in checks if c.status == "fail"]
-        if bad:
-            return failed_check(item.item_id, witness=bad[0].witness, detail=bad[0].name)
-        return passed_check(item.item_id,
-                            detail=f"verify D={args.degree} K={args.xi_degree}")
+            checks = eq.checks
+            done = f"lab mmax={args.m_max}, nilpotent={eq.nilpotent}"
+        else:
+            q = SparsePoly.one(item.h.vars)
+            checks = verify_suite(item.h, args.degree, args.xi_degree, q)
+            done = f"verify D={args.degree} K={args.xi_degree}"
     except (TruncationError, PreconditionError) as err:
         return failed_check(item.item_id, witness=str(err), detail="contract")
+    bad = next((c for c in checks if c.status == FAIL), None)
+    if bad is not None:
+        return failed_check(item.item_id, witness=bad.witness, detail=bad.name)
+    return passed_check(item.item_id, detail=done)
 
 
 def cmd_corpus(args) -> Report:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AgcalcError,
@@ -34,18 +34,18 @@ from .errors import (
     TruncationError,
 )
 from .poly import (
-    INF,
     MapTuple,
+    PowerCache,
     SeriesTrunc,
     SparsePoly,
     VarSet,
     compose,
     det,
-    diff_witness,
     jacobian,
     series_parts,
     xi_pairing,
 )
+from .report import IdentityReport, first_failure
 from .weyl import lambda_pow, phi_apply
 
 FIXED_POINT = "fixed_point"
@@ -65,25 +65,6 @@ class InversionResult:
     checked_discards: int = 0
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Two independently computed sides of one identity, compared exactly."""
-
-    name: str
-    passed: bool
-    lhs: SparsePoly
-    rhs: SparsePoly
-    witness: str | None
-
-    def __str__(self) -> str:
-        return f"{self.name}: {'pass' if self.passed else f'FAIL at {self.witness}'}"
-
-
-def _identity_report(name: str, lhs: SparsePoly, rhs: SparsePoly) -> IdentityReport:
-    wit = diff_witness(lhs, rhs)
-    return IdentityReport(name, wit is None, lhs, rhs, wit)
-
-
 def _require_h(h: MapTuple, bound: int, *, derivatives: bool) -> None:
     if bound < 1:
         raise ContractViolation("inversion degree must be >= 1")
@@ -95,6 +76,14 @@ def _require_h(h: MapTuple, bound: int, *, derivatives: bool) -> None:
         raise TruncationError(
             f"map truncated at z-degree {h.trunc}; this route to output degree "
             f"{bound} needs >= {need}")
+
+
+def _known_to(u: SparsePoly | SeriesTrunc, bound: int, name: str) -> SparsePoly:
+    """The polynomial part of u, which must be known to z-degree >= bound."""
+    poly, trunc = series_parts(u)
+    if trunc < bound:
+        raise TruncationError(f"{name} known to z-degree {trunc}; need >= {bound}")
+    return poly
 
 
 def f_from_h(h: MapTuple) -> MapTuple:
@@ -165,40 +154,7 @@ def _multi_factorial(alpha: Sequence[int]) -> int:
     return out
 
 
-class _PowerCache:
-    """Truncated powers of the components of a map, grown on demand."""
-
-    def __init__(self, comps: Sequence[SparsePoly], trunc: int):
-        self.comps = comps
-        self.trunc = trunc
-        self.cache: list[dict[int, SparsePoly]] = [
-            {0: SparsePoly.one(comps[0].vars)} for _ in comps]
-
-    def get(self, i: int, k: int) -> SparsePoly:
-        cache = self.cache[i]
-        if k not in cache:
-            top = max(cache)
-            cur = cache[top]
-            for j in range(top + 1, k + 1):
-                cur = cur.mul(self.comps[i], trunc=self.trunc)
-                cache[j] = cur
-        return cache[k]
-
-    def monomial_power(self, alpha: Sequence[int], trunc: int) -> SparsePoly:
-        acc = None
-        for i, k in enumerate(alpha):
-            if k == 0:
-                continue
-            p = self.get(i, k)
-            acc = p if acc is None else acc.mul(p, trunc=trunc)
-            if acc.is_zero:
-                break
-        if acc is None:
-            acc = SparsePoly.one(self.comps[0].vars)
-        return acc.truncate_z(trunc)
-
-
-def _derivative_sum(us: Sequence[tuple[SparsePoly, int | float]], h: MapTuple,
+def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple,
                     bound: int, *, include_jf: bool,
                     debug: bool) -> tuple[list[SparsePoly], int]:
     """sum over |alpha| <= bound of d^alpha(u * H^alpha * JF?) / alpha!, per u.
@@ -212,7 +168,7 @@ def _derivative_sum(us: Sequence[tuple[SparsePoly, int | float]], h: MapTuple,
     one = SparsePoly.one(vs)
     jf = jacobian_factor(h, bound) if include_jf else one
     max_shell = bound
-    powers = _PowerCache(h.components, bound + max_shell + (1 if debug else 0))
+    powers = PowerCache(h.components, bound + max_shell + (1 if debug else 0))
     sums = [SparsePoly.zero(vs) for _ in us]
     checked = 0
     top = max_shell + (1 if debug else 0)
@@ -230,7 +186,7 @@ def _derivative_sum(us: Sequence[tuple[SparsePoly, int | float]], h: MapTuple,
             if base.is_zero:
                 continue
             inv_fact = Fraction(1, _multi_factorial(alpha))
-            for idx, (u_poly, _) in enumerate(us):
+            for idx, u_poly in enumerate(us):
                 prod = base.mul(u_poly, trunc=pad)
                 term = prod.diff_z_multi(alpha).truncate_z(bound)
                 if discard_shell:
@@ -247,7 +203,7 @@ def invert_ag(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResul
     """Inverse via the derivative sum applied to each coordinate function."""
     _require_h(h, bound, derivatives=True)
     vs = h.vars
-    us = [(SparsePoly.z_var(vs, i), INF) for i in range(h.n)]
+    us = [SparsePoly.z_var(vs, i) for i in range(h.n)]
     comps, checked = _derivative_sum(us, h, bound, include_jf=True, debug=debug)
     g_map = MapTuple(tuple(comps), bound)
     n_map = MapTuple(tuple(c - SparsePoly.z_var(vs, i)
@@ -261,10 +217,7 @@ def ag_apply(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
              debug: bool = False) -> SeriesTrunc:
     """u composed with the inverse map, via the derivative sum (no oracle)."""
     _require_h(h, bound, derivatives=True)
-    u_poly, u_trunc = series_parts(u)
-    if u_trunc < bound:
-        raise TruncationError(f"u known to z-degree {u_trunc}; need >= {bound}")
-    sums, _ = _derivative_sum([(u_poly, u_trunc)], h, bound,
+    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound,
                               include_jf=True, debug=debug)
     return SeriesTrunc(sums[0], bound)
 
@@ -274,17 +227,14 @@ def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple,
     """Check sum_alpha d^alpha(H^alpha u)/alpha! == JG * u(G), both sides built
     independently (left: derivative sum without JF; right: oracle inverse)."""
     _require_h(h, bound, derivatives=True)
-    u_poly, u_trunc = series_parts(u)
-    if u_trunc < bound:
-        raise TruncationError(f"u known to z-degree {u_trunc}; need >= {bound}")
-    sums, _ = _derivative_sum([(u_poly, u_trunc)], h, bound,
+    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound,
                               include_jf=False, debug=False)
     lhs = sums[0]
     oracle = invert_fixed_point(h, bound + 1)
     jg = det(jacobian(oracle.G), trunc=bound)
     u_of_g = compose(u, oracle.G, bound)
     rhs = jg.mul(u_of_g.poly, trunc=bound)
-    return _identity_report("derivative sum == JG * u(G)", lhs, rhs)
+    return IdentityReport("derivative sum == JG * u(G)", lhs, rhs)
 
 
 # -- route 3: the phase-space series ----------------------------------------
@@ -300,27 +250,29 @@ def _phase_data(h: MapTuple, bound: int) -> tuple[VarSet, SparsePoly, SparsePoly
 
 
 def _lambda_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
-                extra_orders: Sequence[int], debug: bool
+                extra_orders: Sequence[int], debug: bool, k: int = 0
                 ) -> tuple[list[SparsePoly], int]:
-    """sum_m lambda^m(u * P^m * JF) / (m!)^2 for each u (lifted, xi-free).
+    """k! sum_m lambda^m(u * P^(m+k) * JF) / (m! (m+k)!) for each u (lifted).
 
-    extra_orders[i] is a lower bound on o(u_i); term m then has z-order
-    >= m + extra_orders[i], which sets the per-u summation cutoff.
+    Every term has xi-degree exactly k; k = 0 is the inversion series, whose
+    callers drop the xi-block.  extra_orders[i] is a lower bound on o(u_i);
+    term m then has z-order >= m + 2k + extra_orders[i], which sets the
+    per-u summation cutoff.
     """
     target, pairing, jf = _phase_data(h, bound)
     jf_is_one = jf == SparsePoly.one(target)
     us_l = [u.lift(target) for u in us]
-    cutoffs = [bound - o for o in extra_orders]
+    cutoffs = [bound - 2 * k - o for o in extra_orders]
     max_m = max(cutoffs)
     sums = [SparsePoly.zero(target) for _ in us]
     checked = 0
-    p_power = SparsePoly.one(target)
+    p_power = pairing.power(k, trunc=bound)
     top = max_m + (1 if debug else 0)
     for m in range(top + 1):
         pad = bound + m
         if m > 0:
             p_power = p_power.mul(pairing, trunc=pad)
-        scale = Fraction(1, factorial(m) ** 2)
+        scale = Fraction(factorial(k), factorial(m) * factorial(m + k))
         for idx, u_l in enumerate(us_l):
             if m > cutoffs[idx] + (1 if debug else 0):
                 continue
@@ -334,15 +286,15 @@ def _lambda_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
             if not jf_is_one:
                 base = base.mul(jf, trunc=pad)
             term = lambda_pow(base, m).truncate_z(bound)
-            if term.max_xi_degree() != 0:
-                raise AgcalcError("phase-series term kept a xi-degree > 0 part")
+            if term.is_zero:
+                continue
+            if term.max_xi_degree() != k:
+                raise AgcalcError(f"phase-series term has xi-degree other than {k}")
             if discard:
-                if not term.is_zero:
-                    raise ConvergenceViolation(
-                        f"discarded phase-series term at m={m} has order <= {bound}")
-            elif not term.is_zero:
-                sums[idx] = sums[idx] + term.scale(scale)
-    return [s.drop_xi() for s in sums], checked
+                raise ConvergenceViolation(
+                    f"discarded phase-series term at m={m} has order <= {bound}")
+            sums[idx] = sums[idx] + term.scale(scale)
+    return sums, checked
 
 
 def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResult:
@@ -350,7 +302,8 @@ def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False) -> InversionR
     _require_h(h, bound, derivatives=True)
     vs = h.vars
     us = [SparsePoly.z_var(vs, i) for i in range(h.n)]
-    comps, checked = _lambda_sum(us, h, bound, extra_orders=[1] * h.n, debug=debug)
+    sums, checked = _lambda_sum(us, h, bound, extra_orders=[1] * h.n, debug=debug)
+    comps = [s.drop_xi() for s in sums]
     g_map = MapTuple(tuple(comps), bound)
     n_map = MapTuple(tuple(c - SparsePoly.z_var(vs, i)
                            for i, c in enumerate(comps)), bound)
@@ -363,11 +316,9 @@ def lambda_compose(q: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
                    debug: bool = False) -> SeriesTrunc:
     """q composed with the inverse map, via the phase-space series (m <= bound)."""
     _require_h(h, bound, derivatives=True)
-    q_poly, q_trunc = series_parts(q)
-    if q_trunc < bound:
-        raise TruncationError(f"q known to z-degree {q_trunc}; need >= {bound}")
-    sums, _ = _lambda_sum([q_poly], h, bound, extra_orders=[0], debug=debug)
-    return SeriesTrunc(sums[0], bound)
+    sums, _ = _lambda_sum([_known_to(q, bound, "q")], h, bound, extra_orders=[0],
+                          debug=debug)
+    return SeriesTrunc(sums[0].drop_xi(), bound)
 
 
 def xi_moment_series(h: MapTuple, q: SparsePoly | SeriesTrunc, k: int,
@@ -380,32 +331,9 @@ def xi_moment_series(h: MapTuple, q: SparsePoly | SeriesTrunc, k: int,
     if k < 0:
         raise ContractViolation("moment index k must be >= 0")
     _require_h(h, bound, derivatives=True)
-    q_poly, q_trunc = series_parts(q)
-    if q_trunc < bound:
-        raise TruncationError(f"q known to z-degree {q_trunc}; need >= {bound}")
-    target, pairing, jf = _phase_data(h, bound)
-    jf_is_one = jf == SparsePoly.one(target)
-    q_l = q_poly.lift(target)
-    acc = SparsePoly.zero(target)
-    # term m has z-order >= m + 2k, so m ranges to bound - 2k
-    max_m = bound - 2 * k
-    if max_m < 0:
-        return acc
-    p_power = pairing.power(k, trunc=bound) if k else SparsePoly.one(target)
-    for m in range(max_m + 1):
-        pad = bound + m
-        if m > 0:
-            p_power = p_power.mul(pairing, trunc=pad)
-        if p_power.is_zero and k + m > 0:
-            break
-        base = q_l.mul(p_power, trunc=pad)
-        if not jf_is_one:
-            base = base.mul(jf, trunc=pad)
-        term = lambda_pow(base, m).truncate_z(bound)
-        if term.is_zero:
-            continue
-        acc = acc + term.scale(Fraction(factorial(k), factorial(m) * factorial(m + k)))
-    return acc
+    sums, _ = _lambda_sum([_known_to(q, bound, "q")], h, bound, extra_orders=[0],
+                          debug=False, k=k)
+    return sums[0]
 
 
 # -- the exponential transport identity --------------------------------------
@@ -422,9 +350,7 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: i
     the fixed-point oracle.  xi_bound is capped at bound by the window rule.
     """
     _require_h(h, bound, derivatives=True)
-    q_poly, q_trunc = series_parts(q)
-    if q_trunc < bound:
-        raise TruncationError(f"q known to z-degree {q_trunc}; need >= {bound}")
+    q_poly = _known_to(q, bound, "q")
     k_eff = min(xi_bound, bound)
     target, pairing, jf = _phase_data(h, bound)
     q_l = q_poly.lift(target)
@@ -452,8 +378,7 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: i
                 break
         rhs = rhs + tail
     rhs = rhs.restrict_xi(k_eff).truncate_z(bound)
-    return _identity_report(
-        f"exponential transport (xi<={k_eff}, z<={bound})", lhs, rhs)
+    return IdentityReport(f"exponential transport (xi<={k_eff}, z<={bound})", lhs, rhs)
 
 
 # -- cross-route verification -------------------------------------------------
@@ -468,13 +393,12 @@ def verify_round_trip(h: MapTuple, result: InversionResult) -> IdentityReport:
         zi = SparsePoly.z_var(vs, i)
         fg = compose(_h_input(f_map, i), result.G, bound).poly
         if fg != zi:
-            rep = _identity_report(f"round trip, component {i + 1} of F(G)", fg, zi)
-            return rep
+            return IdentityReport(f"round trip, component {i + 1} of F(G)", fg, zi)
         gf = compose(SeriesTrunc(result.G.components[i], bound), f_map, bound).poly
         if gf != zi:
-            return _identity_report(f"round trip, component {i + 1} of G(F)", gf, zi)
+            return IdentityReport(f"round trip, component {i + 1} of G(F)", gf, zi)
     ident = SparsePoly.z_var(vs, 0)
-    return IdentityReport("round trip F(G) == z == G(F)", True, ident, ident, None)
+    return IdentityReport("round trip F(G) == z == G(F)", ident, ident)
 
 
 def cross_method_results(h: MapTuple, bound: int, *,
@@ -484,3 +408,19 @@ def cross_method_results(h: MapTuple, bound: int, *,
         ABHYANKAR_GURJAR: invert_ag(h, bound, debug=debug),
         LAMBDA_SERIES: invert_lambda(h, bound, debug=debug),
     }
+
+
+def route_agreement(results: Mapping[str, InversionResult], *,
+                    detail: str | None = None) -> IdentityReport:
+    """Every component of every route against the fixed-point result.
+
+    A mismatch is named "<method> component <i>: <monomial>: <route
+    coefficient> vs <fixed-point coefficient>", for the first route and
+    component that differ.
+    """
+    base = results[FIXED_POINT].G.components
+    return first_failure(
+        IdentityReport("cross-method agreement", got, want,
+                       where=f"{method} component {i + 1}", detail=detail)
+        for method in (ABHYANKAR_GURJAR, LAMBDA_SERIES)
+        for i, (got, want) in enumerate(zip(results[method].G.components, base)))

@@ -182,6 +182,17 @@ def _deformed_map(h: MapTuple) -> MapTuple:
     return MapTuple.exact(tuple(c.lift(zt).mul(t) for c in h.components))
 
 
+def _divide_by_t(tail: MapTuple) -> MapTuple:
+    """N_t from the inverse tail t*N_t of z - t*H: shift the t factor out."""
+    comps = []
+    for i, comp in enumerate(tail.components):
+        if any(e[-1] == 0 for e in comp.terms):
+            raise VerificationError(f"deformed inverse component {i + 1} missing its t factor")
+        comps.append(SparsePoly(comp.vars, {e[:-1] + (e[-1] - 1,): c
+                                            for e, c in comp.terms.items()}))
+    return MapTuple(tuple(comps), tail.trunc)
+
+
 def gt_jacobian_series(h: MapTuple, mmax: int, *,
                        term_ceiling: int | None = None) -> SparsePoly:
     """sum_m t^m lambda^m(P^m) / (m!)^2 over (z, t), cross-checked.
@@ -243,15 +254,8 @@ def nt_pairing_series(h: MapTuple, mmax: int, *,
 
     z_window = int(series.degree()) if not series.is_zero else 1
     oracle = invert_fixed_point(_deformed_map(h), z_window, t_bound=mmax + 1)
-    zt = VarSet.zt(h.vars.n)
-    n_t = []
-    for i, comp in enumerate(oracle.N.components):
-        # every term of N_t carries t; shift the factor out
-        shifted = {e[:-1] + (e[-1] - 1,): c for e, c in comp.terms.items()}
-        if any(e[-1] < 0 for e in shifted):
-            raise VerificationError(f"deformed inverse component {i + 1} missing its t factor")
-        n_t.append(SparsePoly(zt, shifted).truncate_t(mmax))
-    oracle_pairing = xi_pairing(MapTuple.exact(tuple(n_t)))
+    n_t = _divide_by_t(oracle.N).apply(lambda c: c.truncate_t(mmax))
+    oracle_pairing = xi_pairing(n_t)
     wit = diff_witness(series, oracle_pairing.truncate_z(z_window))
     if wit is not None:
         raise VerificationError(
@@ -451,7 +455,10 @@ def _strictly_triangular(rng, n: int, max_degree: int,
 
 
 def _back_substitute(h: MapTuple) -> MapTuple:
-    """Exact inverse tail N for strictly triangular H, by back-substitution."""
+    """Exact inverse tail N for strictly triangular H, by back-substitution.
+
+    Over the (z, t) layout this also inverts the deformed map t*H.
+    """
     vs = h.vars
     n = h.n
     g = [SparsePoly.z_var(vs, i) for i in range(n)]
@@ -463,27 +470,6 @@ def _back_substitute(h: MapTuple) -> MapTuple:
         bound = int(hi.degree()) * max(1, max(int(c.degree()) for c in g))
         g[i] = SparsePoly.z_var(vs, i) + compose(hi, g_map, bound).poly
     return MapTuple.exact(tuple(gi - SparsePoly.z_var(vs, i) for i, gi in enumerate(g)))
-
-
-def _deformed_back_substitute(h: MapTuple) -> MapTuple:
-    """Exact deformed inverse tail N_t over (z, t) for strictly triangular H."""
-    zt = VarSet.zt(h.vars.n)
-    n = h.n
-    t = SparsePoly.t_var(zt)
-    g = [SparsePoly.z_var(zt, i) for i in range(n)]
-    for i in range(n - 1, -1, -1):
-        hi = h.components[i].lift(zt)
-        if hi.is_zero:
-            continue
-        g_map = MapTuple.exact(tuple(g))
-        bound = int(hi.degree()) * max(1, max(int(c.degree()) for c in g))
-        g[i] = SparsePoly.z_var(zt, i) + t.mul(compose(hi, g_map, bound).poly)
-    tails = []
-    for i, gi in enumerate(g):
-        diff = gi - SparsePoly.z_var(zt, i)
-        shifted = {e[:-1] + (e[-1] - 1,): c for e, c in diff.terms.items()}
-        tails.append(SparsePoly(zt, shifted))
-    return MapTuple.exact(tuple(tails))
 
 
 def _unimodular(rng, n: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -592,7 +578,7 @@ def gen_corpus(spec: CorpusSpec) -> list[CorpusItem]:
             else:
                 h = _strictly_triangular(rng, n, spec.max_degree)
             known_n = _back_substitute(h)
-            nt = _deformed_back_substitute(h)
+            nt = _divide_by_t(_back_substitute(_deformed_map(h)))
             nt_degree = max(c.max_t_degree() for c in nt.components)
             items.append(CorpusItem(item_id, spec.family, h, True, known_n, nt_degree))
         elif spec.family == "cubic":
@@ -605,7 +591,7 @@ def gen_corpus(spec: CorpusSpec) -> list[CorpusItem]:
                     f"conjugated cubic instance lost nilpotency: {cert.det_deformation}")
             base_n = _back_substitute(base)
             known_n = _conjugate_map(base_n, t_mat, t_inv)
-            base_nt = _deformed_back_substitute(base)
+            base_nt = _divide_by_t(_back_substitute(_deformed_map(base)))
             nt_degree = max(int(c.max_t_degree()) for c in base_nt.components)
             items.append(CorpusItem(item_id, spec.family, h, True, known_n, nt_degree))
         elif spec.family == "control":

@@ -663,6 +663,35 @@ def xi_pairing(h: MapTuple) -> SparsePoly:
 # -- composition ----------------------------------------------------------
 
 
+class PowerCache:
+    """Powers p_i^k of the polynomials p_i, truncated at z-degree trunc, grown on demand."""
+
+    def __init__(self, polys: Sequence[SparsePoly], trunc: int):
+        self.polys = polys
+        self.trunc = trunc
+        self.powers = [[SparsePoly.one(p.vars)] for p in polys]
+
+    def get(self, i: int, k: int) -> SparsePoly:
+        powers = self.powers[i]
+        while len(powers) <= k:
+            powers.append(powers[-1].mul(self.polys[i], trunc=self.trunc))
+        return powers[k]
+
+    def monomial_power(self, alpha: Sequence[int], trunc: int) -> SparsePoly:
+        """prod_i p_i^alpha_i, truncated at z-degree trunc <= self.trunc."""
+        acc = None
+        for i, k in enumerate(alpha):
+            if k == 0:
+                continue
+            p = self.get(i, k)
+            acc = p if acc is None else acc.mul(p, trunc=trunc)
+            if acc.is_zero:
+                break
+        if acc is None:
+            acc = SparsePoly.one(self.polys[0].vars)
+        return acc.truncate_z(trunc)
+
+
 def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc:
     """Substitute the components of g for the z-variables of u, mod z-degree > bound.
 
@@ -683,7 +712,6 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
     if g.effective_trunc < bound:
         raise TruncationError(
             f"map known to z-degree {g.trunc}; composition to degree {bound} needs >= {bound}")
-    proper_series = utrunc is not INF and utrunc != INF
     if isinstance(u, SeriesTrunc):
         if utrunc < bound:
             raise TruncationError(
@@ -696,19 +724,7 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
 
     n = vsg.n
     const_free = [gi.is_zero or gi.order() >= 1 for gi in g.components]
-    powers: list[dict[int, SparsePoly]] = [{0: SparsePoly.one(vsg)} for _ in range(n)]
-
-    def g_power(i: int, k: int) -> SparsePoly:
-        cache = powers[i]
-        if k in cache:
-            return cache[k]
-        top = max(cache)
-        cur = cache[top]
-        for j in range(top + 1, k + 1):
-            cur = cur.mul(g.components[i], trunc=bound)
-            cache[j] = cur
-        return cache[k]
-
+    powers = PowerCache(g.components, bound)
     zs = vsu.z_start
     out = SparsePoly.zero(vsg)
     for e, c in upoly.terms.items():
@@ -723,7 +739,7 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
             if const_free[i] and b > bound:
                 acc = SparsePoly.zero(vsg)
                 break
-            acc = acc.mul(g_power(i, b), trunc=bound)
+            acc = acc.mul(powers.get(i, b), trunc=bound)
             if acc.is_zero:
                 break
         if not acc.is_zero:
@@ -850,6 +866,8 @@ def _det_cofactor(m: PolyMatrix, trunc: int | None) -> SparsePoly:
 
 
 def _det_bareiss(m: PolyMatrix) -> SparsePoly:
+    # fraction-free elimination (Bareiss 1968), kept as an independent
+    # reference that det is tested against
     n = m.dim
     vs = m.vars
     a = [[m.rows[i][j] for j in range(n)] for i in range(n)]
@@ -875,8 +893,6 @@ def _det_bareiss(m: PolyMatrix) -> SparsePoly:
 
 
 def det(m: PolyMatrix, trunc: int | None = None) -> SparsePoly:
-    """Determinant; cofactor expansion for dim <= 4 or truncated entries,
-    fraction-free elimination for larger exact matrices."""
-    if m.dim <= 4 or trunc is not None:
-        return _det_cofactor(m, trunc)
-    return _det_bareiss(m)
+    """Determinant by cofactor expansion with memoized minors; terms of
+    z-degree > trunc are dropped from every product when trunc is given."""
+    return _det_cofactor(m, trunc)

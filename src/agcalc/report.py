@@ -2,12 +2,17 @@
 
 Reports never carry timestamps or timings; the CLI keeps timing on a side
 channel so that report bytes are identical across runs for fixed inputs.
+Every identity the library checks comes back as an IdentityReport, whose
+check property is the Check the CLI puts into its report.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
+
+from .poly import SparsePoly, diff_witness
 
 PASS = "pass"
 FAIL = "fail"
@@ -44,6 +49,51 @@ def failed_check(name: str, witness: str | None, detail: str | None = None) -> C
 
 def skipped_check(name: str, detail: str | None = None) -> Check:
     return Check(name, SKIP, None, detail)
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Two independently computed sides of one identity, compared exactly.
+
+    The witness names the first differing monomial as
+    "<monomial>: <lhs coefficient> vs <rhs coefficient>", prefixed by
+    "<where>: " when the identity is one of several compared in turn.
+    detail describes what a passing comparison covered.
+    """
+
+    name: str
+    lhs: SparsePoly
+    rhs: SparsePoly
+    where: str | None = None
+    detail: str | None = None
+    witness: str | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        wit = None if self.lhs == self.rhs else diff_witness(self.lhs, self.rhs)
+        if wit is not None and self.where:
+            wit = f"{self.where}: {wit}"
+        object.__setattr__(self, "witness", wit)
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
+
+    @property
+    def check(self) -> Check:
+        if self.passed:
+            return passed_check(self.name, self.detail)
+        return failed_check(self.name, self.witness)
+
+    def __str__(self) -> str:
+        return f"{self.name}: {'pass' if self.passed else f'FAIL at {self.witness}'}"
+
+
+def first_failure(reports: Iterable[IdentityReport]) -> IdentityReport:
+    """The first failing report, else the last one; later reports are not built."""
+    for rep in reports:
+        if not rep.passed:
+            break
+    return rep
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ from .poly import (
     SeriesTrunc,
     SparsePoly,
     VarSet,
-    diff_witness,
     series_parts,
 )
+from .report import IdentityReport
 
 
 def _binom_multi(alpha: Exponent, gamma: Exponent) -> int:
@@ -316,24 +316,9 @@ def phi_apply(f: SparsePoly, xi_bound: int | None = None,
     return total
 
 
-@dataclass(frozen=True)
-class SymbolTransportReport:
-    """Comparison of the normal-ordering route with the exponential route."""
+def verify_phi_normal_order(f: SparsePoly) -> IdentityReport:
+    """Check right_symbol(normal_order(f)) == phi_apply(f), exactly.
 
-    passed: bool
-    via_normal_order: SparsePoly
-    via_exponential: SparsePoly
-    witness: str | None
-
-    def __str__(self) -> str:
-        if self.passed:
-            return "symbol transport: pass"
-        return f"symbol transport: FAIL at {self.witness}"
-
-
-def verify_phi_normal_order(f: SparsePoly) -> SymbolTransportReport:
-    """Check right_symbol(normal_order(f)) == phi_apply(f), exactly."""
-    lhs = right_symbol(normal_order(f))
-    rhs = phi_apply(f)
-    wit = diff_witness(lhs, rhs)
-    return SymbolTransportReport(wit is None, lhs, rhs, wit)
+    lhs is the normal-ordering route, rhs the exponential route.
+    """
+    return IdentityReport("symbol transport", right_symbol(normal_order(f)), phi_apply(f))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, report determinism, golden bytes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 
 import pytest
 
+import agcalc.inversion
+from agcalc.cli import main
 from agcalc.mapfile import save_map_file
 from agcalc.poly import MapTuple, SparsePoly, VarSet
 from agcalc.report import Report
@@ -205,3 +208,56 @@ class TestDeterminism:
         assert report.command == "invert"
         assert report.passed
         assert report.to_json() == out.read_text()
+
+
+def _perturb_component_2(route):
+    """Wrap an inversion route so component 2 of its G gains z1^2."""
+    def perturbed(h, bound, **kwargs):
+        res = route(h, bound, **kwargs)
+        comps = list(res.G.components)
+        comps[1] = comps[1] + SparsePoly.monomial(res.G.vars, (2,) + (0,) * (h.n - 1))
+        return dataclasses.replace(res, G=MapTuple(tuple(comps), res.G.trunc))
+    return perturbed
+
+
+@pytest.mark.parametrize("route, method", [("invert_lambda", "lambda_series"),
+                                           ("invert_ag", "abhyankar_gurjar")])
+class TestAgreementWitness:
+    """A route that disagrees in component 2 fails with a witness naming it."""
+
+    @pytest.fixture(autouse=True)
+    def perturb(self, route, monkeypatch):
+        monkeypatch.setattr(agcalc.inversion, route,
+                            _perturb_component_2(getattr(agcalc.inversion, route)))
+
+    def run_main(self, argv, capsys) -> dict:
+        code = main(argv + ["--format", "json"])
+        out = capsys.readouterr().out
+        assert code == 1, out
+        return json.loads(out)
+
+    def agreement_check(self, report) -> dict:
+        return next(c for c in report["checks"] if c["name"] == "cross-method agreement")
+
+    def test_invert_all(self, method, triangular_map, capsys):
+        report = self.run_main(["invert", triangular_map, "--degree", "4"], capsys)
+        check = self.agreement_check(report)
+        assert check["status"] == "fail"
+        assert check["witness"] == f"{method} component 2: z1^2: 1 vs 0"
+
+    def test_verify(self, method, triangular_map, capsys):
+        report = self.run_main(["verify", triangular_map, "--degree", "4",
+                                "--xi-degree", "2"], capsys)
+        check = self.agreement_check(report)
+        assert check["status"] == "fail"
+        assert check["witness"] == f"{method} component 2: z1^2: 1 vs 0"
+
+    def test_corpus_invert_all(self, method, capsys):
+        report = self.run_main(["corpus", "--family", "triangular", "--n", "2",
+                                "--count", "2", "--run", "invert-all",
+                                "--degree", "4"], capsys)
+        assert report["result"]["failed"] == 2
+        for check in report["checks"]:
+            assert check["status"] == "fail"
+            assert check["detail"] == "cross-method agreement"
+            assert check["witness"] == f"{method} component 2: z1^2: 1 vs 0"

@@ -1,10 +1,12 @@
 """The three inversion routes and the identities tying them together."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import agcalc.inversion
 from agcalc.errors import (
     ContractViolation,
     PreconditionError,
@@ -23,6 +25,7 @@ from agcalc.inversion import (
     invert_lambda,
     jacobian_factor,
     lambda_compose,
+    route_agreement,
     verify_phi_exponential,
     verify_round_trip,
     xi_moment_series,
@@ -261,6 +264,32 @@ class TestCrossMethod:
             assert results[ABHYANKAR_GURJAR].G == base.G
             assert results[LAMBDA_SERIES].G == base.G
             assert verify_round_trip(h, base).passed
+
+    def test_route_agreement_names_first_mismatch(self):
+        results = cross_method_results(triangular_2d(), 4)
+        assert route_agreement(results).passed
+        bad = results[LAMBDA_SERIES]
+        comps = (bad.G.components[0], bad.G.components[1] - SparsePoly.monomial(Z2, (0, 3)))
+        results[LAMBDA_SERIES] = dataclasses.replace(bad, G=MapTuple(comps, bad.G.trunc))
+        rep = route_agreement(results)
+        assert not rep.passed
+        assert rep.witness == "lambda_series component 2: z2^3: -1 vs 0"
+        assert rep.check.status == "fail" and rep.check.witness == rep.witness
+
+    def test_routes_do_not_call_the_oracle(self, monkeypatch):
+        # the routes' agreement is evidence only while each stands alone
+        rng = random.Random(61)
+        cases = [one_var_square(), triangular_2d(), random_h(rng, 2, max_deg=3),
+                 random_h(rng, 3, max_deg=3), random_h(rng, 2, trunc=8, max_deg=5)]
+        expected = [invert_fixed_point(h, 6).G for h in cases]
+
+        def oracle_called(*args, **kwargs):
+            raise AssertionError("an inversion route called the fixed-point oracle")
+
+        monkeypatch.setattr(agcalc.inversion, "invert_fixed_point", oracle_called)
+        for h, g in zip(cases, expected):
+            assert invert_ag(h, 6, debug=True).G == g
+            assert invert_lambda(h, 6, debug=True).G == g
 
     def test_series_truncated_input(self):
         rng = random.Random(59)

@@ -14,6 +14,8 @@ from agcalc.poly import (
     SeriesTrunc,
     SparsePoly,
     VarSet,
+    _det_bareiss,
+    _det_cofactor,
     compose,
     det,
     exact_div,
@@ -217,8 +219,25 @@ class TestJacobianAndDet:
             rows = tuple(tuple(random_poly(rng, vs, max_deg=2, max_terms=3, coeff_bound=3)
                                for _ in range(3)) for _ in range(3))
             m = PolyMatrix(rows)
-            from agcalc.poly import _det_bareiss, _det_cofactor
             assert _det_cofactor(m, None) == _det_bareiss(m)
+        # dim 5 over (z, t), of the nilpotency-certificate shape I - t*JH
+        zt = VarSet.zt(5)
+        t = SparsePoly.t_var(zt)
+        z5 = VarSet.z(5)
+        for _ in range(3):
+            comps = []
+            for _ in range(5):
+                acc = SparsePoly.zero(z5)
+                for _ in range(4):
+                    exps = [0] * 5
+                    exps[rng.randrange(5)] += 1
+                    exps[rng.randrange(5)] += 1
+                    acc = acc + SparsePoly.monomial(z5, exps, rng.choice([-2, -1, 1, 2]))
+                comps.append(acc)
+            h = MapTuple.exact(tuple(comps))
+            m = PolyMatrix.identity(zt, 5).sub(
+                jacobian(h).map(lambda p: p.lift(zt).mul(t)))
+            assert det(m) == _det_cofactor(m, None) == _det_bareiss(m)
 
     def test_exact_div_roundtrip(self):
         rng = random.Random(5)
