@@ -32,12 +32,18 @@ from .poly import (
     VarSet,
     compose,
     det,
-    diff_witness,
     jacobian,
     render_poly,
     xi_pairing,
 )
-from .report import Check, failed_check, passed_check, skipped_check
+from .report import (
+    Check,
+    IdentityReport,
+    failed_check,
+    first_failure,
+    passed_check,
+    skipped_check,
+)
 from .weyl import lambda_apply
 
 DEFAULT_TERM_CEILING = 10_000_000
@@ -183,14 +189,57 @@ def _deformed_map(h: MapTuple) -> MapTuple:
 
 
 def _divide_by_t(tail: MapTuple) -> MapTuple:
-    """N_t from the inverse tail t*N_t of z - t*H: shift the t factor out."""
-    comps = []
-    for i, comp in enumerate(tail.components):
-        if any(e[-1] == 0 for e in comp.terms):
-            raise VerificationError(f"deformed inverse component {i + 1} missing its t factor")
-        comps.append(SparsePoly(comp.vars, {e[:-1] + (e[-1] - 1,): c
-                                            for e, c in comp.terms.items()}))
-    return MapTuple(tuple(comps), tail.trunc)
+    """N_t from the inverse tail t*N_t of z - t*H; a term without t is refused."""
+    return tail.apply(lambda comp: SparsePoly(
+        comp.vars, {e[:-1] + (e[-1] - 1,): c for e, c in comp.terms.items()}))
+
+
+def _scan_series(scan: VanishingReport) -> SparsePoly:
+    """sum_m t^m v_m / (m!(m+k)!) over (xi, z, t); the k=0 series starts at 1."""
+    xizt = VarSet.xizt(scan.values[0][1].vars.n)
+    t = SparsePoly.t_var(xizt)
+    series = SparsePoly.one(xizt) if scan.k == 0 else SparsePoly.zero(xizt)
+    for m, v in scan.values:
+        if not v.is_zero:
+            series = series + v.lift(xizt).mul(t.power(m)).scale(
+                Fraction(1, factorial(m) * factorial(m + scan.k)))
+    return series
+
+
+def _jacobian_series_report(h: MapTuple, scan0: VanishingReport) -> IdentityReport:
+    """The k=0 series against det(jacobian(G_t)), G_t the deformed oracle inverse."""
+    series = _scan_series(scan0).drop_xi()
+    z_window = max(int(series.degree()), 0)
+    oracle_bound = z_window + 1  # one extra degree: the determinant differentiates
+    oracle = invert_fixed_point(_deformed_map(h), oracle_bound, t_bound=scan0.mmax)
+    jg = det(jacobian(oracle.G), trunc=z_window).truncate_t(scan0.mmax)
+    return IdentityReport("deformed Jacobian series", series, jg.truncate_z(z_window))
+
+
+def _nt_series_report(h: MapTuple, scan1: VanishingReport) -> IdentityReport:
+    """The k=1 series against <xi, N_t>, N_t = (G_t - z)/t from the deformed oracle.
+
+    The series must be xi-linear and the oracle tail t*N_t must have no t^0 term.
+    """
+    name = "deformed inverse series cross-check"
+    series = _scan_series(scan1)
+
+    def comparisons():
+        yield IdentityReport(name, series.xi_slice(1), series, where="xi-linear part")
+        z_window = int(series.degree()) if not series.is_zero else 1
+        oracle = invert_fixed_point(_deformed_map(h), z_window, t_bound=scan1.mmax + 1)
+        tail = xi_pairing(oracle.N)
+        yield IdentityReport(name, SparsePoly.zero(tail.vars), tail.truncate_t(0),
+                             where="oracle tail at t^0")
+        n_t = _divide_by_t(oracle.N).apply(lambda c: c.truncate_t(scan1.mmax))
+        yield IdentityReport(name, series, xi_pairing(n_t).truncate_z(z_window))
+    return first_failure(comparisons())
+
+
+def _verified_series(rep: IdentityReport) -> SparsePoly:
+    if not rep.passed:
+        raise VerificationError(f"{rep.name} fails at {rep.witness}", witness=rep.witness)
+    return rep.lhs
 
 
 def gt_jacobian_series(h: MapTuple, mmax: int, *,
@@ -202,26 +251,8 @@ def gt_jacobian_series(h: MapTuple, mmax: int, *,
     inverse of z - t*H over Q[t].  A window mismatch raises
     VerificationError naming the offending coefficient.
     """
-    _require_exact(h)
-    scan = vanishing_scan_poly(xi_pairing(h), 0, mmax, term_ceiling=term_ceiling,
-                               label="jacobian series")
-    zt = VarSet.zt(h.vars.n)
-    t = SparsePoly.t_var(zt)
-    series = SparsePoly.one(zt)
-    for m, v in scan.values:
-        if v.is_zero:
-            continue
-        piece = v.drop_xi().lift(zt).mul(t.power(m)).scale(Fraction(1, factorial(m) ** 2))
-        series = series + piece
-    z_window = max(int(series.degree()), 0)
-    oracle_bound = z_window + 1  # one extra degree: the determinant differentiates
-    oracle = invert_fixed_point(_deformed_map(h), oracle_bound, t_bound=mmax)
-    jg = det(jacobian(oracle.G), trunc=z_window).truncate_t(mmax)
-    wit = diff_witness(series, jg.truncate_z(z_window))
-    if wit is not None:
-        raise VerificationError(
-            f"deformed-Jacobian series disagrees with the oracle at {wit}", witness=wit)
-    return series
+    scan = vanishing_scan(h, 0, mmax, term_ceiling=term_ceiling, label="jacobian series")
+    return _verified_series(_jacobian_series_report(h, scan))
 
 
 def nt_pairing_series(h: MapTuple, mmax: int, *,
@@ -238,29 +269,9 @@ def nt_pairing_series(h: MapTuple, mmax: int, *,
         raise PreconditionError(
             "the deformed-inverse series needs JH nilpotent (deformed Jacobian == 1); "
             f"certificate: det(I - t*JH) = {cert.det_deformation}")
-    scan = vanishing_scan_poly(xi_pairing(h), 1, mmax, term_ceiling=term_ceiling,
-                               label="deformed inverse series")
-    xizt = VarSet.xizt(h.vars.n)
-    t = SparsePoly.t_var(xizt)
-    series = SparsePoly.zero(xizt)
-    for m, v in scan.values:
-        if v.is_zero:
-            continue
-        piece = v.lift(xizt).mul(t.power(m)).scale(
-            Fraction(1, factorial(m) * factorial(m + 1)))
-        series = series + piece
-    if not series.is_zero and series.xi_slice(1) != series:
-        raise VerificationError("deformed-inverse series is not purely xi-linear")
-
-    z_window = int(series.degree()) if not series.is_zero else 1
-    oracle = invert_fixed_point(_deformed_map(h), z_window, t_bound=mmax + 1)
-    n_t = _divide_by_t(oracle.N).apply(lambda c: c.truncate_t(mmax))
-    oracle_pairing = xi_pairing(n_t)
-    wit = diff_witness(series, oracle_pairing.truncate_z(z_window))
-    if wit is not None:
-        raise VerificationError(
-            f"deformed-inverse series disagrees with the oracle at {wit}", witness=wit)
-    return series
+    scan = vanishing_scan(h, 1, mmax, term_ceiling=term_ceiling,
+                          label="deformed inverse series")
+    return _verified_series(_nt_series_report(h, scan))
 
 
 def deformed_tail_components(h: MapTuple, mmax: int, *,
@@ -303,8 +314,9 @@ def check_equivalences(h: MapTuple, mmax: int, *,
           series cross-checks against the oracle.  Skipped otherwise.
     (iii) the deformed-Jacobian series cross-checks (and equals 1 when
           nilpotent).  Skipped for non-nilpotent instances.
+    Each scan runs once; the deformation series of (ii) and (iii) are
+    summed from the k=1 and k=0 scans.
     """
-    _require_exact(h)
     cert = is_nilpotent(h)
     checks: list[Check] = []
 
@@ -350,12 +362,7 @@ def check_equivalences(h: MapTuple, mmax: int, *,
                 "deformed inverse stabilizes at known t-degree",
                 witness=f"last nonzero at m={scan1.last_nonzero}",
                 detail=f"expected exactly m={d}"))
-        try:
-            nt_pairing_series(h, depth, term_ceiling=term_ceiling)
-            checks.append(passed_check("deformed inverse series cross-check"))
-        except VerificationError as err:
-            checks.append(failed_check("deformed inverse series cross-check",
-                                       witness=err.witness))
+        checks.append(_nt_series_report(h, scan1).check)
     else:
         reason = ("not nilpotent" if not cert.nilpotent
                   else "no known-inverse metadata")
@@ -363,19 +370,10 @@ def check_equivalences(h: MapTuple, mmax: int, *,
             "deformed inverse stabilizes at known t-degree", detail=reason))
 
     if cert.nilpotent:
-        try:
-            series = gt_jacobian_series(h, mmax, term_ceiling=term_ceiling)
-            zt = VarSet.zt(h.vars.n)
-            if series == SparsePoly.one(zt):
-                checks.append(passed_check(
-                    "deformed Jacobian series", detail="equals 1, oracle agrees"))
-            else:
-                checks.append(failed_check(
-                    "deformed Jacobian series",
-                    witness=render_poly(series),
-                    detail="nilpotent instance must have unit deformed Jacobian"))
-        except VerificationError as err:
-            checks.append(failed_check("deformed Jacobian series", witness=err.witness))
+        oracle = _jacobian_series_report(h, scan0)
+        unit = IdentityReport(oracle.name, oracle.lhs, SparsePoly.one(oracle.lhs.vars),
+                              detail="equals 1, oracle agrees")
+        checks.append(first_failure((oracle, unit)).check)
     else:
         checks.append(skipped_check("deformed Jacobian series", detail="not nilpotent"))
 

@@ -40,6 +40,11 @@ _VAR_RE = re.compile(r"^(xi|z|t)(\d*)(?:\^(\d+))?$")
 _RAT_RE = re.compile(r"^\d+(?:/\d+)?$")
 
 
+def _is_count(x, least: int) -> bool:
+    """An integer >= least; JSON true/false are bools, which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= least
+
+
 def parse_poly(text: str, vs: VarSet) -> SparsePoly:
     """Parse a polynomial literal over the given layout."""
     src = text.strip()
@@ -108,7 +113,7 @@ def entries_to_poly(entries, vs: VarSet) -> SparsePoly:
             raise MapFileError(f"bad coefficient {item['coeff']!r}: {err}") from None
         exps = item["exps"]
         if (not isinstance(exps, list) or len(exps) != vs.nvars
-                or not all(isinstance(e, int) and e >= 0 for e in exps)):
+                or not all(_is_count(e, 0) for e in exps)):
             raise MapFileError(
                 f"exponent vector {exps!r} must be {vs.nvars} non-negative integers")
         key = tuple(exps)
@@ -133,10 +138,10 @@ def parse_map_obj(obj: dict) -> tuple[MapTuple, dict]:
     if not isinstance(obj, dict):
         raise MapFileError("map file must be a JSON object")
     n = obj.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_count(n, 1):
         raise MapFileError("field 'n' must be a positive integer")
     trunc = obj.get("trunc")
-    if trunc is not None and (not isinstance(trunc, int) or trunc < 0):
+    if trunc is not None and not _is_count(trunc, 0):
         raise MapFileError("field 'trunc' must be null or a non-negative integer")
     vs = VarSet.z(n)
     h = _components_from_obj(obj.get("components"), vs, trunc, "components")
@@ -152,7 +157,7 @@ def parse_map_obj(obj: dict) -> tuple[MapTuple, dict]:
         metadata = dict(metadata)
         metadata["known_inverse"] = known
     if "nt_degree" in metadata and metadata["nt_degree"] is not None:
-        if not isinstance(metadata["nt_degree"], int) or metadata["nt_degree"] < 0:
+        if not _is_count(metadata["nt_degree"], 0):
             raise MapFileError("metadata.nt_degree must be a non-negative integer")
     return h, metadata
 

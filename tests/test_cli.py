@@ -139,6 +139,14 @@ class TestLab:
         assert proc.returncode == 1
         assert "FAIL" in proc.stdout
 
+    def test_boolean_nt_degree_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bool_meta.json"
+        save_map_file(path, MapTuple.exact((SparsePoly.monomial(Z2, (0, 2)),
+                                            SparsePoly.zero(Z2))),
+                      {"name": "triangular", "nt_degree": True})
+        assert main(["lab", str(path)]) == 2
+        assert "nt_degree" in capsys.readouterr().err
+
     def test_series_map_rejected(self, tmp_path):
         path = tmp_path / "series.json"
         save_map_file(path, MapTuple.truncated(

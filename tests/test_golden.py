@@ -16,6 +16,7 @@ from agcalc.poly import MapTuple, SparsePoly, VarSet
 
 Z1 = VarSet.z(1)
 Z2 = VarSet.z(2)
+Z3 = VarSet.z(3)
 
 FIXTURES = {
     "square.json": (MapTuple.exact((SparsePoly.monomial(Z1, (2,)),)),
@@ -26,6 +27,11 @@ FIXTURES = {
     "control.json": (MapTuple.exact((SparsePoly.monomial(Z2, (2, 0)),
                                      SparsePoly.zero(Z2))),
                      {"name": "control"}),
+    # t-dependent N_t, and n=3 exceeds --m-max 1, so the k=0 scan runs deeper
+    "chain.json": (MapTuple.exact((SparsePoly.monomial(Z3, (0, 2, 0)),
+                                   SparsePoly.monomial(Z3, (0, 0, 2)),
+                                   SparsePoly.zero(Z3))),
+                   {"name": "chain", "nt_degree": 2}),
 }
 
 COMMANDS = {
@@ -35,6 +41,7 @@ COMMANDS = {
     "verify-square": ["verify", "square.json", "--degree", "6", "--q", "1 + z1"],
     "lab-triangular": ["lab", "triangular.json"],
     "lab-control": ["lab", "control.json"],
+    "lab-chain": ["lab", "chain.json", "--m-max", "1"],
     "corpus-invert-all": ["corpus", "--family", "mixed", "--run", "invert-all",
                           "--degree", "4"],
     "corpus-lab": ["corpus", "--family", "mixed", "--run", "lab"],
@@ -53,6 +60,10 @@ GOLDEN = {  # (command key, format): sha256 of stdout
         "00e95743a89c18fe46d2142b4554cf75f3c1281b6db570142cfcd942811d09c2",
     ("invert-catalan", "text"):
         "f0944ebc784ce18e048d6e8655ef36c6e2faccf75e3f337d14b1de236162a5e8",
+    ("lab-chain", "json"):
+        "12cfff230871004eb126c2795c38e5b505901ded6790614e331077f4fc213fd9",
+    ("lab-chain", "text"):
+        "3e576341a884023e00c277d0a2b861c5045e0a0523e60cbf8f73215ea6370f0a",
     ("lab-control", "json"):
         "9dd78e90cbbf595201dd937a7fc443e1cc5b1500ddfde483c4a86d3087f774de",
     ("lab-control", "text"):

@@ -1,11 +1,15 @@
 """Nilpotency certificates, vanishing scans, deformation series, and the corpus."""
 
+from dataclasses import replace
+
 import pytest
 
+import agcalc.lab
 from agcalc.errors import (
     ContractViolation,
     PreconditionError,
     TermCeilingExceeded,
+    VerificationError,
 )
 from agcalc.inversion import cross_method_results, invert_fixed_point
 from agcalc.lab import (
@@ -199,6 +203,110 @@ class TestEquivalences:
         # claiming t-degree 1 for the t-independent triangular map must fail
         rep = check_equivalences(triangular_2d(), 6, known_nt_degree=1)
         assert not rep.passed
+
+
+def _count_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(agcalc.lab, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(agcalc.lab, name, counted)
+    return counts
+
+
+def _perturb_oracle(monkeypatch, g=lambda g: g, n=lambda n: n):
+    real = agcalc.lab.invert_fixed_point
+
+    def perturbed(h, bound, **kwargs):
+        res = real(h, bound, **kwargs)
+        return replace(res, G=g(res.G), N=n(res.N))
+    monkeypatch.setattr(agcalc.lab, "invert_fixed_point", perturbed)
+
+
+def _add_z1_t(m: MapTuple) -> MapTuple:
+    vs = m.vars
+    bump = SparsePoly.z_var(vs, 0).mul(SparsePoly.t_var(vs))
+    return MapTuple((m.components[0] + bump,) + m.components[1:], m.trunc)
+
+
+def _checks_by_name(rep):
+    return {c.name: c for c in rep.checks}
+
+
+class TestEquivalenceWork:
+    COUNTED = ("is_nilpotent", "vanishing_scan_poly", "invert_fixed_point")
+
+    def test_nilpotent_item_scans_once_per_k(self, monkeypatch):
+        counts = _count_calls(monkeypatch, self.COUNTED)
+        rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
+        assert rep.passed
+        assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": 2,
+                          "invert_fixed_point": 2}
+
+    def test_control_item_scans_once(self, monkeypatch):
+        counts = _count_calls(monkeypatch, self.COUNTED)
+        rep = check_equivalences(diagonal_2d(), 4)
+        assert rep.passed
+        assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": 1,
+                          "invert_fixed_point": 0}
+
+
+class TestEquivalenceFailures:
+    """A disagreeing oracle is a failing check naming the first differing monomial."""
+
+    def test_oracle_mismatch_witnesses(self, monkeypatch):
+        _perturb_oracle(monkeypatch, g=_add_z1_t, n=_add_z1_t)
+        checks = _checks_by_name(check_equivalences(triangular_2d(), 4, known_nt_degree=0))
+        cross = checks["deformed inverse series cross-check"]
+        assert (cross.status, cross.witness) == ("fail", "xi1*z1: 0 vs 1")
+        jac = checks["deformed Jacobian series"]
+        assert (jac.status, jac.witness) == ("fail", "t: 0 vs 1")
+
+    def test_oracle_tail_without_t_factor(self, monkeypatch):
+        # the oracle hands back N_t instead of t*N_t
+        _perturb_oracle(monkeypatch, n=lambda n: n.apply(SparsePoly.subs_t_one).lift(n.vars))
+        rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
+        cross = _checks_by_name(rep)["deformed inverse series cross-check"]
+        assert (cross.status, cross.witness) == (
+            "fail", "oracle tail at t^0: xi1*z2^2: 0 vs 1")
+        assert _checks_by_name(rep)["deformed Jacobian series"].status == "pass"
+
+    def test_series_not_xi_linear(self, monkeypatch):
+        real = agcalc.lab.vanishing_scan_poly
+
+        def widened(p, k, mmax, **kwargs):
+            rep = real(p, k, mmax, **kwargs)
+            if k == 0:
+                return rep
+            extra = SparsePoly.monomial(p.vars, (2, 0, 0, 2))  # xi1^2*z2^2
+            m0, v0 = rep.values[0]
+            return replace(rep, values=((m0, v0 + extra),) + rep.values[1:])
+        monkeypatch.setattr(agcalc.lab, "vanishing_scan_poly", widened)
+        rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
+        cross = _checks_by_name(rep)["deformed inverse series cross-check"]
+        assert (cross.status, cross.witness) == (
+            "fail", "xi-linear part: xi1^2*z2^2: 0 vs 1")
+
+    def test_jacobian_series_must_equal_one(self, monkeypatch):
+        # a false nilpotency verdict: the oracle agrees with the series, which is not 1
+        real = agcalc.lab.is_nilpotent
+        monkeypatch.setattr(agcalc.lab, "is_nilpotent",
+                            lambda h: replace(real(h), nilpotent=True))
+        rep = check_equivalences(diagonal_2d(), 2)
+        jac = _checks_by_name(rep)["deformed Jacobian series"]
+        assert (jac.status, jac.witness) == ("fail", "z1*t: 2 vs 0")
+
+    def test_public_series_raise_with_witness(self, monkeypatch):
+        _perturb_oracle(monkeypatch, g=_add_z1_t, n=_add_z1_t)
+        with pytest.raises(VerificationError) as err:
+            nt_pairing_series(triangular_2d(), 4)
+        assert err.value.witness == "xi1*z1: 0 vs 1"
+        with pytest.raises(VerificationError) as err:
+            gt_jacobian_series(triangular_2d(), 4)
+        assert err.value.witness == "t: 0 vs 1"
 
 
 class TestCorpus:

@@ -97,6 +97,23 @@ class TestMapFiles:
         with pytest.raises(MapFileError):
             parse_map_obj([1, 2])
 
+    @pytest.mark.parametrize("field, message", [
+        ("n", "field 'n'"), ("trunc", "field 'trunc'"),
+        ("exps", "exponent vector"), ("nt_degree", "metadata.nt_degree")])
+    def test_booleans_are_not_integers(self, field, message):
+        # bool is a subclass of int; true/false must not pass as 1/0
+        obj = triangular_obj()
+        if field == "n":
+            obj["n"] = True
+        elif field == "trunc":
+            obj["trunc"] = False
+        elif field == "exps":
+            obj["components"][0][0]["exps"] = [False, 2]
+        else:
+            obj["metadata"]["nt_degree"] = True
+        with pytest.raises(MapFileError, match=message):
+            parse_map_obj(obj)
+
     def test_coefficients_canonicalized(self):
         obj = {"n": 1, "components": [[
             {"coeff": "2/4", "exps": [2]},
