@@ -43,12 +43,15 @@ from .inversion import (
     xi_moment_series,
 )
 from .lab import (
+    CorpusSpec,
+    NilpotencyCertificate,
+    VanishingReport,
     check_equivalences,
+    equivalence_steps,
     gen_corpus,
     is_nilpotent,
     standard_corpus,
     vanishing_scan,
-    CorpusSpec,
 )
 from .mapfile import load_map_file, parse_poly, poly_to_entries
 from .poly import (
@@ -93,14 +96,21 @@ def _digest_file(path: str) -> str:
     return _digest(Path(path).read_bytes())
 
 
+def _require_min(value: int, least: int, name: str) -> None:
+    if value < least:
+        raise MapFileError(f"{name} must be >= {least}")
+
+
 def _term_ceiling() -> int | None:
     raw = os.environ.get("AGCALC_TERM_CEILING")
     if raw is None:
         return None
     try:
-        return int(raw)
+        ceiling = int(raw)
     except ValueError:
         raise MapFileError(f"AGCALC_TERM_CEILING must be an integer, got {raw!r}")
+    _require_min(ceiling, 1, "AGCALC_TERM_CEILING")
+    return ceiling
 
 
 def _g_result(result) -> dict:
@@ -119,8 +129,7 @@ def _g_result(result) -> dict:
 
 def cmd_invert(args) -> Report:
     h, _meta = load_map_file(args.mapfile)
-    if args.degree < 1:
-        raise MapFileError("--degree must be >= 1")
+    _require_min(args.degree, 1, "--degree")
     checks: list[Check] = []
     if args.method == "all":
         results = cross_method_results(h, args.degree, debug=args.debug)
@@ -163,7 +172,7 @@ def verify_suite(h: MapTuple, bound: int, xi_bound: int,
     checks = [route_agreement(results).check,
               verify_round_trip(h, results[FIXED_POINT]).check]
 
-    oracle = invert_fixed_point(h, bound + 1)
+    oracle = invert_fixed_point(h, bound + 1)  # shared below; JG needs degree bound + 1
     jf = jacobian_factor(h, bound)
     jf_of_g = compose(jf, oracle.G, bound).poly
     jg = det(jacobian(oracle.G), trunc=bound)
@@ -171,7 +180,7 @@ def verify_suite(h: MapTuple, bound: int, xi_bound: int,
                                  jf_of_g.mul(jg, trunc=bound),
                                  SparsePoly.one(h.vars)).check)
 
-    checks.append(ag_jacobian_identity(q, h, bound).check)
+    checks.append(ag_jacobian_identity(q, h, bound, oracle).check)
 
     q_of_g = compose(q, oracle.G, bound).poly.lift(VarSet.xiz(h.n))
     xi_n = xi_pairing(oracle.N)
@@ -181,15 +190,15 @@ def verify_suite(h: MapTuple, bound: int, xi_bound: int,
                        where=f"k={k}")
         for k in range(3)).check)
 
-    checks.append(verify_phi_exponential(h, q, xi_bound, bound).check)
+    checks.append(verify_phi_exponential(h, q, xi_bound, bound, oracle).check)
     checks.append(_symbol_battery(h.n))
     return checks
 
 
 def cmd_verify(args) -> Report:
     h, _meta = load_map_file(args.mapfile)
-    if args.degree < 1:
-        raise MapFileError("--degree must be >= 1")
+    _require_min(args.degree, 1, "--degree")
+    _require_min(args.xi_degree, 0, "--xi-degree")
     k_eff = args.xi_degree
     if k_eff > args.degree:
         print(f"warning: window rule caps effective xi-degree at {args.degree}",
@@ -211,16 +220,30 @@ def cmd_verify(args) -> Report:
 
 def cmd_lab(args) -> Report:
     h, meta = load_map_file(args.mapfile)
-    if args.m_max < 1:
-        raise MapFileError("--m-max must be >= 1")
+    _require_min(args.m_max, 1, "--m-max")
     ceiling = _term_ceiling()
     wanted = args.checks
     checks: list[Check] = []
     result: dict = {}
     flags: dict = {}
 
-    def scan_result(rep) -> dict:
-        return {
+    def show_certificate(cert: NilpotencyCertificate) -> None:
+        if wanted not in ("nilpotent", "all"):
+            return
+        checks.append(passed_check(
+            "nilpotency certificate", detail=f"nilpotent={cert.nilpotent}"))
+        result["det_deformation"] = render_poly(cert.det_deformation)
+        result["nilpotent"] = cert.nilpotent
+
+    def show_scan(rep: VanishingReport) -> None:
+        if wanted not in (f"scan{rep.k}", "all"):
+            return
+        rep = rep.through(args.m_max)
+        edge = (f"first nonzero at m={rep.first_nonzero}" if rep.k == 0
+                else f"last nonzero at m={rep.last_nonzero}")
+        checks.append(passed_check(f"vanishing scan k={rep.k}",
+                                   detail="all zero" if rep.all_zero else edge))
+        result[f"scan{rep.k}"] = {
             "k": rep.k,
             "mmax": rep.mmax,
             "first_nonzero": rep.first_nonzero,
@@ -229,34 +252,26 @@ def cmd_lab(args) -> Report:
         }
 
     try:
-        if wanted in ("nilpotent", "all"):
-            cert = is_nilpotent(h)
-            checks.append(passed_check(
-                "nilpotency certificate",
-                detail=f"nilpotent={cert.nilpotent}"))
-            result["det_deformation"] = render_poly(cert.det_deformation)
-            result["nilpotent"] = cert.nilpotent
-        if wanted in ("scan0", "all"):
-            rep = vanishing_scan(h, 0, args.m_max, term_ceiling=ceiling)
-            checks.append(passed_check(
-                "vanishing scan k=0",
-                detail=("all zero" if rep.all_zero
-                        else f"first nonzero at m={rep.first_nonzero}")))
-            result["scan0"] = scan_result(rep)
-        if wanted in ("scan1", "all"):
-            rep = vanishing_scan(h, 1, args.m_max, term_ceiling=ceiling)
-            checks.append(passed_check(
-                "vanishing scan k=1",
-                detail=("all zero" if rep.all_zero
-                        else f"last nonzero at m={rep.last_nonzero}")))
-            result["scan1"] = scan_result(rep)
         if wanted in ("equiv", "all"):
-            nt_degree = meta.get("nt_degree")
-            eq = check_equivalences(h, args.m_max, known_nt_degree=nt_degree,
-                                    term_ceiling=ceiling,
-                                    label=meta.get("name", "map"))
+            for step in equivalence_steps(h, args.m_max,
+                                          known_nt_degree=meta.get("nt_degree"),
+                                          term_ceiling=ceiling,
+                                          label=meta.get("name", "map")):
+                if isinstance(step, NilpotencyCertificate):
+                    show_certificate(step)
+                elif isinstance(step, VanishingReport):
+                    show_scan(step)
+                else:
+                    eq = step
+            if wanted == "all" and "scan1" not in result:  # check (ii) was skipped
+                show_scan(vanishing_scan(h, 1, args.m_max, term_ceiling=ceiling))
             checks.extend(eq.checks)
             result["nilpotent"] = eq.nilpotent
+        elif wanted == "nilpotent":
+            show_certificate(is_nilpotent(h))
+        else:
+            k = {"scan0": 0, "scan1": 1}[wanted]
+            show_scan(vanishing_scan(h, k, args.m_max, term_ceiling=ceiling))
     except TermCeilingExceeded as err:
         flags["resource_guard"] = str(err)
         flags["partial"] = True
@@ -325,6 +340,8 @@ def _run_suite_on_item(item, args, ceiling) -> Check:
 
 
 def cmd_corpus(args) -> Report:
+    _require_min(args.m_max, 1, "--m-max")
+    _require_min(args.xi_degree, 0, "--xi-degree")
     items = _corpus_items(args)
     ceiling = _term_ceiling()
     checks: list[Check] = []

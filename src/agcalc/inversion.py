@@ -103,6 +103,23 @@ def _h_input(h: MapTuple, i: int) -> SparsePoly | SeriesTrunc:
     return c if h.is_exact else SeriesTrunc(c, h.trunc)
 
 
+def _route_result(comps: Sequence[SparsePoly], method: str, bound: int,
+                  checked: int) -> InversionResult:
+    """Package the inverse G = comps of a route; its tail N = G - z must have o(N) >= 2."""
+    g_map = MapTuple(tuple(comps), bound)
+    n_map = MapTuple(tuple(c - SparsePoly.z_var(c.vars, i)
+                           for i, c in enumerate(comps)), bound)
+    if n_map.order() < 2:
+        raise AgcalcError(f"{method} inverse violated o(N) >= 2")
+    return InversionResult(g_map, n_map, method, bound, checked)
+
+
+def _require_oracle(oracle: InversionResult, need: int) -> None:
+    if not (isinstance(oracle, InversionResult) and oracle.method == FIXED_POINT
+            and oracle.D >= need):
+        raise ContractViolation(f"oracle must be the fixed-point inverse to z-degree >= {need}")
+
+
 # -- route 1: fixed point ---------------------------------------------------
 
 
@@ -202,15 +219,9 @@ def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple,
 def invert_ag(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResult:
     """Inverse via the derivative sum applied to each coordinate function."""
     _require_h(h, bound, derivatives=True)
-    vs = h.vars
-    us = [SparsePoly.z_var(vs, i) for i in range(h.n)]
+    us = [SparsePoly.z_var(h.vars, i) for i in range(h.n)]
     comps, checked = _derivative_sum(us, h, bound, include_jf=True, debug=debug)
-    g_map = MapTuple(tuple(comps), bound)
-    n_map = MapTuple(tuple(c - SparsePoly.z_var(vs, i)
-                           for i, c in enumerate(comps)), bound)
-    if n_map.order() < 2:
-        raise AgcalcError("derivative-sum inverse violated o(N) >= 2")
-    return InversionResult(g_map, n_map, ABHYANKAR_GURJAR, bound, checked)
+    return _route_result(comps, ABHYANKAR_GURJAR, bound, checked)
 
 
 def ag_apply(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
@@ -222,15 +233,16 @@ def ag_apply(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
     return SeriesTrunc(sums[0], bound)
 
 
-def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple,
-                         bound: int) -> IdentityReport:
+def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int,
+                         oracle: InversionResult) -> IdentityReport:
     """Check sum_alpha d^alpha(H^alpha u)/alpha! == JG * u(G), both sides built
-    independently (left: derivative sum without JF; right: oracle inverse)."""
+    independently (left: derivative sum without JF; right: oracle, the
+    fixed-point inverse to z-degree >= bound + 1, since JG differentiates G)."""
     _require_h(h, bound, derivatives=True)
+    _require_oracle(oracle, bound + 1)
     sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound,
                               include_jf=False, debug=False)
     lhs = sums[0]
-    oracle = invert_fixed_point(h, bound + 1)
     jg = det(jacobian(oracle.G), trunc=bound)
     u_of_g = compose(u, oracle.G, bound)
     rhs = jg.mul(u_of_g.poly, trunc=bound)
@@ -300,16 +312,9 @@ def _lambda_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
 def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResult:
     """Inverse via the phase-space series with u = z_i (cutoff m <= bound - 1)."""
     _require_h(h, bound, derivatives=True)
-    vs = h.vars
-    us = [SparsePoly.z_var(vs, i) for i in range(h.n)]
+    us = [SparsePoly.z_var(h.vars, i) for i in range(h.n)]
     sums, checked = _lambda_sum(us, h, bound, extra_orders=[1] * h.n, debug=debug)
-    comps = [s.drop_xi() for s in sums]
-    g_map = MapTuple(tuple(comps), bound)
-    n_map = MapTuple(tuple(c - SparsePoly.z_var(vs, i)
-                           for i, c in enumerate(comps)), bound)
-    if n_map.order() < 2:
-        raise AgcalcError("phase-series inverse violated o(N) >= 2")
-    return InversionResult(g_map, n_map, LAMBDA_SERIES, bound, checked)
+    return _route_result([s.drop_xi() for s in sums], LAMBDA_SERIES, bound, checked)
 
 
 def lambda_compose(q: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
@@ -340,16 +345,18 @@ def xi_moment_series(h: MapTuple, q: SparsePoly | SeriesTrunc, k: int,
 
 
 def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: int,
-                           bound: int) -> IdentityReport:
+                           bound: int, oracle: InversionResult) -> IdentityReport:
     """Window check of Phi(q JF e^<xi,H>) == q(G) e^<xi,N>.
 
     The left side is assembled from the xi-degree-j slices q JF P^j / j!
     (slice j padded to z-degree bound + j, j <= bound); by the order profile
     o(H) >= 2 that input window determines the output exactly on
     xi-degree <= xi_bound, z-degree <= bound.  The right side is built from
-    the fixed-point oracle.  xi_bound is capped at bound by the window rule.
+    oracle, the fixed-point inverse to z-degree >= bound.  xi_bound is
+    capped at bound by the window rule.
     """
     _require_h(h, bound, derivatives=True)
+    _require_oracle(oracle, bound)
     q_poly = _known_to(q, bound, "q")
     k_eff = min(xi_bound, bound)
     target, pairing, jf = _phase_data(h, bound)
@@ -366,7 +373,6 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: i
         assembled = assembled + slice_j
     lhs = phi_apply(assembled, xi_bound=k_eff, z_bound=bound)
 
-    oracle = invert_fixed_point(h, bound)
     q_of_g = compose(q, oracle.G, bound).poly.lift(target)
     xi_n = xi_pairing(oracle.N)
     rhs = SparsePoly.zero(target)

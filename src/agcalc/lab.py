@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     ContractViolation,
@@ -104,6 +104,13 @@ class VanishingReport:
             if mm == m:
                 return v
         raise KeyError(m)
+
+    def through(self, m: int) -> "VanishingReport":
+        """The same scan cut to m <= mmax; the stabilization verdict is dropped."""
+        if not 1 <= m <= self.mmax:
+            raise ContractViolation(f"scan ran through m={self.mmax}; cannot cut at m={m}")
+        return _finish_report(self.label, self.k, m,
+                              [(mm, v) for mm, v in self.values if mm <= m], None)
 
     def __str__(self) -> str:
         if self.all_zero:
@@ -300,11 +307,11 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def check_equivalences(h: MapTuple, mmax: int, *,
-                       known_nt_degree: int | None = None,
-                       term_ceiling: int | None = None,
-                       label: str = "map") -> EquivalenceReport:
-    """Consolidated instance-level report.
+def equivalence_steps(h: MapTuple, mmax: int, *,
+                      known_nt_degree: int | None = None,
+                      term_ceiling: int | None = None,
+                      label: str = "map") -> Iterator[object]:
+    """Consolidated instance-level report, yielded piece by piece.
 
     (i)   det(I - t*JH) == 1 iff the k=0 scan vanishes; a non-nilpotent
           instance must yield a witness at some m <= n (the determinant's
@@ -314,14 +321,17 @@ def check_equivalences(h: MapTuple, mmax: int, *,
           series cross-checks against the oracle.  Skipped otherwise.
     (iii) the deformed-Jacobian series cross-checks (and equals 1 when
           nilpotent).  Skipped for non-nilpotent instances.
-    Each scan runs once; the deformation series of (ii) and (iii) are
-    summed from the k=1 and k=0 scans.
+    Yields the certificate, the k=0 scan (through max(mmax, n)), the k=1
+    scan (through max(mmax, d + 1)) when (ii) runs, and last the
+    EquivalenceReport.  The series of (ii) and (iii) are summed from them.
     """
     cert = is_nilpotent(h)
+    yield cert
     checks: list[Check] = []
 
     scan_depth = max(mmax, h.n)
     scan0 = vanishing_scan(h, 0, scan_depth, term_ceiling=term_ceiling, label=label)
+    yield scan0
     if cert.nilpotent:
         if scan0.all_zero:
             checks.append(passed_check(
@@ -350,6 +360,7 @@ def check_equivalences(h: MapTuple, mmax: int, *,
         depth = max(mmax, d + 1)
         scan1 = vanishing_scan(h, 1, depth, term_ceiling=term_ceiling, label=label,
                                stabilization_threshold=d)
+        yield scan1
         tail_ok = scan1.stabilized
         # an all-zero series (H = 0) has no t-dependence: index 0
         observed = scan1.last_nonzero if scan1.last_nonzero is not None else 0
@@ -377,7 +388,17 @@ def check_equivalences(h: MapTuple, mmax: int, *,
     else:
         checks.append(skipped_check("deformed Jacobian series", detail="not nilpotent"))
 
-    return EquivalenceReport(label, cert.nilpotent, tuple(checks))
+    yield EquivalenceReport(label, cert.nilpotent, tuple(checks))
+
+
+def check_equivalences(h: MapTuple, mmax: int, *,
+                       known_nt_degree: int | None = None,
+                       term_ceiling: int | None = None,
+                       label: str = "map") -> EquivalenceReport:
+    """The EquivalenceReport that equivalence_steps ends with."""
+    *_, report = equivalence_steps(h, mmax, known_nt_degree=known_nt_degree,
+                                   term_ceiling=term_ceiling, label=label)
+    return report
 
 
 # -- corpus generation ---------------------------------------------------------
@@ -468,6 +489,12 @@ def _back_substitute(h: MapTuple) -> MapTuple:
         bound = int(hi.degree()) * max(1, max(int(c.degree()) for c in g))
         g[i] = SparsePoly.z_var(vs, i) + compose(hi, g_map, bound).poly
     return MapTuple.exact(tuple(gi - SparsePoly.z_var(vs, i) for i, gi in enumerate(g)))
+
+
+def _nt_degree(h: MapTuple) -> int:
+    """t-degree of N_t for strictly triangular H, and for its linear conjugates."""
+    n_t = _divide_by_t(_back_substitute(_deformed_map(h)))
+    return max(c.max_t_degree() for c in n_t.components)
 
 
 def _unimodular(rng, n: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -575,10 +602,8 @@ def gen_corpus(spec: CorpusSpec) -> list[CorpusItem]:
                 h = MapTuple.exact((SparsePoly.monomial(vs, (0, 2)), SparsePoly.zero(vs)))
             else:
                 h = _strictly_triangular(rng, n, spec.max_degree)
-            known_n = _back_substitute(h)
-            nt = _divide_by_t(_back_substitute(_deformed_map(h)))
-            nt_degree = max(c.max_t_degree() for c in nt.components)
-            items.append(CorpusItem(item_id, spec.family, h, True, known_n, nt_degree))
+            items.append(CorpusItem(item_id, spec.family, h, True, _back_substitute(h),
+                                    _nt_degree(h)))
         elif spec.family == "cubic":
             base = _strictly_triangular(rng, n, 3, homogeneous=3)
             t_mat, t_inv = _unimodular(rng, n)
@@ -587,11 +612,9 @@ def gen_corpus(spec: CorpusSpec) -> list[CorpusItem]:
             if not cert.nilpotent:
                 raise ContractViolation(
                     f"conjugated cubic instance lost nilpotency: {cert.det_deformation}")
-            base_n = _back_substitute(base)
-            known_n = _conjugate_map(base_n, t_mat, t_inv)
-            base_nt = _divide_by_t(_back_substitute(_deformed_map(base)))
-            nt_degree = max(int(c.max_t_degree()) for c in base_nt.components)
-            items.append(CorpusItem(item_id, spec.family, h, True, known_n, nt_degree))
+            known_n = _conjugate_map(_back_substitute(base), t_mat, t_inv)
+            items.append(CorpusItem(item_id, spec.family, h, True, known_n,
+                                    _nt_degree(base)))
         elif spec.family == "control":
             if n == 1:
                 h = MapTuple.exact((SparsePoly.monomial(vs, (2,)),))

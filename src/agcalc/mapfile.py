@@ -70,7 +70,10 @@ def parse_poly(text: str, vs: VarSet) -> SparsePoly:
             if not factor:
                 raise MapFileError(f"empty factor in term {raw!r}")
             if _RAT_RE.match(factor):
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError as err:
+                    raise MapFileError(f"bad coefficient {factor!r}: {err}") from None
                 continue
             m = _VAR_RE.match(factor)
             if not m:

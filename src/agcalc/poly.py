@@ -609,9 +609,6 @@ class MapTuple:
     def order(self) -> int | float:
         return min(c.order() for c in self.components)
 
-    def component(self, i: int) -> SparsePoly:
-        return self.components[i]
-
     def __iter__(self) -> Iterator[SparsePoly]:
         return iter(self.components)
 
@@ -638,10 +635,6 @@ class MapTuple:
     @classmethod
     def truncated(cls, components: Sequence[SparsePoly], trunc: int) -> "MapTuple":
         return cls(tuple(c.truncate_z(trunc) for c in components), trunc)
-
-    def truncate(self, bound: int) -> "MapTuple":
-        new_trunc = bound if self.trunc is None else min(self.trunc, bound)
-        return MapTuple(tuple(c.truncate_z(bound) for c in self.components), new_trunc)
 
     def lift(self, target: VarSet) -> "MapTuple":
         return MapTuple(tuple(c.lift(target) for c in self.components), self.trunc)

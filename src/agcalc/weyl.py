@@ -4,8 +4,8 @@ Operators are kept in right-normal form: a finite sum of a_alpha(z) d^alpha
 terms, indexed by the derivative multi-index alpha.  The right total symbol
 replaces d^alpha by xi^alpha positionally; reading a phase polynomial as a
 LEFT symbol instead (derivatives on the left of their coefficients) and
-reordering it into right-normal form is normal_order, which is where the
-Leibniz rule lives.
+reordering it into right-normal form is normal_order, which composes each
+d^alpha with its coefficient; the Leibniz rule lives in DiffOp.__mul__.
 
 The module also carries the two phase-space endomorphisms the rest of the
 package is built on: the mixed second-derivative operator
@@ -124,7 +124,11 @@ class DiffOp:
             raise ContractViolation("operator variable counts differ")
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
-        """Operator composition, reordered back into right-normal form."""
+        """Operator composition, reordered back into right-normal form.
+
+        This is the package's one copy of the Leibniz rule
+        d^alpha b = sum_gamma C(alpha, gamma) (d^gamma b) d^(alpha - gamma).
+        """
         self._check(other)
         n = self.n
         out: dict[Exponent, SparsePoly] = {}
@@ -212,35 +216,16 @@ def from_right_symbol(f: SparsePoly) -> DiffOp:
 def normal_order(f: SparsePoly) -> DiffOp:
     """Read f as a LEFT total symbol and rewrite into right-normal form.
 
-    A left-symbol term b*xi^alpha*z^beta stands for d^alpha (b z^beta ...);
-    the Leibniz rule d^alpha z^beta = sum_gamma C(alpha,gamma) (d^gamma z^beta)
-    d^(alpha-gamma) produces the right-normal terms.
+    Collecting f by xi-degree as sum_alpha b_alpha(z) xi^alpha, the left
+    reading is sum_alpha d^alpha * b_alpha(z), and DiffOp composition
+    reorders each product with the Leibniz rule.
     """
-    vs = f.vars
-    if not vs.has_xi or vs.has_t:
-        raise ContractViolation("a total symbol lives over the (xi, z) layout")
-    n = vs.n
-    zvs = VarSet.z(n)
-    out: dict[Exponent, dict[Exponent, Fraction]] = {}
-    for e, c in f.terms.items():
-        alpha, beta = e[:n], e[n:]
-        ranges = [range(min(alpha[i], beta[i]) + 1) for i in range(n)]
-        for gamma in itertools.product(*ranges):
-            coeff = c
-            ze = list(beta)
-            for i, g in enumerate(gamma):
-                if g:
-                    k = beta[i]
-                    fall = 1
-                    for j in range(g):
-                        fall *= k - j
-                    coeff = coeff * comb(alpha[i], g) * fall
-                    ze[i] = k - g
-            res_alpha = tuple(alpha[i] - gamma[i] for i in range(n))
-            bucket = out.setdefault(res_alpha, {})
-            ze_t = tuple(ze)
-            bucket[ze_t] = bucket.get(ze_t, Fraction(0)) + coeff
-    return DiffOp(n, {alpha: SparsePoly(zvs, t) for alpha, t in out.items()})
+    right = from_right_symbol(f)
+    one = SparsePoly.one(VarSet.z(right.n))
+    out = DiffOp.zero(right.n)
+    for alpha, b in right.terms.items():
+        out = out + DiffOp(right.n, {alpha: one}) * DiffOp.multiplication(b)
+    return out
 
 
 def tau(op: DiffOp) -> DiffOp:

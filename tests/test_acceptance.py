@@ -148,7 +148,7 @@ class TestAcceptance:
             q = SparsePoly.one(item.h.vars)
             if jacobian_factor(item.h, 6) != SparsePoly.one(item.h.vars):
                 nonunit += 1
-            rep = verify_phi_exponential(item.h, q, 3, 6)
+            rep = verify_phi_exponential(item.h, q, 3, 6, invert_fixed_point(item.h, 7))
             ok = ok and rep.passed
         ok = ok and nonunit >= 3
         _report(6, "exponential transport in window K<=3, D<=6", ok,

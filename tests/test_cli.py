@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import agcalc.inversion
+import agcalc.lab
 from agcalc.cli import main
 from agcalc.mapfile import save_map_file
 from agcalc.poly import MapTuple, SparsePoly, VarSet
@@ -16,6 +17,7 @@ from agcalc.report import Report
 
 Z1 = VarSet.z(1)
 Z2 = VarSet.z(2)
+Z3 = VarSet.z(3)
 
 
 def run_cli(*argv, env_extra=None):
@@ -111,6 +113,14 @@ class TestVerify:
         proc = run_cli("verify", triangular_map, "--q", "z9")
         assert proc.returncode == 2
 
+    def test_zero_denominator_in_q_exits_2(self, triangular_map, capsys):
+        assert main(["verify", triangular_map, "--q", "1 + 1/0*z1"]) == 2
+        assert "bad coefficient '1/0'" in capsys.readouterr().err
+
+    def test_negative_xi_degree_exits_2(self, triangular_map, capsys):
+        assert main(["verify", triangular_map, "--xi-degree", "-1"]) == 2
+        assert "--xi-degree must be >= 0" in capsys.readouterr().err
+
 
 class TestLab:
     def test_triangular_all_checks(self, triangular_map):
@@ -154,6 +164,28 @@ class TestLab:
         proc = run_cli("lab", str(path))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("ceiling", ["0", "-1"])
+    def test_term_ceiling_below_1_exits_2(self, ceiling, triangular_map, monkeypatch,
+                                          capsys):
+        monkeypatch.setenv("AGCALC_TERM_CEILING", ceiling)
+        assert main(["lab", triangular_map]) == 2
+        assert "AGCALC_TERM_CEILING must be >= 1" in capsys.readouterr().err
+
+    def test_abort_keeps_sections_finished_before_it(self, tmp_path, monkeypatch, capsys):
+        # the k=0 scan runs through m=n=3 and aborts on P^3, which has 4 terms
+        path = tmp_path / "chain.json"
+        save_map_file(path, MapTuple.exact((SparsePoly.monomial(Z3, (0, 2, 0)),
+                                            SparsePoly.monomial(Z3, (0, 0, 2)),
+                                            SparsePoly.zero(Z3))),
+                      {"name": "chain", "nt_degree": 2})
+        monkeypatch.setenv("AGCALC_TERM_CEILING", "3")
+        assert main(["lab", str(path), "--m-max", "1", "--format", "json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in report["checks"]] == ["nilpotency certificate",
+                                                         "resource guard"]
+        assert report["result"] == {"det_deformation": "1", "nilpotent": True}
+        assert report["flags"]["partial"] is True
+
     def test_term_ceiling_exits_3(self, tmp_path):
         path = tmp_path / "wide.json"
         comps = (SparsePoly.monomial(Z2, (0, 2)) + SparsePoly.monomial(Z2, (0, 3)),
@@ -190,6 +222,46 @@ class TestCorpus:
     def test_missing_n_exits_2(self):
         proc = run_cli("corpus", "--family", "control", "--run", "lab")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--run", "lab", "--m-max", "0"], "--m-max must be >= 1"),
+        (["--run", "verify", "--xi-degree", "-1"], "--xi-degree must be >= 0"),
+    ])
+    def test_bad_numeric_argument_exits_2(self, argv, message, capsys):
+        assert main(["corpus", "--family", "triangular", "--n", "2"] + argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, functions) -> dict:
+    """Count calls to each function through every agcalc module that binds it."""
+    counts = {}
+    for func in functions:
+        counts[func.__name__] = 0
+
+        def counted(*args, _func=func, **kwargs):
+            counts[_func.__name__] += 1
+            return _func(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "agcalc" and getattr(module, func.__name__, None) is func:
+                monkeypatch.setattr(module, func.__name__, counted)
+    return counts
+
+
+class TestWorkCounts:
+    """Each command computes every oracle, certificate and scan once."""
+
+    def test_verify_builds_two_oracles(self, triangular_map, monkeypatch, capsys):
+        counts = _count_calls(monkeypatch, [agcalc.inversion.invert_fixed_point])
+        assert main(["verify", triangular_map, "--degree", "4", "--xi-degree", "2"]) == 0
+        assert counts == {"invert_fixed_point": 2}
+
+    @pytest.mark.parametrize("mapfile", ["triangular_map", "control_map"])
+    def test_lab_one_certificate_and_one_scan_per_k(self, mapfile, request, monkeypatch,
+                                                    capsys):
+        counts = _count_calls(monkeypatch, [agcalc.lab.is_nilpotent,
+                                            agcalc.lab.vanishing_scan_poly])
+        assert main(["lab", request.getfixturevalue(mapfile)]) == 0
+        assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": 2}
 
 
 class TestDeterminism:

@@ -182,7 +182,8 @@ class TestAgApply:
 class TestAgJacobianIdentity:
     def test_central_binomials(self):
         # u = 1, H = z^2: both sides equal JG = 1 + 2z + 6z^2 + 20z^3
-        rep = ag_jacobian_identity(SparsePoly.one(Z1), one_var_square(), 3)
+        rep = ag_jacobian_identity(SparsePoly.one(Z1), one_var_square(), 3,
+                                   invert_fixed_point(one_var_square(), 4))
         assert rep.passed
         z = SparsePoly.z_var(Z1, 0)
         expected = (SparsePoly.one(Z1) + z.scale(2) + z.power(2).scale(6)
@@ -191,11 +192,12 @@ class TestAgJacobianIdentity:
 
     def test_zero_map(self):
         h = MapTuple.exact((SparsePoly.zero(Z1),))
-        rep = ag_jacobian_identity(SparsePoly.one(Z1), h, 3)
+        rep = ag_jacobian_identity(SparsePoly.one(Z1), h, 3, invert_fixed_point(h, 4))
         assert rep.passed and rep.lhs == SparsePoly.one(Z1)
 
     def test_triangular_with_u_z1(self):
-        rep = ag_jacobian_identity(SparsePoly.z_var(Z2, 0), triangular_2d(), 4)
+        rep = ag_jacobian_identity(SparsePoly.z_var(Z2, 0), triangular_2d(), 4,
+                                   invert_fixed_point(triangular_2d(), 5))
         assert rep.passed
         # JG = 1 for the triangular map, so the common value is G_1
         assert rep.lhs == SparsePoly.z_var(Z2, 0) + SparsePoly.monomial(Z2, (0, 2))
@@ -205,7 +207,7 @@ class TestAgJacobianIdentity:
         for _ in range(6):
             h = random_h(rng, 2, max_deg=3)
             u = SparsePoly.z_var(Z2, 1) + SparsePoly.const(Z2, 2)
-            assert ag_jacobian_identity(u, h, 4).passed
+            assert ag_jacobian_identity(u, h, 4, invert_fixed_point(h, 5)).passed
 
 
 class TestLambdaSeriesRoute:
@@ -382,7 +384,8 @@ class TestXiMoments:
 
 class TestPhiExponential:
     def test_triangular_window(self):
-        rep = verify_phi_exponential(triangular_2d(), SparsePoly.one(Z2), 2, 4)
+        rep = verify_phi_exponential(triangular_2d(), SparsePoly.one(Z2), 2, 4,
+                                     invert_fixed_point(triangular_2d(), 5))
         assert rep.passed
         xiz = VarSet.xiz(2)
         expected = (SparsePoly.one(xiz)
@@ -393,13 +396,14 @@ class TestPhiExponential:
     def test_zero_map(self):
         h = MapTuple.exact((SparsePoly.zero(Z2), SparsePoly.zero(Z2)))
         q = SparsePoly.z_var(Z2, 0) + SparsePoly.const(Z2, 3)
-        rep = verify_phi_exponential(h, q, 2, 4)
+        rep = verify_phi_exponential(h, q, 2, 4, invert_fixed_point(h, 5))
         assert rep.passed
         assert rep.lhs == q.lift(VarSet.xiz(2))
 
     def test_nonunit_jacobian_path(self):
         # H = z^2 in one variable has JF = 1 - 2z
-        rep = verify_phi_exponential(one_var_square(), SparsePoly.one(Z1), 1, 3)
+        rep = verify_phi_exponential(one_var_square(), SparsePoly.one(Z1), 1, 3,
+                                     invert_fixed_point(one_var_square(), 4))
         assert rep.passed
 
     def test_random_maps_and_series_q(self):
@@ -407,9 +411,29 @@ class TestPhiExponential:
         for _ in range(4):
             h = random_h(rng, 2, max_deg=3)
             q = SeriesTrunc.of(SparsePoly.one(Z2) + SparsePoly.monomial(Z2, (1, 1)), 5)
-            rep = verify_phi_exponential(h, q, 2, 5)
+            rep = verify_phi_exponential(h, q, 2, 5, invert_fixed_point(h, 6))
             assert rep.passed, rep.witness
 
     def test_xi_bound_capped_at_z_bound(self):
-        rep = verify_phi_exponential(triangular_2d(), SparsePoly.one(Z2), 9, 3)
+        rep = verify_phi_exponential(triangular_2d(), SparsePoly.one(Z2), 9, 3,
+                                     invert_fixed_point(triangular_2d(), 4))
         assert "xi<=3" in rep.name
+
+
+class TestOracleArgument:
+    """Both identity checkers take the fixed-point inverse deep enough for their window."""
+
+    def test_ag_jacobian_identity_needs_fixed_point_to_bound_plus_1(self):
+        h, u = triangular_2d(), SparsePoly.one(Z2)
+        for wrong in (invert_ag(h, 5), invert_lambda(h, 5), invert_fixed_point(h, 5).G,
+                      invert_fixed_point(h, 4)):
+            with pytest.raises(ContractViolation, match="fixed-point inverse to z-degree >= 5"):
+                ag_jacobian_identity(u, h, 4, wrong)
+
+    def test_verify_phi_exponential_needs_fixed_point_to_bound(self):
+        h, q = triangular_2d(), SparsePoly.one(Z2)
+        for wrong in (invert_ag(h, 5), invert_lambda(h, 5), invert_fixed_point(h, 5).G,
+                      invert_fixed_point(h, 3)):
+            with pytest.raises(ContractViolation, match="fixed-point inverse to z-degree >= 4"):
+                verify_phi_exponential(h, q, 2, 4, wrong)
+        assert verify_phi_exponential(h, q, 2, 4, invert_fixed_point(h, 4)).passed

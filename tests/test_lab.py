@@ -16,6 +16,7 @@ from agcalc.lab import (
     CorpusSpec,
     check_equivalences,
     deformed_tail_components,
+    equivalence_steps,
     gen_corpus,
     gt_jacobian_series,
     is_nilpotent,
@@ -100,6 +101,17 @@ class TestVanishingScan:
             vanishing_scan(h, 0, 6, term_ceiling=5)
         partial = err.value.partial
         assert partial is not None and partial.mmax == 6
+
+    def test_through_cuts_to_a_computed_window(self):
+        rep = vanishing_scan(diagonal_2d(), 1, 4, stabilization_threshold=4)
+        cut = rep.through(2)
+        assert (cut.k, cut.mmax, cut.stabilized) == (1, 2, None)
+        assert cut.values == rep.values[:3]
+        assert (cut.first_nonzero, cut.last_nonzero) == (0, 2)
+        assert rep.through(4) == replace(rep, stabilized=None)
+        for m in (0, 5):
+            with pytest.raises(ContractViolation):
+                rep.through(m)
 
     def test_bad_arguments(self):
         with pytest.raises(ContractViolation):
@@ -203,6 +215,16 @@ class TestEquivalences:
         # claiming t-degree 1 for the t-independent triangular map must fail
         rep = check_equivalences(triangular_2d(), 6, known_nt_degree=1)
         assert not rep.passed
+
+    def test_steps_yield_certificate_scans_then_report(self):
+        cert, scan0, scan1, rep = equivalence_steps(triangular_2d(), 4, known_nt_degree=0)
+        assert cert == is_nilpotent(triangular_2d())
+        assert (scan0.k, scan0.mmax, scan1.k, scan1.mmax) == (0, 4, 1, 4)
+        assert rep == check_equivalences(triangular_2d(), 4, known_nt_degree=0)
+        # no k=1 scan without a known t-degree
+        cert, scan0, rep = equivalence_steps(diagonal_2d(), 1)
+        assert not cert.nilpotent and (scan0.k, scan0.mmax) == (0, 2)
+        assert rep == check_equivalences(diagonal_2d(), 1)
 
 
 def _count_calls(monkeypatch, names):
