@@ -44,6 +44,7 @@ from .inversion import (
 )
 from .lab import (
     CorpusSpec,
+    EquivalenceReport,
     NilpotencyCertificate,
     VanishingReport,
     check_equivalences,
@@ -228,16 +229,12 @@ def cmd_lab(args) -> Report:
     flags: dict = {}
 
     def show_certificate(cert: NilpotencyCertificate) -> None:
-        if wanted not in ("nilpotent", "all"):
-            return
         checks.append(passed_check(
             "nilpotency certificate", detail=f"nilpotent={cert.nilpotent}"))
         result["det_deformation"] = render_poly(cert.det_deformation)
         result["nilpotent"] = cert.nilpotent
 
     def show_scan(rep: VanishingReport) -> None:
-        if wanted not in (f"scan{rep.k}", "all"):
-            return
         rep = rep.through(args.m_max)
         edge = (f"first nonzero at m={rep.first_nonzero}" if rep.k == 0
                 else f"last nonzero at m={rep.last_nonzero}")
@@ -257,12 +254,14 @@ def cmd_lab(args) -> Report:
                                           known_nt_degree=meta.get("nt_degree"),
                                           term_ceiling=ceiling,
                                           label=meta.get("name", "map")):
-                if isinstance(step, NilpotencyCertificate):
-                    show_certificate(step)
-                elif isinstance(step, VanishingReport):
-                    show_scan(step)
-                else:
+                if isinstance(step, EquivalenceReport):
                     eq = step
+                elif wanted == "equiv":  # the report alone
+                    continue
+                elif isinstance(step, NilpotencyCertificate):
+                    show_certificate(step)
+                else:
+                    show_scan(step)
             if wanted == "all" and "scan1" not in result:  # check (ii) was skipped
                 show_scan(vanishing_scan(h, 1, args.m_max, term_ceiling=ceiling))
             checks.extend(eq.checks)
@@ -340,8 +339,10 @@ def _run_suite_on_item(item, args, ceiling) -> Check:
 
 
 def cmd_corpus(args) -> Report:
-    _require_min(args.m_max, 1, "--m-max")
-    _require_min(args.xi_degree, 0, "--xi-degree")
+    if args.run == "lab":
+        _require_min(args.m_max, 1, "--m-max")
+    elif args.run == "verify":
+        _require_min(args.xi_degree, 0, "--xi-degree")
     items = _corpus_items(args)
     ceiling = _term_ceiling()
     checks: list[Check] = []

@@ -114,10 +114,11 @@ def _route_result(comps: Sequence[SparsePoly], method: str, bound: int,
     return InversionResult(g_map, n_map, method, bound, checked)
 
 
-def _require_oracle(oracle: InversionResult, need: int) -> None:
+def _require_oracle(oracle: InversionResult, h: MapTuple, need: int) -> None:
     if not (isinstance(oracle, InversionResult) and oracle.method == FIXED_POINT
-            and oracle.D >= need):
-        raise ContractViolation(f"oracle must be the fixed-point inverse to z-degree >= {need}")
+            and oracle.D >= need and oracle.G.vars == h.vars):
+        raise ContractViolation(f"oracle must be the fixed-point inverse to z-degree >= {need}"
+                                f" over the map's n={h.n} variables")
 
 
 # -- route 1: fixed point ---------------------------------------------------
@@ -239,7 +240,7 @@ def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int,
     independently (left: derivative sum without JF; right: oracle, the
     fixed-point inverse to z-degree >= bound + 1, since JG differentiates G)."""
     _require_h(h, bound, derivatives=True)
-    _require_oracle(oracle, bound + 1)
+    _require_oracle(oracle, h, bound + 1)
     sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound,
                               include_jf=False, debug=False)
     lhs = sums[0]
@@ -356,7 +357,7 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: i
     capped at bound by the window rule.
     """
     _require_h(h, bound, derivatives=True)
-    _require_oracle(oracle, bound)
+    _require_oracle(oracle, h, bound)
     q_poly = _known_to(q, bound, "q")
     k_eff = min(xi_bound, bound)
     target, pairing, jf = _phase_data(h, bound)

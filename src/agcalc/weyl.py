@@ -4,8 +4,8 @@ Operators are kept in right-normal form: a finite sum of a_alpha(z) d^alpha
 terms, indexed by the derivative multi-index alpha.  The right total symbol
 replaces d^alpha by xi^alpha positionally; reading a phase polynomial as a
 LEFT symbol instead (derivatives on the left of their coefficients) and
-reordering it into right-normal form is normal_order, which composes each
-d^alpha with its coefficient; the Leibniz rule lives in DiffOp.__mul__.
+reordering it into right-normal form is normal_order.  Both normal_order and
+DiffOp composition reorder d^alpha b with the one Leibniz rule, _leibniz.
 
 The module also carries the two phase-space endomorphisms the rest of the
 package is built on: the mixed second-derivative operator
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import Mapping
 
 from .errors import ContractViolation, TruncationError
@@ -36,11 +36,27 @@ from .poly import (
 from .report import IdentityReport
 
 
-def _binom_multi(alpha: Exponent, gamma: Exponent) -> int:
-    out = 1
-    for a, g in zip(alpha, gamma):
-        out *= comb(a, g)
-    return out
+def _leibniz(alpha: Exponent, beta: Exponent, c: Fraction):
+    """The package's one copy of the Leibniz rule, for one term c d^alpha z^beta:
+    d^alpha z^beta = sum_gamma C(alpha, gamma) (d^gamma z^beta) d^(alpha - gamma).
+
+    Yields (alpha - gamma, beta - gamma, coefficient) for every gamma <= alpha
+    with a nonzero derivative d^gamma z^beta.
+    """
+    n = len(alpha)
+    ranges = [range(min(alpha[i], beta[i]) + 1) for i in range(n)]
+    for gamma in itertools.product(*ranges):
+        coeff = c
+        for i, g in enumerate(gamma):
+            if g:
+                coeff = coeff * comb(alpha[i], g) * perm(beta[i], g)
+        yield (tuple(alpha[i] - gamma[i] for i in range(n)),
+               tuple(beta[i] - gamma[i] for i in range(n)), coeff)
+
+
+def _bucket_add(out: dict, rest: Exponent, ze: Exponent, coeff: Fraction) -> None:
+    bucket = out.setdefault(rest, {})
+    bucket[ze] = bucket.get(ze, 0) + coeff
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,32 +140,23 @@ class DiffOp:
             raise ContractViolation("operator variable counts differ")
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
-        """Operator composition, reordered back into right-normal form.
-
-        This is the package's one copy of the Leibniz rule
-        d^alpha b = sum_gamma C(alpha, gamma) (d^gamma b) d^(alpha - gamma).
-        """
+        """Operator composition, reordered back into right-normal form by _leibniz."""
         self._check(other)
         n = self.n
+        zvs = VarSet.z(n)
         out: dict[Exponent, SparsePoly] = {}
-        for beta, b in other.terms.items():
-            # per-variable z-degree bound of b prunes the Leibniz sum
-            maxdeg = [0] * n
-            for e in b.terms:
-                for i in range(n):
-                    if e[i] > maxdeg[i]:
-                        maxdeg[i] = e[i]
-            for alpha, a in self.terms.items():
-                ranges = [range(min(alpha[i], maxdeg[i]) + 1) for i in range(n)]
-                for gamma in itertools.product(*ranges):
-                    db = b.diff_z_multi(gamma)
-                    if db.is_zero:
-                        continue
-                    coeff = _binom_multi(alpha, gamma)
-                    res = tuple(alpha[i] - gamma[i] + beta[i] for i in range(n))
-                    piece = a.mul(db).scale(coeff)
-                    cur = out.get(res)
-                    out[res] = piece if cur is None else cur + piece
+        for alpha, a in self.terms.items():
+            # d^alpha b d^beta, collected by resulting derivative before the product with a
+            reordered: dict[Exponent, dict[Exponent, Fraction]] = {}
+            for beta, b in other.terms.items():
+                for e, c in b.terms.items():
+                    for rest, ze, coeff in _leibniz(alpha, e, c):
+                        _bucket_add(reordered, tuple(rest[i] + beta[i] for i in range(n)),
+                                    ze, coeff)
+            for res, bucket in reordered.items():
+                piece = a.mul(SparsePoly(zvs, bucket))
+                cur = out.get(res)
+                out[res] = piece if cur is None else cur + piece
         return DiffOp(n, out)
 
     def apply(self, u: SparsePoly | SeriesTrunc, bound: int) -> SeriesTrunc:
@@ -216,16 +223,19 @@ def from_right_symbol(f: SparsePoly) -> DiffOp:
 def normal_order(f: SparsePoly) -> DiffOp:
     """Read f as a LEFT total symbol and rewrite into right-normal form.
 
-    Collecting f by xi-degree as sum_alpha b_alpha(z) xi^alpha, the left
-    reading is sum_alpha d^alpha * b_alpha(z), and DiffOp composition
-    reorders each product with the Leibniz rule.
+    A left-symbol term c*xi^alpha*z^beta stands for d^alpha (c z^beta ...),
+    which _leibniz reorders into right-normal terms.
     """
-    right = from_right_symbol(f)
-    one = SparsePoly.one(VarSet.z(right.n))
-    out = DiffOp.zero(right.n)
-    for alpha, b in right.terms.items():
-        out = out + DiffOp(right.n, {alpha: one}) * DiffOp.multiplication(b)
-    return out
+    vs = f.vars
+    if not vs.has_xi or vs.has_t:
+        raise ContractViolation("a total symbol lives over the (xi, z) layout")
+    n = vs.n
+    zvs = VarSet.z(n)
+    out: dict[Exponent, dict[Exponent, Fraction]] = {}
+    for e, c in f.terms.items():
+        for rest, ze, coeff in _leibniz(e[:n], e[n:], c):
+            _bucket_add(out, rest, ze, coeff)
+    return DiffOp(n, {alpha: SparsePoly(zvs, t) for alpha, t in out.items()})
 
 
 def tau(op: DiffOp) -> DiffOp:

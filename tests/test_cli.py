@@ -231,6 +231,13 @@ class TestCorpus:
         assert main(["corpus", "--family", "triangular", "--n", "2"] + argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--run", "invert-all", "--degree", "3", "--m-max", "0"],
+        ["--run", "lab", "--m-max", "2", "--xi-degree", "-1"],
+    ])
+    def test_numeric_argument_checked_only_for_its_run(self, argv):
+        assert main(["corpus", "--family", "triangular", "--n", "2", "--count", "1"] + argv) == 0
+
 
 def _count_calls(monkeypatch, functions) -> dict:
     """Count calls to each function through every agcalc module that binds it."""

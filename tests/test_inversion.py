@@ -426,14 +426,14 @@ class TestOracleArgument:
     def test_ag_jacobian_identity_needs_fixed_point_to_bound_plus_1(self):
         h, u = triangular_2d(), SparsePoly.one(Z2)
         for wrong in (invert_ag(h, 5), invert_lambda(h, 5), invert_fixed_point(h, 5).G,
-                      invert_fixed_point(h, 4)):
+                      invert_fixed_point(h, 4), invert_fixed_point(one_var_square(), 5)):
             with pytest.raises(ContractViolation, match="fixed-point inverse to z-degree >= 5"):
                 ag_jacobian_identity(u, h, 4, wrong)
 
     def test_verify_phi_exponential_needs_fixed_point_to_bound(self):
         h, q = triangular_2d(), SparsePoly.one(Z2)
         for wrong in (invert_ag(h, 5), invert_lambda(h, 5), invert_fixed_point(h, 5).G,
-                      invert_fixed_point(h, 3)):
+                      invert_fixed_point(h, 3), invert_fixed_point(one_var_square(), 4)):
             with pytest.raises(ContractViolation, match="fixed-point inverse to z-degree >= 4"):
                 verify_phi_exponential(h, q, 2, 4, wrong)
         assert verify_phi_exponential(h, q, 2, 4, invert_fixed_point(h, 4)).passed
