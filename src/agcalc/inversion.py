@@ -35,7 +35,6 @@ from .errors import (
 )
 from .poly import (
     MapTuple,
-    PowerCache,
     SeriesTrunc,
     SparsePoly,
     VarSet,
@@ -178,26 +177,39 @@ def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple,
     """sum over |alpha| <= bound of d^alpha(u * H^alpha * JF?) / alpha!, per u.
 
     Term |alpha| = a is evaluated with internal pad bound + a (the a degrees
-    the derivative removes).  Returns the sums truncated at bound, plus the
-    count of debug-verified discarded terms.
+    the derivative removes).  The shell |alpha| = a is grown from the one
+    before by one multiply per multi-index, H^alpha = H^(alpha - e_i) * H_i
+    with i the first nonzero index of alpha, truncated at bound + a.  The
+    previous shell is known only to z-degree bound + a - 1, which is enough:
+    o(H_i) >= 2, so a term it dropped (degree >= bound + a) would land at
+    degree >= bound + a + 2, past the pad.
+    Returns the sums truncated at bound, plus the count of debug-verified
+    discarded terms.
     """
     vs = h.vars
     n = h.n
     one = SparsePoly.one(vs)
     jf = jacobian_factor(h, bound) if include_jf else one
     max_shell = bound
-    powers = PowerCache(h.components, bound + max_shell + (1 if debug else 0))
+    shell: dict[tuple[int, ...], SparsePoly] = {}  # H^alpha for every |alpha| = a
     sums = [SparsePoly.zero(vs) for _ in us]
     checked = 0
     top = max_shell + (1 if debug else 0)
     for a in range(top + 1):
         discard_shell = a > max_shell
         pad = bound + a
+        prev, shell = shell, {}
         for alpha in _compositions(a, n):
             if discard_shell:
                 # a vanishing truncated product verifies the discard too
                 checked += len(us)
-            h_alpha = powers.monomial_power(alpha, pad)
+            if a == 0:
+                h_alpha = one
+            else:
+                i = next(j for j, k in enumerate(alpha) if k)
+                lower = prev[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
+                h_alpha = lower.mul(h.components[i], trunc=pad)
+            shell[alpha] = h_alpha
             if h_alpha.is_zero:
                 continue
             base = h_alpha if not include_jf else h_alpha.mul(jf, trunc=pad)

@@ -13,7 +13,7 @@ partial report) instead of grinding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from typing import Iterator, Sequence
@@ -91,9 +91,14 @@ class VanishingReport:
     k: int
     mmax: int
     values: tuple[tuple[int, SparsePoly], ...]
-    first_nonzero: int | None
-    last_nonzero: int | None
-    stabilized: bool | None  # set only when a stabilization threshold was supplied
+
+    @property
+    def first_nonzero(self) -> int | None:
+        return next((m for m, v in self.values if not v.is_zero), None)
+
+    @property
+    def last_nonzero(self) -> int | None:
+        return next((m for m, v in reversed(self.values) if not v.is_zero), None)
 
     @property
     def all_zero(self) -> bool:
@@ -106,11 +111,11 @@ class VanishingReport:
         raise KeyError(m)
 
     def through(self, m: int) -> "VanishingReport":
-        """The same scan cut to m <= mmax; the stabilization verdict is dropped."""
+        """The same scan cut to m <= mmax."""
         if not 1 <= m <= self.mmax:
             raise ContractViolation(f"scan ran through m={self.mmax}; cannot cut at m={m}")
-        return _finish_report(self.label, self.k, m,
-                              [(mm, v) for mm, v in self.values if mm <= m], None)
+        return replace(self, mmax=m,
+                       values=tuple((mm, v) for mm, v in self.values if mm <= m))
 
     def __str__(self) -> str:
         if self.all_zero:
@@ -129,8 +134,7 @@ def _guard(p: SparsePoly, ceiling: int, partial_fn) -> SparsePoly:
 
 def vanishing_scan_poly(p: SparsePoly, k: int, mmax: int, *,
                         term_ceiling: int | None = None,
-                        label: str = "phase-poly",
-                        stabilization_threshold: int | None = None) -> VanishingReport:
+                        label: str = "phase-poly") -> VanishingReport:
     """Exact scan of lambda^m(p^(m+k)) for a general phase polynomial p.
 
     This is the open-ended entry point: no equivalence with nilpotency is
@@ -148,7 +152,7 @@ def vanishing_scan_poly(p: SparsePoly, k: int, mmax: int, *,
     values: list[tuple[int, SparsePoly]] = []
 
     def partial_report() -> VanishingReport:
-        return _finish_report(label, k, mmax, values, stabilization_threshold)
+        return VanishingReport(label, k, mmax, tuple(values))
 
     power = SparsePoly.one(p.vars)  # p^j, grown incrementally
     j = 0
@@ -161,28 +165,15 @@ def vanishing_scan_poly(p: SparsePoly, k: int, mmax: int, *,
         for _ in range(m):
             v = _guard(lambda_apply(v), ceiling, partial_report)
         values.append((m, v))
-    return _finish_report(label, k, mmax, values, stabilization_threshold)
-
-
-def _finish_report(label, k, mmax, values, threshold) -> VanishingReport:
-    nonzero = [m for m, v in values if not v.is_zero]
-    first = nonzero[0] if nonzero else None
-    last = nonzero[-1] if nonzero else None
-    stabilized = None
-    if threshold is not None:
-        stabilized = all(v.is_zero for m, v in values if m > threshold)
-    return VanishingReport(label, k, mmax, tuple(values), first, last, stabilized)
+    return VanishingReport(label, k, mmax, tuple(values))
 
 
 def vanishing_scan(h: MapTuple, k: int, mmax: int, *,
                    term_ceiling: int | None = None,
-                   label: str = "map",
-                   stabilization_threshold: int | None = None) -> VanishingReport:
+                   label: str = "map") -> VanishingReport:
     """Scan for P = <xi, H> built from an exact polynomial map."""
     _require_exact(h)
-    return vanishing_scan_poly(xi_pairing(h), k, mmax, term_ceiling=term_ceiling,
-                               label=label,
-                               stabilization_threshold=stabilization_threshold)
+    return vanishing_scan_poly(xi_pairing(h), k, mmax, term_ceiling=term_ceiling, label=label)
 
 
 # -- deformation series ------------------------------------------------------
@@ -358,13 +349,12 @@ def equivalence_steps(h: MapTuple, mmax: int, *,
     if cert.nilpotent and known_nt_degree is not None:
         d = known_nt_degree
         depth = max(mmax, d + 1)
-        scan1 = vanishing_scan(h, 1, depth, term_ceiling=term_ceiling, label=label,
-                               stabilization_threshold=d)
+        scan1 = vanishing_scan(h, 1, depth, term_ceiling=term_ceiling, label=label)
         yield scan1
-        tail_ok = scan1.stabilized
+        # the scan runs past d, so index d means every later value is zero;
         # an all-zero series (H = 0) has no t-dependence: index 0
         observed = scan1.last_nonzero if scan1.last_nonzero is not None else 0
-        if tail_ok and observed == d:
+        if observed == d:
             checks.append(passed_check(
                 "deformed inverse stabilizes at known t-degree",
                 detail=f"stabilization index {d}, scanned through m={depth}"))
@@ -405,6 +395,8 @@ def check_equivalences(h: MapTuple, mmax: int, *,
 
 
 FAMILIES = ("triangular", "cubic", "control", "series")
+MAX_DEGREE = 3  # z-degree of the random terms (series maps draw one degree more)
+SERIES_TRUNC = 12  # z-degree to which series maps are known
 
 
 @dataclass(frozen=True)
@@ -413,8 +405,6 @@ class CorpusSpec:
     family: str
     count: int = 3
     seed: int = 0
-    max_degree: int = 3
-    series_trunc: int = 12
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= 4:
@@ -424,8 +414,6 @@ class CorpusSpec:
                 f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.count < 1:
             raise ContractViolation("corpus count must be >= 1")
-        if self.max_degree < 2:
-            raise ContractViolation("corpus max_degree must be >= 2")
         if self.family == "cubic" and self.n < 2:
             raise ContractViolation(
                 "no nonzero strictly-triangular homogeneous cubic exists for n=1")
@@ -456,8 +444,7 @@ def _random_monomial(rng, vs: VarSet, allowed: Sequence[int], degree: int,
     return SparsePoly.monomial(vs, exps, c)
 
 
-def _strictly_triangular(rng, n: int, max_degree: int,
-                         homogeneous: int | None = None) -> MapTuple:
+def _strictly_triangular(rng, n: int, homogeneous: int | None = None) -> MapTuple:
     vs = VarSet.z(n)
     comps = []
     for i in range(n):
@@ -467,7 +454,7 @@ def _strictly_triangular(rng, n: int, max_degree: int,
             continue
         acc = SparsePoly.zero(vs)
         for _ in range(rng.randint(1, 2)):
-            d = homogeneous if homogeneous is not None else rng.randint(2, max_degree)
+            d = homogeneous if homogeneous is not None else rng.randint(2, MAX_DEGREE)
             acc = acc + _random_monomial(rng, vs, allowed, d)
         comps.append(acc)
     return MapTuple.exact(tuple(comps))
@@ -548,26 +535,26 @@ def _conjugate_map(h: MapTuple, t_mat: list[list[int]],
     return MapTuple.exact(tuple(comps))
 
 
-def _random_series_map(rng, n: int, max_degree: int, trunc: int) -> MapTuple:
+def _random_series_map(rng, n: int) -> MapTuple:
     vs = VarSet.z(n)
     comps = []
     for _ in range(n):
         acc = SparsePoly.zero(vs)
         for _ in range(rng.randint(1, 3)):
-            d = rng.randint(2, max_degree + 1)
+            d = rng.randint(2, MAX_DEGREE + 1)
             acc = acc + _random_monomial(rng, vs, list(range(n)), d)
         comps.append(acc)
-    return MapTuple.truncated(tuple(comps), trunc)
+    return MapTuple.truncated(tuple(comps), SERIES_TRUNC)
 
 
-def _control_map(rng, n: int, max_degree: int) -> MapTuple:
+def _control_map(rng, n: int) -> MapTuple:
     vs = VarSet.z(n)
     for _ in range(32):
         comps = []
         for i in range(n):
             acc = SparsePoly.zero(vs)
             for _ in range(rng.randint(0, 2)):
-                d = rng.randint(2, max_degree)
+                d = rng.randint(2, MAX_DEGREE)
                 acc = acc + _random_monomial(rng, vs, list(range(n)), d)
             comps.append(acc)
         # a diagonal square term usually forces a nonzero Jacobian trace;
@@ -601,11 +588,11 @@ def gen_corpus(spec: CorpusSpec) -> list[CorpusItem]:
                 # canonical smallest member
                 h = MapTuple.exact((SparsePoly.monomial(vs, (0, 2)), SparsePoly.zero(vs)))
             else:
-                h = _strictly_triangular(rng, n, spec.max_degree)
+                h = _strictly_triangular(rng, n)
             items.append(CorpusItem(item_id, spec.family, h, True, _back_substitute(h),
                                     _nt_degree(h)))
         elif spec.family == "cubic":
-            base = _strictly_triangular(rng, n, 3, homogeneous=3)
+            base = _strictly_triangular(rng, n, homogeneous=3)
             t_mat, t_inv = _unimodular(rng, n)
             h = _conjugate_map(base, t_mat, t_inv)
             cert = is_nilpotent(h)
@@ -621,17 +608,17 @@ def gen_corpus(spec: CorpusSpec) -> list[CorpusItem]:
             elif n == 2 and idx == 0:
                 h = MapTuple.exact((SparsePoly.monomial(vs, (2, 0)), SparsePoly.zero(vs)))
             else:
-                h = _control_map(rng, n, spec.max_degree)
+                h = _control_map(rng, n)
             if is_nilpotent(h).nilpotent:
                 raise ContractViolation("control instance is unexpectedly nilpotent")
             items.append(CorpusItem(item_id, spec.family, h, False))
         else:  # series
-            h = _random_series_map(rng, n, spec.max_degree, spec.series_trunc)
+            h = _random_series_map(rng, n)
             items.append(CorpusItem(item_id, spec.family, h, None))
     return items
 
 
-def standard_corpus(seed: int = 0, *, series_trunc: int = 12) -> list[CorpusItem]:
+def standard_corpus(seed: int = 0) -> list[CorpusItem]:
     """The mixed corpus used by the acceptance suite: 21 maps over n in {1,2,3}."""
     cells = [
         (1, "control", 1), (1, "series", 2),
@@ -640,6 +627,5 @@ def standard_corpus(seed: int = 0, *, series_trunc: int = 12) -> list[CorpusItem
     ]
     items: list[CorpusItem] = []
     for n, family, count in cells:
-        items.extend(gen_corpus(CorpusSpec(
-            n=n, family=family, count=count, seed=seed, series_trunc=series_trunc)))
+        items.extend(gen_corpus(CorpusSpec(n=n, family=family, count=count, seed=seed)))
     return items

@@ -17,7 +17,8 @@ A map file holds the tail H of F = z - H:
     }
 
 Coefficients are exact rational strings ("p/q" or an integer literal) in any
-form; they are canonicalized on load.  No float ever appears.
+form, or JSON integers; they are canonicalized on load.  Any other JSON number
+is refused, since the JSON reader would round it through a float.
 
 Polynomial literals on the command line use a deliberately small grammar:
 sums of terms, each term a '*'-joined product of a rational literal and
@@ -110,6 +111,10 @@ def entries_to_poly(entries, vs: VarSet) -> SparsePoly:
     for item in entries:
         if not isinstance(item, dict) or "coeff" not in item or "exps" not in item:
             raise MapFileError(f"term entry {item!r} needs 'coeff' and 'exps'")
+        # a JSON number with a fraction or exponent would be read as a float
+        if isinstance(item["coeff"], bool) or not isinstance(item["coeff"], (str, int)):
+            raise MapFileError(
+                f"term entry {item!r}: coefficient must be a string or an integer")
         try:
             coeff = Fraction(str(item["coeff"]))
         except (ValueError, ZeroDivisionError) as err:

@@ -656,35 +656,6 @@ def xi_pairing(h: MapTuple) -> SparsePoly:
 # -- composition ----------------------------------------------------------
 
 
-class PowerCache:
-    """Powers p_i^k of the polynomials p_i, truncated at z-degree trunc, grown on demand."""
-
-    def __init__(self, polys: Sequence[SparsePoly], trunc: int):
-        self.polys = polys
-        self.trunc = trunc
-        self.powers = [[SparsePoly.one(p.vars)] for p in polys]
-
-    def get(self, i: int, k: int) -> SparsePoly:
-        powers = self.powers[i]
-        while len(powers) <= k:
-            powers.append(powers[-1].mul(self.polys[i], trunc=self.trunc))
-        return powers[k]
-
-    def monomial_power(self, alpha: Sequence[int], trunc: int) -> SparsePoly:
-        """prod_i p_i^alpha_i, truncated at z-degree trunc <= self.trunc."""
-        acc = None
-        for i, k in enumerate(alpha):
-            if k == 0:
-                continue
-            p = self.get(i, k)
-            acc = p if acc is None else acc.mul(p, trunc=trunc)
-            if acc.is_zero:
-                break
-        if acc is None:
-            acc = SparsePoly.one(self.polys[0].vars)
-        return acc.truncate_z(trunc)
-
-
 def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc:
     """Substitute the components of g for the z-variables of u, mod z-degree > bound.
 
@@ -717,7 +688,7 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
 
     n = vsg.n
     const_free = [gi.is_zero or gi.order() >= 1 for gi in g.components]
-    powers = PowerCache(g.components, bound)
+    powers = [[SparsePoly.one(vsg)] for _ in range(n)]  # g_i^k, truncated at bound
     zs = vsu.z_start
     out = SparsePoly.zero(vsg)
     for e, c in upoly.terms.items():
@@ -732,7 +703,10 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
             if const_free[i] and b > bound:
                 acc = SparsePoly.zero(vsg)
                 break
-            acc = acc.mul(powers.get(i, b), trunc=bound)
+            pw = powers[i]
+            while len(pw) <= b:
+                pw.append(pw[-1].mul(g.components[i], trunc=bound))
+            acc = acc.mul(pw[b], trunc=bound)
             if acc.is_zero:
                 break
         if not acc.is_zero:

@@ -196,10 +196,10 @@ class TestAcceptance:
             except Exception:
                 ok = False
                 continue
-            scan = vanishing_scan(item.h, 1, depth,
-                                  stabilization_threshold=item.nt_degree)
+            scan = vanishing_scan(item.h, 1, depth)
             observed = scan.last_nonzero if scan.last_nonzero is not None else 0
-            ok = ok and scan.stabilized and observed == item.nt_degree
+            ok = ok and all(v.is_zero for m, v in scan.values if m > item.nt_degree)
+            ok = ok and observed == item.nt_degree
             stab_checked += 1
         ok = ok and stab_checked == len(triangular) and stab_checked >= 4
         _report(8, "deformation series match the deformed oracle", ok,

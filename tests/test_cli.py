@@ -20,8 +20,14 @@ Z2 = VarSet.z(2)
 Z3 = VarSet.z(3)
 
 
+# the child imports the same agcalc as this process, installed or not
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(agcalc.lab.__file__))
+
+
 def run_cli(*argv, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -79,6 +85,13 @@ class TestInvert:
         proc = run_cli("invert", str(path), "--degree", "3")
         assert proc.returncode == 2
         assert "1/0" in proc.stderr
+
+    def test_float_coefficient_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "float.json"
+        path.write_text('{"n": 1, "components": '
+                        '[[{"coeff": 0.12345678901234567890123, "exps": [2]}]]}')
+        assert main(["invert", str(path), "--degree", "3"]) == 2
+        assert "coefficient must be a string or an integer" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self):
         proc = run_cli("invert", "/nonexistent/map.json", "--degree", "3")

@@ -45,6 +45,10 @@ COMMANDS = {
     "corpus-invert-all": ["corpus", "--family", "mixed", "--run", "invert-all",
                           "--degree", "4"],
     "corpus-lab": ["corpus", "--family", "mixed", "--run", "lab"],
+    # the only run through ag_jacobian_identity and the xi-moment checks on
+    # n=3 and series-truncated maps
+    "corpus-verify": ["corpus", "--family", "mixed", "--run", "verify",
+                      "--degree", "4"],
 }
 
 GOLDEN = {  # (command key, format): sha256 of stdout
@@ -56,6 +60,10 @@ GOLDEN = {  # (command key, format): sha256 of stdout
         "2783babe85aae313ed68e124d576f4f8a462a47e4779d4a5b912f5943e51b599",
     ("corpus-lab", "text"):
         "2f1581086be2fbec6d3ae39b62fa9fd21e0c550603a06ad4065bf8990f0585a0",
+    ("corpus-verify", "json"):
+        "cb507ecef7909dbc8b2752358d45c413f69b4ccb09798ca0c78d91133335d8b6",
+    ("corpus-verify", "text"):
+        "7b1568d4c96eea2509b2c467cf0fca2bebb6b2504faaf5dbe794e86e02735d29",
     ("invert-catalan", "json"):
         "00e95743a89c18fe46d2142b4554cf75f3c1281b6db570142cfcd942811d09c2",
     ("invert-catalan", "text"):

@@ -295,10 +295,16 @@ class TestCrossMethod:
 
     def test_series_truncated_input(self):
         rng = random.Random(59)
-        h = random_h(rng, 2, trunc=8, max_deg=5)
-        results = cross_method_results(h, 7)
-        assert results[ABHYANKAR_GURJAR].G == results[FIXED_POINT].G
-        assert results[LAMBDA_SERIES].G == results[FIXED_POINT].G
+        cases = [(random_h(rng, 2, trunc=8, max_deg=5), 7)]
+        # known to exactly D + 1, the least the derivative routes accept: the
+        # terms of degree D + 2 and D + 3 are cut off, those of degree D + 1 kept
+        low = random_h(rng, 3, max_deg=6, terms=6)
+        high = random_h(rng, 3, min_order=7, max_deg=8)
+        cases.append((MapTuple.truncated(tuple(a + b for a, b in zip(low, high)), 6), 5))
+        for h, bound in cases:
+            results = cross_method_results(h, bound, debug=True)
+            assert results[ABHYANKAR_GURJAR].G == results[FIXED_POINT].G
+            assert results[LAMBDA_SERIES].G == results[FIXED_POINT].G
 
     def test_n_tail_order(self):
         rng = random.Random(61)

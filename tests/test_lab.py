@@ -103,15 +103,26 @@ class TestVanishingScan:
         assert partial is not None and partial.mmax == 6
 
     def test_through_cuts_to_a_computed_window(self):
-        rep = vanishing_scan(diagonal_2d(), 1, 4, stabilization_threshold=4)
+        rep = vanishing_scan(diagonal_2d(), 1, 4)
         cut = rep.through(2)
-        assert (cut.k, cut.mmax, cut.stabilized) == (1, 2, None)
+        assert (cut.k, cut.mmax) == (1, 2)
         assert cut.values == rep.values[:3]
         assert (cut.first_nonzero, cut.last_nonzero) == (0, 2)
-        assert rep.through(4) == replace(rep, stabilized=None)
+        assert rep.through(4) == rep
         for m in (0, 5):
             with pytest.raises(ContractViolation):
                 rep.through(m)
+
+    def test_verdicts_read_off_the_values(self):
+        rep = vanishing_scan(diagonal_2d(), 1, 4)
+        assert (rep.first_nonzero, rep.last_nonzero, rep.all_zero) == (0, 4, False)
+        zero = SparsePoly.zero(XIZ2)
+        inner = replace(rep, values=((0, zero), (1, rep.value(1)), (2, rep.value(2)),
+                                     (3, zero), (4, zero)))
+        assert (inner.first_nonzero, inner.last_nonzero, inner.all_zero) == (1, 2, False)
+        cleared = replace(rep, values=tuple((m, zero) for m, _ in rep.values))
+        assert (cleared.first_nonzero, cleared.last_nonzero, cleared.all_zero) == (
+            None, None, True)
 
     def test_bad_arguments(self):
         with pytest.raises(ContractViolation):

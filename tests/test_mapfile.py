@@ -1,5 +1,6 @@
 """Map-file schema round trips and the polynomial literal grammar."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,19 @@ class TestMapFiles:
             obj["metadata"]["nt_degree"] = True
         with pytest.raises(MapFileError, match=message):
             parse_map_obj(obj)
+
+    def test_json_number_coefficients(self):
+        # a JSON number with a fraction part arrives as a float, already rounded
+        z1 = VarSet.z(1)
+        text = '{"n": 1, "components": [[{"coeff": %s, "exps": [2]}]]}'
+        h, _ = parse_map_obj(json.loads(text % '"0.12345678901234567890123"'))
+        assert h.components[0] == SparsePoly.monomial(
+            z1, (2,), Fraction("0.12345678901234567890123"))
+        h, _ = parse_map_obj(json.loads(text % "-3"))
+        assert h.components[0] == SparsePoly.monomial(z1, (2,), -3)
+        for literal in ("0.12345678901234567890123", "0.5", "1e3", "true"):
+            with pytest.raises(MapFileError, match="coefficient must be a string"):
+                parse_map_obj(json.loads(text % literal))
 
     def test_coefficients_canonicalized(self):
         obj = {"n": 1, "components": [[
