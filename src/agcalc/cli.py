@@ -458,7 +458,11 @@ def main(argv=None) -> int:
     payload = report.to_json() if args.format == "json" else report.to_text()
     sys.stdout.write(payload)
     if args.out:
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        try:
+            Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
+            return EXIT_INPUT
     if report.flags.get("resource_guard"):
         return EXIT_RESOURCE
     return EXIT_PASS if report.passed else EXIT_FAIL

@@ -125,9 +125,9 @@ class VanishingReport:
 
 
 def _guard(p: SparsePoly, ceiling: int, partial_fn) -> SparsePoly:
-    if len(p.terms) > ceiling:
+    if p.nterms > ceiling:
         raise TermCeilingExceeded(
-            f"term count {len(p.terms)} exceeded ceiling {ceiling}",
+            f"term count {p.nterms} exceeded ceiling {ceiling}",
             partial=partial_fn())
     return p
 
@@ -189,7 +189,7 @@ def _deformed_map(h: MapTuple) -> MapTuple:
 def _divide_by_t(tail: MapTuple) -> MapTuple:
     """N_t from the inverse tail t*N_t of z - t*H; a term without t is refused."""
     return tail.apply(lambda comp: SparsePoly(
-        comp.vars, {e[:-1] + (e[-1] - 1,): c for e, c in comp.terms.items()}))
+        comp.vars, {e[:-1] + (e[-1] - 1,): c for e, c in comp.items()}))
 
 
 def _scan_series(scan: VanishingReport) -> SparsePoly:

@@ -100,7 +100,7 @@ def parse_poly(text: str, vs: VarSet) -> SparsePoly:
 
 def poly_to_entries(p: SparsePoly) -> list[dict]:
     """Canonical term list: sorted exponents, string rationals."""
-    return [{"coeff": str(p.terms[e]), "exps": list(e)}
+    return [{"coeff": str(p.coeff(e)), "exps": list(e)}
             for e in p.sorted_exponents()]
 
 
@@ -156,7 +156,9 @@ def parse_map_obj(obj: dict) -> tuple[MapTuple, dict]:
     if h.order() < 2:
         raise MapFileError(
             f"map tail must have order >= 2 componentwise; got order {h.order()}")
-    metadata = obj.get("metadata") or {}
+    metadata = obj.get("metadata")
+    if metadata is None:
+        metadata = {}
     if not isinstance(metadata, dict):
         raise MapFileError("metadata must be an object")
     if "known_inverse" in metadata and metadata["known_inverse"] is not None:

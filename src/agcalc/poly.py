@@ -1,7 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a dictionary from exponent tuples to nonzero Fraction
-coefficients, so identity testing is exact and no float ever appears.
+A polynomial maps exponent tuples to nonzero Fraction coefficients, so
+identity testing is exact and no float ever appears.  That dictionary is
+private to this module: other code reads a polynomial through items(),
+nterms and coeff(), and every loop that must touch the storage, the mixed
+derivative lambda_apply among them, lives here.
 The variable layout is fixed by a VarSet: an optional xi-block
 (xi1..xin), then the z-block (z1..zn), then an optional deformation
 variable t.  All four layouts share one exponent-tuple convention, so
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, ItemsView, Iterator, Mapping, Sequence
 
 from .errors import CompositionError, ContractViolation, TruncationError
 
@@ -123,9 +126,6 @@ class VarSet:
     def without_xi(self) -> "VarSet":
         return VarSet("zt" if self.has_t else "z", self.n)
 
-    def without_t(self) -> "VarSet":
-        return VarSet("xiz" if self.has_xi else "z", self.n)
-
 
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
@@ -144,12 +144,12 @@ class SparsePoly:
     """Immutable sparse polynomial: exponent tuple -> nonzero Fraction."""
 
     vars: VarSet
-    terms: Mapping[Exponent, Fraction]
+    _terms: Mapping[Exponent, Fraction]
 
     def __post_init__(self) -> None:
         nv = self.vars.nvars
         clean: dict[Exponent, Fraction] = {}
-        for exps, c in self.terms.items():
+        for exps, c in self._terms.items():
             exps = tuple(exps)
             if len(exps) != nv or any(e < 0 for e in exps):
                 raise ContractViolation(
@@ -157,14 +157,14 @@ class SparsePoly:
             c = _as_fraction(c)
             if c:
                 clean[exps] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
     def _unchecked(cls, vs: VarSet, terms: dict[Exponent, Fraction]) -> "SparsePoly":
         # internal fast path: terms already canonical apart from possible zeros
         p = object.__new__(cls)
         object.__setattr__(p, "vars", vs)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "_terms", {e: c for e, c in terms.items() if c})
         return p
 
     # -- constructors --------------------------------------------------
@@ -206,45 +206,53 @@ class SparsePoly:
     def t_var(cls, vs: VarSet) -> "SparsePoly":
         return cls.variable(vs, vs.t_index)
 
-    # -- predicates and degree data ------------------------------------
+    # -- access and degree data -----------------------------------------
+
+    def items(self) -> ItemsView[Exponent, Fraction]:
+        """The (exponent, coefficient) pairs, every coefficient nonzero."""
+        return self._terms.items()
+
+    @property
+    def nterms(self) -> int:
+        return len(self._terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self._terms.get(tuple(exps), Fraction(0))
 
     def order(self) -> int | float:
         """Minimal z-total-degree of a term; +inf for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return INF
         zd = self.vars.z_degree
-        return min(zd(e) for e in self.terms)
+        return min(zd(e) for e in self._terms)
 
     def degree(self) -> int | float:
         """Maximal z-total-degree of a term; -inf for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return NEG_INF
         zd = self.vars.z_degree
-        return max(zd(e) for e in self.terms)
+        return max(zd(e) for e in self._terms)
 
     def eta(self) -> int | float:
         """Phase grading: min over terms of z-degree minus xi-degree (t ignored)."""
         if not self.vars.has_xi:
             raise ContractViolation("eta grading needs a xi-block")
-        if not self.terms:
+        if not self._terms:
             return INF
         vs = self.vars
-        return min(vs.z_degree(e) - vs.xi_degree(e) for e in self.terms)
+        return min(vs.z_degree(e) - vs.xi_degree(e) for e in self._terms)
 
     def max_xi_degree(self) -> int:
         vs = self.vars
-        return max((vs.xi_degree(e) for e in self.terms), default=0)
+        return max((vs.xi_degree(e) for e in self._terms), default=0)
 
     def max_t_degree(self) -> int:
         vs = self.vars
-        return max((vs.t_degree(e) for e in self.terms), default=0)
+        return max((vs.t_degree(e) for e in self._terms), default=0)
 
     # -- ring operations -----------------------------------------------
 
@@ -258,8 +266,8 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_same(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._terms)
+        for e, c in other._terms.items():
             v = out.get(e)
             if v is None:
                 out[e] = c
@@ -272,7 +280,7 @@ class SparsePoly:
         return SparsePoly._unchecked(self.vars, out)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly._unchecked(self.vars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._unchecked(self.vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
@@ -281,12 +289,12 @@ class SparsePoly:
         c = _as_fraction(c)
         if not c:
             return SparsePoly.zero(self.vars)
-        return SparsePoly._unchecked(self.vars, {e: c * v for e, v in self.terms.items()})
+        return SparsePoly._unchecked(self.vars, {e: c * v for e, v in self._terms.items()})
 
     def mul(self, other: "SparsePoly", trunc: int | None = None) -> "SparsePoly":
         """Product; terms of z-total-degree > trunc are dropped when trunc is given."""
         self._check_same(other)
-        a, b = self.terms, other.terms
+        a, b = self._terms, other._terms
         if not a or not b:
             return SparsePoly.zero(self.vars)
         out: dict[Exponent, Fraction] = {}
@@ -332,7 +340,7 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._terms == other._terms
 
     __hash__ = None  # mutable mapping inside; equality is structural
 
@@ -343,7 +351,7 @@ class SparsePoly:
         if not 0 <= index < self.vars.nvars:
             raise ContractViolation(f"variable index {index} out of range")
         out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        for e, c in self._terms.items():
             k = e[index]
             if k:
                 ne = e[:index] + (k - 1,) + e[index + 1:]
@@ -360,7 +368,7 @@ class SparsePoly:
             raise ContractViolation("derivative multi-index length must equal n")
         zs = vs.z_start
         out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        for e, c in self._terms.items():
             ne = list(e)
             coeff = c
             alive = True
@@ -385,55 +393,37 @@ class SparsePoly:
     def truncate_z(self, bound: int) -> "SparsePoly":
         zd = self.vars.z_degree
         return SparsePoly._unchecked(
-            self.vars, {e: c for e, c in self.terms.items() if zd(e) <= bound})
+            self.vars, {e: c for e, c in self._terms.items() if zd(e) <= bound})
 
     def truncate_t(self, bound: int) -> "SparsePoly":
         td = self.vars.t_degree
         return SparsePoly._unchecked(
-            self.vars, {e: c for e, c in self.terms.items() if td(e) <= bound})
+            self.vars, {e: c for e, c in self._terms.items() if td(e) <= bound})
 
     def restrict_xi(self, bound: int) -> "SparsePoly":
         xd = self.vars.xi_degree
         return SparsePoly._unchecked(
-            self.vars, {e: c for e, c in self.terms.items() if xd(e) <= bound})
+            self.vars, {e: c for e, c in self._terms.items() if xd(e) <= bound})
 
     def xi_slice(self, k: int) -> "SparsePoly":
         xd = self.vars.xi_degree
         return SparsePoly._unchecked(
-            self.vars, {e: c for e, c in self.terms.items() if xd(e) == k})
-
-    def t_coefficient(self, m: int) -> "SparsePoly":
-        """Coefficient of t^m, as a polynomial without the t variable."""
-        vs = self.vars
-        ti = vs.t_index
-        out = {e[:ti]: c for e, c in self.terms.items() if e[ti] == m}
-        return SparsePoly._unchecked(vs.without_t(), out)
-
-    def subs_t_one(self) -> "SparsePoly":
-        """Substitute t = 1 and drop the t variable."""
-        vs = self.vars
-        ti = vs.t_index
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            ne = e[:ti]
-            v = out.get(ne)
-            out[ne] = c if v is None else v + c
-        return SparsePoly._unchecked(vs.without_t(), out)
+            self.vars, {e: c for e, c in self._terms.items() if xd(e) == k})
 
     def drop_xi(self) -> "SparsePoly":
         """Strip the xi-block; every term must have xi-degree zero."""
         vs = self.vars
         n = vs.n
-        if any(any(e[:n]) for e in self.terms):
+        if any(any(e[:n]) for e in self._terms):
             raise ContractViolation("polynomial has xi-terms; cannot drop the xi-block")
-        return SparsePoly._unchecked(vs.without_xi(), {e[n:]: c for e, c in self.terms.items()})
+        return SparsePoly._unchecked(vs.without_xi(), {e[n:]: c for e, c in self._terms.items()})
 
     def xi_linear_component(self, i: int) -> "SparsePoly":
         """Coefficient of xi_i among terms whose xi-part is exactly xi_i."""
         vs = self.vars
         n = vs.n
         unit = tuple(1 if j == i else 0 for j in range(n))
-        out = {e[n:]: c for e, c in self.terms.items() if e[:n] == unit}
+        out = {e[n:]: c for e, c in self._terms.items() if e[:n] == unit}
         return SparsePoly._unchecked(vs.without_xi(), out)
 
     def lift(self, target: VarSet) -> "SparsePoly":
@@ -450,7 +440,7 @@ class SparsePoly:
         t_pad = (0,) if (target.has_t and not vs.has_t) else ()
         zs = vs.z_start
         out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        for e, c in self._terms.items():
             xi_part = e[:n] if vs.has_xi else xi_pad
             z_part = e[zs:zs + n]
             t_part = (e[-1],) if vs.has_t else t_pad
@@ -460,7 +450,7 @@ class SparsePoly:
     # -- rendering -------------------------------------------------------
 
     def sorted_exponents(self) -> list[Exponent]:
-        return sorted(self.terms, key=_grlex_key, reverse=True)
+        return sorted(self._terms, key=_grlex_key, reverse=True)
 
     def __str__(self) -> str:
         return render_poly(self)
@@ -480,7 +470,7 @@ def render_poly(p: SparsePoly) -> str:
         return "0"
     pieces: list[str] = []
     for e in p.sorted_exponents():
-        c = p.terms[e]
+        c = p._terms[e]
         mono = render_monomial(p.vars, e)
         mag = abs(c)
         if mono == "1":
@@ -501,7 +491,7 @@ def first_difference(p: SparsePoly, q: SparsePoly
     """First (lowest, in canonical order) monomial where p and q differ."""
     if p.vars != q.vars:
         raise ContractViolation("cannot diff polynomials over different layouts")
-    exps = set(p.terms) | set(q.terms)
+    exps = set(p._terms) | set(q._terms)
     for e in sorted(exps, key=_grlex_key):
         a, b = p.coeff(e), q.coeff(e)
         if a != b:
@@ -653,6 +643,28 @@ def xi_pairing(h: MapTuple) -> SparsePoly:
     return acc
 
 
+def lambda_apply(f: SparsePoly) -> SparsePoly:
+    """One application of the mixed derivative sum_i d_xi_i d_z_i."""
+    vs = f.vars
+    if not vs.has_xi:
+        raise ContractViolation("the mixed derivative needs a xi-block")
+    n = vs.n
+    zs = vs.z_start
+    out: dict[Exponent, Fraction] = {}
+    for e, c in f._terms.items():
+        for i in range(n):
+            a, b = e[i], e[zs + i]
+            if a and b:
+                ne = list(e)
+                ne[i] = a - 1
+                ne[zs + i] = b - 1
+                ne_t = tuple(ne)
+                v = out.get(ne_t)
+                k = c * (a * b)
+                out[ne_t] = k if v is None else v + k
+    return SparsePoly._unchecked(vs, out)
+
+
 # -- composition ----------------------------------------------------------
 
 
@@ -690,8 +702,8 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
     const_free = [gi.is_zero or gi.order() >= 1 for gi in g.components]
     powers = [[SparsePoly.one(vsg)] for _ in range(n)]  # g_i^k, truncated at bound
     zs = vsu.z_start
-    out = SparsePoly.zero(vsg)
-    for e, c in upoly.terms.items():
+    out: dict[Exponent, Fraction] = {}
+    for e, c in upoly._terms.items():
         base_exps = [0] * vsg.nvars
         if vsu.has_t:
             base_exps[vsg.t_index] = e[-1]
@@ -709,9 +721,12 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
             acc = acc.mul(pw[b], trunc=bound)
             if acc.is_zero:
                 break
-        if not acc.is_zero:
-            out = out + acc
-    return SeriesTrunc(out.truncate_z(bound), bound)
+        for ae, ac in acc._terms.items():
+            v = out.get(ae)
+            out[ae] = ac if v is None else v + ac
+    # no cut needed: each acc is a z-free monomial or the output of a mul
+    # truncated at bound
+    return SeriesTrunc(SparsePoly._unchecked(vsg, out), bound)
 
 
 # -- matrices and determinants -------------------------------------------
@@ -774,35 +789,9 @@ def jacobian(h: MapTuple) -> PolyMatrix:
         tuple(h.components[i].diff_z(j) for j in range(n)) for i in range(n)))
 
 
-def exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
-    """Quotient p / q when q divides p exactly (leading-term elimination)."""
-    p._check_same(q)
-    if q.is_zero:
-        raise ContractViolation("division by the zero polynomial")
-    if p.is_zero:
-        return p
-    q_lead = max(q.terms, key=_grlex_key)
-    q_lc = q.terms[q_lead]
-    rem = dict(p.terms)
-    out: dict[Exponent, Fraction] = {}
-    while rem:
-        e = max(rem, key=_grlex_key)
-        d = tuple(a - b for a, b in zip(e, q_lead))
-        if any(x < 0 for x in d):
-            raise ContractViolation("polynomial division is not exact")
-        k = rem[e] / q_lc
-        out[d] = out.get(d, Fraction(0)) + k
-        for qe, qc in q.terms.items():
-            ne = tuple(a + b for a, b in zip(d, qe))
-            v = rem.get(ne, Fraction(0)) - k * qc
-            if v:
-                rem[ne] = v
-            else:
-                rem.pop(ne, None)
-    return SparsePoly._unchecked(p.vars, out)
-
-
-def _det_cofactor(m: PolyMatrix, trunc: int | None) -> SparsePoly:
+def det(m: PolyMatrix, trunc: int | None = None) -> SparsePoly:
+    """Determinant by cofactor expansion with memoized minors; terms of
+    z-degree > trunc are dropped from every product when trunc is given."""
     n = m.dim
     vs = m.vars
     memo: dict[tuple[int, int], SparsePoly] = {}
@@ -830,36 +819,3 @@ def _det_cofactor(m: PolyMatrix, trunc: int | None) -> SparsePoly:
         return acc
 
     return minor(0, (1 << n) - 1)
-
-
-def _det_bareiss(m: PolyMatrix) -> SparsePoly:
-    # fraction-free elimination (Bareiss 1968), kept as an independent
-    # reference that det is tested against
-    n = m.dim
-    vs = m.vars
-    a = [[m.rows[i][j] for j in range(n)] for i in range(n)]
-    prev = SparsePoly.one(vs)
-    sign = 1
-    for k in range(n - 1):
-        pivot_row = k
-        while a[pivot_row][k].is_zero:
-            pivot_row += 1
-            if pivot_row == n:
-                return SparsePoly.zero(vs)
-        if pivot_row != k:
-            a[pivot_row], a[k] = a[k], a[pivot_row]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k].mul(a[i][j]) - a[i][k].mul(a[k][j])
-                a[i][j] = exact_div(num, prev)
-            a[i][k] = SparsePoly.zero(vs)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign > 0 else -result
-
-
-def det(m: PolyMatrix, trunc: int | None = None) -> SparsePoly:
-    """Determinant by cofactor expansion with memoized minors; terms of
-    z-degree > trunc are dropped from every product when trunc is given."""
-    return _det_cofactor(m, trunc)

@@ -9,7 +9,8 @@ DiffOp composition reorder d^alpha b with the one Leibniz rule, _leibniz.
 
 The module also carries the two phase-space endomorphisms the rest of the
 package is built on: the mixed second-derivative operator
-sum_i d_xi_i d_z_i (lambda_apply / lambda_pow) and its exponential
+sum_i d_xi_i d_z_i (lambda_apply, whose term loop lives with the
+polynomial storage in poly, and lambda_pow) and its exponential
 (phi_apply).  Both preserve the eta grading, so on polynomials the
 exponential is a finite sum.  phi_apply only ever receives a polynomial;
 callers that want a series argument assemble its window-bounded slices
@@ -31,6 +32,7 @@ from .poly import (
     SeriesTrunc,
     SparsePoly,
     VarSet,
+    lambda_apply,
     series_parts,
 )
 from .report import IdentityReport
@@ -111,7 +113,7 @@ class DiffOp:
         vals = []
         for alpha, a in self.terms.items():
             da = sum(alpha)
-            vals.extend(sum(e) - da for e in a.terms)
+            vals.extend(sum(e) - da for e, _ in a.items())
         return min(vals)
 
     def __eq__(self, other) -> bool:
@@ -149,7 +151,7 @@ class DiffOp:
             # d^alpha b d^beta, collected by resulting derivative before the product with a
             reordered: dict[Exponent, dict[Exponent, Fraction]] = {}
             for beta, b in other.terms.items():
-                for e, c in b.terms.items():
+                for e, c in b.items():
                     for rest, ze, coeff in _leibniz(alpha, e, c):
                         _bucket_add(reordered, tuple(rest[i] + beta[i] for i in range(n)),
                                     ze, coeff)
@@ -186,7 +188,7 @@ class DiffOp:
             a = self.terms[alpha]
             dsym = "*".join(f"d{i + 1}^{k}" if k > 1 else f"d{i + 1}"
                             for i, k in enumerate(alpha) if k)
-            coeff = str(a) if len(a.terms) == 1 else f"({a})"
+            coeff = str(a) if a.nterms == 1 else f"({a})"
             parts.append(f"{coeff}*{dsym}" if dsym and coeff != "1" else (dsym or coeff))
         return " + ".join(parts)
 
@@ -202,7 +204,7 @@ def right_symbol(op: DiffOp) -> SparsePoly:
     vs = VarSet.xiz(op.n)
     out: dict[Exponent, Fraction] = {}
     for alpha, a in op.terms.items():
-        for e, c in a.terms.items():
+        for e, c in a.items():
             out[alpha + e] = c
     return SparsePoly(vs, out)
 
@@ -215,7 +217,7 @@ def from_right_symbol(f: SparsePoly) -> DiffOp:
     n = vs.n
     zvs = VarSet.z(n)
     buckets: dict[Exponent, dict[Exponent, Fraction]] = {}
-    for e, c in f.terms.items():
+    for e, c in f.items():
         buckets.setdefault(e[:n], {})[e[n:]] = c
     return DiffOp(n, {alpha: SparsePoly(zvs, t) for alpha, t in buckets.items()})
 
@@ -232,7 +234,7 @@ def normal_order(f: SparsePoly) -> DiffOp:
     n = vs.n
     zvs = VarSet.z(n)
     out: dict[Exponent, dict[Exponent, Fraction]] = {}
-    for e, c in f.terms.items():
+    for e, c in f.items():
         for rest, ze, coeff in _leibniz(e[:n], e[n:], c):
             _bucket_add(out, rest, ze, coeff)
     return DiffOp(n, {alpha: SparsePoly(zvs, t) for alpha, t in out.items()})
@@ -243,35 +245,13 @@ def tau(op: DiffOp) -> DiffOp:
     flipped: dict[Exponent, Fraction] = {}
     for alpha, a in op.terms.items():
         sign = -1 if sum(alpha) % 2 else 1
-        for e, c in a.terms.items():
+        for e, c in a.items():
             flipped[alpha + e] = sign * c
     left = SparsePoly(VarSet.xiz(op.n), flipped)
     return normal_order(left)
 
 
 # -- the mixed Laplacian and its exponential --------------------------------
-
-
-def lambda_apply(f: SparsePoly) -> SparsePoly:
-    """One application of sum_i d_xi_i d_z_i."""
-    vs = f.vars
-    if not vs.has_xi:
-        raise ContractViolation("the mixed derivative needs a xi-block")
-    n = vs.n
-    zs = vs.z_start
-    out: dict[Exponent, Fraction] = {}
-    for e, c in f.terms.items():
-        for i in range(n):
-            a, b = e[i], e[zs + i]
-            if a and b:
-                ne = list(e)
-                ne[i] = a - 1
-                ne[zs + i] = b - 1
-                ne_t = tuple(ne)
-                v = out.get(ne_t)
-                k = c * (a * b)
-                out[ne_t] = k if v is None else v + k
-    return SparsePoly._unchecked(vs, out)
 
 
 def lambda_pow(f: SparsePoly, m: int) -> SparsePoly:

@@ -1,0 +1,145 @@
+"""Reference implementations that the polynomial kernel is tested against.
+
+agcalc itself uses none of this.  The first group treats a polynomial as a
+plain ``{exponent tuple: Fraction}`` dict with no zero coefficients and
+shares no code with ``agcalc.poly``; the property tests compare the kernel
+with it.  ``exact_div`` and ``_det_bareiss`` work through the public
+``SparsePoly`` API and give ``det`` an independent second route.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import perm
+
+from agcalc.errors import ContractViolation
+from agcalc.poly import PolyMatrix, SparsePoly
+
+Poly = dict  # {tuple[int, ...]: Fraction}, zero coefficients never stored
+
+
+def z_block(kind: str, n: int) -> slice:
+    """Where the z-exponents sit in an exponent tuple of layout `kind`."""
+    start = n if kind in ("xiz", "xizt") else 0
+    return slice(start, start + n)
+
+
+def _nonzero(p: Poly) -> Poly:
+    return {e: c for e, c in p.items() if c}
+
+
+def add(a: Poly, b: Poly) -> Poly:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _nonzero(out)
+
+
+def mul(a: Poly, b: Poly, zs: slice, trunc: int | None = None) -> Poly:
+    """Every pair of terms; products of z-degree > trunc are dropped."""
+    out: Poly = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if trunc is None or sum(e[zs]) <= trunc:
+                out[e] = out.get(e, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def diff_z_multi(p: Poly, alpha: tuple[int, ...], zs: slice) -> Poly:
+    """d^alpha in the z-block, one variable at a time."""
+    out = dict(p)
+    for i, a in enumerate(alpha):
+        k = zs.start + i
+        nxt: Poly = {}
+        for e, c in out.items():
+            if e[k] >= a:
+                nxt[e[:k] + (e[k] - a,) + e[k + 1:]] = c * perm(e[k], a)
+        out = nxt
+    return out
+
+
+def lambda_apply(p: Poly, n: int) -> Poly:
+    """sum_i d_xi_i d_z_i over the (xi, z) layout."""
+    out: Poly = {}
+    for e, c in p.items():
+        for i in range(n):
+            a, b = e[i], e[n + i]
+            if a and b:
+                ne = list(e)
+                ne[i] -= 1
+                ne[n + i] -= 1
+                out[tuple(ne)] = out.get(tuple(ne), 0) + c * a * b
+    return _nonzero(out)
+
+
+def compose(u: Poly, g: list[Poly], kind: str, bound: int) -> Poly:
+    """u(g_1, ..., g_n) mod z-degree > bound, for u and g over one z or (z, t)
+    layout; each z_i^b is b multiplications by g_i, each cut at bound."""
+    n = len(g)
+    zs = z_block(kind, n)
+    out: Poly = {}
+    for e, c in u.items():
+        base = [0] * len(e)
+        if kind == "zt":
+            base[-1] = e[-1]
+        term = {tuple(base): c}
+        for i in range(n):
+            for _ in range(e[zs.start + i]):
+                term = mul(term, g[i], zs, bound)
+        out = add(out, term)
+    return out
+
+
+def exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
+    """Quotient p / q when q divides p exactly (leading-term elimination)."""
+    if p.vars != q.vars:
+        raise ContractViolation("cannot divide polynomials over different layouts")
+    if q.is_zero:
+        raise ContractViolation("division by the zero polynomial")
+    q_lead = q.sorted_exponents()[0]
+    q_terms = dict(q.items())
+    q_lc = q_terms[q_lead]
+    rem = dict(p.items())
+    out: Poly = {}
+    while rem:
+        e = max(rem, key=lambda x: (sum(x), x))
+        d = tuple(a - b for a, b in zip(e, q_lead))
+        if any(x < 0 for x in d):
+            raise ContractViolation("polynomial division is not exact")
+        k = rem[e] / q_lc
+        out[d] = out.get(d, Fraction(0)) + k
+        for qe, qc in q_terms.items():
+            ne = tuple(a + b for a, b in zip(d, qe))
+            v = rem.get(ne, Fraction(0)) - k * qc
+            if v:
+                rem[ne] = v
+            else:
+                rem.pop(ne, None)
+    return SparsePoly(p.vars, out)
+
+
+def _det_bareiss(m: PolyMatrix) -> SparsePoly:
+    """Determinant by fraction-free elimination (Bareiss 1968)."""
+    n = m.dim
+    vs = m.vars
+    a = [[m.rows[i][j] for j in range(n)] for i in range(n)]
+    prev = SparsePoly.one(vs)
+    sign = 1
+    for k in range(n - 1):
+        pivot_row = k
+        while a[pivot_row][k].is_zero:
+            pivot_row += 1
+            if pivot_row == n:
+                return SparsePoly.zero(vs)
+        if pivot_row != k:
+            a[pivot_row], a[k] = a[k], a[pivot_row]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[k][k].mul(a[i][j]) - a[i][k].mul(a[k][j])
+                a[i][j] = exact_div(num, prev)
+            a[i][k] = SparsePoly.zero(vs)
+        prev = a[k][k]
+    result = a[n - 1][n - 1]
+    return result if sign > 0 else -result

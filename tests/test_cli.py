@@ -97,6 +97,15 @@ class TestInvert:
         proc = run_cli("invert", "/nonexistent/map.json", "--degree", "3")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("target", ["", "missing/report.json"])
+    def test_unwritable_out_exits_2(self, square_map, tmp_path, target):
+        # a directory, then a file under a directory that does not exist
+        out = str(tmp_path / target)
+        proc = run_cli("invert", square_map, "--degree", "3", "--out", out)
+        assert proc.returncode == 2
+        assert f"error: cannot write {out}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_single_method(self, square_map):
         proc = run_cli("invert", square_map, "--degree", "4", "--method", "lambda",
                        "--format", "json")

@@ -88,6 +88,20 @@ class TestMapFiles:
         with pytest.raises(MapFileError):
             parse_map_obj(obj)
 
+    @pytest.mark.parametrize("metadata", [[], False, 0, "", [1], "x"])
+    def test_metadata_must_be_an_object(self, metadata):
+        obj = triangular_obj()
+        obj["metadata"] = metadata
+        with pytest.raises(MapFileError, match="metadata must be an object"):
+            parse_map_obj(obj)
+
+    def test_absent_or_null_metadata_is_empty(self):
+        obj = triangular_obj()
+        obj["metadata"] = None
+        assert parse_map_obj(obj)[1] == {}
+        del obj["metadata"]
+        assert parse_map_obj(obj)[1] == {}
+
     def test_shape_errors(self):
         with pytest.raises(MapFileError):
             parse_map_obj({"n": 2, "components": [[]]})

@@ -1,0 +1,95 @@
+"""Property tests: the SparsePoly kernel against the naive dict reference.
+
+Random polynomials over the z, (xi, z) and (z, t) layouts with n <= 3.
+Results are read only through items(), so the tests hold for any storage
+behind SparsePoly.  Runs are derandomized, keep no example database, and
+leave nothing in the working directory.
+"""
+
+import tempfile
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+
+import poly_reference as ref  # noqa: E402
+from agcalc.poly import MapTuple, SparsePoly, VarSet, compose  # noqa: E402
+from agcalc.weyl import lambda_apply  # noqa: E402
+
+# hypothesis caches the constants it reads from local source files under its
+# home directory, ./.hypothesis by default, whatever the database setting, and
+# its pytest plugin does so while collecting; a temporary home is removed at exit
+_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HOME.name)
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+
+def layouts(kinds=("z", "xiz", "zt")):
+    return st.builds(VarSet, st.sampled_from(kinds), st.integers(1, 3))
+
+
+def polys(vs: VarSet, max_exp=3, max_terms=6):
+    exps = st.tuples(*[st.integers(0, max_exp)] * vs.nvars)
+    return st.dictionaries(exps, coeffs, max_size=max_terms)
+
+
+def as_dict(p: SparsePoly) -> dict:
+    return dict(p.items())
+
+
+@st.composite
+def poly_pairs(draw):
+    vs = draw(layouts())
+    return vs, draw(polys(vs)), draw(polys(vs))
+
+
+class TestKernelMatchesReference:
+    @PROPERTY
+    @given(poly_pairs())
+    def test_add(self, case):
+        vs, a, b = case
+        assert as_dict(SparsePoly(vs, a) + SparsePoly(vs, b)) == ref.add(a, b)
+
+    @PROPERTY
+    @given(poly_pairs(), st.none() | st.integers(0, 6))
+    def test_mul(self, case, trunc):
+        vs, a, b = case
+        got = SparsePoly(vs, a).mul(SparsePoly(vs, b), trunc)
+        assert as_dict(got) == ref.mul(a, b, ref.z_block(vs.kind, vs.n), trunc)
+
+    @PROPERTY
+    @given(st.data())
+    def test_diff_z_multi(self, data):
+        vs = data.draw(layouts())
+        p = data.draw(polys(vs))
+        alpha = data.draw(st.tuples(*[st.integers(0, 3)] * vs.n))
+        got = SparsePoly(vs, p).diff_z_multi(alpha)
+        assert as_dict(got) == ref.diff_z_multi(p, alpha, ref.z_block(vs.kind, vs.n))
+
+    @PROPERTY
+    @given(st.data())
+    def test_lambda_apply(self, data):
+        vs = data.draw(layouts(("xiz",)))
+        p = data.draw(polys(vs))
+        assert as_dict(lambda_apply(SparsePoly(vs, p))) == ref.lambda_apply(p, vs.n)
+
+    @PROPERTY
+    @given(st.data())
+    def test_compose(self, data):
+        vs = data.draw(layouts(("z", "zt")))
+        u = data.draw(polys(vs, max_exp=2, max_terms=4))
+        g = [data.draw(polys(vs, max_exp=2, max_terms=3)) for _ in range(vs.n)]
+        if data.draw(st.booleans()):  # constant-free, so high powers of g_i vanish
+            zs = ref.z_block(vs.kind, vs.n)
+            g = [{e: c for e, c in gi.items() if sum(e[zs])} for gi in g]
+        bound = data.draw(st.integers(0, 4))
+        got = compose(SparsePoly(vs, u), MapTuple.exact([SparsePoly(vs, c) for c in g]), bound)
+        assert got.trunc == bound
+        assert as_dict(got.poly) == ref.compose(u, g, vs.kind, bound)
