@@ -1,15 +1,35 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial maps exponent tuples to nonzero Fraction coefficients, so
-identity testing is exact and no float ever appears.  That dictionary is
-private to this module: other code reads a polynomial through items(),
-nterms and coeff(), and every loop that must touch the storage, the mixed
-derivative lambda_apply among them, lives here.
+A polynomial is stored in packed form, after Monagan & Pearce, "Parallel
+sparse polynomial multiplication using heaps" (ISSAC 2009):
+
+- Each exponent tuple is one int key.  Its leading field, which is
+  unbounded, holds the z-total-degree; below it sits one 16-bit field per
+  variable, the first variable of the layout in the most significant one.
+  A monomial product is an int add, the truncation test "z-degree <= trunc"
+  is key < (trunc + 1) << shift, and order() and degree() read key >> shift.
+- The coefficients are int numerators over one positive common
+  denominator, kept canonical: no numerator is zero and
+  gcd(den, *numerators) == 1, so equality is a plain structural compare.
+
+The top bit of every field is a guard, so each exponent must lie in
+0..MAX_EXPONENT (32767).  The constructor refuses a larger one, and a mul
+whose product crosses the limit raises ContractViolation: two fields below
+the limit sum without carrying into the next field, so one AND against the
+guard mask finds the overflow.
+
+That storage is private to this module.  Other code builds a polynomial
+from {exponent tuple: coefficient} and reads it through items(), nterms,
+coeff() and sorted_exponents(), which speak in exponent tuples and
+Fractions; every loop that must touch the storage, the mixed derivative
+lambda_apply among them, lives here.
+
 The variable layout is fixed by a VarSet: an optional xi-block
 (xi1..xin), then the z-block (z1..zn), then an optional deformation
-variable t.  All four layouts share one exponent-tuple convention, so
-moving a polynomial between compatible layouts is pure index bookkeeping
-(see SparsePoly.lift).
+variable t.  All four layouts share one exponent-tuple convention, and the
+z- and t-fields of a key sit at the same place in every layout with the
+same t, so moving a polynomial between compatible layouts is a shift of
+its keys (see SparsePoly.lift).
 
 Degrees and truncation are always measured in the z-block alone:
 order() is the minimal z-total-degree of any term (+inf for 0),
@@ -25,9 +45,15 @@ before t), so output is deterministic and diff-stable.
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ItemsView, Iterator, Mapping, Sequence
+from functools import cache, reduce
+from itertools import chain, islice
+from math import gcd, lcm, perm
+from operator import mul, or_
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import CompositionError, ContractViolation, TruncationError
 
@@ -39,6 +65,10 @@ NEG_INF = -math.inf
 _XI_KINDS = frozenset({"xiz", "xizt"})
 _T_KINDS = frozenset({"zt", "xizt"})
 _ALL_KINDS = frozenset({"z", "xiz", "zt", "xizt"})
+
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1  # the top bit of a field is its guard
 
 
 @dataclass(frozen=True)
@@ -108,12 +138,6 @@ class VarSet:
         s = self.z_start
         return sum(exps[s:s + self.n])
 
-    def xi_degree(self, exps: Exponent) -> int:
-        return sum(exps[:self.n]) if self.has_xi else 0
-
-    def t_degree(self, exps: Exponent) -> int:
-        return exps[-1] if self.has_t else 0
-
     def names(self) -> list[str]:
         out: list[str] = []
         if self.has_xi:
@@ -127,10 +151,42 @@ class VarSet:
         return VarSet("zt" if self.has_t else "z", self.n)
 
 
+class _Packing:
+    """The key arithmetic of one layout: where each variable's field sits."""
+
+    def __init__(self, vs: VarSet) -> None:
+        nv = vs.nvars
+        zs = vs.z_start
+        self.shift = _FIELD_BITS * nv  # the z-degree field starts here
+        self.fields = (1 << self.shift) - 1
+        self.guard = sum(1 << (_FIELD_BITS - 1 + _FIELD_BITS * i) for i in range(nv))
+        self.shifts = tuple(_FIELD_BITS * (nv - 1 - i) for i in range(nv))
+        # the key of each variable: its field, plus the z-degree for z_i
+        self.units = tuple((1 << s) + (1 << self.shift if zs <= i < zs + vs.n else 0)
+                           for i, s in enumerate(self.shifts))
+        self.xi_shifts = self.shifts[:vs.n] if vs.has_xi else ()
+        self.xi_mask = sum(_FIELD_MASK << s for s in self.xi_shifts)
+        self._struct = struct.Struct(f">{nv}H")  # one unsigned 16-bit field each
+
+    def pack(self, exps: Exponent) -> int:
+        return sum(map(mul, exps, self.units))
+
+    def exps(self, key: int) -> Exponent:
+        return self._struct.unpack((key & self.fields).to_bytes(2 * len(self.shifts), "big"))
+
+    def xi_degree(self, key: int) -> int:
+        return sum((key >> s) & _FIELD_MASK for s in self.xi_shifts)
+
+
+@cache
+def _packing(vs: VarSet) -> _Packing:
+    return _Packing(vs)
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, (int, str)):
+    if isinstance(c, (int, str)) and not isinstance(c, bool):
         return Fraction(c)
     raise ContractViolation(f"coefficient {c!r} is not an exact rational")
 
@@ -139,48 +195,114 @@ def _grlex_key(exps: Exponent) -> tuple[int, Exponent]:
     return (sum(exps), exps)
 
 
-@dataclass(frozen=True, eq=False)
+_INT = frozenset({int})
+
+
+def _valid_exponents(keys: list[tuple], nv: int) -> bool:
+    """Every key has nv entries, each exactly an int (so no bool) in 0..MAX_EXPONENT."""
+    flat = list(chain.from_iterable(keys))
+    return (set(map(len, keys)) <= {nv} and set(map(type, flat)) <= _INT
+            and (not flat or 0 <= min(flat) and max(flat) <= MAX_EXPONENT))
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(vs: VarSet, terms: dict[int, int], den: int) -> "SparsePoly":
+    """A polynomial from storage that is already canonical."""
+    p = _new(SparsePoly)
+    _set(p, "vars", vs)
+    _set(p, "_terms", terms)
+    _set(p, "_den", den)
+    return p
+
+
+def _reduced(vs: VarSet, terms: dict[int, int], den: int) -> "SparsePoly":
+    """A polynomial from numerators over den > 0, dropping zeros and common factors.
+
+    terms may become the new polynomial's storage, so callers pass a dict of their own.
+    """
+    if 0 in terms.values():
+        terms = {k: v for k, v in terms.items() if v}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: v // g for k, v in terms.items()}
+    return _make(vs, terms, den)
+
+
+def _sum_into(out: dict[int, int], den: int, terms: Mapping[int, int], tden: int) -> int:
+    """Add terms/tden to out/den in place; returns the new common denominator.
+
+    Zero numerators may be left in out.
+    """
+    g = gcd(den, tden)
+    up, scale = tden // g, den // g
+    if up != 1:
+        for k in out:
+            out[k] *= up
+        den *= up
+    get = out.get
+    for k, v in terms.items():
+        out[k] = get(k, 0) + v * scale
+    return den
+
+
 class SparsePoly:
-    """Immutable sparse polynomial: exponent tuple -> nonzero Fraction."""
+    """Immutable sparse polynomial over the rationals, in packed form.
 
-    vars: VarSet
-    _terms: Mapping[Exponent, Fraction]
+    Built from {exponent tuple: Fraction | int | str}; zero coefficients
+    are dropped.
+    """
 
-    def __post_init__(self) -> None:
-        nv = self.vars.nvars
-        clean: dict[Exponent, Fraction] = {}
-        for exps, c in self._terms.items():
-            exps = tuple(exps)
-            if len(exps) != nv or any(e < 0 for e in exps):
-                raise ContractViolation(
-                    f"exponent {exps} invalid for variable layout {self.vars.kind}(n={self.vars.n})")
-            c = _as_fraction(c)
-            if c:
-                clean[exps] = c
-        object.__setattr__(self, "_terms", clean)
+    __slots__ = ("vars", "_terms", "_den")
 
-    @classmethod
-    def _unchecked(cls, vs: VarSet, terms: dict[Exponent, Fraction]) -> "SparsePoly":
-        # internal fast path: terms already canonical apart from possible zeros
-        p = object.__new__(cls)
-        object.__setattr__(p, "vars", vs)
-        object.__setattr__(p, "_terms", {e: c for e, c in terms.items() if c})
-        return p
+    def __init__(self, vars: VarSet, terms: Mapping[Exponent, Fraction | int | str]) -> None:
+        pk = _packing(vars)
+        nv = len(pk.shifts)
+        try:
+            keys = [tuple(e) for e in terms]
+        except TypeError:
+            raise ContractViolation(f"exponents must be tuples of ints, got {list(terms)}") from None
+        if not _valid_exponents(keys, nv):
+            bad = next(e for e in keys if not _valid_exponents([e], nv))
+            raise ContractViolation(
+                f"exponent {bad} invalid for variable layout {vars.kind}(n={vars.n}): "
+                f"it needs {nv} ints in 0..{MAX_EXPONENT}")
+        ratios = [(c if type(c) is Fraction else _as_fraction(c)).as_integer_ratio()
+                  for c in terms.values()]
+        den = lcm(*[d for _, d in ratios])
+        pack = pk.pack
+        _set(self, "vars", vars)
+        _set(self, "_terms", {pack(e): num * (den // d)
+                              for e, (num, d) in zip(keys, ratios) if num})
+        _set(self, "_den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SparsePoly is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SparsePoly is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # pickle and copy rebuild through the constructor
+        return (SparsePoly, (self.vars, dict(self.items())))
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, vs: VarSet) -> "SparsePoly":
-        return cls._unchecked(vs, {})
+        return _make(vs, {}, 1)
 
     @classmethod
     def const(cls, vs: VarSet, c) -> "SparsePoly":
         c = _as_fraction(c)
-        return cls._unchecked(vs, {(0,) * vs.nvars: c} if c else {})
+        return _make(vs, {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def one(cls, vs: VarSet) -> "SparsePoly":
-        return cls.const(vs, 1)
+        return _make(vs, {0: 1}, 1)
 
     @classmethod
     def monomial(cls, vs: VarSet, exps: Sequence[int], c=1) -> "SparsePoly":
@@ -190,9 +312,7 @@ class SparsePoly:
     def variable(cls, vs: VarSet, index: int) -> "SparsePoly":
         if not 0 <= index < vs.nvars:
             raise ContractViolation(f"variable index {index} out of range")
-        exps = [0] * vs.nvars
-        exps[index] = 1
-        return cls._unchecked(vs, {tuple(exps): Fraction(1)})
+        return _make(vs, {_packing(vs).units[index]: 1}, 1)
 
     @classmethod
     def z_var(cls, vs: VarSet, i: int) -> "SparsePoly":
@@ -208,9 +328,10 @@ class SparsePoly:
 
     # -- access and degree data -----------------------------------------
 
-    def items(self) -> ItemsView[Exponent, Fraction]:
+    def items(self) -> list[tuple[Exponent, Fraction]]:
         """The (exponent, coefficient) pairs, every coefficient nonzero."""
-        return self._terms.items()
+        exps, den = _packing(self.vars).exps, self._den
+        return [(exps(k), Fraction(v, den)) for k, v in self._terms.items()]
 
     @property
     def nterms(self) -> int:
@@ -221,21 +342,28 @@ class SparsePoly:
         return not self._terms
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        exps = tuple(exps)
+        pk = _packing(self.vars)
+        if len(exps) != len(pk.shifts):
+            raise ContractViolation(
+                f"exponent {exps} has {len(exps)} entries; layout "
+                f"{self.vars.kind}(n={self.vars.n}) has {len(pk.shifts)} variables")
+        if not all(0 <= e <= MAX_EXPONENT for e in exps):
+            return Fraction(0)  # no stored term has such an exponent
+        v = self._terms.get(pk.pack(exps))
+        return Fraction(0) if v is None else Fraction(v, self._den)
 
     def order(self) -> int | float:
         """Minimal z-total-degree of a term; +inf for the zero polynomial."""
         if not self._terms:
             return INF
-        zd = self.vars.z_degree
-        return min(zd(e) for e in self._terms)
+        return min(self._terms) >> _packing(self.vars).shift
 
     def degree(self) -> int | float:
         """Maximal z-total-degree of a term; -inf for the zero polynomial."""
         if not self._terms:
             return NEG_INF
-        zd = self.vars.z_degree
-        return max(zd(e) for e in self._terms)
+        return max(self._terms) >> _packing(self.vars).shift
 
     def eta(self) -> int | float:
         """Phase grading: min over terms of z-degree minus xi-degree (t ignored)."""
@@ -243,44 +371,39 @@ class SparsePoly:
             raise ContractViolation("eta grading needs a xi-block")
         if not self._terms:
             return INF
-        vs = self.vars
-        return min(vs.z_degree(e) - vs.xi_degree(e) for e in self._terms)
+        pk = _packing(self.vars)
+        return min((k >> pk.shift) - pk.xi_degree(k) for k in self._terms)
 
     def max_xi_degree(self) -> int:
-        vs = self.vars
-        return max((vs.xi_degree(e) for e in self._terms), default=0)
+        return max(map(_packing(self.vars).xi_degree, self._terms), default=0)
 
     def max_t_degree(self) -> int:
-        vs = self.vars
-        return max((vs.t_degree(e) for e in self._terms), default=0)
+        if not self.vars.has_t:
+            return 0
+        return max((k & _FIELD_MASK for k in self._terms), default=0)  # t is the last field
 
     # -- ring operations -----------------------------------------------
 
     def _check_same(self, other: "SparsePoly") -> None:
         if not isinstance(other, SparsePoly):
             raise ContractViolation(f"expected SparsePoly, got {type(other).__name__}")
-        if other.vars != self.vars:
+        if other.vars is not self.vars and other.vars != self.vars:
             raise ContractViolation(
                 f"variable layout mismatch: {self.vars.kind}(n={self.vars.n}) vs "
                 f"{other.vars.kind}(n={other.vars.n})")
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_same(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
-        for e, c in other._terms.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = c
-            else:
-                v = v + c
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-        return SparsePoly._unchecked(self.vars, out)
+        den = _sum_into(out, self._den, other._terms, other._den)
+        return _reduced(self.vars, out, den)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly._unchecked(self.vars, {e: -c for e, c in self._terms.items()})
+        return _make(self.vars, {k: -v for k, v in self._terms.items()}, self._den)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
@@ -289,7 +412,9 @@ class SparsePoly:
         c = _as_fraction(c)
         if not c:
             return SparsePoly.zero(self.vars)
-        return SparsePoly._unchecked(self.vars, {e: c * v for e, v in self._terms.items()})
+        num = c.numerator
+        return _reduced(self.vars, {k: v * num for k, v in self._terms.items()},
+                        self._den * c.denominator)
 
     def mul(self, other: "SparsePoly", trunc: int | None = None) -> "SparsePoly":
         """Product; terms of z-total-degree > trunc are dropped when trunc is given."""
@@ -297,29 +422,29 @@ class SparsePoly:
         a, b = self._terms, other._terms
         if not a or not b:
             return SparsePoly.zero(self.vars)
-        out: dict[Exponent, Fraction] = {}
+        pk = _packing(self.vars)
+        out: dict[int, int] = {}
+        get = out.get
         if trunc is None:
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    v = out.get(e)
-                    p = c1 * c2
-                    out[e] = p if v is None else v + p
+            bl = list(b.items())
+            for k1, c1 in a.items():
+                for k2, c2 in bl:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
         else:
-            zd = self.vars.z_degree
-            bl = sorted((zd(e), e) for e in b)
-            for e1, c1 in a.items():
-                room = trunc - zd(e1)
-                if room < 0:
-                    continue
-                for d2, e2 in bl:
-                    if d2 > room:
-                        break
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    v = out.get(e)
-                    p = c1 * b[e2]
-                    out[e] = p if v is None else v + p
-        return SparsePoly._unchecked(self.vars, out)
+            # k1 + k2 < limit exactly when the z-degrees sum to <= trunc
+            limit = (trunc + 1) << pk.shift
+            bk = sorted(b)
+            bl = [(k, b[k]) for k in bk]
+            for k1, c1 in a.items():
+                for k2, c2 in islice(bl, bisect_left(bk, limit - k1)):
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        # an overflowing field sets its guard bit, and OR-ing the keys keeps it
+        if reduce(or_, out, 0) & pk.guard:
+            raise ContractViolation(
+                f"product has an exponent above the per-variable limit {MAX_EXPONENT}")
+        return _reduced(self.vars, out, self._den * other._den)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         return self.mul(other)
@@ -340,7 +465,8 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.vars == other.vars and self._terms == other._terms
+        return (self._den == other._den and self._terms == other._terms
+                and self.vars == other.vars)
 
     __hash__ = None  # mutable mapping inside; equality is structural
 
@@ -350,13 +476,14 @@ class SparsePoly:
         """Partial derivative with respect to the variable at absolute index."""
         if not 0 <= index < self.vars.nvars:
             raise ContractViolation(f"variable index {index} out of range")
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
-            k = e[index]
-            if k:
-                ne = e[:index] + (k - 1,) + e[index + 1:]
-                out[ne] = c * k
-        return SparsePoly._unchecked(self.vars, out)
+        pk = _packing(self.vars)
+        s, unit = pk.shifts[index], pk.units[index]
+        out: dict[int, int] = {}
+        for k, v in self._terms.items():
+            e = (k >> s) & _FIELD_MASK
+            if e:
+                out[k - unit] = v * e
+        return _reduced(self.vars, out, self._den)
 
     def diff_z(self, i: int) -> "SparsePoly":
         return self.diff(self.vars.z_index(i))
@@ -366,65 +493,74 @@ class SparsePoly:
         vs = self.vars
         if len(alpha) != vs.n:
             raise ContractViolation("derivative multi-index length must equal n")
+        pk = _packing(vs)
         zs = vs.z_start
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
-            ne = list(e)
-            coeff = c
-            alive = True
-            for i, a in enumerate(alpha):
-                if a == 0:
-                    continue
-                k = e[zs + i]
-                if k < a:
-                    alive = False
+        steps = [(pk.shifts[zs + i], a) for i, a in enumerate(alpha) if a]
+        drop = sum(a * pk.units[zs + i] for i, a in enumerate(alpha))
+        out: dict[int, int] = {}
+        for k, v in self._terms.items():
+            for s, a in steps:
+                e = (k >> s) & _FIELD_MASK
+                if e < a:
                     break
-                f = 1
-                for j in range(a):
-                    f *= k - j
-                coeff = coeff * f
-                ne[zs + i] = k - a
-            if alive:
-                out[tuple(ne)] = coeff
-        return SparsePoly._unchecked(self.vars, out)
+                v *= perm(e, a)
+            else:
+                out[k - drop] = v
+        return _reduced(vs, out, self._den)
 
     # -- truncation and slicing -----------------------------------------
 
+    def _where(self, keep: Callable[[int], bool]) -> "SparsePoly":
+        """The terms whose key passes keep."""
+        terms = self._terms
+        kept = {k: v for k, v in terms.items() if keep(k)}
+        if len(kept) == len(terms):
+            return self
+        return _reduced(self.vars, kept, self._den)
+
     def truncate_z(self, bound: int) -> "SparsePoly":
-        zd = self.vars.z_degree
-        return SparsePoly._unchecked(
-            self.vars, {e: c for e, c in self._terms.items() if zd(e) <= bound})
+        limit = (bound + 1) << _packing(self.vars).shift
+        if not self._terms or max(self._terms) < limit:
+            return self
+        return _reduced(self.vars, {k: v for k, v in self._terms.items() if k < limit},
+                        self._den)
 
     def truncate_t(self, bound: int) -> "SparsePoly":
-        td = self.vars.t_degree
-        return SparsePoly._unchecked(
-            self.vars, {e: c for e, c in self._terms.items() if td(e) <= bound})
+        if not self.vars.has_t:
+            return self
+        return self._where(lambda k: k & _FIELD_MASK <= bound)
 
     def restrict_xi(self, bound: int) -> "SparsePoly":
-        xd = self.vars.xi_degree
-        return SparsePoly._unchecked(
-            self.vars, {e: c for e, c in self._terms.items() if xd(e) <= bound})
+        xd = _packing(self.vars).xi_degree
+        return self._where(lambda k: xd(k) <= bound)
 
     def xi_slice(self, k: int) -> "SparsePoly":
-        xd = self.vars.xi_degree
-        return SparsePoly._unchecked(
-            self.vars, {e: c for e, c in self._terms.items() if xd(e) == k})
+        xd = _packing(self.vars).xi_degree
+        return self._where(lambda key: xd(key) == k)
+
+    def _xi_free(self, keys: dict[int, int]) -> "SparsePoly":
+        """keys, free of xi, re-read over the layout without the xi-block."""
+        vs = self.vars
+        target = vs.without_xi()
+        s, ts, low = _packing(vs).shift, _packing(target).shift, _packing(target).fields
+        return _reduced(target, {((k >> s) << ts) | (k & low): v for k, v in keys.items()},
+                        self._den)
 
     def drop_xi(self) -> "SparsePoly":
         """Strip the xi-block; every term must have xi-degree zero."""
-        vs = self.vars
-        n = vs.n
-        if any(any(e[:n]) for e in self._terms):
+        if not self.vars.has_xi:
+            raise ContractViolation(f"variable kind {self.vars.kind!r} has no xi-block")
+        xi_mask = _packing(self.vars).xi_mask
+        if any(k & xi_mask for k in self._terms):
             raise ContractViolation("polynomial has xi-terms; cannot drop the xi-block")
-        return SparsePoly._unchecked(vs.without_xi(), {e[n:]: c for e, c in self._terms.items()})
+        return self._xi_free(self._terms)
 
     def xi_linear_component(self, i: int) -> "SparsePoly":
         """Coefficient of xi_i among terms whose xi-part is exactly xi_i."""
-        vs = self.vars
-        n = vs.n
-        unit = tuple(1 if j == i else 0 for j in range(n))
-        out = {e[n:]: c for e, c in self._terms.items() if e[:n] == unit}
-        return SparsePoly._unchecked(vs.without_xi(), out)
+        pk = _packing(self.vars)
+        unit, xi_mask = 1 << pk.shifts[self.vars.xi_index(i)], pk.xi_mask
+        return self._xi_free({k - unit: v for k, v in self._terms.items()
+                              if k & xi_mask == unit})
 
     def lift(self, target: VarSet) -> "SparsePoly":
         """Reinterpret over a larger layout with the same n (new blocks get exponent 0)."""
@@ -435,22 +571,18 @@ class SparsePoly:
                 or (vs.has_t and not target.has_t)):
             raise ContractViolation(
                 f"cannot lift {vs.kind}(n={vs.n}) into {target.kind}(n={target.n})")
-        n = vs.n
-        xi_pad = (0,) * n if (target.has_xi and not vs.has_xi) else ()
-        t_pad = (0,) if (target.has_t and not vs.has_t) else ()
-        zs = vs.z_start
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self._terms.items():
-            xi_part = e[:n] if vs.has_xi else xi_pad
-            z_part = e[zs:zs + n]
-            t_part = (e[-1],) if vs.has_t else t_pad
-            out[xi_part + z_part + t_part] = c
-        return SparsePoly._unchecked(target, out)
+        # a new xi-block sits above the old fields; a new t-field below them
+        up = _FIELD_BITS if target.has_t and not vs.has_t else 0
+        src, ts = _packing(vs), _packing(target).shift
+        s, fields = src.shift, src.fields
+        return _make(target, {((k >> s) << ts) | ((k & fields) << up): v
+                              for k, v in self._terms.items()}, self._den)
 
     # -- rendering -------------------------------------------------------
 
     def sorted_exponents(self) -> list[Exponent]:
-        return sorted(self._terms, key=_grlex_key, reverse=True)
+        return sorted(map(_packing(self.vars).exps, self._terms), key=_grlex_key,
+                      reverse=True)
 
     def __str__(self) -> str:
         return render_poly(self)
@@ -469,8 +601,9 @@ def render_poly(p: SparsePoly) -> str:
     if p.is_zero:
         return "0"
     pieces: list[str] = []
-    for e in p.sorted_exponents():
-        c = p._terms[e]
+    coeffs = dict(p.items())
+    for e in sorted(coeffs, key=_grlex_key, reverse=True):
+        c = coeffs[e]
         mono = render_monomial(p.vars, e)
         mag = abs(c)
         if mono == "1":
@@ -491,11 +624,12 @@ def first_difference(p: SparsePoly, q: SparsePoly
     """First (lowest, in canonical order) monomial where p and q differ."""
     if p.vars != q.vars:
         raise ContractViolation("cannot diff polynomials over different layouts")
-    exps = set(p._terms) | set(q._terms)
-    for e in sorted(exps, key=_grlex_key):
-        a, b = p.coeff(e), q.coeff(e)
-        if a != b:
-            return (e, a, b)
+    a, b = dict(p.items()), dict(q.items())
+    zero = Fraction(0)
+    for e in sorted(a.keys() | b.keys(), key=_grlex_key):
+        ca, cb = a.get(e, zero), b.get(e, zero)
+        if ca != cb:
+            return (e, ca, cb)
     return None
 
 
@@ -648,21 +782,22 @@ def lambda_apply(f: SparsePoly) -> SparsePoly:
     vs = f.vars
     if not vs.has_xi:
         raise ContractViolation("the mixed derivative needs a xi-block")
+    pk = _packing(vs)
     n = vs.n
-    zs = vs.z_start
-    out: dict[Exponent, Fraction] = {}
-    for e, c in f._terms.items():
-        for i in range(n):
-            a, b = e[i], e[zs + i]
-            if a and b:
-                ne = list(e)
-                ne[i] = a - 1
-                ne[zs + i] = b - 1
-                ne_t = tuple(ne)
-                v = out.get(ne_t)
-                k = c * (a * b)
-                out[ne_t] = k if v is None else v + k
-    return SparsePoly._unchecked(vs, out)
+    # per i: the fields of xi_i and z_i, and the key of xi_i*z_i
+    pairs = [(pk.shifts[i], pk.shifts[n + i], pk.units[i] + pk.units[n + i])
+             for i in range(n)]
+    out: dict[int, int] = {}
+    get = out.get
+    for k, v in f._terms.items():
+        for xs, zs, step in pairs:
+            a = (k >> xs) & _FIELD_MASK
+            if a:
+                b = (k >> zs) & _FIELD_MASK
+                if b:
+                    nk = k - step
+                    out[nk] = get(nk, 0) + v * (a * b)
+    return _reduced(vs, out, f._den)
 
 
 # -- composition ----------------------------------------------------------
@@ -701,13 +836,15 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
     n = vsg.n
     const_free = [gi.is_zero or gi.order() >= 1 for gi in g.components]
     powers = [[SparsePoly.one(vsg)] for _ in range(n)]  # g_i^k, truncated at bound
+    upk = _packing(vsu)
     zs = vsu.z_start
-    out: dict[Exponent, Fraction] = {}
-    for e, c in upoly._terms.items():
-        base_exps = [0] * vsg.nvars
-        if vsu.has_t:
-            base_exps[vsg.t_index] = e[-1]
-        acc = SparsePoly.monomial(vsg, base_exps, c)
+    out: dict[int, int] = {}
+    den = 1
+    for key, num in upoly._terms.items():
+        e = upk.exps(key)
+        common = gcd(num, upoly._den)
+        # the z-free monomial c*t^e_t; t is the last field of both layouts
+        acc = _make(vsg, {e[-1] if vsu.has_t else 0: num // common}, upoly._den // common)
         for i in range(n):
             b = e[zs + i]
             if b == 0:
@@ -721,12 +858,10 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
             acc = acc.mul(pw[b], trunc=bound)
             if acc.is_zero:
                 break
-        for ae, ac in acc._terms.items():
-            v = out.get(ae)
-            out[ae] = ac if v is None else v + ac
+        den = _sum_into(out, den, acc._terms, acc._den)
     # no cut needed: each acc is a z-free monomial or the output of a mul
     # truncated at bound
-    return SeriesTrunc(SparsePoly._unchecked(vsg, out), bound)
+    return SeriesTrunc(_reduced(vsg, out, den), bound)
 
 
 # -- matrices and determinants -------------------------------------------

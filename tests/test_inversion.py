@@ -443,3 +443,33 @@ class TestOracleArgument:
             with pytest.raises(ContractViolation, match="fixed-point inverse to z-degree >= 4"):
                 verify_phi_exponential(h, q, 2, 4, wrong)
         assert verify_phi_exponential(h, q, 2, 4, invert_fixed_point(h, 4)).passed
+
+
+# A fixed n=3 map with terms of z-degree 2..3 and rational coefficients.
+WORK_MAP = (
+    {(2, 0, 0): "1/2", (1, 1, 0): -2, (0, 1, 1): 3, (1, 0, 2): "-1/3", (0, 3, 0): 1,
+     (1, 1, 1): "2/3"},
+    {(0, 2, 0): -1, (1, 0, 1): "5/2", (0, 0, 2): 1, (2, 1, 0): "1/3", (0, 1, 2): -4},
+    {(1, 1, 0): 2, (0, 2, 1): "-3/2", (2, 0, 1): 1, (0, 0, 3): "1/4", (1, 0, 1): -1,
+     (3, 0, 0): 2},
+)
+
+
+class TestWorkCounts:
+    def test_products_all_go_through_mul(self, monkeypatch):
+        # every product of the three routes goes through SparsePoly.mul, the
+        # method the benchmark's tracer wraps to count its work; a product
+        # that bypasses it, or an extra one, changes these counts
+        counts = {"calls": 0, "pairs": 0}
+        mul = SparsePoly.mul
+
+        def counting_mul(self, other, trunc=None):
+            counts["calls"] += 1
+            counts["pairs"] += self.nterms * other.nterms
+            return mul(self, other, trunc)
+
+        monkeypatch.setattr(SparsePoly, "mul", counting_mul)
+        h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
+        results = cross_method_results(h, 5, debug=True)
+        assert route_agreement(results).passed
+        assert counts == {"calls": 625, "pairs": 402074}

@@ -1,5 +1,7 @@
 """Core polynomial layer: exact arithmetic, truncation, composition, determinants."""
 
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -113,6 +115,30 @@ class TestArithmetic:
             a = random_poly(rng, Z2, max_deg=2 * d if d else 2)
             b = random_poly(rng, Z2, max_deg=2 * d if d else 2)
             assert a.mul(b, trunc=d) == a.mul(b).truncate_z(d)
+
+
+class TestPublicSurface:
+    @pytest.mark.parametrize("exps", [(1.5, 0), (True, 0), ("1", 0)],
+                             ids=["float", "bool", "str"])
+    def test_non_int_exponent_refused(self, exps):
+        with pytest.raises(ContractViolation):
+            SparsePoly(Z2, {exps: 1})
+
+    def test_bool_coefficient_refused(self):
+        with pytest.raises(ContractViolation):
+            SparsePoly(Z2, {(1, 0): True})
+
+    def test_pickle_and_copy_round_trip(self):
+        p = SparsePoly(XIZ2, {(1, 0, 0, 2): "1/2", (0, 0, 0, 0): 3})
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert copy.deepcopy(p) == p
+
+    def test_coeff_needs_full_length_exponent(self):
+        p = zvar(Z2, 0)
+        assert p.coeff((1, 0)) == 1
+        for exps in [(1,), (1, 0, 0)]:
+            with pytest.raises(ContractViolation):
+                p.coeff(exps)
 
 
 class TestCalculus:
@@ -371,8 +397,8 @@ class TestRendering:
 
 class TestKernelBoundary:
     def test_storage_private_to_poly(self):
-        # the term dict and its unchecked constructor belong to poly.py alone
-        private = re.compile(r"\b(_terms|_unchecked)\b")
+        # the packed storage and its internal constructors belong to poly.py alone
+        private = re.compile(r"\b(_terms|_den|_make|_reduced|_packing)\b")
         package = Path(agcalc.__file__).parent
         touching = sorted(path.name for path in package.glob("*.py")
                           if path.name != "poly.py"

@@ -1,9 +1,13 @@
 """Property tests: the SparsePoly kernel against the naive dict reference.
 
-Random polynomials over the z, (xi, z) and (z, t) layouts with n <= 3.
-Results are read only through items(), so the tests hold for any storage
-behind SparsePoly.  Runs are derandomized, keep no example database, and
-leave nothing in the working directory.
+Random polynomials over the z, (xi, z), (z, t) and (xi, z, t) layouts
+with n <= 3.  Results are read only through items(), so the tests hold for
+any storage behind SparsePoly.  The packed storage adds its own contracts:
+an exponent above MAX_EXPONENT is refused, at construction and in a
+product, and equal polynomials compare equal however they were reached.
+det is checked against sympy, when it is installed.  Runs are
+derandomized, keep no example database, and leave nothing in the working
+directory.
 """
 
 import tempfile
@@ -17,7 +21,16 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 import poly_reference as ref  # noqa: E402
-from agcalc.poly import MapTuple, SparsePoly, VarSet, compose  # noqa: E402
+from agcalc.errors import ContractViolation  # noqa: E402
+from agcalc.poly import (  # noqa: E402
+    MAX_EXPONENT,
+    MapTuple,
+    PolyMatrix,
+    SparsePoly,
+    VarSet,
+    compose,
+    det,
+)
 from agcalc.weyl import lambda_apply  # noqa: E402
 
 # hypothesis caches the constants it reads from local source files under its
@@ -31,7 +44,7 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=N
 coeffs = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
 
 
-def layouts(kinds=("z", "xiz", "zt")):
+def layouts(kinds=("z", "xiz", "zt", "xizt")):
     return st.builds(VarSet, st.sampled_from(kinds), st.integers(1, 3))
 
 
@@ -76,7 +89,7 @@ class TestKernelMatchesReference:
     @PROPERTY
     @given(st.data())
     def test_lambda_apply(self, data):
-        vs = data.draw(layouts(("xiz",)))
+        vs = data.draw(layouts(("xiz", "xizt")))
         p = data.draw(polys(vs))
         assert as_dict(lambda_apply(SparsePoly(vs, p))) == ref.lambda_apply(p, vs.n)
 
@@ -93,3 +106,75 @@ class TestKernelMatchesReference:
         got = compose(SparsePoly(vs, u), MapTuple.exact([SparsePoly(vs, c) for c in g]), bound)
         assert got.trunc == bound
         assert as_dict(got.poly) == ref.compose(u, g, vs.kind, bound)
+
+
+class TestPackedForm:
+    @PROPERTY
+    @given(st.data(), st.none() | st.just(2 * MAX_EXPONENT))
+    def test_overflow_guard(self, data, trunc):
+        vs = data.draw(layouts())
+        i = data.draw(st.integers(0, vs.nvars - 1))
+        # a + b is MAX_EXPONENT, the largest allowed, or one more
+        a = data.draw(st.integers(1, MAX_EXPONENT))
+        b = MAX_EXPONENT - a + data.draw(st.integers(0, 1))
+
+        def power(k):
+            exps = [0] * vs.nvars
+            exps[i] = k
+            return tuple(exps)
+
+        with pytest.raises(ContractViolation):
+            SparsePoly(vs, {power(MAX_EXPONENT + 1): 1})
+        pa, pb = SparsePoly(vs, {power(a): 1}), SparsePoly(vs, {power(b): 2})
+        if a + b > MAX_EXPONENT:
+            with pytest.raises(ContractViolation):
+                pa.mul(pb, trunc)
+        else:
+            assert as_dict(pa.mul(pb, trunc)) == {power(a + b): 2}
+
+    @PROPERTY
+    @given(st.data())
+    def test_associative_product(self, data):
+        vs = data.draw(layouts())
+        a, b, c = (SparsePoly(vs, data.draw(polys(vs, max_exp=2, max_terms=4)))
+                   for _ in range(3))
+        assert a.mul(b).mul(c) == a.mul(b.mul(c))
+
+    @PROPERTY
+    @given(st.data(), coeffs)
+    def test_scale_round_trip(self, data, q):
+        vs = data.draw(layouts())
+        a = SparsePoly(vs, data.draw(polys(vs)))
+        assert a.scale(q).scale(1 / q) == a
+
+
+def sympy_det(sympy, m: PolyMatrix, trunc):
+    """det(m) by sympy, as a dict over the exponent tuples of m's layout."""
+    vs = m.vars
+    syms = sympy.symbols(f"x0:{vs.nvars}")
+
+    def expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
+                    for e, c in p.items()), sympy.Integer(0))
+
+    # division-free; sympy's default method ran about 8x slower on these entries
+    d = sympy.Matrix([[expr(p) for p in row] for row in m.rows]).det(method="berkowitz")
+    zs = ref.z_block(vs.kind, vs.n)
+    out = {}
+    for e, c in sympy.Poly(sympy.expand(d), *syms).as_dict().items():
+        if c and (trunc is None or sum(e[zs]) <= trunc):
+            out[tuple(int(k) for k in e)] = Fraction(int(c.p), int(c.q))
+    return out
+
+
+class TestDetAgainstSympy:
+    @settings(PROPERTY, max_examples=30)
+    @given(st.data(), st.none() | st.integers(0, 4))
+    def test_det(self, data, trunc):
+        sympy = pytest.importorskip("sympy")
+        vs = data.draw(layouts())
+        dim = data.draw(st.integers(1, 4))
+        m = PolyMatrix(tuple(tuple(SparsePoly(vs, data.draw(polys(vs, max_exp=2, max_terms=3)))
+                                   for _ in range(dim)) for _ in range(dim)))
+        assert as_dict(det(m, trunc)) == sympy_det(sympy, m, trunc)
