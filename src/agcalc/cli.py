@@ -128,8 +128,17 @@ def _g_result(result) -> dict:
 # -- invert -------------------------------------------------------------------
 
 
+def _known_inverse_check(known: MapTuple, result, degree: int) -> Check:
+    """The computed inverse tail N against a known one, truncated at degree."""
+    return first_failure(
+        IdentityReport("known inverse", got, want.truncate_z(degree),
+                       where=f"component {i + 1}")
+        for i, (want, got) in enumerate(zip(known.components,
+                                            result.N.components))).check
+
+
 def cmd_invert(args) -> Report:
-    h, _meta = load_map_file(args.mapfile)
+    h, meta = load_map_file(args.mapfile)
     _require_min(args.degree, 1, "--degree")
     checks: list[Check] = []
     if args.method == "all":
@@ -145,6 +154,8 @@ def cmd_invert(args) -> Report:
         }[METHOD_FLAGS[args.method]]
         shown = runner(h, args.degree)
         checks.append(passed_check(f"inverted via {shown.method}"))
+    if meta.get("known_inverse") is not None:
+        checks.append(_known_inverse_check(meta["known_inverse"], shown, args.degree))
     return Report(
         command="invert",
         args={"mapfile": str(args.mapfile), "degree": args.degree,
@@ -305,11 +316,7 @@ def _invert_all_checks(item, degree: int, debug: bool) -> list[Check]:
     base = results[FIXED_POINT]
     checks = [route_agreement(results).check, verify_round_trip(item.h, base).check]
     if item.known_n is not None:
-        checks.append(first_failure(
-            IdentityReport("known inverse", got, known.truncate_z(degree),
-                           where=f"component {i + 1}")
-            for i, (known, got) in enumerate(zip(item.known_n.components,
-                                                 base.N.components))).check)
+        checks.append(_known_inverse_check(item.known_n, base, degree))
     return checks
 
 

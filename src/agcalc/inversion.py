@@ -315,10 +315,11 @@ def _lambda_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
                 continue
             if term.max_xi_degree() != k:
                 raise AgcalcError(f"phase-series term has xi-degree other than {k}")
+            term = term.scale(scale)
             if discard:
                 raise ConvergenceViolation(
-                    f"discarded phase-series term at m={m} has order <= {bound}")
-            sums[idx] = sums[idx] + term.scale(scale)
+                    f"discarded phase-series term at m={m} has order <= {bound}: {term}")
+            sums[idx] = sums[idx] + term
     return sums, checked
 
 

@@ -1,11 +1,14 @@
 """Polynomial-coefficient differential operators and their total symbols.
 
-Operators are kept in right-normal form: a finite sum of a_alpha(z) d^alpha
-terms, indexed by the derivative multi-index alpha.  The right total symbol
-replaces d^alpha by xi^alpha positionally; reading a phase polynomial as a
-LEFT symbol instead (derivatives on the left of their coefficients) and
-reordering it into right-normal form is normal_order.  Both normal_order and
-DiffOp composition reorder d^alpha b with the one Leibniz rule, _leibniz.
+Operators are kept in right-normal form, a finite sum of a_alpha(z) d^alpha
+terms.  A DiffOp stores exactly that as its right total symbol, the (xi, z)
+polynomial sum_alpha a_alpha(z) xi^alpha with xi^alpha standing in for
+d^alpha positionally, so sums, equality and the eta grading are those of the
+symbol; coefficients() groups it by alpha on demand.  Reading a phase
+polynomial as a LEFT symbol instead (derivatives on the left of their
+coefficients) and reordering it into right-normal form is normal_order.
+Both normal_order and DiffOp composition reorder d^alpha b with the one
+Leibniz rule, _leibniz.
 
 The module also carries the two phase-space endomorphisms the rest of the
 package is built on: the mixed second-derivative operator
@@ -23,11 +26,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
-from typing import Mapping
 
 from .errors import ContractViolation, TruncationError
 from .poly import (
-    INF,
     Exponent,
     SeriesTrunc,
     SparsePoly,
@@ -56,83 +57,75 @@ def _leibniz(alpha: Exponent, beta: Exponent, c: Fraction):
                tuple(beta[i] - gamma[i] for i in range(n)), coeff)
 
 
-def _bucket_add(out: dict, rest: Exponent, ze: Exponent, coeff: Fraction) -> None:
-    bucket = out.setdefault(rest, {})
-    bucket[ze] = bucket.get(ze, 0) + coeff
+def _require_symbol_layout(vs: VarSet) -> None:
+    if vs != VarSet.xiz(vs.n):
+        raise ContractViolation("a total symbol lives over the (xi, z) layout")
 
 
 @dataclass(frozen=True, eq=False)
 class DiffOp:
-    """Differential operator sum_alpha a_alpha(z) d^alpha in right-normal form."""
+    """Differential operator sum_alpha a_alpha(z) d^alpha in right-normal form,
+    stored as its right total symbol sum_alpha a_alpha(z) xi^alpha."""
 
-    n: int
-    terms: Mapping[Exponent, SparsePoly]
+    symbol: SparsePoly
 
     def __post_init__(self) -> None:
-        vs = VarSet.z(self.n)
-        clean: dict[Exponent, SparsePoly] = {}
-        for alpha, a in self.terms.items():
-            alpha = tuple(alpha)
-            if len(alpha) != self.n or any(k < 0 for k in alpha):
-                raise ContractViolation(f"derivative multi-index {alpha} invalid for n={self.n}")
-            if a.vars != vs:
-                raise ContractViolation("operator coefficients must be z-polynomials")
-            if not a.is_zero:
-                clean[alpha] = a
-        object.__setattr__(self, "terms", clean)
+        _require_symbol_layout(self.symbol.vars)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "DiffOp":
-        return cls(n, {})
+        return cls(SparsePoly.zero(VarSet.xiz(n)))
 
     @classmethod
     def multiplication(cls, a: SparsePoly) -> "DiffOp":
-        n = a.vars.n
-        return cls(n, {(0,) * n: a})
+        if a.vars != VarSet.z(a.vars.n):
+            raise ContractViolation("operator coefficients must be z-polynomials")
+        return cls(a.lift(VarSet.xiz(a.vars.n)))
 
     @classmethod
     def partial(cls, n: int, i: int, k: int = 1) -> "DiffOp":
-        alpha = tuple(k if j == i else 0 for j in range(n))
-        return cls(n, {alpha: SparsePoly.one(VarSet.z(n))})
+        vs = VarSet.xiz(n)
+        exps = [0] * vs.nvars
+        exps[vs.xi_index(i)] = k
+        return cls(SparsePoly.monomial(vs, exps))
 
     # -- structure -------------------------------------------------------
 
     @property
+    def n(self) -> int:
+        return self.symbol.vars.n
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.symbol.is_zero
 
     def max_order(self) -> int:
-        return max((sum(a) for a in self.terms), default=0)
+        return self.symbol.max_xi_degree()
 
-    def nu(self) -> int | float:
-        """Grading: min over stored monomials z^beta d^alpha of |beta| - |alpha|."""
-        if not self.terms:
-            return INF
-        vals = []
-        for alpha, a in self.terms.items():
-            da = sum(alpha)
-            vals.extend(sum(e) - da for e, _ in a.items())
-        return min(vals)
+    def coefficients(self) -> dict[Exponent, SparsePoly]:
+        """The grouped view {alpha: a_alpha(z)}, every a_alpha nonzero."""
+        n = self.n
+        buckets: dict[Exponent, dict[Exponent, Fraction]] = {}
+        for e, c in self.symbol.items():
+            buckets.setdefault(e[:n], {})[e[n:]] = c
+        zvs = VarSet.z(n)
+        return {alpha: SparsePoly(zvs, t) for alpha, t in buckets.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.symbol == other.symbol
 
     __hash__ = None
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         self._check(other)
-        out = dict(self.terms)
-        for alpha, a in other.terms.items():
-            cur = out.get(alpha)
-            out[alpha] = a if cur is None else cur + a
-        return DiffOp(self.n, out)
+        return DiffOp(self.symbol + other.symbol)
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp(self.n, {a: -p for a, p in self.terms.items()})
+        return DiffOp(-self.symbol)
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
         return self + (-other)
@@ -142,24 +135,21 @@ class DiffOp:
             raise ContractViolation("operator variable counts differ")
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
-        """Operator composition, reordered back into right-normal form by _leibniz."""
+        """Operator composition, reordered back into right-normal form by _leibniz:
+        a z^p d^alpha * b z^q d^beta = a b z^p (d^alpha z^q) d^beta."""
         self._check(other)
         n = self.n
-        zvs = VarSet.z(n)
-        out: dict[Exponent, SparsePoly] = {}
-        for alpha, a in self.terms.items():
-            # d^alpha b d^beta, collected by resulting derivative before the product with a
-            reordered: dict[Exponent, dict[Exponent, Fraction]] = {}
-            for beta, b in other.terms.items():
-                for e, c in b.items():
-                    for rest, ze, coeff in _leibniz(alpha, e, c):
-                        _bucket_add(reordered, tuple(rest[i] + beta[i] for i in range(n)),
-                                    ze, coeff)
-            for res, bucket in reordered.items():
-                piece = a.mul(SparsePoly(zvs, bucket))
-                cur = out.get(res)
-                out[res] = piece if cur is None else cur + piece
-        return DiffOp(n, out)
+        out: dict[Exponent, Fraction] = {}
+        rhs = other.symbol.items()
+        for e, a in self.symbol.items():
+            alpha, p = e[:n], e[n:]
+            for f, b in rhs:
+                beta = f[:n]
+                for rest, ze, coeff in _leibniz(alpha, f[n:], a * b):
+                    key = (tuple(r + s for r, s in zip(rest, beta))
+                           + tuple(x + y for x, y in zip(p, ze)))
+                    out[key] = out.get(key, 0) + coeff
+        return DiffOp(SparsePoly(self.symbol.vars, out))
 
     def apply(self, u: SparsePoly | SeriesTrunc, bound: int) -> SeriesTrunc:
         """Apply to a series, correct mod z-degree > bound.
@@ -176,16 +166,17 @@ class DiffOp:
                 f"input known to z-degree {utrunc}; applying an operator of order "
                 f"{self.max_order()} to output degree {bound} requires >= {need}")
         acc = SparsePoly.zero(upoly.vars)
-        for alpha, a in self.terms.items():
+        for alpha, a in self.coefficients().items():
             acc = acc + a.mul(upoly.diff_z_multi(alpha), trunc=bound)
         return SeriesTrunc(acc.truncate_z(bound), bound)
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.coefficients()
+        if not terms:
             return "0"
         parts = []
-        for alpha in sorted(self.terms, key=lambda a: (sum(a), a), reverse=True):
-            a = self.terms[alpha]
+        for alpha in sorted(terms, key=lambda a: (sum(a), a), reverse=True):
+            a = terms[alpha]
             dsym = "*".join(f"d{i + 1}^{k}" if k > 1 else f"d{i + 1}"
                             for i, k in enumerate(alpha) if k)
             coeff = str(a) if a.nterms == 1 else f"({a})"
@@ -196,32 +187,6 @@ class DiffOp:
         return f"DiffOp(n={self.n}: {self})"
 
 
-# -- total symbols ---------------------------------------------------------
-
-
-def right_symbol(op: DiffOp) -> SparsePoly:
-    """Right total symbol: xi^alpha replaces d^alpha positionally."""
-    vs = VarSet.xiz(op.n)
-    out: dict[Exponent, Fraction] = {}
-    for alpha, a in op.terms.items():
-        for e, c in a.items():
-            out[alpha + e] = c
-    return SparsePoly(vs, out)
-
-
-def from_right_symbol(f: SparsePoly) -> DiffOp:
-    """Inverse of right_symbol."""
-    vs = f.vars
-    if not vs.has_xi or vs.has_t:
-        raise ContractViolation("a total symbol lives over the (xi, z) layout")
-    n = vs.n
-    zvs = VarSet.z(n)
-    buckets: dict[Exponent, dict[Exponent, Fraction]] = {}
-    for e, c in f.items():
-        buckets.setdefault(e[:n], {})[e[n:]] = c
-    return DiffOp(n, {alpha: SparsePoly(zvs, t) for alpha, t in buckets.items()})
-
-
 def normal_order(f: SparsePoly) -> DiffOp:
     """Read f as a LEFT total symbol and rewrite into right-normal form.
 
@@ -229,26 +194,21 @@ def normal_order(f: SparsePoly) -> DiffOp:
     which _leibniz reorders into right-normal terms.
     """
     vs = f.vars
-    if not vs.has_xi or vs.has_t:
-        raise ContractViolation("a total symbol lives over the (xi, z) layout")
+    _require_symbol_layout(vs)
     n = vs.n
-    zvs = VarSet.z(n)
-    out: dict[Exponent, dict[Exponent, Fraction]] = {}
+    out: dict[Exponent, Fraction] = {}
     for e, c in f.items():
         for rest, ze, coeff in _leibniz(e[:n], e[n:], c):
-            _bucket_add(out, rest, ze, coeff)
-    return DiffOp(n, {alpha: SparsePoly(zvs, t) for alpha, t in out.items()})
+            key = rest + ze
+            out[key] = out.get(key, 0) + coeff
+    return DiffOp(SparsePoly(vs, out))
 
 
 def tau(op: DiffOp) -> DiffOp:
     """The product-reversing involution a(z) d^alpha -> (-1)^|alpha| d^alpha a(z)."""
-    flipped: dict[Exponent, Fraction] = {}
-    for alpha, a in op.terms.items():
-        sign = -1 if sum(alpha) % 2 else 1
-        for e, c in a.items():
-            flipped[alpha + e] = sign * c
-    left = SparsePoly(VarSet.xiz(op.n), flipped)
-    return normal_order(left)
+    n = op.n
+    flipped = {e: -c if sum(e[:n]) % 2 else c for e, c in op.symbol.items()}
+    return normal_order(SparsePoly(op.symbol.vars, flipped))
 
 
 # -- the mixed Laplacian and its exponential --------------------------------
@@ -292,8 +252,8 @@ def phi_apply(f: SparsePoly, xi_bound: int | None = None,
 
 
 def verify_phi_normal_order(f: SparsePoly) -> IdentityReport:
-    """Check right_symbol(normal_order(f)) == phi_apply(f), exactly.
+    """Check normal_order(f).symbol == phi_apply(f), exactly.
 
     lhs is the normal-ordering route, rhs the exponential route.
     """
-    return IdentityReport("symbol transport", right_symbol(normal_order(f)), phi_apply(f))
+    return IdentityReport("symbol transport", normal_order(f).symbol, phi_apply(f))

@@ -5,6 +5,7 @@ plain ``{exponent tuple: Fraction}`` dict with no zero coefficients and
 shares no code with ``agcalc.poly``; the property tests compare the kernel
 with it.  ``exact_div`` and ``_det_bareiss`` work through the public
 ``SparsePoly`` API and give ``det`` an independent second route.
+``diffop`` builds an operator from its grouped terms {alpha: a_alpha(z)}.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from fractions import Fraction
 from math import perm
 
 from agcalc.errors import ContractViolation
-from agcalc.poly import PolyMatrix, SparsePoly
+from agcalc.poly import PolyMatrix, SparsePoly, VarSet
+from agcalc.weyl import DiffOp
 
 Poly = dict  # {tuple[int, ...]: Fraction}, zero coefficients never stored
 
@@ -143,3 +145,9 @@ def _det_bareiss(m: PolyMatrix) -> SparsePoly:
         prev = a[k][k]
     result = a[n - 1][n - 1]
     return result if sign > 0 else -result
+
+
+def diffop(n: int, terms: dict) -> DiffOp:
+    """sum_alpha a_alpha(z) d^alpha, built as its right total symbol."""
+    return DiffOp(SparsePoly(VarSet.xiz(n), {alpha + e: c for alpha, a in terms.items()
+                                             for e, c in a.items()}))

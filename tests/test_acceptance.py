@@ -30,7 +30,8 @@ from agcalc.lab import (
     vanishing_scan,
 )
 from agcalc.poly import MapTuple, SparsePoly, VarSet
-from agcalc.weyl import DiffOp, tau, verify_phi_normal_order
+from agcalc.weyl import tau, verify_phi_normal_order
+from poly_reference import diffop
 
 DEGREE = 8
 SCAN_DEPTH = 6
@@ -129,7 +130,7 @@ class TestAcceptance:
                 if c:
                     coeff = SparsePoly.monomial(z2, exps, c)
                     terms[alpha] = terms.get(alpha, SparsePoly.zero(z2)) + coeff
-            return DiffOp(2, terms)
+            return diffop(2, terms)
 
         ok = True
         for _ in range(200):

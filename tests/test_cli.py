@@ -113,6 +113,20 @@ class TestInvert:
         report = json.loads(proc.stdout)
         assert report["result"]["method"] == "lambda_series"
 
+    @pytest.mark.parametrize("method", ["all", "fixedpoint"])
+    def test_known_inverse_is_checked(self, tmp_path, capsys, method):
+        # H = (z2^2, 0) has the inverse tail N = (z2^2, 0)
+        h = MapTuple.exact((SparsePoly.monomial(Z2, (0, 2)), SparsePoly.zero(Z2)))
+        for n1, code in [(1, 0), (5, 1)]:
+            known = MapTuple.exact((SparsePoly.monomial(Z2, (0, 2), n1), SparsePoly.zero(Z2)))
+            path = tmp_path / f"known{n1}.json"
+            save_map_file(path, h, {"known_inverse": known})
+            assert main(["invert", str(path), "--degree", "4", "--method", method,
+                         "--format", "json"]) == code
+            check = json.loads(capsys.readouterr().out)["checks"][-1]
+            assert check["name"] == "known inverse"
+            assert check["witness"] == (None if code == 0 else "component 1: z2^2: 1 vs 5")
+
 
 class TestVerify:
     def test_triangular_suite_passes(self, triangular_map):

@@ -9,6 +9,7 @@ import pytest
 import agcalc.inversion
 from agcalc.errors import (
     ContractViolation,
+    ConvergenceViolation,
     PreconditionError,
     TruncationError,
 )
@@ -322,6 +323,42 @@ class TestCrossMethod:
         inner = compose(u, res.G, 5)
         outer = compose(inner, f_map, 5)
         assert outer.poly == u.truncate_z(5)
+
+
+class TestFailingChecks:
+    """Each check below must fail when its identity does not hold."""
+
+    def order_one_tail(self):
+        # H = z1/2 breaks the cutoff argument (it needs o(H) >= 2), so the
+        # first discarded term still reaches degree <= bound
+        return MapTuple.exact((SparsePoly.monomial(Z1, (1,), Fraction(1, 2)),))
+
+    def test_derivative_sum_discard_check(self):
+        us = [SparsePoly.z_var(Z1, 0)]
+        agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3, include_jf=True,
+                                         debug=False)
+        with pytest.raises(ConvergenceViolation,
+                           match=r"term at \|alpha\|=4 has order <= 3: 5/32\*z1$"):
+            agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3,
+                                             include_jf=True, debug=True)
+
+    def test_phase_series_discard_check(self):
+        us = [SparsePoly.z_var(Z1, 0)]
+        agcalc.inversion._lambda_sum(us, self.order_one_tail(), 3, extra_orders=[1],
+                                     debug=False)
+        with pytest.raises(ConvergenceViolation,
+                           match=r"term at m=3 has order <= 3: 1/4\*z1$"):
+            agcalc.inversion._lambda_sum(us, self.order_one_tail(), 3, extra_orders=[1],
+                                         debug=True)
+
+    def test_round_trip_names_first_difference(self):
+        h = one_var_square()
+        res = invert_fixed_point(h, 4)
+        perturbed = (res.G.components[0] + SparsePoly.monomial(Z1, (3,)),)
+        rep = verify_round_trip(h, dataclasses.replace(res, G=MapTuple(perturbed, res.G.trunc)))
+        assert rep.name == "round trip, component 1 of F(G)"
+        assert rep.witness == "z1^3: 1 vs 0"
+        assert rep.check.status == "fail"
 
 
 class TestChainRule:

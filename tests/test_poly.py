@@ -1,9 +1,11 @@
 """Core polynomial layer: exact arithmetic, truncation, composition, determinants."""
 
+import ast
 import copy
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -407,3 +409,19 @@ class TestKernelBoundary:
 
     def test_reference_kernels_not_exported(self):
         assert not hasattr(agcalc, "exact_div")
+
+    def test_runtime_imports_are_stdlib(self):
+        # agcalc runs on the standard library alone; relative imports stay inside it
+        package = Path(agcalc.__file__).parent
+        outside = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                outside.update(f"{path.name}: {name}" for name in names
+                               if name.partition(".")[0] not in sys.stdlib_module_names)
+        assert sorted(outside) == []

@@ -1,5 +1,6 @@
 """Operator normal ordering, total symbols, tau, and the phase exponential."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,15 +11,14 @@ from agcalc.errors import ContractViolation, TruncationError
 from agcalc.poly import MapTuple, SeriesTrunc, SparsePoly, VarSet, jacobian, xi_pairing
 from agcalc.weyl import (
     DiffOp,
-    from_right_symbol,
     lambda_apply,
     lambda_pow,
     normal_order,
     phi_apply,
-    right_symbol,
     tau,
     verify_phi_normal_order,
 )
+from poly_reference import diffop
 
 Z1 = VarSet.z(1)
 Z2 = VarSet.z(2)
@@ -28,7 +28,7 @@ XIZ2 = VarSet.xiz(2)
 
 def euler_1d():
     # z1*d1
-    return DiffOp(1, {(1,): SparsePoly.z_var(Z1, 0)})
+    return diffop(1, {(1,): SparsePoly.z_var(Z1, 0)})
 
 
 def random_op(rng, n=2, max_alpha=3, max_deg=3):
@@ -45,46 +45,49 @@ def random_op(rng, n=2, max_alpha=3, max_deg=3):
         if c:
             coeff = SparsePoly.monomial(zvs, exps, c)
             terms[alpha] = terms.get(alpha, SparsePoly.zero(zvs)) + coeff
-    return DiffOp(n, terms)
+    return diffop(n, terms)
 
 
 class TestSymbols:
     def test_right_symbol_euler(self):
-        assert right_symbol(euler_1d()) == SparsePoly.monomial(XIZ1, (1, 1))
+        assert euler_1d().symbol == SparsePoly.monomial(XIZ1, (1, 1))
 
     def test_right_symbol_of_one(self):
         op = DiffOp.multiplication(SparsePoly.one(Z1))
-        assert right_symbol(op) == SparsePoly.one(XIZ1)
+        assert op.symbol == SparsePoly.one(XIZ1)
 
     def test_right_symbol_pure_derivative(self):
-        assert right_symbol(DiffOp.partial(1, 0, 2)) == SparsePoly.monomial(XIZ1, (2, 0))
+        assert DiffOp.partial(1, 0, 2).symbol == SparsePoly.monomial(XIZ1, (2, 0))
 
-    def test_roundtrip_random(self):
-        rng = random.Random(31)
-        for _ in range(60):
-            op = random_op(rng)
-            assert from_right_symbol(right_symbol(op)) == op
+    def test_symbol_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(DiffOp)] == ["symbol"]
 
-    def test_eta_of_symbol_equals_nu(self):
-        rng = random.Random(32)
-        for _ in range(60):
-            op = random_op(rng)
-            if op.is_zero:
-                continue
-            assert right_symbol(op).eta() == op.nu()
+    def test_partial_index_out_of_range(self):
+        with pytest.raises(ContractViolation, match="out of range"):
+            DiffOp.partial(1, 5)
+        with pytest.raises(ContractViolation, match="out of range"):
+            DiffOp.partial(2, -1)
+
+    def test_symbol_layout_and_coefficients(self):
+        with pytest.raises(ContractViolation, match="z-polynomials"):
+            DiffOp.multiplication(SparsePoly.one(XIZ1))
+        with pytest.raises(ContractViolation, match=r"\(xi, z\) layout"):
+            DiffOp(SparsePoly.one(Z1))
+        assert euler_1d().coefficients() == {(1,): SparsePoly.z_var(Z1, 0)}
+        assert DiffOp.zero(1).coefficients() == {}
 
 
 class TestNormalOrder:
     def test_one_step_leibniz(self):
         # left symbol xi1*z1 is d1 z1 = z1*d1 + 1
         f = SparsePoly.monomial(XIZ1, (1, 1))
-        expected = DiffOp(1, {(1,): SparsePoly.z_var(Z1, 0), (0,): SparsePoly.one(Z1)})
+        expected = diffop(1, {(1,): SparsePoly.z_var(Z1, 0), (0,): SparsePoly.one(Z1)})
         assert normal_order(f) == expected
 
     def test_two_step_leibniz(self):
         # left symbol xi1^2*z1 is d1^2 z1 = z1*d1^2 + 2*d1
         f = SparsePoly.monomial(XIZ1, (2, 1))
-        expected = DiffOp(1, {(2,): SparsePoly.z_var(Z1, 0),
+        expected = diffop(1, {(2,): SparsePoly.z_var(Z1, 0),
                               (1,): SparsePoly.const(Z1, 2)})
         assert normal_order(f) == expected
 
@@ -98,9 +101,9 @@ class TestComposition:
     def test_canonical_commutator(self):
         d1 = DiffOp.partial(1, 0)
         z1 = DiffOp.multiplication(SparsePoly.z_var(Z1, 0))
-        assert d1 * z1 == DiffOp(1, {(1,): SparsePoly.z_var(Z1, 0),
+        assert d1 * z1 == diffop(1, {(1,): SparsePoly.z_var(Z1, 0),
                                      (0,): SparsePoly.one(Z1)})
-        assert z1 * d1 == DiffOp(1, {(1,): SparsePoly.z_var(Z1, 0)})
+        assert z1 * d1 == diffop(1, {(1,): SparsePoly.z_var(Z1, 0)})
         # [d_i, z_j] = delta_ij in two variables
         for i, j in itertools.product(range(2), repeat=2):
             di = DiffOp.partial(2, i)
@@ -112,7 +115,7 @@ class TestComposition:
 
     def test_euler_squared(self):
         e = euler_1d()
-        expected = DiffOp(1, {(2,): SparsePoly.monomial(Z1, (2,)),
+        expected = diffop(1, {(2,): SparsePoly.monomial(Z1, (2,)),
                               (1,): SparsePoly.z_var(Z1, 0)})
         assert e * e == expected
 
@@ -156,10 +159,31 @@ class TestApply:
             assert via_product == via_stages
 
 
+class TestRender:
+    def test_str_and_repr(self):
+        z1 = DiffOp.multiplication(SparsePoly.z_var(Z1, 0))
+        c = DiffOp.multiplication(SparsePoly.monomial(Z1, (2,), 3) + SparsePoly.one(Z1))
+        op = z1 * DiffOp.partial(1, 0) + c
+        assert str(op) == "z1*d1 + (3*z1^2 + 1)"
+        assert repr(op) == "DiffOp(n=1: z1*d1 + (3*z1^2 + 1))"
+
+    def test_zero_pure_derivative_and_sign(self):
+        assert repr(DiffOp.zero(2)) == "DiffOp(n=2: 0)"
+        assert str(DiffOp.partial(2, 1, 2)) == "d2^2"
+        assert str(tau(DiffOp.partial(1, 0))) == "-1*d1"
+
+    def test_order_of_terms(self):
+        # highest derivative order first; each coefficient before its derivative
+        f = SparsePoly(XIZ2, {(2, 1, 1, 0): Fraction(1, 2), (0, 1, 0, 2): -3,
+                              (1, 0, 0, 0): 1})
+        assert repr(normal_order(f)) == (
+            "DiffOp(n=2: 1/2*z1*d1^2*d2 + d1*d2 + d1 + -3*z2^2*d2 + -6*z2)")
+
+
 class TestTau:
     def test_tau_euler(self):
         got = tau(euler_1d())
-        expected = DiffOp(1, {(1,): -SparsePoly.z_var(Z1, 0),
+        expected = diffop(1, {(1,): -SparsePoly.z_var(Z1, 0),
                               (0,): -SparsePoly.one(Z1)})
         assert got == expected
 
@@ -182,8 +206,8 @@ class TestTau:
         for _ in range(40):
             alpha = tuple(rng.randint(0, 3) for _ in range(2))
             beta = tuple(rng.randint(0, 3) for _ in range(2))
-            op = DiffOp(2, {alpha: SparsePoly.monomial(Z2, beta)})
-            assert tau(op).nu() == op.nu()
+            op = diffop(2, {alpha: SparsePoly.monomial(Z2, beta)})
+            assert tau(op).symbol.eta() == op.symbol.eta()
 
 
 class TestLambda:
