@@ -13,6 +13,14 @@ first discarded shell is actually computed (truncated to the output window)
 and must vanish, turning the convergence argument into a runtime-checked
 fact.  The number of such verified discards is reported on the result.
 
+Each product is formed once, and only to the z-degree the output window
+depends on.  The oracle composes H with z + N in one compose_map per pass,
+so its components share one table of monomials.  The two series take a
+checked lower bound o on the order of each input u: term |alpha| = a of
+the derivative sum (term m of the phase series) needs u * H^alpha * JF
+(u * P^m * JF) only to z-degree D + a (D + m), the degrees the derivatives
+remove, so its u-free factor is needed only to D + a - o (D + m - o).
+
 Series-truncated H is accepted when it is known deep enough: composition
 routes need trunc(H) >= D, while the derivative-based routes need
 trunc(H) >= D + 1 because the Jacobian factor at z-degree D already
@@ -39,6 +47,7 @@ from .poly import (
     SparsePoly,
     VarSet,
     compose,
+    compose_map,
     det,
     jacobian,
     series_parts,
@@ -97,11 +106,6 @@ def jacobian_factor(h: MapTuple, bound: int) -> SparsePoly:
     return det(jacobian(f_from_h(h)), trunc=bound)
 
 
-def _h_input(h: MapTuple, i: int) -> SparsePoly | SeriesTrunc:
-    c = h.components[i]
-    return c if h.is_exact else SeriesTrunc(c, h.trunc)
-
-
 def _route_result(comps: Sequence[SparsePoly], method: str, bound: int,
                   checked: int) -> InversionResult:
     """Package the inverse G = comps of a route; its tail N = G - z must have o(N) >= 2."""
@@ -138,8 +142,7 @@ def invert_fixed_point(h: MapTuple, bound: int, *,
     n_comps = tuple(SparsePoly.zero(vs) for _ in range(vs.n))
     for _ in range(bound + 2):
         g = MapTuple(tuple(z + c for z, c in zip(zs, n_comps)), bound)
-        new_comps = tuple(compose(_h_input(h, i), g, bound).poly
-                          for i in range(h.n))
+        new_comps = compose_map(h, g, bound).components
         if t_bound is not None:
             new_comps = tuple(c.truncate_t(t_bound) for c in new_comps)
         if new_comps == n_comps:
@@ -171,23 +174,36 @@ def _multi_factorial(alpha: Sequence[int]) -> int:
     return out
 
 
+def _check_orders(us: Sequence[SparsePoly], extra_orders: Sequence[int]) -> int:
+    """Refuse a u of lower order than declared; returns the least declared order."""
+    if len(extra_orders) != len(us):
+        raise ContractViolation(f"{len(us)} series but {len(extra_orders)} order bounds")
+    for idx, (u, o) in enumerate(zip(us, extra_orders)):
+        if not u.is_zero and u.order() < o:
+            raise ContractViolation(
+                f"u {idx} has order {u.order()}, below its declared order bound {o}")
+    return min(extra_orders)
+
+
 def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple,
-                    bound: int, *, include_jf: bool,
+                    bound: int, *, extra_orders: Sequence[int], include_jf: bool,
                     debug: bool) -> tuple[list[SparsePoly], int]:
     """sum over |alpha| <= bound of d^alpha(u * H^alpha * JF?) / alpha!, per u.
 
-    Term |alpha| = a is evaluated with internal pad bound + a (the a degrees
-    the derivative removes).  The shell |alpha| = a is grown from the one
-    before by one multiply per multi-index, H^alpha = H^(alpha - e_i) * H_i
-    with i the first nonzero index of alpha, truncated at bound + a.  The
-    previous shell is known only to z-degree bound + a - 1, which is enough:
-    o(H_i) >= 2, so a term it dropped (degree >= bound + a) would land at
-    degree >= bound + a + 2, past the pad.
+    extra_orders[i] is a lower bound on o(u_i), checked; let o be the least.
+    Term |alpha| = a needs u * H^alpha * JF only to z-degree bound + a (the
+    a degrees the derivative removes), so H^alpha * JF is needed only to
+    bound + a - o.  The shell |alpha| = a is grown from the one before by
+    one multiply per multi-index, H^alpha = H^(alpha - e_i) * H_i with i the
+    first nonzero index of alpha, truncated at bound + a - o.  The previous
+    shell is known only to z-degree bound + a - 1 - o, which is enough:
+    o(H_i) >= 2, so a term it dropped would land past the pad.
     Returns the sums truncated at bound, plus the count of debug-verified
     discarded terms.
     """
     vs = h.vars
     n = h.n
+    o = _check_orders(us, extra_orders)
     one = SparsePoly.one(vs)
     jf = jacobian_factor(h, bound) if include_jf else one
     max_shell = bound
@@ -198,6 +214,7 @@ def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple,
     for a in range(top + 1):
         discard_shell = a > max_shell
         pad = bound + a
+        pad_h = pad - o  # H^alpha and H^alpha * JF meet a u of order >= o
         prev, shell = shell, {}
         for alpha in _compositions(a, n):
             if discard_shell:
@@ -208,11 +225,11 @@ def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple,
             else:
                 i = next(j for j, k in enumerate(alpha) if k)
                 lower = prev[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
-                h_alpha = lower.mul(h.components[i], trunc=pad)
+                h_alpha = lower.mul(h.components[i], trunc=pad_h)
             shell[alpha] = h_alpha
             if h_alpha.is_zero:
                 continue
-            base = h_alpha if not include_jf else h_alpha.mul(jf, trunc=pad)
+            base = h_alpha if not include_jf else h_alpha.mul(jf, trunc=pad_h)
             if base.is_zero:
                 continue
             inv_fact = Fraction(1, _multi_factorial(alpha))
@@ -233,7 +250,8 @@ def invert_ag(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResul
     """Inverse via the derivative sum applied to each coordinate function."""
     _require_h(h, bound, derivatives=True)
     us = [SparsePoly.z_var(h.vars, i) for i in range(h.n)]
-    comps, checked = _derivative_sum(us, h, bound, include_jf=True, debug=debug)
+    comps, checked = _derivative_sum(us, h, bound, extra_orders=[1] * h.n,
+                                     include_jf=True, debug=debug)
     return _route_result(comps, ABHYANKAR_GURJAR, bound, checked)
 
 
@@ -241,7 +259,7 @@ def ag_apply(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
              debug: bool = False) -> SeriesTrunc:
     """u composed with the inverse map, via the derivative sum (no oracle)."""
     _require_h(h, bound, derivatives=True)
-    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound,
+    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound, extra_orders=[0],
                               include_jf=True, debug=debug)
     return SeriesTrunc(sums[0], bound)
 
@@ -253,7 +271,7 @@ def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int,
     fixed-point inverse to z-degree >= bound + 1, since JG differentiates G)."""
     _require_h(h, bound, derivatives=True)
     _require_oracle(oracle, h, bound + 1)
-    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound,
+    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound, extra_orders=[0],
                               include_jf=False, debug=False)
     lhs = sums[0]
     jg = det(jacobian(oracle.G), trunc=bound)
@@ -280,23 +298,29 @@ def _lambda_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
     """k! sum_m lambda^m(u * P^(m+k) * JF) / (m! (m+k)!) for each u (lifted).
 
     Every term has xi-degree exactly k; k = 0 is the inversion series, whose
-    callers drop the xi-block.  extra_orders[i] is a lower bound on o(u_i);
-    term m then has z-order >= m + 2k + extra_orders[i], which sets the
-    per-u summation cutoff.
+    callers drop the xi-block.  extra_orders[i] is a lower bound on o(u_i),
+    checked; term m then has z-order >= m + 2k + extra_orders[i], which sets
+    the per-u summation cutoff.  Term m needs u * P^(m+k) * JF only to
+    z-degree bound + m (the m degrees lambda^m removes), so P^(m+k) * JF is
+    formed once per m, to bound + m - o with o the least of extra_orders,
+    and then multiplied by each u to bound + m.  P^(m+k) grows from the
+    power before it, known to one degree less, which is enough as o(P) >= 2.
     """
+    o = _check_orders(us, extra_orders)
     target, pairing, jf = _phase_data(h, bound)
     jf_is_one = jf == SparsePoly.one(target)
     us_l = [u.lift(target) for u in us]
-    cutoffs = [bound - 2 * k - o for o in extra_orders]
+    cutoffs = [bound - 2 * k - o_u for o_u in extra_orders]
     max_m = max(cutoffs)
     sums = [SparsePoly.zero(target) for _ in us]
     checked = 0
-    p_power = pairing.power(k, trunc=bound)
+    p_power = pairing.power(k, trunc=bound - o)
     top = max_m + (1 if debug else 0)
     for m in range(top + 1):
         pad = bound + m
         if m > 0:
-            p_power = p_power.mul(pairing, trunc=pad)
+            p_power = p_power.mul(pairing, trunc=pad - o)
+        p_jf = p_power if jf_is_one else p_power.mul(jf, trunc=pad - o)
         scale = Fraction(factorial(k), factorial(m) * factorial(m + k))
         for idx, u_l in enumerate(us_l):
             if m > cutoffs[idx] + (1 if debug else 0):
@@ -305,11 +329,9 @@ def _lambda_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
             if discard:
                 # the truncated computation below IS the verification
                 checked += 1
-            if p_power.is_zero:
+            if p_jf.is_zero:
                 continue
-            base = u_l.mul(p_power, trunc=pad)
-            if not jf_is_one:
-                base = base.mul(jf, trunc=pad)
+            base = p_jf.mul(u_l, trunc=pad)
             term = lambda_pow(base, m).truncate_z(bound)
             if term.is_zero:
                 continue
@@ -409,12 +431,12 @@ def verify_round_trip(h: MapTuple, result: InversionResult) -> IdentityReport:
     bound = result.D
     f_map = f_from_h(h)
     vs = h.vars
-    for i in range(h.n):
+    f_of_g = compose_map(f_map, result.G, bound)
+    g_of_f = compose_map(result.G, f_map, bound)
+    for i, (fg, gf) in enumerate(zip(f_of_g, g_of_f)):
         zi = SparsePoly.z_var(vs, i)
-        fg = compose(_h_input(f_map, i), result.G, bound).poly
         if fg != zi:
             return IdentityReport(f"round trip, component {i + 1} of F(G)", fg, zi)
-        gf = compose(SeriesTrunc(result.G.components[i], bound), f_map, bound).poly
         if gf != zi:
             return IdentityReport(f"round trip, component {i + 1} of G(F)", gf, zi)
     ident = SparsePoly.z_var(vs, 0)

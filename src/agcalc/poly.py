@@ -233,13 +233,14 @@ def _reduced(vs: VarSet, terms: dict[int, int], den: int) -> "SparsePoly":
     return _make(vs, terms, den)
 
 
-def _sum_into(out: dict[int, int], den: int, terms: Mapping[int, int], tden: int) -> int:
-    """Add terms/tden to out/den in place; returns the new common denominator.
+def _sum_into(out: dict[int, int], den: int, terms: Mapping[int, int], tden: int,
+              num: int = 1) -> int:
+    """Add num * terms/tden to out/den in place; returns the new common denominator.
 
     Zero numerators may be left in out.
     """
     g = gcd(den, tden)
-    up, scale = tden // g, den // g
+    up, scale = tden // g, den // g * num
     if up != 1:
         for k in out:
             out[k] *= up
@@ -811,7 +812,28 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
     known at least to the requested bound.
     """
     upoly, utrunc = series_parts(u)
-    vsu, vsg = upoly.vars, g.vars
+    return SeriesTrunc(_compose_all([upoly], utrunc, g, bound)[0], bound)
+
+
+def compose_map(h: MapTuple, g: MapTuple, bound: int) -> MapTuple:
+    """Every component of h with g substituted, mod z-degree > bound.
+
+    The components share one table of the z-monomials g^e, so each g^e is
+    built once per call, however many components use it.  A truncated h
+    is composed as proper series, under the same refusals as compose.
+    """
+    return MapTuple(tuple(_compose_all(h.components, h.effective_trunc, g, bound)), bound)
+
+
+def _compose_all(us: Sequence[SparsePoly], utrunc: int | float, g: MapTuple,
+                 bound: int) -> list[SparsePoly]:
+    """Each u of us (one layout, known to z-degree utrunc) composed with g.
+
+    g^e = g^(e without its last nonzero entry) * g_i^(e_i) is memoised for
+    the call, with i that entry, and each output is a scaled sum of table
+    entries; a t-exponent of u enters as a monomial factor through mul.
+    """
+    vsu, vsg = us[0].vars, g.vars
     if vsu.has_xi:
         raise ContractViolation("composition substitutes z-variables only; no xi allowed in u")
     if vsu.n != vsg.n:
@@ -823,7 +845,7 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
     if g.effective_trunc < bound:
         raise TruncationError(
             f"map known to z-degree {g.trunc}; composition to degree {bound} needs >= {bound}")
-    if isinstance(u, SeriesTrunc):
+    if utrunc != INF:
         if utrunc < bound:
             raise TruncationError(
                 f"series u known to z-degree {utrunc}; need >= {bound}")
@@ -835,33 +857,58 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc
 
     n = vsg.n
     const_free = [gi.is_zero or gi.order() >= 1 for gi in g.components]
-    powers = [[SparsePoly.one(vsg)] for _ in range(n)]  # g_i^k, truncated at bound
-    upk = _packing(vsu)
-    zs = vsu.z_start
-    out: dict[int, int] = {}
-    den = 1
-    for key, num in upoly._terms.items():
-        e = upk.exps(key)
-        common = gcd(num, upoly._den)
-        # the z-free monomial c*t^e_t; t is the last field of both layouts
-        acc = _make(vsg, {e[-1] if vsu.has_t else 0: num // common}, upoly._den // common)
-        for i in range(n):
-            b = e[zs + i]
-            if b == 0:
+    one = SparsePoly.one(vsg)
+    zero = SparsePoly.zero(vsg)
+    powers = [[one] for _ in range(n)]  # g_i^k, truncated at bound
+    table: dict[Exponent, SparsePoly] = {(0,) * n: one}  # g^e, truncated at bound
+
+    # not recursive: a closure that refers to itself is a reference cycle,
+    # which would keep the table alive past the call until the cyclic GC runs
+    def g_power(ez: Exponent) -> SparsePoly:
+        """g^ez, filling in the table each missing prefix (ez_1..ez_i, 0..0)."""
+        out = table.get(ez)
+        if out is not None:
+            return out
+        out = one
+        for i, b in enumerate(ez):
+            if not b:
                 continue
-            if const_free[i] and b > bound:
-                acc = SparsePoly.zero(vsg)
-                break
-            pw = powers[i]
-            while len(pw) <= b:
-                pw.append(pw[-1].mul(g.components[i], trunc=bound))
-            acc = acc.mul(pw[b], trunc=bound)
-            if acc.is_zero:
-                break
-        den = _sum_into(out, den, acc._terms, acc._den)
-    # no cut needed: each acc is a z-free monomial or the output of a mul
-    # truncated at bound
-    return SeriesTrunc(_reduced(vsg, out, den), bound)
+            prefix = ez[:i + 1] + (0,) * (n - i - 1)
+            hit = table.get(prefix)
+            if hit is None:
+                if out.is_zero or const_free[i] and b > bound:
+                    hit = zero
+                else:
+                    pw = powers[i]
+                    while len(pw) <= b:
+                        pw.append(pw[-1].mul(g.components[i], trunc=bound))
+                    hit = pw[b] if out is one or pw[b].is_zero else out.mul(pw[b], trunc=bound)
+                table[prefix] = hit
+            out = hit
+        return out
+
+    upk = _packing(vsu)
+    outs = []
+    for upoly in us:
+        out: dict[int, int] = {}
+        den = 1
+        for key, num in upoly._terms.items():
+            e = upk.exps(key)
+            gp = g_power(e[:n])  # the z-block leads both z layouts
+            if gp.is_zero:
+                continue
+            t_exp = e[-1] if vsu.has_t else 0
+            if t_exp:
+                # the z-free monomial c*t^e_t; t is the last field of both layouts
+                common = gcd(num, upoly._den)
+                mono = _make(vsg, {t_exp: num // common}, upoly._den // common)
+                gp = mono if gp is one else mono.mul(gp, trunc=bound)
+                den = _sum_into(out, den, gp._terms, gp._den)
+            else:
+                den = _sum_into(out, den, gp._terms, gp._den * upoly._den, num)
+        # no cut needed: each table entry is 1 or the output of a mul truncated at bound
+        outs.append(_reduced(vsg, out, den))
+    return outs
 
 
 # -- matrices and determinants -------------------------------------------

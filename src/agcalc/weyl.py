@@ -179,9 +179,15 @@ class DiffOp:
             a = terms[alpha]
             dsym = "*".join(f"d{i + 1}^{k}" if k > 1 else f"d{i + 1}"
                             for i, k in enumerate(alpha) if k)
-            coeff = str(a) if a.nterms == 1 else f"({a})"
-            parts.append(f"{coeff}*{dsym}" if dsym and coeff != "1" else (dsym or coeff))
-        return " + ".join(parts)
+            # signs as render_poly writes them: a one-term coefficient carries its sign out
+            negative = a.nterms == 1 and a.items()[0][1] < 0
+            coeff = str(-a if negative else a) if a.nterms == 1 else f"({a})"
+            body = f"{coeff}*{dsym}" if dsym and coeff != "1" else (dsym or coeff)
+            if not parts:
+                parts.append(f"-{body}" if negative else body)
+            else:
+                parts.append(f"- {body}" if negative else f"+ {body}")
+        return " ".join(parts)
 
     def __repr__(self) -> str:
         return f"DiffOp(n={self.n}: {self})"

@@ -335,11 +335,11 @@ class TestFailingChecks:
 
     def test_derivative_sum_discard_check(self):
         us = [SparsePoly.z_var(Z1, 0)]
-        agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3, include_jf=True,
-                                         debug=False)
+        agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3, extra_orders=[1],
+                                         include_jf=True, debug=False)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at \|alpha\|=4 has order <= 3: 5/32\*z1$"):
-            agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3,
+            agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3, extra_orders=[1],
                                              include_jf=True, debug=True)
 
     def test_phase_series_discard_check(self):
@@ -350,6 +350,18 @@ class TestFailingChecks:
                            match=r"term at m=3 has order <= 3: 1/4\*z1$"):
             agcalc.inversion._lambda_sum(us, self.order_one_tail(), 3, extra_orders=[1],
                                          debug=True)
+
+    @pytest.mark.parametrize("series", ["_derivative_sum", "_lambda_sum"])
+    def test_lying_order_bound_refused(self, series):
+        # both sums pad and cut off by the declared order of each u; a u of
+        # lower order would silently lose terms, so it is refused by index
+        sum_fn = getattr(agcalc.inversion, series)
+        z = SparsePoly.z_var(Z1, 0)
+        us = [z, z + SparsePoly.one(Z1)]
+        extra = {"include_jf": True} if series == "_derivative_sum" else {}
+        sum_fn(us, one_var_square(), 4, extra_orders=[1, 0], debug=True, **extra)
+        with pytest.raises(ContractViolation, match=r"u 1 has order 0, below .* 1$"):
+            sum_fn(us, one_var_square(), 4, extra_orders=[1, 1], debug=True, **extra)
 
     def test_round_trip_names_first_difference(self):
         h = one_var_square()
@@ -509,4 +521,19 @@ class TestWorkCounts:
         h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
         results = cross_method_results(h, 5, debug=True)
         assert route_agreement(results).passed
-        assert counts == {"calls": 625, "pairs": 402074}
+        assert counts == {"calls": 366, "pairs": 176298}
+
+    def test_fixed_point_passes(self, monkeypatch):
+        # one compose_map per pass of the oracle; sharing the monomial table
+        # across components must not change how many passes it takes to freeze
+        passes = []
+        compose_map = agcalc.inversion.compose_map
+
+        def counting(h, g, bound):
+            passes.append(bound)
+            return compose_map(h, g, bound)
+
+        monkeypatch.setattr(agcalc.inversion, "compose_map", counting)
+        h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
+        invert_fixed_point(h, 5)
+        assert passes == [5] * 5

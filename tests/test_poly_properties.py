@@ -10,6 +10,7 @@ derandomized, keep no example database, and leave nothing in the working
 directory.
 """
 
+import gc
 import tempfile
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 import poly_reference as ref  # noqa: E402
-from agcalc.errors import ContractViolation  # noqa: E402
+from agcalc.errors import CompositionError, ContractViolation  # noqa: E402
 from agcalc.poly import (  # noqa: E402
     MAX_EXPONENT,
     MapTuple,
@@ -29,6 +30,7 @@ from agcalc.poly import (  # noqa: E402
     SparsePoly,
     VarSet,
     compose,
+    compose_map,
     det,
 )
 from agcalc.weyl import lambda_apply  # noqa: E402
@@ -106,6 +108,85 @@ class TestKernelMatchesReference:
         got = compose(SparsePoly(vs, u), MapTuple.exact([SparsePoly(vs, c) for c in g]), bound)
         assert got.trunc == bound
         assert as_dict(got.poly) == ref.compose(u, g, vs.kind, bound)
+
+
+class TestComposeMap:
+    """compose_map shares one table of the monomials g^e across the components of h."""
+
+    @PROPERTY
+    @given(st.data())
+    def test_matches_reference_per_component(self, data):
+        vs = data.draw(layouts(("z", "zt")))
+        zs = ref.z_block(vs.kind, vs.n)
+        h = [data.draw(polys(vs, max_exp=2, max_terms=4)) for _ in range(vs.n)]
+        g = [data.draw(polys(vs, max_exp=2, max_terms=3)) for _ in range(vs.n)]
+        bound = data.draw(st.integers(0, 4))
+        trunc = data.draw(st.none() | st.integers(bound, bound + 2))
+        if trunc is None:
+            h_map = MapTuple.exact([SparsePoly(vs, c) for c in h])
+        else:  # a truncated h is a proper series: g must be constant-free
+            g = [{e: c for e, c in gi.items() if sum(e[zs])} for gi in g]
+            h_map = MapTuple.truncated([SparsePoly(vs, c) for c in h], trunc)
+        got = compose_map(h_map, MapTuple.exact([SparsePoly(vs, c) for c in g]), bound)
+        assert got.trunc == bound
+        for hi, gi in zip(h_map, got):
+            assert as_dict(gi) == ref.compose(as_dict(hi), g, vs.kind, bound)
+
+    def test_truncated_h_refuses_constant_in_g(self):
+        vs = VarSet.z(2)
+        z1, z2 = SparsePoly.z_var(vs, 0), SparsePoly.z_var(vs, 1)
+        h = MapTuple.truncated([z1.mul(z2), z2.power(2)], 3)
+        g_bad = MapTuple.exact([z1 + SparsePoly.one(vs), z2])
+        with pytest.raises(CompositionError, match="component 1 has a z-constant term"):
+            compose_map(h, g_bad, 3)
+        # the same components, read as exact polynomials, compose fine
+        assert compose_map(MapTuple.exact(h.components), g_bad, 3).trunc == 3
+
+    def test_t_exponent_overflow_refused(self):
+        vs = VarSet.zt(1)
+        t = SparsePoly.t_var(vs)
+        h = MapTuple.exact([SparsePoly(vs, {(1, MAX_EXPONENT): 1})])
+        with pytest.raises(ContractViolation, match="per-variable limit"):
+            compose_map(h, MapTuple.exact([SparsePoly.z_var(vs, 0).mul(t)]), 2)
+
+    def test_table_freed_with_the_call(self):
+        # the monomial table must not sit in a reference cycle, which only
+        # the cyclic garbage collector would free, some time after the call
+        vs = VarSet.z(2)
+        z1, z2 = SparsePoly.z_var(vs, 0), SparsePoly.z_var(vs, 1)
+        h = MapTuple.exact([z1.mul(z2) + z2.power(2), z1.power(3)])
+        g = MapTuple.exact([z1 + z2.power(2), z2 + z1.mul(z2)])
+        gc.collect()
+        gc.disable()
+        try:
+            compose_map(h, g, 5)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_shared_supports_cost_one_component(self, monkeypatch):
+        # three components over the same monomials, with different
+        # coefficients, take exactly the products of one of them
+        vs = VarSet.z(3)
+        support = [(2, 0, 0), (1, 1, 0), (0, 1, 2), (1, 1, 1), (0, 0, 3)]
+        h = MapTuple.exact([SparsePoly(vs, {e: i + j + 1 for j, e in enumerate(support)})
+                            for i in range(3)])
+        g = MapTuple.exact([SparsePoly.z_var(vs, i) + SparsePoly.monomial(vs, e, i + 1)
+                            for i, e in enumerate(support[:3])])
+        calls = []
+        mul = SparsePoly.mul
+
+        def counting_mul(self, other, trunc=None):
+            calls.append(trunc)
+            return mul(self, other, trunc)
+
+        monkeypatch.setattr(SparsePoly, "mul", counting_mul)
+        one = compose(h.components[0], g, 5)
+        one_calls = len(calls)
+        calls.clear()
+        all_three = compose_map(h, g, 5)
+        assert len(calls) == one_calls > 0
+        assert all_three.components[0] == one.poly
 
 
 class TestPackedForm:

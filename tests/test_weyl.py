@@ -170,14 +170,14 @@ class TestRender:
     def test_zero_pure_derivative_and_sign(self):
         assert repr(DiffOp.zero(2)) == "DiffOp(n=2: 0)"
         assert str(DiffOp.partial(2, 1, 2)) == "d2^2"
-        assert str(tau(DiffOp.partial(1, 0))) == "-1*d1"
+        assert str(tau(DiffOp.partial(1, 0))) == "-d1"
 
     def test_order_of_terms(self):
         # highest derivative order first; each coefficient before its derivative
         f = SparsePoly(XIZ2, {(2, 1, 1, 0): Fraction(1, 2), (0, 1, 0, 2): -3,
                               (1, 0, 0, 0): 1})
         assert repr(normal_order(f)) == (
-            "DiffOp(n=2: 1/2*z1*d1^2*d2 + d1*d2 + d1 + -3*z2^2*d2 + -6*z2)")
+            "DiffOp(n=2: 1/2*z1*d1^2*d2 + d1*d2 + d1 - 3*z2^2*d2 - 6*z2)")
 
 
 class TestTau:
