@@ -15,8 +15,8 @@ fact.  The number of such verified discards is reported on the result.
 
 Each product is formed once, and only to the z-degree the output window
 depends on.  The oracle composes H with z + N in one compose_map per pass,
-so its components share one table of monomials.  The two series take a
-checked lower bound o on the order of each input u: term |alpha| = a of
+so its components share one table of monomials.  The two series measure
+o, the least order of their nonzero inputs u: term |alpha| = a of
 the derivative sum (term m of the phase series) needs u * H^alpha * JF
 (u * P^m * JF) only to z-degree D + a (D + m), the degrees the derivatives
 remove, so its u-free factor is needed only to D + a - o (D + m - o).
@@ -174,23 +174,16 @@ def _multi_factorial(alpha: Sequence[int]) -> int:
     return out
 
 
-def _check_orders(us: Sequence[SparsePoly], extra_orders: Sequence[int]) -> int:
-    """Refuse a u of lower order than declared; returns the least declared order."""
-    if len(extra_orders) != len(us):
-        raise ContractViolation(f"{len(us)} series but {len(extra_orders)} order bounds")
-    for idx, (u, o) in enumerate(zip(us, extra_orders)):
-        if not u.is_zero and u.order() < o:
-            raise ContractViolation(
-                f"u {idx} has order {u.order()}, below its declared order bound {o}")
-    return min(extra_orders)
+def _least_order(us: Sequence[SparsePoly], bound: int) -> int:
+    """min o(u) over the nonzero u, capped at bound (a lower bound past it pads nothing)."""
+    return min([bound] + [u.order() for u in us if not u.is_zero])
 
 
-def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple,
-                    bound: int, *, extra_orders: Sequence[int], include_jf: bool,
-                    debug: bool) -> tuple[list[SparsePoly], int]:
+def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
+                    include_jf: bool, debug: bool) -> tuple[list[SparsePoly], int]:
     """sum over |alpha| <= bound of d^alpha(u * H^alpha * JF?) / alpha!, per u.
 
-    extra_orders[i] is a lower bound on o(u_i), checked; let o be the least.
+    Let o be the least order of a nonzero u (at most bound).
     Term |alpha| = a needs u * H^alpha * JF only to z-degree bound + a (the
     a degrees the derivative removes), so H^alpha * JF is needed only to
     bound + a - o.  The shell |alpha| = a is grown from the one before by
@@ -203,7 +196,7 @@ def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple,
     """
     vs = h.vars
     n = h.n
-    o = _check_orders(us, extra_orders)
+    o = _least_order(us, bound)
     one = SparsePoly.one(vs)
     jf = jacobian_factor(h, bound) if include_jf else one
     max_shell = bound
@@ -250,8 +243,7 @@ def invert_ag(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResul
     """Inverse via the derivative sum applied to each coordinate function."""
     _require_h(h, bound, derivatives=True)
     us = [SparsePoly.z_var(h.vars, i) for i in range(h.n)]
-    comps, checked = _derivative_sum(us, h, bound, extra_orders=[1] * h.n,
-                                     include_jf=True, debug=debug)
+    comps, checked = _derivative_sum(us, h, bound, include_jf=True, debug=debug)
     return _route_result(comps, ABHYANKAR_GURJAR, bound, checked)
 
 
@@ -259,8 +251,7 @@ def ag_apply(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
              debug: bool = False) -> SeriesTrunc:
     """u composed with the inverse map, via the derivative sum (no oracle)."""
     _require_h(h, bound, derivatives=True)
-    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound, extra_orders=[0],
-                              include_jf=True, debug=debug)
+    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound, include_jf=True, debug=debug)
     return SeriesTrunc(sums[0], bound)
 
 
@@ -271,8 +262,7 @@ def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int,
     fixed-point inverse to z-degree >= bound + 1, since JG differentiates G)."""
     _require_h(h, bound, derivatives=True)
     _require_oracle(oracle, h, bound + 1)
-    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound, extra_orders=[0],
-                              include_jf=False, debug=False)
+    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound, include_jf=False, debug=False)
     lhs = sums[0]
     jg = det(jacobian(oracle.G), trunc=bound)
     u_of_g = compose(u, oracle.G, bound)
@@ -293,27 +283,28 @@ def _phase_data(h: MapTuple, bound: int) -> tuple[VarSet, SparsePoly, SparsePoly
 
 
 def _lambda_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
-                extra_orders: Sequence[int], debug: bool, k: int = 0
-                ) -> tuple[list[SparsePoly], int]:
+                debug: bool, k: int = 0) -> tuple[list[SparsePoly], int]:
     """k! sum_m lambda^m(u * P^(m+k) * JF) / (m! (m+k)!) for each u (lifted).
 
     Every term has xi-degree exactly k; k = 0 is the inversion series, whose
-    callers drop the xi-block.  extra_orders[i] is a lower bound on o(u_i),
-    checked; term m then has z-order >= m + 2k + extra_orders[i], which sets
-    the per-u summation cutoff.  Term m needs u * P^(m+k) * JF only to
-    z-degree bound + m (the m degrees lambda^m removes), so P^(m+k) * JF is
-    formed once per m, to bound + m - o with o the least of extra_orders,
+    callers drop the xi-block.  Term m of a nonzero u has z-order
+    >= m + 2k + o(u), which sets the per-u summation cutoff; a zero u is
+    skipped.  Term m needs u * P^(m+k) * JF only to z-degree bound + m (the
+    m degrees lambda^m removes), so P^(m+k) * JF is formed once per m, to
+    bound + m - o with o the least order of a nonzero u (at most bound),
     and then multiplied by each u to bound + m.  P^(m+k) grows from the
     power before it, known to one degree less, which is enough as o(P) >= 2.
     """
-    o = _check_orders(us, extra_orders)
     target, pairing, jf = _phase_data(h, bound)
-    jf_is_one = jf == SparsePoly.one(target)
-    us_l = [u.lift(target) for u in us]
-    cutoffs = [bound - 2 * k - o_u for o_u in extra_orders]
-    max_m = max(cutoffs)
     sums = [SparsePoly.zero(target) for _ in us]
     checked = 0
+    us_l = {idx: u.lift(target) for idx, u in enumerate(us) if not u.is_zero}
+    if not us_l:
+        return sums, checked
+    o = _least_order(us, bound)
+    jf_is_one = jf == SparsePoly.one(target)
+    cutoffs = {idx: bound - 2 * k - us[idx].order() for idx in us_l}
+    max_m = max(cutoffs.values())
     p_power = pairing.power(k, trunc=bound - o)
     top = max_m + (1 if debug else 0)
     for m in range(top + 1):
@@ -322,7 +313,7 @@ def _lambda_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
             p_power = p_power.mul(pairing, trunc=pad - o)
         p_jf = p_power if jf_is_one else p_power.mul(jf, trunc=pad - o)
         scale = Fraction(factorial(k), factorial(m) * factorial(m + k))
-        for idx, u_l in enumerate(us_l):
+        for idx, u_l in us_l.items():
             if m > cutoffs[idx] + (1 if debug else 0):
                 continue
             discard = m > cutoffs[idx]
@@ -349,7 +340,7 @@ def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False) -> InversionR
     """Inverse via the phase-space series with u = z_i (cutoff m <= bound - 1)."""
     _require_h(h, bound, derivatives=True)
     us = [SparsePoly.z_var(h.vars, i) for i in range(h.n)]
-    sums, checked = _lambda_sum(us, h, bound, extra_orders=[1] * h.n, debug=debug)
+    sums, checked = _lambda_sum(us, h, bound, debug=debug)
     return _route_result([s.drop_xi() for s in sums], LAMBDA_SERIES, bound, checked)
 
 
@@ -357,8 +348,7 @@ def lambda_compose(q: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
                    debug: bool = False) -> SeriesTrunc:
     """q composed with the inverse map, via the phase-space series (m <= bound)."""
     _require_h(h, bound, derivatives=True)
-    sums, _ = _lambda_sum([_known_to(q, bound, "q")], h, bound, extra_orders=[0],
-                          debug=debug)
+    sums, _ = _lambda_sum([_known_to(q, bound, "q")], h, bound, debug=debug)
     return SeriesTrunc(sums[0].drop_xi(), bound)
 
 
@@ -372,8 +362,7 @@ def xi_moment_series(h: MapTuple, q: SparsePoly | SeriesTrunc, k: int,
     if k < 0:
         raise ContractViolation("moment index k must be >= 0")
     _require_h(h, bound, derivatives=True)
-    sums, _ = _lambda_sum([_known_to(q, bound, "q")], h, bound, extra_orders=[0],
-                          debug=False, k=k)
+    sums, _ = _lambda_sum([_known_to(q, bound, "q")], h, bound, debug=False, k=k)
     return sums[0]
 
 

@@ -804,36 +804,64 @@ def lambda_apply(f: SparsePoly) -> SparsePoly:
 # -- composition ----------------------------------------------------------
 
 
-def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int) -> SeriesTrunc:
+class MonomialTable:
+    """The z-monomials g^e of one map g, truncated at z-degree bound, each built once.
+
+    g^e = g^(e without its last nonzero entry) * g_i^(e_i), with i that
+    entry, so each entry costs at most one multiply from a smaller one.
+    Compositions that share a table share its entries; the table holds no
+    reference to itself, so it is freed as soon as its last user drops it.
+    """
+
+    def __init__(self, g: MapTuple, bound: int) -> None:
+        n = g.vars.n
+        self.g = g
+        self.bound = bound
+        self.const_free = [gi.is_zero or gi.order() >= 1 for gi in g.components]
+        self.one = SparsePoly.one(g.vars)
+        self._zero = SparsePoly.zero(g.vars)
+        self._powers = [[self.one] for _ in range(n)]  # g_i^k, truncated at bound
+        self._table: dict[Exponent, SparsePoly] = {(0,) * n: self.one}
+
+    def power(self, ez: Exponent) -> SparsePoly:
+        """g^ez, filling in the table each missing prefix (ez_1..ez_i, 0..0)."""
+        table = self._table
+        out = table.get(ez)
+        if out is not None:
+            return out
+        n, bound, one = len(ez), self.bound, self.one
+        out = one
+        for i, b in enumerate(ez):
+            if not b:
+                continue
+            prefix = ez[:i + 1] + (0,) * (n - i - 1)
+            hit = table.get(prefix)
+            if hit is None:
+                if out.is_zero or self.const_free[i] and b > bound:
+                    hit = self._zero
+                else:
+                    pw = self._powers[i]
+                    while len(pw) <= b:
+                        pw.append(pw[-1].mul(self.g.components[i], trunc=bound))
+                    hit = pw[b] if out is one or pw[b].is_zero else out.mul(pw[b], trunc=bound)
+                table[prefix] = hit
+            out = hit
+        return out
+
+
+def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int, *,
+            table: MonomialTable | None = None) -> SeriesTrunc:
     """Substitute the components of g for the z-variables of u, mod z-degree > bound.
 
     An exact polynomial u composes with any map; a proper series u needs
     every component of g to be z-constant-free, and both u and g must be
-    known at least to the requested bound.
-    """
-    upoly, utrunc = series_parts(u)
-    return SeriesTrunc(_compose_all([upoly], utrunc, g, bound)[0], bound)
-
-
-def compose_map(h: MapTuple, g: MapTuple, bound: int) -> MapTuple:
-    """Every component of h with g substituted, mod z-degree > bound.
-
-    The components share one table of the z-monomials g^e, so each g^e is
-    built once per call, however many components use it.  A truncated h
-    is composed as proper series, under the same refusals as compose.
-    """
-    return MapTuple(tuple(_compose_all(h.components, h.effective_trunc, g, bound)), bound)
-
-
-def _compose_all(us: Sequence[SparsePoly], utrunc: int | float, g: MapTuple,
-                 bound: int) -> list[SparsePoly]:
-    """Each u of us (one layout, known to z-degree utrunc) composed with g.
-
-    g^e = g^(e without its last nonzero entry) * g_i^(e_i) is memoised for
-    the call, with i that entry, and each output is a scaled sum of table
+    known at least to the requested bound.  table, when given, is the
+    MonomialTable of this g and bound; compositions that pass the same
+    table build each g^e once between them.  u is a scaled sum of table
     entries; a t-exponent of u enters as a monomial factor through mul.
     """
-    vsu, vsg = us[0].vars, g.vars
+    upoly, utrunc = series_parts(u)
+    vsu, vsg = upoly.vars, g.vars
     if vsu.has_xi:
         raise ContractViolation("composition substitutes z-variables only; no xi allowed in u")
     if vsu.n != vsg.n:
@@ -845,70 +873,55 @@ def _compose_all(us: Sequence[SparsePoly], utrunc: int | float, g: MapTuple,
     if g.effective_trunc < bound:
         raise TruncationError(
             f"map known to z-degree {g.trunc}; composition to degree {bound} needs >= {bound}")
-    if utrunc != INF:
+    if table is None:
+        table = MonomialTable(g, bound)
+    elif table.g is not g or table.bound != bound:
+        raise ContractViolation("monomial table was built for another map or bound")
+    if isinstance(u, SeriesTrunc):
         if utrunc < bound:
             raise TruncationError(
                 f"series u known to z-degree {utrunc}; need >= {bound}")
-        for i, gi in enumerate(g.components):
-            if not gi.is_zero and gi.order() == 0:
+        for i, free in enumerate(table.const_free):
+            if not free:
                 raise CompositionError(
                     f"component {i + 1} has a z-constant term; substituting it into a "
                     f"proper series is undefined")
 
     n = vsg.n
-    const_free = [gi.is_zero or gi.order() >= 1 for gi in g.components]
-    one = SparsePoly.one(vsg)
-    zero = SparsePoly.zero(vsg)
-    powers = [[one] for _ in range(n)]  # g_i^k, truncated at bound
-    table: dict[Exponent, SparsePoly] = {(0,) * n: one}  # g^e, truncated at bound
-
-    # not recursive: a closure that refers to itself is a reference cycle,
-    # which would keep the table alive past the call until the cyclic GC runs
-    def g_power(ez: Exponent) -> SparsePoly:
-        """g^ez, filling in the table each missing prefix (ez_1..ez_i, 0..0)."""
-        out = table.get(ez)
-        if out is not None:
-            return out
-        out = one
-        for i, b in enumerate(ez):
-            if not b:
-                continue
-            prefix = ez[:i + 1] + (0,) * (n - i - 1)
-            hit = table.get(prefix)
-            if hit is None:
-                if out.is_zero or const_free[i] and b > bound:
-                    hit = zero
-                else:
-                    pw = powers[i]
-                    while len(pw) <= b:
-                        pw.append(pw[-1].mul(g.components[i], trunc=bound))
-                    hit = pw[b] if out is one or pw[b].is_zero else out.mul(pw[b], trunc=bound)
-                table[prefix] = hit
-            out = hit
-        return out
-
+    one = table.one
     upk = _packing(vsu)
-    outs = []
-    for upoly in us:
-        out: dict[int, int] = {}
-        den = 1
-        for key, num in upoly._terms.items():
-            e = upk.exps(key)
-            gp = g_power(e[:n])  # the z-block leads both z layouts
-            if gp.is_zero:
-                continue
-            t_exp = e[-1] if vsu.has_t else 0
-            if t_exp:
-                # the z-free monomial c*t^e_t; t is the last field of both layouts
-                common = gcd(num, upoly._den)
-                mono = _make(vsg, {t_exp: num // common}, upoly._den // common)
-                gp = mono if gp is one else mono.mul(gp, trunc=bound)
-                den = _sum_into(out, den, gp._terms, gp._den)
-            else:
-                den = _sum_into(out, den, gp._terms, gp._den * upoly._den, num)
-        # no cut needed: each table entry is 1 or the output of a mul truncated at bound
-        outs.append(_reduced(vsg, out, den))
-    return outs
+    out: dict[int, int] = {}
+    den = 1
+    for key, num in upoly._terms.items():
+        e = upk.exps(key)
+        gp = table.power(e[:n])  # the z-block leads both z layouts
+        if gp.is_zero:
+            continue
+        t_exp = e[-1] if vsu.has_t else 0
+        if t_exp:
+            # the z-free monomial c*t^e_t; t is the last field of both layouts
+            common = gcd(num, upoly._den)
+            mono = _make(vsg, {t_exp: num // common}, upoly._den // common)
+            gp = mono if gp is one else mono.mul(gp, trunc=bound)
+            den = _sum_into(out, den, gp._terms, gp._den)
+        else:
+            den = _sum_into(out, den, gp._terms, gp._den * upoly._den, num)
+    # no cut needed: each table entry is 1 or the output of a mul truncated at bound
+    return SeriesTrunc(_reduced(vsg, out, den), bound)
+
+
+def compose_map(h: MapTuple, g: MapTuple, bound: int) -> MapTuple:
+    """Every component of h with g substituted, mod z-degree > bound.
+
+    One compose per component, all through one MonomialTable, so each
+    g^e is built once per call however many components use it.  A
+    truncated h is composed as proper series, under compose's refusals.
+    """
+    table = MonomialTable(g, bound)
+    exact = h.trunc is None
+    return MapTuple(tuple(
+        compose(hi if exact else SeriesTrunc(hi, h.trunc), g, bound, table=table).poly
+        for hi in h.components), bound)
 
 
 # -- matrices and determinants -------------------------------------------

@@ -324,6 +324,18 @@ class TestCrossMethod:
         outer = compose(inner, f_map, 5)
         assert outer.poly == u.truncate_z(5)
 
+    def test_series_pad_by_the_least_measured_order(self):
+        # inputs of orders 0, 1 and 3 and a zero one: each sum is still u(G)
+        h = random_h(random.Random(67), 2)
+        oracle = invert_fixed_point(h, 5)
+        z1, z2 = SparsePoly.z_var(Z2, 0), SparsePoly.z_var(Z2, 1)
+        us = [z2 + SparsePoly.one(Z2), z1, z1 * z1 * z2, SparsePoly.zero(Z2)]
+        want = [compose(u, oracle.G, 5).poly for u in us]
+        ag, _ = agcalc.inversion._derivative_sum(us, h, 5, include_jf=True, debug=True)
+        lam, _ = agcalc.inversion._lambda_sum(us, h, 5, debug=True)
+        assert ag == want
+        assert [s.drop_xi() for s in lam] == want
+
 
 class TestFailingChecks:
     """Each check below must fail when its identity does not hold."""
@@ -335,33 +347,19 @@ class TestFailingChecks:
 
     def test_derivative_sum_discard_check(self):
         us = [SparsePoly.z_var(Z1, 0)]
-        agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3, extra_orders=[1],
-                                         include_jf=True, debug=False)
+        agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3, include_jf=True,
+                                         debug=False)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at \|alpha\|=4 has order <= 3: 5/32\*z1$"):
-            agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3, extra_orders=[1],
+            agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3,
                                              include_jf=True, debug=True)
 
     def test_phase_series_discard_check(self):
         us = [SparsePoly.z_var(Z1, 0)]
-        agcalc.inversion._lambda_sum(us, self.order_one_tail(), 3, extra_orders=[1],
-                                     debug=False)
+        agcalc.inversion._lambda_sum(us, self.order_one_tail(), 3, debug=False)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at m=3 has order <= 3: 1/4\*z1$"):
-            agcalc.inversion._lambda_sum(us, self.order_one_tail(), 3, extra_orders=[1],
-                                         debug=True)
-
-    @pytest.mark.parametrize("series", ["_derivative_sum", "_lambda_sum"])
-    def test_lying_order_bound_refused(self, series):
-        # both sums pad and cut off by the declared order of each u; a u of
-        # lower order would silently lose terms, so it is refused by index
-        sum_fn = getattr(agcalc.inversion, series)
-        z = SparsePoly.z_var(Z1, 0)
-        us = [z, z + SparsePoly.one(Z1)]
-        extra = {"include_jf": True} if series == "_derivative_sum" else {}
-        sum_fn(us, one_var_square(), 4, extra_orders=[1, 0], debug=True, **extra)
-        with pytest.raises(ContractViolation, match=r"u 1 has order 0, below .* 1$"):
-            sum_fn(us, one_var_square(), 4, extra_orders=[1, 1], debug=True, **extra)
+            agcalc.inversion._lambda_sum(us, self.order_one_tail(), 3, debug=True)
 
     def test_round_trip_names_first_difference(self):
         h = one_var_square()

@@ -21,11 +21,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
+import agcalc.poly  # noqa: E402
 import poly_reference as ref  # noqa: E402
 from agcalc.errors import CompositionError, ContractViolation  # noqa: E402
 from agcalc.poly import (  # noqa: E402
     MAX_EXPONENT,
     MapTuple,
+    MonomialTable,
     PolyMatrix,
     SparsePoly,
     VarSet,
@@ -187,6 +189,33 @@ class TestComposeMap:
         all_three = compose_map(h, g, 5)
         assert len(calls) == one_calls > 0
         assert all_three.components[0] == one.poly
+
+    def test_one_compose_per_component(self, monkeypatch):
+        # compose_map is compose per component over one shared table, so a
+        # count of compose calls still counts component compositions
+        vs = VarSet.z(2)
+        z1, z2 = SparsePoly.z_var(vs, 0), SparsePoly.z_var(vs, 1)
+        h = MapTuple.exact([z1.mul(z2), z2.power(2)])
+        g = MapTuple.exact([z1 + z2.power(2), z2])
+        tables = []
+        original = agcalc.poly.compose
+
+        def counting(u, g_map, bound, *, table=None):
+            tables.append(table)
+            return original(u, g_map, bound, table=table)
+
+        monkeypatch.setattr(agcalc.poly, "compose", counting)
+        compose_map(h, g, 4)
+        assert len(tables) == 2 and tables[0] is tables[1] is not None
+
+    def test_table_of_another_map_refused(self):
+        vs = VarSet.z(1)
+        z = SparsePoly.z_var(vs, 0)
+        g = MapTuple.exact([z + z.power(2)])
+        with pytest.raises(ContractViolation, match="another map or bound"):
+            compose(z.power(2), g, 3, table=MonomialTable(g, 4))
+        with pytest.raises(ContractViolation, match="another map or bound"):
+            compose(z.power(2), g, 3, table=MonomialTable(MapTuple.exact([z]), 3))
 
 
 class TestPackedForm:
