@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("fixedpoint", "ag", "lambda", "all"),
                    default="all")
     p.add_argument("--debug", action="store_true",
-                   help="verify that every summation-cutoff discard has order > D")
+                   help="check that the first shell past each summation cutoff vanishes")
     common(p)
     p.set_defaults(func=cmd_invert)
 

@@ -8,10 +8,13 @@ abhyankar_gurjar evaluate the derivative sum over multi-indices alpha of
 lambda_series    evaluate sum_m lambda^m(q * P^m * JF) / (m!)^2 with
                  P = <xi, H>, reading the inverse off the xi-degree-0 part.
 
-Every summation cutoff is justified by an order bound; with debug=True the
-first discarded shell is actually computed (truncated to the output window)
-and must vanish, turning the convergence argument into a runtime-checked
-fact.  The number of such verified discards is reported on the result.
+Every summation cutoff is justified by an order bound.  With debug=True the
+first discarded shell (term) is computed as well, under the same truncations
+as the kept ones, and must vanish.  On valid input, o(H) >= 2, which every
+route enforces, those truncations already zero it, so the check passes by
+construction: it guards the summation cutoff against a loop that stops too
+early, not the truncation pads.  The count of checked discards is reported
+on the result.
 
 Each product is formed once, and only to the z-degree the output window
 depends on.  The oracle composes H with z + N in one compose_map per pass,
@@ -181,16 +184,17 @@ def _least_order(us: Sequence[SparsePoly], bound: int) -> int:
 
 def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
                     include_jf: bool, debug: bool) -> tuple[list[SparsePoly], int]:
-    """sum over |alpha| <= bound of d^alpha(u * H^alpha * JF?) / alpha!, per u.
+    """sum over |alpha| <= bound - o of d^alpha(u * H^alpha * JF?) / alpha!, per u.
 
-    Let o be the least order of a nonzero u (at most bound).
-    Term |alpha| = a needs u * H^alpha * JF only to z-degree bound + a (the
-    a degrees the derivative removes), so H^alpha * JF is needed only to
-    bound + a - o.  The shell |alpha| = a is grown from the one before by
-    one multiply per multi-index, H^alpha = H^(alpha - e_i) * H_i with i the
-    first nonzero index of alpha, truncated at bound + a - o.  The previous
-    shell is known only to z-degree bound + a - 1 - o, which is enough:
-    o(H_i) >= 2, so a term it dropped would land past the pad.
+    Let o be the least order of a nonzero u (at most bound).  Term |alpha| = a
+    has z-order >= o + 2a - a, so the sum stops at a = bound - o.  It needs
+    u * H^alpha * JF only to z-degree bound + a (the a degrees the derivative
+    removes), so H^alpha * JF is needed only to bound + a - o.  The shell
+    |alpha| = a is grown from the one before by one multiply per multi-index,
+    H^alpha = H^(alpha - e_i) * H_i with i the first nonzero index of alpha,
+    truncated at bound + a - o.  The previous shell is known only to z-degree
+    bound + a - 1 - o, which is enough: o(H_i) >= 2, so a term it dropped
+    would land past the pad.
     Returns the sums truncated at bound, plus the count of debug-verified
     discarded terms.
     """
@@ -199,7 +203,7 @@ def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
     o = _least_order(us, bound)
     one = SparsePoly.one(vs)
     jf = jacobian_factor(h, bound) if include_jf else one
-    max_shell = bound
+    max_shell = bound - o
     shell: dict[tuple[int, ...], SparsePoly] = {}  # H^alpha for every |alpha| = a
     sums = [SparsePoly.zero(vs) for _ in us]
     checked = 0

@@ -24,13 +24,13 @@ from .errors import (
     TermCeilingExceeded,
     VerificationError,
 )
-from .inversion import invert_fixed_point
+from .inversion import f_from_h, invert_fixed_point
 from .poly import (
     MapTuple,
-    PolyMatrix,
     SparsePoly,
     VarSet,
     compose,
+    compose_map,
     det,
     jacobian,
     render_poly,
@@ -71,13 +71,10 @@ class NilpotencyCertificate:
 
 
 def is_nilpotent(h: MapTuple) -> NilpotencyCertificate:
-    """JH is nilpotent exactly when det(I - t*JH) collapses to 1."""
+    """JH is nilpotent exactly when det J(z - t*H) = det(I - t*JH) collapses to 1."""
     _require_exact(h)
-    zt = VarSet.zt(h.vars.n)
-    t = SparsePoly.t_var(zt)
-    tjh = jacobian(h).map(lambda p: p.lift(zt).mul(t))
-    cert = det(PolyMatrix.identity(zt, h.n).sub(tjh))
-    return NilpotencyCertificate(cert == SparsePoly.one(zt), cert)
+    cert = det(jacobian(f_from_h(_deformed_map(h))))
+    return NilpotencyCertificate(cert == SparsePoly.one(cert.vars), cert)
 
 
 # -- vanishing scans ---------------------------------------------------------
@@ -211,7 +208,7 @@ def _jacobian_series_report(h: MapTuple, scan0: VanishingReport) -> IdentityRepo
     oracle_bound = z_window + 1  # one extra degree: the determinant differentiates
     oracle = invert_fixed_point(_deformed_map(h), oracle_bound, t_bound=scan0.mmax)
     jg = det(jacobian(oracle.G), trunc=z_window).truncate_t(scan0.mmax)
-    return IdentityReport("deformed Jacobian series", series, jg.truncate_z(z_window))
+    return IdentityReport("deformed Jacobian series", series, jg)
 
 
 def _nt_series_report(h: MapTuple, scan1: VanishingReport) -> IdentityReport:
@@ -230,7 +227,7 @@ def _nt_series_report(h: MapTuple, scan1: VanishingReport) -> IdentityReport:
         yield IdentityReport(name, SparsePoly.zero(tail.vars), tail.truncate_t(0),
                              where="oracle tail at t^0")
         n_t = _divide_by_t(oracle.N).apply(lambda c: c.truncate_t(scan1.mmax))
-        yield IdentityReport(name, series, xi_pairing(n_t).truncate_z(z_window))
+        yield IdentityReport(name, series, xi_pairing(n_t))
     return first_failure(comparisons())
 
 
@@ -433,31 +430,32 @@ class CorpusItem:
         return self.h.is_exact
 
 
-def _random_monomial(rng, vs: VarSet, allowed: Sequence[int], degree: int,
-                     coeff_range=(-2, 2)) -> SparsePoly:
-    exps = [0] * vs.nvars
-    for _ in range(degree):
-        exps[vs.z_index(rng.choice(allowed))] += 1
-    c = 0
-    while c == 0:
-        c = rng.randint(*coeff_range)
-    return SparsePoly.monomial(vs, exps, c)
+def _random_poly(rng, vs: VarSet, allowed: Sequence[int], terms: tuple[int, int],
+                 degrees: tuple[int, int]) -> SparsePoly:
+    """A sum of rng.randint(*terms) monomials in the z-variables allowed.
+
+    Each has a degree drawn from degrees (a fixed degree draws nothing) and
+    a nonzero coefficient in [-2, 2]; the monomials are summed as drawn.
+    """
+    lo, hi = degrees
+    acc = SparsePoly.zero(vs)
+    for _ in range(rng.randint(*terms)):
+        exps = [0] * vs.nvars
+        for _ in range(lo if lo == hi else rng.randint(lo, hi)):
+            exps[vs.z_index(rng.choice(allowed))] += 1
+        c = 0
+        while c == 0:
+            c = rng.randint(-2, 2)
+        acc = acc + SparsePoly.monomial(vs, exps, c)
+    return acc
 
 
 def _strictly_triangular(rng, n: int, homogeneous: int | None = None) -> MapTuple:
     vs = VarSet.z(n)
-    comps = []
-    for i in range(n):
-        allowed = list(range(i + 1, n))
-        if not allowed:
-            comps.append(SparsePoly.zero(vs))
-            continue
-        acc = SparsePoly.zero(vs)
-        for _ in range(rng.randint(1, 2)):
-            d = homogeneous if homogeneous is not None else rng.randint(2, MAX_DEGREE)
-            acc = acc + _random_monomial(rng, vs, allowed, d)
-        comps.append(acc)
-    return MapTuple.exact(tuple(comps))
+    degrees = (2, MAX_DEGREE) if homogeneous is None else (homogeneous, homogeneous)
+    return MapTuple.exact(tuple(
+        _random_poly(rng, vs, range(i + 1, n), (1, 2), degrees) if i < n - 1
+        else SparsePoly.zero(vs) for i in range(n)))
 
 
 def _back_substitute(h: MapTuple) -> MapTuple:
@@ -503,64 +501,46 @@ def _unimodular(rng, n: int) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _linear_map(vs: VarSet, m: list[list[int]]) -> MapTuple:
-    comps = []
-    for i in range(vs.n):
-        acc = SparsePoly.zero(vs)
-        for j in range(vs.n):
-            if m[i][j]:
-                acc = acc + SparsePoly.z_var(vs, j).scale(m[i][j])
-        comps.append(acc)
-    return MapTuple.exact(tuple(comps))
+    """z -> m z over the z layout of vs."""
+    return MapTuple.exact(tuple(
+        SparsePoly(vs, {tuple(int(k == j) for k in range(vs.nvars)): c
+                        for j, c in enumerate(row) if c}) for row in m))
 
 
 def _conjugate_map(h: MapTuple, t_mat: list[list[int]],
                    t_inv: list[list[int]]) -> MapTuple:
-    """T^-1 H(T z): same nilpotency and inverse structure in new coordinates."""
-    vs = h.vars
-    n = h.n
-    tz = _linear_map(vs, t_mat)
-    substituted = []
-    for c in h.components:
-        if c.is_zero:
-            substituted.append(c)
-        else:
-            substituted.append(compose(c, tz, int(c.degree())).poly)
-    comps = []
-    for i in range(n):
-        acc = SparsePoly.zero(vs)
-        for j in range(n):
-            if t_inv[i][j]:
-                acc = acc + substituted[j].scale(t_inv[i][j])
-        comps.append(acc)
-    return MapTuple.exact(tuple(comps))
+    """T^-1 H(T z): same nilpotency and inverse structure in new coordinates.
+
+    Composed as (T^-1 H)(T z): the monomials of T^-1 H are among those of H,
+    which are fewer than those of H(T z).  T is linear, so both compositions
+    are exact at the largest z-degree of h.
+    """
+    bound = max(0, *(c.degree() for c in h.components))
+    t_inv_h = compose_map(_linear_map(h.vars, t_inv), h, bound)
+    return MapTuple.exact(compose_map(t_inv_h, _linear_map(h.vars, t_mat), bound).components)
 
 
 def _random_series_map(rng, n: int) -> MapTuple:
     vs = VarSet.z(n)
-    comps = []
-    for _ in range(n):
-        acc = SparsePoly.zero(vs)
-        for _ in range(rng.randint(1, 3)):
-            d = rng.randint(2, MAX_DEGREE + 1)
-            acc = acc + _random_monomial(rng, vs, list(range(n)), d)
-        comps.append(acc)
-    return MapTuple.truncated(tuple(comps), SERIES_TRUNC)
+    return MapTuple.truncated(tuple(
+        _random_poly(rng, vs, range(n), (1, 3), (2, MAX_DEGREE + 1)) for _ in range(n)),
+        SERIES_TRUNC)
 
 
-def _control_map(rng, n: int) -> MapTuple:
+def _control_map(rng, n: int, idx: int) -> MapTuple:
+    """Item idx of a control cell, certified non-nilpotent by one is_nilpotent.
+
+    For n = 1, and for item 0 of n = 2, it is the canonical (z1^2, 0, ...),
+    which draws nothing from rng.
+    """
     vs = VarSet.z(n)
+    canonical = n == 1 or (n == 2 and idx == 0)
     for _ in range(32):
-        comps = []
-        for i in range(n):
-            acc = SparsePoly.zero(vs)
-            for _ in range(rng.randint(0, 2)):
-                d = rng.randint(2, MAX_DEGREE)
-                acc = acc + _random_monomial(rng, vs, list(range(n)), d)
-            comps.append(acc)
+        comps = [SparsePoly.zero(vs) if canonical else
+                 _random_poly(rng, vs, range(n), (0, 2), (2, MAX_DEGREE)) for _ in range(n)]
         # a diagonal square term usually forces a nonzero Jacobian trace;
         # random cancellation is possible, so reject and redraw
-        comps[0] = comps[0] + SparsePoly.monomial(vs, tuple(
-            2 if j == vs.z_index(0) else 0 for j in range(vs.nvars)))
+        comps[0] = comps[0] + SparsePoly.monomial(vs, (2,) + (0,) * (n - 1))
         h = MapTuple.exact(tuple(comps))
         if not is_nilpotent(h).nilpotent:
             return h
@@ -603,15 +583,7 @@ def gen_corpus(spec: CorpusSpec) -> list[CorpusItem]:
             items.append(CorpusItem(item_id, spec.family, h, True, known_n,
                                     _nt_degree(base)))
         elif spec.family == "control":
-            if n == 1:
-                h = MapTuple.exact((SparsePoly.monomial(vs, (2,)),))
-            elif n == 2 and idx == 0:
-                h = MapTuple.exact((SparsePoly.monomial(vs, (2, 0)), SparsePoly.zero(vs)))
-            else:
-                h = _control_map(rng, n)
-            if is_nilpotent(h).nilpotent:
-                raise ContractViolation("control instance is unexpectedly nilpotent")
-            items.append(CorpusItem(item_id, spec.family, h, False))
+            items.append(CorpusItem(item_id, spec.family, _control_map(rng, n, idx), False))
         else:  # series
             h = _random_series_map(rng, n)
             items.append(CorpusItem(item_id, spec.family, h, None))

@@ -960,22 +960,6 @@ class PolyMatrix:
 
     __hash__ = None
 
-    @classmethod
-    def identity(cls, vs: VarSet, dim: int) -> "PolyMatrix":
-        one, zero = SparsePoly.one(vs), SparsePoly.zero(vs)
-        return cls(tuple(tuple(one if i == j else zero for j in range(dim))
-                         for i in range(dim)))
-
-    def map(self, f: Callable[[SparsePoly], SparsePoly]) -> "PolyMatrix":
-        return PolyMatrix(tuple(tuple(f(e) for e in r) for r in self.rows))
-
-    def sub(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.dim != other.dim:
-            raise ContractViolation("matrix dimension mismatch")
-        return PolyMatrix(tuple(
-            tuple(self.rows[i][j] - other.rows[i][j] for j in range(self.dim))
-            for i in range(self.dim)))
-
 
 def jacobian(h: MapTuple) -> PolyMatrix:
     """Matrix of z-partials: entry (i, j) = d h_i / d z_j."""

@@ -5,7 +5,9 @@ plain ``{exponent tuple: Fraction}`` dict with no zero coefficients and
 shares no code with ``agcalc.poly``; the property tests compare the kernel
 with it.  ``exact_div`` and ``_det_bareiss`` work through the public
 ``SparsePoly`` API and give ``det`` an independent second route.
-``diffop`` builds an operator from its grouped terms {alpha: a_alpha(z)}.
+``diffop`` builds an operator from its grouped terms {alpha: a_alpha(z)};
+``deformation_matrix`` builds the nilpotency test's matrix I - t*JH entry by
+entry, beside ``agcalc.lab``'s route through J(z - t*H).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from math import perm
 
 from agcalc.errors import ContractViolation
-from agcalc.poly import PolyMatrix, SparsePoly, VarSet
+from agcalc.poly import MapTuple, PolyMatrix, SparsePoly, VarSet
 from agcalc.weyl import DiffOp
 
 Poly = dict  # {tuple[int, ...]: Fraction}, zero coefficients never stored
@@ -119,6 +121,16 @@ def exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
             else:
                 rem.pop(ne, None)
     return SparsePoly(p.vars, out)
+
+
+def deformation_matrix(h: MapTuple) -> PolyMatrix:
+    """I - t*JH over the (z, t) layout: entry (i, j) is delta_ij - t * d h_i / d z_j."""
+    zt = VarSet.zt(h.n)
+    t = SparsePoly.t_var(zt)
+    return PolyMatrix(tuple(
+        tuple((SparsePoly.one(zt) if i == j else SparsePoly.zero(zt))
+              - h.components[i].diff_z(j).lift(zt).mul(t) for j in range(h.n))
+        for i in range(h.n)))
 
 
 def _det_bareiss(m: PolyMatrix) -> SparsePoly:

@@ -1,5 +1,7 @@
 """Nilpotency certificates, vanishing scans, deformation series, and the corpus."""
 
+import hashlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -13,6 +15,7 @@ from agcalc.errors import (
 )
 from agcalc.inversion import cross_method_results, invert_fixed_point
 from agcalc.lab import (
+    FAMILIES,
     CorpusSpec,
     check_equivalences,
     deformed_tail_components,
@@ -25,7 +28,8 @@ from agcalc.lab import (
     vanishing_scan,
     vanishing_scan_poly,
 )
-from agcalc.poly import MapTuple, SparsePoly, VarSet, xi_pairing
+from agcalc.poly import MapTuple, SparsePoly, VarSet, det, xi_pairing
+from poly_reference import _det_bareiss, deformation_matrix
 
 Z1 = VarSet.z(1)
 Z2 = VarSet.z(2)
@@ -61,6 +65,35 @@ class TestNilpotency:
         h = MapTuple.truncated((SparsePoly.monomial(Z2, (0, 2)), SparsePoly.zero(Z2)), 6)
         with pytest.raises(PreconditionError):
             is_nilpotent(h)
+
+    def test_certificate_matches_entrywise_reference(self):
+        # the certificate is det J(z - t*H); the reference builds I - t*JH
+        # entry by entry and takes its determinant by cofactors and by Bareiss
+        rng = random.Random(17)
+        maps = []
+        for n in range(1, 5):
+            vs = VarSet.z(n)
+            for _ in range(3):
+                comps = []
+                for _ in range(n):
+                    terms = {}
+                    for _ in range(rng.randint(0, 3)):
+                        exps = [0] * n
+                        for _ in range(rng.randint(2, 3)):
+                            exps[rng.randrange(n)] += 1
+                        terms[tuple(exps)] = rng.choice([-2, -1, 1, 2])
+                    comps.append(SparsePoly(vs, terms))
+                maps.append(MapTuple.exact(tuple(comps)))
+            families = ("triangular", "cubic") if n > 1 else ("triangular",)
+            for family in families:
+                maps += [i.h for i in gen_corpus(CorpusSpec(n=n, family=family, count=2, seed=n))]
+        verdicts = set()
+        for h in maps:
+            m = deformation_matrix(h)
+            cert = is_nilpotent(h)
+            assert cert.det_deformation == det(m) == _det_bareiss(m)
+            verdicts.add(cert.nilpotent)
+        assert verdicts == {True, False}
 
 
 class TestVanishingScan:
@@ -413,3 +446,28 @@ class TestCorpus:
             res = cross_method_results(item.h, 4)
             gs = [r.G for r in res.values()]
             assert gs[0] == gs[1] == gs[2]
+
+
+def _corpus_digest() -> str:
+    """sha256 over (item_id, h, nilpotent, known_n, nt_degree) of a fixed corpus sweep."""
+    items = standard_corpus(0) + standard_corpus(1)
+    for seed in range(3):
+        for n in range(1, 5):
+            for family in FAMILIES:
+                if family == "cubic" and n == 1:
+                    continue
+                items += gen_corpus(CorpusSpec(n=n, family=family, count=8, seed=seed))
+    digest = hashlib.sha256()
+    for item in items:
+        row = (item.item_id, str(item.h), item.nilpotent, str(item.known_n), item.nt_degree)
+        digest.update(repr(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+class TestCorpusPin:
+    # recorded before the generator moved onto compose_map and J(z - tH);
+    # golden report digests do not see known_n beyond z-degree 4
+    DIGEST = "203c38af040cb6befadd7155affdd56a2e9489f836200e51673b8494abddb1d0"
+
+    def test_corpus_items_unchanged(self):
+        assert _corpus_digest() == self.DIGEST

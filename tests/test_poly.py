@@ -28,7 +28,7 @@ from agcalc.poly import (
     render_poly,
     xi_pairing,
 )
-from poly_reference import _det_bareiss, exact_div
+from poly_reference import _det_bareiss, deformation_matrix, exact_div
 
 Z2 = VarSet.z(2)
 XIZ2 = VarSet.xiz(2)
@@ -218,28 +218,27 @@ class TestJacobianAndDet:
         assert m.entry(1, 0).is_zero and m.entry(1, 1).is_zero
 
     def test_jacobian_identity(self):
-        m = jacobian(MapTuple.identity(Z2))
-        assert m == PolyMatrix.identity(Z2, 2)
+        # I - t*J0 is the identity matrix over (z, t)
+        m = jacobian(MapTuple.identity(VarSet.zt(2)))
+        assert m == deformation_matrix(MapTuple.exact((SparsePoly.zero(Z2),) * 2))
 
     def test_det_nilpotent_deformation(self):
         # det(I - t*JH) for H = (z2^2, 0) is 1
         zt = VarSet.zt(2)
         h = MapTuple.exact((SparsePoly.monomial(Z2, (0, 2)), SparsePoly.zero(Z2)))
-        jh = jacobian(h).map(lambda p: p.lift(zt).mul(SparsePoly.t_var(zt)))
-        m = PolyMatrix.identity(zt, 2).sub(jh)
-        assert det(m) == SparsePoly.one(zt)
+        assert det(deformation_matrix(h)) == SparsePoly.one(zt)
 
     def test_det_non_nilpotent_deformation(self):
         # H = (z1^2, 0): det(I - t*JH) = 1 - 2*t*z1
         zt = VarSet.zt(2)
         h = MapTuple.exact((SparsePoly.monomial(Z2, (2, 0)), SparsePoly.zero(Z2)))
-        jh = jacobian(h).map(lambda p: p.lift(zt).mul(SparsePoly.t_var(zt)))
-        m = PolyMatrix.identity(zt, 2).sub(jh)
         expected = SparsePoly.one(zt) - SparsePoly.monomial(zt, (1, 0, 1), 2)
-        assert det(m) == expected
+        assert det(deformation_matrix(h)) == expected
 
     def test_det_identity(self):
-        assert det(PolyMatrix.identity(Z2, 3)) == SparsePoly.one(Z2)
+        z3 = VarSet.z(3)
+        m = deformation_matrix(MapTuple.exact((SparsePoly.zero(z3),) * 3))
+        assert det(m) == SparsePoly.one(VarSet.zt(3))
 
     def test_cofactor_matches_bareiss_random(self):
         rng = random.Random(99)
@@ -250,8 +249,6 @@ class TestJacobianAndDet:
             m = PolyMatrix(rows)
             assert det(m) == _det_bareiss(m)
         # dim 5 over (z, t), of the nilpotency-certificate shape I - t*JH
-        zt = VarSet.zt(5)
-        t = SparsePoly.t_var(zt)
         z5 = VarSet.z(5)
         for _ in range(3):
             comps = []
@@ -263,9 +260,7 @@ class TestJacobianAndDet:
                     exps[rng.randrange(5)] += 1
                     acc = acc + SparsePoly.monomial(z5, exps, rng.choice([-2, -1, 1, 2]))
                 comps.append(acc)
-            h = MapTuple.exact(tuple(comps))
-            m = PolyMatrix.identity(zt, 5).sub(
-                jacobian(h).map(lambda p: p.lift(zt).mul(t)))
+            m = deformation_matrix(MapTuple.exact(tuple(comps)))
             assert det(m) == _det_bareiss(m)
 
     def test_exact_div_roundtrip(self):
