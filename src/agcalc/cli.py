@@ -402,13 +402,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true",
                        help="print elapsed seconds to stderr (kept out of reports)")
 
+    def debug_flag(p):
+        p.add_argument("--debug", action="store_true",
+                       help="check that the first shell past each summation cutoff vanishes")
+
     p = sub.add_parser("invert", help="compute the inverse map to a degree")
     p.add_argument("mapfile")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--method", choices=("fixedpoint", "ag", "lambda", "all"),
                    default="all")
-    p.add_argument("--debug", action="store_true",
-                   help="check that the first shell past each summation cutoff vanishes")
+    debug_flag(p)
     common(p)
     p.set_defaults(func=cmd_invert)
 
@@ -438,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=6)
     p.add_argument("--m-max", type=int, default=4, dest="m_max")
     p.add_argument("--xi-degree", type=int, default=2, dest="xi_degree")
-    p.add_argument("--debug", action="store_true")
+    debug_flag(p)
     common(p)
     p.set_defaults(func=cmd_corpus)
     return parser

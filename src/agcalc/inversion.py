@@ -3,10 +3,15 @@
 fixed_point      iterate N <- H(z + N) until the truncation freezes; this is
                  the oracle every other route is checked against.
 abhyankar_gurjar evaluate the derivative sum over multi-indices alpha of
-                 d^alpha(u * H^alpha * JF) / alpha!, truncated by the order
-                 bound o(H^alpha) >= 2|alpha|.
-lambda_series    evaluate sum_m lambda^m(q * P^m * JF) / (m!)^2 with
-                 P = <xi, H>, reading the inverse off the xi-degree-0 part.
+                 d^alpha(u * H^alpha * JF) / alpha! once, on u = <xi, H>:
+                 d^alpha acts on z only and G = z + H(G), so the sum is
+                 <xi, H(G)> = <xi, N>; the order bound o(H^alpha) >= 2|alpha|
+                 stops it at |alpha| = D - 2.
+lambda_series    evaluate the k = 1 phase series
+                 sum_m lambda^m(P^(m+1) * JF) / (m! (m+1)!) with P = <xi, H>,
+                 which is <xi, N>; it stops at m = D - 2.
+
+Both series routes read N_i off <xi, N> as the coefficient of xi_i.
 
 Every summation cutoff is justified by an order bound.  With debug=True the
 first discarded shell (term) is computed as well, under the same truncations
@@ -18,11 +23,11 @@ on the result.
 
 Each product is formed once, and only to the z-degree the output window
 depends on.  The oracle composes H with z + N in one compose_map per pass,
-so its components share one table of monomials.  The two series measure
-o, the least order of their nonzero inputs u: term |alpha| = a of
-the derivative sum (term m of the phase series) needs u * H^alpha * JF
-(u * P^m * JF) only to z-degree D + a (D + m), the degrees the derivatives
-remove, so its u-free factor is needed only to D + a - o (D + m - o).
+so its components share one table of monomials.  Term |alpha| = a of the
+derivative sum (term m of the phase series) needs u * H^alpha * JF
+(u * P^(m+k) * JF) only to z-degree D + a (D + m), the degrees the
+derivatives remove; each is one multiply by H_i (by P) from a term before
+it, truncated there.
 
 Series-truncated H is accepted when it is known deep enough: composition
 routes need trunc(H) >= D, while the derivative-based routes need
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -48,7 +53,6 @@ from .poly import (
     MapTuple,
     SeriesTrunc,
     SparsePoly,
-    VarSet,
     compose,
     compose_map,
     det,
@@ -109,14 +113,13 @@ def jacobian_factor(h: MapTuple, bound: int) -> SparsePoly:
     return det(jacobian(f_from_h(h)), trunc=bound)
 
 
-def _route_result(comps: Sequence[SparsePoly], method: str, bound: int,
-                  checked: int) -> InversionResult:
-    """Package the inverse G = comps of a route; its tail N = G - z must have o(N) >= 2."""
-    g_map = MapTuple(tuple(comps), bound)
-    n_map = MapTuple(tuple(c - SparsePoly.z_var(c.vars, i)
-                           for i, c in enumerate(comps)), bound)
+def _route_result(tail: Sequence[SparsePoly], method: str, bound: int,
+                  checked: int = 0) -> InversionResult:
+    """Package the inverse G = z + N of a route from its tail N, which must have o(N) >= 2."""
+    n_map = MapTuple(tuple(tail), bound)
     if n_map.order() < 2:
         raise AgcalcError(f"{method} inverse violated o(N) >= 2")
+    g_map = MapTuple(tuple(SparsePoly.z_var(c.vars, i) + c for i, c in enumerate(tail)), bound)
     return InversionResult(g_map, n_map, method, bound, checked)
 
 
@@ -153,9 +156,7 @@ def invert_fixed_point(h: MapTuple, bound: int, *,
         n_comps = new_comps
     else:
         raise AgcalcError("fixed-point iteration failed to freeze (order contract broken?)")
-    n_map = MapTuple(n_comps, bound)
-    g_map = MapTuple(tuple(z + c for z, c in zip(zs, n_comps)), bound)
-    return InversionResult(g_map, n_map, FIXED_POINT, bound)
+    return _route_result(n_comps, FIXED_POINT, bound)
 
 
 # -- route 2: the derivative sum --------------------------------------------
@@ -170,93 +171,71 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _multi_factorial(alpha: Sequence[int]) -> int:
-    out = 1
-    for a in alpha:
-        out *= factorial(a)
-    return out
+def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
+                    include_jf: bool, debug: bool) -> tuple[SparsePoly, int]:
+    """sum over |alpha| <= bound - o of d^alpha(u * H^alpha * JF?) / alpha!.
 
-
-def _least_order(us: Sequence[SparsePoly], bound: int) -> int:
-    """min o(u) over the nonzero u, capped at bound (a lower bound past it pads nothing)."""
-    return min([bound] + [u.order() for u in us if not u.is_zero])
-
-
-def _derivative_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
-                    include_jf: bool, debug: bool) -> tuple[list[SparsePoly], int]:
-    """sum over |alpha| <= bound - o of d^alpha(u * H^alpha * JF?) / alpha!, per u.
-
-    Let o be the least order of a nonzero u (at most bound).  Term |alpha| = a
-    has z-order >= o + 2a - a, so the sum stops at a = bound - o.  It needs
-    u * H^alpha * JF only to z-degree bound + a (the a degrees the derivative
-    removes), so H^alpha * JF is needed only to bound + a - o.  The shell
-    |alpha| = a is grown from the one before by one multiply per multi-index,
-    H^alpha = H^(alpha - e_i) * H_i with i the first nonzero index of alpha,
-    truncated at bound + a - o.  The previous shell is known only to z-degree
-    bound + a - 1 - o, which is enough: o(H_i) >= 2, so a term it dropped
+    u lives over h's layout or its xi-extension: d^alpha acts on z only, so
+    a xi-block rides along (route 2 sums u = <xi, H>).  With o = min(o(u),
+    bound), term |alpha| = a has z-order >= o + 2a - a, so the sum stops at
+    a = bound - o.  It needs u * H^alpha * JF only to z-degree bound + a, the
+    a degrees the derivative removes.  The shell |alpha| = a is grown from
+    the one before by one multiply per multi-index,
+    u H^alpha JF = (u H^(alpha - e_i) JF) * H_i with i the first nonzero
+    index of alpha, truncated at bound + a.  The previous shell is known only
+    to bound + a - 1, which is enough: o(H_i) >= 2, so a term it dropped
     would land past the pad.
-    Returns the sums truncated at bound, plus the count of debug-verified
+    Returns the sum truncated at bound, plus the count of debug-verified
     discarded terms.
     """
-    vs = h.vars
-    n = h.n
-    o = _least_order(us, bound)
-    one = SparsePoly.one(vs)
-    jf = jacobian_factor(h, bound) if include_jf else one
-    max_shell = bound - o
-    shell: dict[tuple[int, ...], SparsePoly] = {}  # H^alpha for every |alpha| = a
-    sums = [SparsePoly.zero(vs) for _ in us]
+    vs = u.vars
+    if vs not in (h.vars, h.vars.with_xi()):
+        raise ContractViolation(f"u over {vs.kind}(n={vs.n}) does not meet a map over "
+                                f"{h.vars.kind}(n={h.vars.n})")
+    if u.is_zero:
+        return u, 0
+    jf = jacobian_factor(h, bound) if include_jf else SparsePoly.one(h.vars)
+    hs = [c.lift(vs) for c in h.components]
+    last = bound - min(u.order(), bound)
+    total = SparsePoly.zero(vs)
+    shell = {(0,) * h.n: u.mul(jf.lift(vs), trunc=bound)}  # u H^alpha JF for |alpha| = a
     checked = 0
-    top = max_shell + (1 if debug else 0)
-    for a in range(top + 1):
-        discard_shell = a > max_shell
-        pad = bound + a
-        pad_h = pad - o  # H^alpha and H^alpha * JF meet a u of order >= o
-        prev, shell = shell, {}
-        for alpha in _compositions(a, n):
-            if discard_shell:
-                # a vanishing truncated product verifies the discard too
-                checked += len(us)
-            if a == 0:
-                h_alpha = one
-            else:
+    for a in range(last + (2 if debug else 1)):
+        discard = a > last
+        if a:
+            prev, shell = shell, {}
+            for alpha in _compositions(a, h.n):
                 i = next(j for j, k in enumerate(alpha) if k)
                 lower = prev[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
-                h_alpha = lower.mul(h.components[i], trunc=pad_h)
-            shell[alpha] = h_alpha
-            if h_alpha.is_zero:
+                shell[alpha] = lower.mul(hs[i], trunc=bound + a)
+        for alpha, base in shell.items():
+            # a vanishing truncated product verifies the discard too
+            checked += discard
+            term = base.diff_z_multi(alpha).truncate_z(bound)
+            if term.is_zero:
                 continue
-            base = h_alpha if not include_jf else h_alpha.mul(jf, trunc=pad_h)
-            if base.is_zero:
-                continue
-            inv_fact = Fraction(1, _multi_factorial(alpha))
-            for idx, u_poly in enumerate(us):
-                prod = base.mul(u_poly, trunc=pad)
-                term = prod.diff_z_multi(alpha).truncate_z(bound)
-                if discard_shell:
-                    if not term.is_zero:
-                        raise ConvergenceViolation(
-                            f"discarded derivative-sum term at |alpha|={a} has "
-                            f"order <= {bound}: {term.scale(inv_fact)}")
-                elif not term.is_zero:
-                    sums[idx] = sums[idx] + term.scale(inv_fact)
-    return sums, checked
+            term = term.scale(Fraction(1, prod(map(factorial, alpha))))
+            if discard:
+                raise ConvergenceViolation(
+                    f"discarded derivative-sum term at |alpha|={a} has order <= {bound}: {term}")
+            total = total + term
+    return total, checked
 
 
 def invert_ag(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResult:
-    """Inverse via the derivative sum applied to each coordinate function."""
+    """Inverse via one derivative sum on u = <xi, H>, which is <xi, H(G)> = <xi, N>."""
     _require_h(h, bound, derivatives=True)
-    us = [SparsePoly.z_var(h.vars, i) for i in range(h.n)]
-    comps, checked = _derivative_sum(us, h, bound, include_jf=True, debug=debug)
-    return _route_result(comps, ABHYANKAR_GURJAR, bound, checked)
+    xi_n, checked = _derivative_sum(xi_pairing(h), h, bound, include_jf=True, debug=debug)
+    return _route_result([xi_n.xi_linear_component(i) for i in range(h.n)],
+                         ABHYANKAR_GURJAR, bound, checked)
 
 
 def ag_apply(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
              debug: bool = False) -> SeriesTrunc:
     """u composed with the inverse map, via the derivative sum (no oracle)."""
     _require_h(h, bound, derivatives=True)
-    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound, include_jf=True, debug=debug)
-    return SeriesTrunc(sums[0], bound)
+    total, _ = _derivative_sum(_known_to(u, bound, "u"), h, bound, include_jf=True, debug=debug)
+    return SeriesTrunc(total, bound)
 
 
 def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int,
@@ -266,8 +245,7 @@ def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int,
     fixed-point inverse to z-degree >= bound + 1, since JG differentiates G)."""
     _require_h(h, bound, derivatives=True)
     _require_oracle(oracle, h, bound + 1)
-    sums, _ = _derivative_sum([_known_to(u, bound, "u")], h, bound, include_jf=False, debug=False)
-    lhs = sums[0]
+    lhs, _ = _derivative_sum(_known_to(u, bound, "u"), h, bound, include_jf=False, debug=False)
     jg = det(jacobian(oracle.G), trunc=bound)
     u_of_g = compose(u, oracle.G, bound)
     rhs = jg.mul(u_of_g.poly, trunc=bound)
@@ -277,83 +255,62 @@ def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int,
 # -- route 3: the phase-space series ----------------------------------------
 
 
-def _phase_data(h: MapTuple, bound: int) -> tuple[VarSet, SparsePoly, SparsePoly]:
-    """Target xi-layout, the pairing P = <xi, H>, and lifted JF (trunc bound)."""
-    vs = h.vars
-    target = VarSet.xizt(vs.n) if vs.has_t else VarSet.xiz(vs.n)
-    pairing = xi_pairing(h)
-    jf = jacobian_factor(h, bound).lift(target)
-    return target, pairing, jf
-
-
-def _lambda_sum(us: Sequence[SparsePoly], h: MapTuple, bound: int, *,
-                debug: bool, k: int = 0) -> tuple[list[SparsePoly], int]:
-    """k! sum_m lambda^m(u * P^(m+k) * JF) / (m! (m+k)!) for each u (lifted).
+def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *,
+                debug: bool, k: int = 0) -> tuple[SparsePoly, int]:
+    """k! sum_m lambda^m(u * P^(m+k) * JF) / (m! (m+k)!), u lifted to the xi-layout.
 
     Every term has xi-degree exactly k; k = 0 is the inversion series, whose
-    callers drop the xi-block.  Term m of a nonzero u has z-order
-    >= m + 2k + o(u), which sets the per-u summation cutoff; a zero u is
-    skipped.  Term m needs u * P^(m+k) * JF only to z-degree bound + m (the
-    m degrees lambda^m removes), so P^(m+k) * JF is formed once per m, to
-    bound + m - o with o the least order of a nonzero u (at most bound),
-    and then multiplied by each u to bound + m.  P^(m+k) grows from the
-    power before it, known to one degree less, which is enough as o(P) >= 2.
+    callers drop the xi-block.  Term m has z-order >= m + 2k + o, with
+    o = min(o(u), bound), so the sum stops at m = bound - 2k - o.  Term m
+    needs u * P^(m+k) * JF only to z-degree bound + m, the m degrees
+    lambda^m removes, so it is grown from the term before by one multiply
+    by P truncated at bound + m; the term before is known to one degree
+    less, which is enough as o(P) >= 2.
     """
-    target, pairing, jf = _phase_data(h, bound)
-    sums = [SparsePoly.zero(target) for _ in us]
+    target = h.vars.with_xi()
+    u = u.lift(target)
+    if u.is_zero:
+        return u, 0
+    pairing = xi_pairing(h)
+    last = bound - 2 * k - min(u.order(), bound)
+    base = u.mul(jacobian_factor(h, bound).lift(target), trunc=bound)  # u P^(m+k) JF to bound + m
+    for _ in range(k):
+        base = base.mul(pairing, trunc=bound)
+    total = SparsePoly.zero(target)
     checked = 0
-    us_l = {idx: u.lift(target) for idx, u in enumerate(us) if not u.is_zero}
-    if not us_l:
-        return sums, checked
-    o = _least_order(us, bound)
-    jf_is_one = jf == SparsePoly.one(target)
-    cutoffs = {idx: bound - 2 * k - us[idx].order() for idx in us_l}
-    max_m = max(cutoffs.values())
-    p_power = pairing.power(k, trunc=bound - o)
-    top = max_m + (1 if debug else 0)
-    for m in range(top + 1):
-        pad = bound + m
-        if m > 0:
-            p_power = p_power.mul(pairing, trunc=pad - o)
-        p_jf = p_power if jf_is_one else p_power.mul(jf, trunc=pad - o)
-        scale = Fraction(factorial(k), factorial(m) * factorial(m + k))
-        for idx, u_l in us_l.items():
-            if m > cutoffs[idx] + (1 if debug else 0):
-                continue
-            discard = m > cutoffs[idx]
-            if discard:
-                # the truncated computation below IS the verification
-                checked += 1
-            if p_jf.is_zero:
-                continue
-            base = p_jf.mul(u_l, trunc=pad)
-            term = lambda_pow(base, m).truncate_z(bound)
-            if term.is_zero:
-                continue
-            if term.max_xi_degree() != k:
-                raise AgcalcError(f"phase-series term has xi-degree other than {k}")
-            term = term.scale(scale)
-            if discard:
-                raise ConvergenceViolation(
-                    f"discarded phase-series term at m={m} has order <= {bound}: {term}")
-            sums[idx] = sums[idx] + term
-    return sums, checked
+    for m in range(last + (2 if debug else 1)):
+        discard = m > last
+        if m:
+            base = base.mul(pairing, trunc=bound + m)
+        # the truncated computation below IS the verification
+        checked += discard
+        term = lambda_pow(base, m).truncate_z(bound)
+        if term.is_zero:
+            continue
+        if term.max_xi_degree() != k:
+            raise AgcalcError(f"phase-series term has xi-degree other than {k}")
+        term = term.scale(Fraction(factorial(k), factorial(m) * factorial(m + k)))
+        if discard:
+            raise ConvergenceViolation(
+                f"discarded phase-series term at m={m} has order <= {bound}: {term}")
+        total = total + term
+    return total, checked
 
 
 def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResult:
-    """Inverse via the phase-space series with u = z_i (cutoff m <= bound - 1)."""
+    """Inverse via the k = 1 phase series of u = 1, which is <xi, N> (cutoff m <= bound - 2)."""
     _require_h(h, bound, derivatives=True)
-    us = [SparsePoly.z_var(h.vars, i) for i in range(h.n)]
-    sums, checked = _lambda_sum(us, h, bound, debug=debug)
-    return _route_result([s.drop_xi() for s in sums], LAMBDA_SERIES, bound, checked)
+    xi_n, checked = _lambda_sum(SparsePoly.one(h.vars), h, bound, debug=debug, k=1)
+    return _route_result([xi_n.xi_linear_component(i) for i in range(h.n)],
+                         LAMBDA_SERIES, bound, checked)
 
 
 def lambda_compose(q: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
                    debug: bool = False) -> SeriesTrunc:
-    """q composed with the inverse map, via the phase-space series (m <= bound)."""
+    """q composed with the inverse map, via the phase-space series (m <= bound - o(q))."""
     _require_h(h, bound, derivatives=True)
-    sums, _ = _lambda_sum([_known_to(q, bound, "q")], h, bound, debug=debug)
-    return SeriesTrunc(sums[0].drop_xi(), bound)
+    total, _ = _lambda_sum(_known_to(q, bound, "q"), h, bound, debug=debug)
+    return SeriesTrunc(total.drop_xi(), bound)
 
 
 def xi_moment_series(h: MapTuple, q: SparsePoly | SeriesTrunc, k: int,
@@ -366,8 +323,7 @@ def xi_moment_series(h: MapTuple, q: SparsePoly | SeriesTrunc, k: int,
     if k < 0:
         raise ContractViolation("moment index k must be >= 0")
     _require_h(h, bound, derivatives=True)
-    sums, _ = _lambda_sum([_known_to(q, bound, "q")], h, bound, debug=False, k=k)
-    return sums[0]
+    return _lambda_sum(_known_to(q, bound, "q"), h, bound, debug=False, k=k)[0]
 
 
 # -- the exponential transport identity --------------------------------------
@@ -388,9 +344,9 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: i
     _require_oracle(oracle, h, bound)
     q_poly = _known_to(q, bound, "q")
     k_eff = min(xi_bound, bound)
-    target, pairing, jf = _phase_data(h, bound)
-    q_l = q_poly.lift(target)
-    head = q_l.mul(jf, trunc=bound)
+    target = h.vars.with_xi()
+    pairing = xi_pairing(h)
+    head = q_poly.lift(target).mul(jacobian_factor(h, bound).lift(target), trunc=bound)
 
     assembled = SparsePoly.zero(target)
     slice_j = head  # q JF P^j / j!, truncated at z-degree bound + j

@@ -147,6 +147,9 @@ class VarSet:
             out.append("t")
         return out
 
+    def with_xi(self) -> "VarSet":
+        return VarSet("xizt" if self.has_t else "xiz", self.n)
+
     def without_xi(self) -> "VarSet":
         return VarSet("zt" if self.has_t else "z", self.n)
 
@@ -770,8 +773,7 @@ class MapTuple:
 
 def xi_pairing(h: MapTuple) -> SparsePoly:
     """The phase polynomial sum_i xi_i * h_i over the xi-extended layout."""
-    vs = h.vars
-    target = VarSet.xizt(vs.n) if vs.has_t else VarSet.xiz(vs.n)
+    target = h.vars.with_xi()
     acc = SparsePoly.zero(target)
     for i, hi in enumerate(h.components):
         acc = acc + SparsePoly.xi_var(target, i).mul(hi.lift(target))
@@ -820,7 +822,7 @@ class MonomialTable:
         self.const_free = [gi.is_zero or gi.order() >= 1 for gi in g.components]
         self.one = SparsePoly.one(g.vars)
         self._zero = SparsePoly.zero(g.vars)
-        self._powers = [[self.one] for _ in range(n)]  # g_i^k, truncated at bound
+        self._powers = [[self.one, gi.truncate_z(bound)] for gi in g.components]  # g_i^k
         self._table: dict[Exponent, SparsePoly] = {(0,) * n: self.one}
 
     def power(self, ez: Exponent) -> SparsePoly:
@@ -906,7 +908,7 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int, *,
             den = _sum_into(out, den, gp._terms, gp._den)
         else:
             den = _sum_into(out, den, gp._terms, gp._den * upoly._den, num)
-    # no cut needed: each table entry is 1 or the output of a mul truncated at bound
+    # no cut needed: each table entry is 1 or truncated at bound
     return SeriesTrunc(_reduced(vsg, out, den), bound)
 
 

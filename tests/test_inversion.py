@@ -179,6 +179,17 @@ class TestAgApply:
         with pytest.raises(TruncationError):
             ag_apply(SeriesTrunc.of(SparsePoly.z_var(Z1, 0), 3), one_var_square(), 4)
 
+    def test_u_over_another_layout_refused(self):
+        # u must live over the map's layout (the series lift it only into the
+        # xi-extension of that layout), never into a t-layout or another n
+        h = triangular_2d()
+        for u in (SparsePoly.z_var(VarSet.zt(2), 0), SparsePoly.z_var(VarSet.z(3), 0),
+                  SparsePoly.z_var(Z1, 0)):
+            with pytest.raises(ContractViolation):
+                ag_apply(u, h, 4)
+            with pytest.raises(ContractViolation):
+                lambda_compose(u, h, 4)
+
 
 class TestAgJacobianIdentity:
     def test_central_binomials(self):
@@ -294,6 +305,25 @@ class TestCrossMethod:
             assert invert_ag(h, 6, debug=True).G == g
             assert invert_lambda(h, 6, debug=True).G == g
 
+    def test_routes_do_not_call_each_other(self, monkeypatch):
+        # route 2 never forms a phase-space power, route 3 never a derivative sum
+        rng = random.Random(61)
+        cases = [one_var_square(), triangular_2d(), random_h(rng, 3, max_deg=3),
+                 random_h(rng, 2, trunc=8, max_deg=5)]
+        expected = [invert_fixed_point(h, 6).G for h in cases]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an inversion route called another route's series")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(agcalc.inversion, "lambda_pow", forbidden)
+            for h, g in zip(cases, expected):
+                assert invert_ag(h, 6, debug=True).G == g
+        with monkeypatch.context() as patch:
+            patch.setattr(agcalc.inversion, "_derivative_sum", forbidden)
+            for h, g in zip(cases, expected):
+                assert invert_lambda(h, 6, debug=True).G == g
+
     def test_series_truncated_input(self):
         rng = random.Random(59)
         cases = [(random_h(rng, 2, trunc=8, max_deg=5), 7)]
@@ -325,16 +355,17 @@ class TestCrossMethod:
         assert outer.poly == u.truncate_z(5)
 
     def test_series_pad_by_the_least_measured_order(self):
-        # inputs of orders 0, 1 and 3 and a zero one: each sum is still u(G)
+        # inputs of orders 0, 1 and 3 and a zero one, one at a time: each sum
+        # measures o(u) for its cutoff and is still u(G)
         h = random_h(random.Random(67), 2)
         oracle = invert_fixed_point(h, 5)
         z1, z2 = SparsePoly.z_var(Z2, 0), SparsePoly.z_var(Z2, 1)
-        us = [z2 + SparsePoly.one(Z2), z1, z1 * z1 * z2, SparsePoly.zero(Z2)]
-        want = [compose(u, oracle.G, 5).poly for u in us]
-        ag, _ = agcalc.inversion._derivative_sum(us, h, 5, include_jf=True, debug=True)
-        lam, _ = agcalc.inversion._lambda_sum(us, h, 5, debug=True)
-        assert ag == want
-        assert [s.drop_xi() for s in lam] == want
+        for u in (z2 + SparsePoly.one(Z2), z1, z1 * z1 * z2, SparsePoly.zero(Z2)):
+            want = compose(u, oracle.G, 5).poly
+            ag, _ = agcalc.inversion._derivative_sum(u, h, 5, include_jf=True, debug=True)
+            lam, _ = agcalc.inversion._lambda_sum(u, h, 5, debug=True)
+            assert ag == want
+            assert lam.drop_xi() == want
 
 
 class TestFailingChecks:
@@ -346,20 +377,20 @@ class TestFailingChecks:
         return MapTuple.exact((SparsePoly.monomial(Z1, (1,), Fraction(1, 2)),))
 
     def test_derivative_sum_discard_check(self):
-        us = [SparsePoly.z_var(Z1, 0)]
-        agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3, include_jf=True,
+        u = SparsePoly.z_var(Z1, 0)
+        agcalc.inversion._derivative_sum(u, self.order_one_tail(), 3, include_jf=True,
                                          debug=False)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at \|alpha\|=3 has order <= 3: 1/4\*z1$"):
-            agcalc.inversion._derivative_sum(us, self.order_one_tail(), 3,
+            agcalc.inversion._derivative_sum(u, self.order_one_tail(), 3,
                                              include_jf=True, debug=True)
 
     def test_phase_series_discard_check(self):
-        us = [SparsePoly.z_var(Z1, 0)]
-        agcalc.inversion._lambda_sum(us, self.order_one_tail(), 3, debug=False)
+        u = SparsePoly.z_var(Z1, 0)
+        agcalc.inversion._lambda_sum(u, self.order_one_tail(), 3, debug=False)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at m=3 has order <= 3: 1/4\*z1$"):
-            agcalc.inversion._lambda_sum(us, self.order_one_tail(), 3, debug=True)
+            agcalc.inversion._lambda_sum(u, self.order_one_tail(), 3, debug=True)
 
     def test_round_trip_names_first_difference(self):
         h = one_var_square()
@@ -519,7 +550,7 @@ class TestWorkCounts:
         h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
         results = cross_method_results(h, 5, debug=True)
         assert route_agreement(results).passed
-        assert counts == {"calls": 338, "pairs": 176298}
+        assert counts == {"calls": 146, "pairs": 112369}
 
     def test_fixed_point_passes(self, monkeypatch):
         # one compose_map per pass of the oracle; sharing the monomial table
