@@ -27,7 +27,9 @@ so its components share one table of monomials.  Term |alpha| = a of the
 derivative sum (term m of the phase series) needs u * H^alpha * JF
 (u * P^(m+k) * JF) only to z-degree D + a (D + m), the degrees the
 derivatives remove; each is one multiply by H_i (by P) from a term before
-it, truncated there.
+it, truncated there.  That cut is the only one a term gets: d^alpha lowers
+the z-degree of every monomial it keeps by exactly a (lambda^m by exactly
+m), so a product cut at D + a (D + m) lands at z-degree <= D.
 
 Series-truncated H is accepted when it is known deep enough: composition
 routes need trunc(H) >= D, while the derivative-based routes need
@@ -185,7 +187,8 @@ def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
     index of alpha, truncated at bound + a.  The previous shell is known only
     to bound + a - 1, which is enough: o(H_i) >= 2, so a term it dropped
     would land past the pad.
-    Returns the sum truncated at bound, plus the count of debug-verified
+    The pads bound the sum at z-degree bound, since d^alpha lowers every
+    degree by exactly a.  Returns the sum, plus the count of debug-verified
     discarded terms.
     """
     vs = u.vars
@@ -211,7 +214,7 @@ def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
         for alpha, base in shell.items():
             # a vanishing truncated product verifies the discard too
             checked += discard
-            term = base.diff_z_multi(alpha).truncate_z(bound)
+            term = base.diff_z_multi(alpha)
             if term.is_zero:
                 continue
             term = term.scale(Fraction(1, prod(map(factorial, alpha))))
@@ -284,7 +287,7 @@ def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *,
             base = base.mul(pairing, trunc=bound + m)
         # the truncated computation below IS the verification
         checked += discard
-        term = lambda_pow(base, m).truncate_z(bound)
+        term = lambda_pow(base, m)
         if term.is_zero:
             continue
         if term.max_xi_degree() != k:
@@ -329,46 +332,41 @@ def xi_moment_series(h: MapTuple, q: SparsePoly | SeriesTrunc, k: int,
 # -- the exponential transport identity --------------------------------------
 
 
+def _exp_slices(head: SparsePoly, x: SparsePoly, pads: Iterable[int]) -> SparsePoly:
+    """sum_j head * x^j / j!, slice j >= 1 cut at the j-th of pads, up to the first zero slice."""
+    total = slice_j = head
+    for j, pad in enumerate(pads, 1):
+        slice_j = slice_j.mul(x, trunc=pad).scale(Fraction(1, j))
+        if slice_j.is_zero:
+            break
+        total = total + slice_j
+    return total
+
+
 def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: int,
                            bound: int, oracle: InversionResult) -> IdentityReport:
-    """Window check of Phi(q JF e^<xi,H>) == q(G) e^<xi,N>.
+    """Window check of Phi(q JF e^<xi,H>) == q(G) e^<xi,N>, for xi_bound >= 0.
 
     The left side is assembled from the xi-degree-j slices q JF P^j / j!
     (slice j padded to z-degree bound + j, j <= bound); by the order profile
     o(H) >= 2 that input window determines the output exactly on
-    xi-degree <= xi_bound, z-degree <= bound.  The right side is built from
-    oracle, the fixed-point inverse to z-degree >= bound.  xi_bound is
-    capped at bound by the window rule.
+    xi-degree <= xi_bound, z-degree <= bound.  The right side sums the slices
+    q(G) <xi,N>^k / k!, of xi-degree exactly k <= xi_bound, from oracle, the
+    fixed-point inverse to z-degree >= bound.  xi_bound is capped at bound by the window rule.
     """
+    if xi_bound < 0:
+        raise ContractViolation("xi-degree bound must be >= 0")
     _require_h(h, bound, derivatives=True)
     _require_oracle(oracle, h, bound)
     q_poly = _known_to(q, bound, "q")
     k_eff = min(xi_bound, bound)
     target = h.vars.with_xi()
-    pairing = xi_pairing(h)
     head = q_poly.lift(target).mul(jacobian_factor(h, bound).lift(target), trunc=bound)
-
-    assembled = SparsePoly.zero(target)
-    slice_j = head  # q JF P^j / j!, truncated at z-degree bound + j
-    for j in range(bound + 1):
-        if j > 0:
-            slice_j = slice_j.mul(pairing, trunc=bound + j).scale(Fraction(1, j))
-            if slice_j.is_zero:
-                break
-        assembled = assembled + slice_j
+    assembled = _exp_slices(head, xi_pairing(h), range(bound + 1, 2 * bound + 1))
     lhs = phi_apply(assembled, xi_bound=k_eff, z_bound=bound)
 
     q_of_g = compose(q, oracle.G, bound).poly.lift(target)
-    xi_n = xi_pairing(oracle.N)
-    rhs = SparsePoly.zero(target)
-    tail = q_of_g  # q(G) <xi,N>^k / k!, truncated at z-degree bound
-    for k in range(k_eff + 1):
-        if k > 0:
-            tail = tail.mul(xi_n, trunc=bound).scale(Fraction(1, k))
-            if tail.is_zero:
-                break
-        rhs = rhs + tail
-    rhs = rhs.restrict_xi(k_eff).truncate_z(bound)
+    rhs = _exp_slices(q_of_g, xi_pairing(oracle.N), [bound] * k_eff)
     return IdentityReport(f"exponential transport (xi<={k_eff}, z<={bound})", lhs, rhs)
 
 

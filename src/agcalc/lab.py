@@ -151,13 +151,9 @@ def vanishing_scan_poly(p: SparsePoly, k: int, mmax: int, *,
     def partial_report() -> VanishingReport:
         return VanishingReport(label, k, mmax, tuple(values))
 
-    power = SparsePoly.one(p.vars)  # p^j, grown incrementally
-    j = 0
-    start = 1 if k == 0 else 0
-    for m in range(start, mmax + 1):
-        while j < m + k:
-            power = _guard(power.mul(p), ceiling, partial_report)
-            j += 1
+    power = SparsePoly.one(p.vars)  # p^(m+k), one factor more per m
+    for m in range(1 - k, mmax + 1):
+        power = _guard(power.mul(p), ceiling, partial_report)
         v = power
         for _ in range(m):
             v = _guard(lambda_apply(v), ceiling, partial_report)
@@ -226,7 +222,7 @@ def _nt_series_report(h: MapTuple, scan1: VanishingReport) -> IdentityReport:
         tail = xi_pairing(oracle.N)
         yield IdentityReport(name, SparsePoly.zero(tail.vars), tail.truncate_t(0),
                              where="oracle tail at t^0")
-        n_t = _divide_by_t(oracle.N).apply(lambda c: c.truncate_t(scan1.mmax))
+        n_t = _divide_by_t(oracle.N)  # t-degree <= mmax: the oracle cut t * N_t at mmax + 1
         yield IdentityReport(name, series, xi_pairing(n_t))
     return first_failure(comparisons())
 

@@ -648,7 +648,7 @@ def diff_witness(p: SparsePoly, q: SparsePoly) -> str | None:
 # -- truncated series and map tuples -------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SeriesTrunc:
     """A polynomial known to represent a series correctly mod z-degree > trunc."""
 
@@ -666,11 +666,6 @@ class SeriesTrunc:
     def of(cls, poly: SparsePoly, trunc: int) -> "SeriesTrunc":
         return cls(poly.truncate_z(trunc), trunc)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SeriesTrunc):
-            return NotImplemented
-        return self.trunc == other.trunc and self.poly == other.poly
-
     __hash__ = None
 
     def __str__(self) -> str:
@@ -686,7 +681,7 @@ def series_parts(u: SparsePoly | SeriesTrunc) -> tuple[SparsePoly, int | float]:
     raise ContractViolation(f"expected SparsePoly or SeriesTrunc, got {type(u).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MapTuple:
     """n-tuple of z-components over a common layout.
 
@@ -740,11 +735,6 @@ class MapTuple:
     def __iter__(self) -> Iterator[SparsePoly]:
         return iter(self.components)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MapTuple):
-            return NotImplemented
-        return self.trunc == other.trunc and self.components == other.components
-
     __hash__ = None
 
     def __str__(self) -> str:
@@ -764,9 +754,6 @@ class MapTuple:
     def truncated(cls, components: Sequence[SparsePoly], trunc: int) -> "MapTuple":
         return cls(tuple(c.truncate_z(trunc) for c in components), trunc)
 
-    def lift(self, target: VarSet) -> "MapTuple":
-        return MapTuple(tuple(c.lift(target) for c in self.components), self.trunc)
-
     def apply(self, f: Callable[[SparsePoly], SparsePoly]) -> "MapTuple":
         return MapTuple(tuple(f(c) for c in self.components), self.trunc)
 
@@ -775,8 +762,10 @@ def xi_pairing(h: MapTuple) -> SparsePoly:
     """The phase polynomial sum_i xi_i * h_i over the xi-extended layout."""
     target = h.vars.with_xi()
     acc = SparsePoly.zero(target)
-    for i, hi in enumerate(h.components):
-        acc = acc + SparsePoly.xi_var(target, i).mul(hi.lift(target))
+    # xi_i * h_i adds the key of xi_i, the i-th unit, to each key of a lift whose xi_i is 0
+    for hi, unit in zip(h.components, _packing(target).units):
+        hi = hi.lift(target)
+        acc = acc + _make(target, {k + unit: v for k, v in hi._terms.items()}, hi._den)
     return acc
 
 
@@ -929,7 +918,7 @@ def compose_map(h: MapTuple, g: MapTuple, bound: int) -> MapTuple:
 # -- matrices and determinants -------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PolyMatrix:
     """Square matrix of polynomials over a common layout."""
 
@@ -954,11 +943,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> SparsePoly:
         return self.rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.rows == other.rows
 
     __hash__ = None
 

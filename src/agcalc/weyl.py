@@ -62,7 +62,7 @@ def _require_symbol_layout(vs: VarSet) -> None:
         raise ContractViolation("a total symbol lives over the (xi, z) layout")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DiffOp:
     """Differential operator sum_alpha a_alpha(z) d^alpha in right-normal form,
     stored as its right total symbol sum_alpha a_alpha(z) xi^alpha."""
@@ -112,11 +112,6 @@ class DiffOp:
             buckets.setdefault(e[:n], {})[e[n:]] = c
         zvs = VarSet.z(n)
         return {alpha: SparsePoly(zvs, t) for alpha, t in buckets.items()}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.symbol == other.symbol
 
     __hash__ = None
 
@@ -168,7 +163,7 @@ class DiffOp:
         acc = SparsePoly.zero(upoly.vars)
         for alpha, a in self.coefficients().items():
             acc = acc + a.mul(upoly.diff_z_multi(alpha), trunc=bound)
-        return SeriesTrunc(acc.truncate_z(bound), bound)
+        return SeriesTrunc(acc, bound)
 
     def __str__(self) -> str:
         terms = self.coefficients()

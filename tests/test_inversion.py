@@ -498,6 +498,11 @@ class TestPhiExponential:
             rep = verify_phi_exponential(h, q, 2, 5, invert_fixed_point(h, 6))
             assert rep.passed, rep.witness
 
+    def test_negative_xi_bound_refused(self):
+        h = triangular_2d()
+        with pytest.raises(ContractViolation, match="xi-degree bound must be >= 0"):
+            verify_phi_exponential(h, SparsePoly.one(Z2), -1, 4, invert_fixed_point(h, 4))
+
     def test_xi_bound_capped_at_z_bound(self):
         rep = verify_phi_exponential(triangular_2d(), SparsePoly.one(Z2), 9, 3,
                                      invert_fixed_point(triangular_2d(), 4))
@@ -550,7 +555,7 @@ class TestWorkCounts:
         h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
         results = cross_method_results(h, 5, debug=True)
         assert route_agreement(results).passed
-        assert counts == {"calls": 146, "pairs": 112369}
+        assert counts == {"calls": 140, "pairs": 112335}
 
     def test_fixed_point_passes(self, monkeypatch):
         # one compose_map per pass of the oracle; sharing the monomial table

@@ -157,6 +157,33 @@ class TestVanishingScan:
         assert (cleared.first_nonzero, cleared.last_nonzero, cleared.all_zero) == (
             None, None, True)
 
+    def test_one_product_per_m(self, monkeypatch):
+        # the power of P grows by one factor per scanned m; lambda^m of it
+        # costs m applications, so both k make 1 + 2 + 3 + 4 of them
+        h = MapTuple.exact((
+            SparsePoly.monomial(Z2, (0, 2)) + SparsePoly.monomial(Z2, (0, 3)),
+            SparsePoly.monomial(Z2, (2, 0)),
+        ))
+        p = xi_pairing(h)
+        counts = {"mul": 0, "lambda_apply": 0}
+        mul, apply = SparsePoly.mul, agcalc.lab.lambda_apply
+
+        def counting_mul(self, other, trunc=None):
+            counts["mul"] += 1
+            return mul(self, other, trunc)
+
+        def counting_apply(f):
+            counts["lambda_apply"] += 1
+            return apply(f)
+
+        monkeypatch.setattr(SparsePoly, "mul", counting_mul)
+        monkeypatch.setattr(agcalc.lab, "lambda_apply", counting_apply)
+        for k, products in ((0, 4), (1, 5)):
+            counts.update(mul=0, lambda_apply=0)
+            rep = vanishing_scan_poly(p, k, 4)
+            assert [m for m, _ in rep.values] == list(range(1 - k, 5))
+            assert counts == {"mul": products, "lambda_apply": 10}
+
     def test_bad_arguments(self):
         with pytest.raises(ContractViolation):
             vanishing_scan(triangular_2d(), 2, 4)

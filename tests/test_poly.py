@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import dataclasses
 import pickle
 import random
 import re
@@ -352,6 +353,50 @@ class TestSeriesAndMapTypes:
         p = xi_pairing(h)
         assert p == SparsePoly.monomial(XIZ2, (1, 0, 0, 2))
         assert p.eta() == 1
+
+    def test_xi_pairing_matches_products(self):
+        rng = random.Random(19)
+        for vs in (Z2, VarSet.zt(2)):
+            h = MapTuple.exact(tuple(random_poly(rng, vs) for _ in range(2)))
+            target = vs.with_xi()
+            want = sum((SparsePoly.xi_var(target, i) * hi.lift(target)
+                        for i, hi in enumerate(h)), SparsePoly.zero(target))
+            assert xi_pairing(h) == want
+
+
+class TestValueEquality:
+    """The value types compare by their fields and, holding polynomials, stay unhashable."""
+
+    Z1 = VarSet.z(1)
+
+    def cases(self):
+        z = SparsePoly.z_var(self.Z1, 0)
+        z2 = z.power(2)
+        # (value, an equal value built apart, values that differ in one field)
+        yield (SeriesTrunc(z2, 3), SeriesTrunc(z * z, 3),
+               [SeriesTrunc(z2 + z, 3), SeriesTrunc(z2, 4)])
+        yield (MapTuple.truncated((z2,), 3), MapTuple((z * z,), 3),
+               [MapTuple((z2 + z,), 3), MapTuple((z2,), 4), MapTuple.exact((z2,))])
+        yield (PolyMatrix(((z2,),)), PolyMatrix(((z * z,),)), [PolyMatrix(((z,),))])
+
+    def test_equal_fields_compare_equal(self):
+        for value, same, _ in self.cases():
+            assert value == same and not value != same
+
+    def test_a_different_field_compares_unequal(self):
+        for value, _, others in self.cases():
+            for other in others:
+                assert value != other and not value == other
+
+    def test_another_type_compares_false(self):
+        for value, _, _ in self.cases():
+            assert (value == getattr(value, dataclasses.fields(value)[0].name)) is False
+            assert (value == 0) is False
+
+    def test_unhashable(self):
+        for value, _, _ in self.cases():
+            with pytest.raises(TypeError):
+                hash(value)
 
 
 class TestSlicing:

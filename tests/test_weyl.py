@@ -77,6 +77,20 @@ class TestSymbols:
         assert DiffOp.zero(1).coefficients() == {}
 
 
+class TestEquality:
+    """DiffOp compares by its symbol and, holding a polynomial, stays unhashable."""
+
+    def test_value_equality(self):
+        op = euler_1d()
+        assert op == DiffOp(SparsePoly.monomial(XIZ1, (1, 1)))
+        assert op != DiffOp(SparsePoly.monomial(XIZ1, (1, 2)))
+        assert op != DiffOp.multiplication(SparsePoly.z_var(Z1, 0))
+        assert (op == op.symbol) is False
+        assert (op == 0) is False
+        with pytest.raises(TypeError):
+            hash(op)
+
+
 class TestNormalOrder:
     def test_one_step_leibniz(self):
         # left symbol xi1*z1 is d1 z1 = z1*d1 + 1
