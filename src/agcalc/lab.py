@@ -6,9 +6,11 @@ Jacobian of the deformed inverse, and its xi-degree-1 part recovers the
 deformed inverse tail itself.  Everything here is exact: series-truncated
 maps are rejected, and every scan value is a genuine polynomial identity.
 
-The scans are combinatorially explosive in m, so they run under a
-term-count ceiling and abort loudly (TermCeilingExceeded, carrying the
-partial report) instead of grinding.
+Both vanishing scans, lambda^m(P^m) and lambda^m(P^(m+1)) for P = <xi, H>,
+are read off one chain of powers P^j: the k=1 value at m = j - 1 is a step
+on the way to the k=0 value at m = j.  The scans are combinatorially
+explosive in m, so they run under a term-count ceiling and abort loudly
+(TermCeilingExceeded, carrying the partial report) instead of grinding.
 """
 
 from __future__ import annotations
@@ -130,35 +132,53 @@ def _guard(p: SparsePoly, ceiling: int, partial_fn) -> SparsePoly:
 
 
 def vanishing_scan_poly(p: SparsePoly, k: int, mmax: int, *,
+                        k1_mmax: int | None = None,
                         term_ceiling: int | None = None,
-                        label: str = "phase-poly") -> VanishingReport:
+                        label: str = "phase-poly"
+                        ) -> VanishingReport | tuple[VanishingReport, VanishingReport]:
     """Exact scan of lambda^m(p^(m+k)) for a general phase polynomial p.
 
     This is the open-ended entry point: no equivalence with nilpotency is
     claimed for arbitrary p, only for the pairing built from a map (see
     vanishing_scan).  k=0 scans m = 1..mmax; k=1 also reports the base term
     m=0, which is p itself.
+
+    Every value is a step of one chain: p^j takes one product from p^(j-1),
+    and lambda^m(p^j) is the value at m of the scan with k = j - m.  So
+    after j - 1 applications of lambda the chain holds the k=1 value at
+    m = j - 1, and one more gives the k=0 value at m = j.  With k=0 and
+    k1_mmax set, the same chain (run to max(mmax, k1_mmax + 1)) also
+    records the k=1 scan through k1_mmax, and the pair (k=0 scan, k=1 scan)
+    is returned.  A term-ceiling abort carries the partial scan, or the pair
+    of partial scans.
     """
     if not p.vars.has_xi:
         raise ContractViolation("scans run over a xi-extended layout")
     if k not in (0, 1):
         raise ContractViolation("scan offset k must be 0 or 1")
-    if mmax < 1:
+    if k1_mmax is not None and k != 0:
+        raise ContractViolation("a k=1 scan rides along only with a k=0 scan")
+    depths = {k: mmax} if k1_mmax is None else {0: mmax, 1: k1_mmax}
+    if min(depths.values()) < 1:
         raise ContractViolation("mmax must be >= 1")
     ceiling = DEFAULT_TERM_CEILING if term_ceiling is None else term_ceiling
-    values: list[tuple[int, SparsePoly]] = []
+    values: dict[int, list[tuple[int, SparsePoly]]] = {kk: [] for kk in depths}
 
-    def partial_report() -> VanishingReport:
-        return VanishingReport(label, k, mmax, tuple(values))
+    def reports():
+        reps = tuple(VanishingReport(label, kk, depth, tuple(values[kk]))
+                     for kk, depth in depths.items())
+        return reps if k1_mmax is not None else reps[0]
 
-    power = SparsePoly.one(p.vars)  # p^(m+k), one factor more per m
-    for m in range(1 - k, mmax + 1):
-        power = _guard(power.mul(p), ceiling, partial_report)
-        v = power
-        for _ in range(m):
-            v = _guard(lambda_apply(v), ceiling, partial_report)
-        values.append((m, v))
-    return VanishingReport(label, k, mmax, tuple(values))
+    power = SparsePoly.one(p.vars)  # p^j, one factor more per j
+    for j in range(1, max(depth + kk for kk, depth in depths.items()) + 1):
+        v = power = _guard(power.mul(p), ceiling, reports)
+        last = j if j <= depths.get(0, 0) else j - 1  # the k=0 value needs one more
+        for m in range(last + 1):
+            if m:
+                v = _guard(lambda_apply(v), ceiling, reports)
+            if m <= depths.get(j - m, -1):
+                values[j - m].append((m, v))
+    return reports()
 
 
 def vanishing_scan(h: MapTuple, k: int, mmax: int, *,
@@ -307,14 +327,29 @@ def equivalence_steps(h: MapTuple, mmax: int, *,
           nilpotent).  Skipped for non-nilpotent instances.
     Yields the certificate, the k=0 scan (through max(mmax, n)), the k=1
     scan (through max(mmax, d + 1)) when (ii) runs, and last the
-    EquivalenceReport.  The series of (ii) and (iii) are summed from them.
+    EquivalenceReport.  Both scans are read off one vanishing_scan_poly
+    chain, and the series of (ii) and (iii) are summed from them.  When
+    the term ceiling trips after the k=0 scan has finished, that scan is
+    yielded before the abort propagates.
     """
+    if mmax < 1:
+        raise ContractViolation("mmax must be >= 1")
     cert = is_nilpotent(h)
     yield cert
     checks: list[Check] = []
 
     scan_depth = max(mmax, h.n)
-    scan0 = vanishing_scan(h, 0, scan_depth, term_ceiling=term_ceiling, label=label)
+    nt_depth = None
+    if cert.nilpotent and known_nt_degree is not None:
+        nt_depth = max(mmax, known_nt_degree + 1)
+    try:
+        scans = vanishing_scan_poly(xi_pairing(h), 0, scan_depth, k1_mmax=nt_depth,
+                                    term_ceiling=term_ceiling, label=label)
+    except TermCeilingExceeded as err:
+        if nt_depth is not None and len(err.partial[0].values) == scan_depth:
+            yield err.partial[0]  # the abort came in the k=1-only tail
+        raise
+    scan0, scan1 = scans if nt_depth is not None else (scans, None)
     yield scan0
     if cert.nilpotent:
         if scan0.all_zero:
@@ -339,10 +374,8 @@ def equivalence_steps(h: MapTuple, mmax: int, *,
                 witness=f"first nonzero at m={m}",
                 detail=f"non-nilpotent instance needs a witness at m <= n={h.n}"))
 
-    if cert.nilpotent and known_nt_degree is not None:
+    if scan1 is not None:
         d = known_nt_degree
-        depth = max(mmax, d + 1)
-        scan1 = vanishing_scan(h, 1, depth, term_ceiling=term_ceiling, label=label)
         yield scan1
         # the scan runs past d, so index d means every later value is zero;
         # an all-zero series (H = 0) has no t-dependence: index 0
@@ -350,7 +383,7 @@ def equivalence_steps(h: MapTuple, mmax: int, *,
         if observed == d:
             checks.append(passed_check(
                 "deformed inverse stabilizes at known t-degree",
-                detail=f"stabilization index {d}, scanned through m={depth}"))
+                detail=f"stabilization index {d}, scanned through m={nt_depth}"))
         else:
             checks.append(failed_check(
                 "deformed inverse stabilizes at known t-degree",

@@ -8,12 +8,15 @@ with it.  ``exact_div`` and ``_det_bareiss`` work through the public
 ``diffop`` builds an operator from its grouped terms {alpha: a_alpha(z)};
 ``deformation_matrix`` builds the nilpotency test's matrix I - t*JH entry by
 entry, beside ``agcalc.lab``'s route through J(z - t*H).
+``scan_value`` computes a vanishing-scan value from z-derivatives alone,
+beside ``agcalc.lab``'s chain of ``lambda_apply`` steps on powers of <xi, H>.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from itertools import combinations_with_replacement
+from math import factorial, perm, prod
 
 from agcalc.errors import ContractViolation
 from agcalc.poly import MapTuple, PolyMatrix, SparsePoly, VarSet
@@ -131,6 +134,36 @@ def deformation_matrix(h: MapTuple) -> PolyMatrix:
         tuple((SparsePoly.one(zt) if i == j else SparsePoly.zero(zt))
               - h.components[i].diff_z(j).lift(zt).mul(t) for j in range(h.n))
         for i in range(h.n)))
+
+
+def _derivative_shell(h: MapTuple, u: SparsePoly, m: int) -> SparsePoly:
+    """sum over |alpha| = m of d^alpha(u H^alpha) / alpha!, over the z layout."""
+    acc = SparsePoly.zero(h.vars)
+    for picks in combinations_with_replacement(range(h.n), m):
+        alpha = tuple(picks.count(i) for i in range(h.n))
+        term = u
+        for i in picks:
+            term = term.mul(h.components[i])
+        acc = acc + term.diff_z_multi(alpha).scale(
+            Fraction(1, prod(factorial(a) for a in alpha)))
+    return acc
+
+
+def scan_value(h: MapTuple, k: int, m: int) -> SparsePoly:
+    """lambda^m(P^(m+k)) for P = <xi, H>, over the (xi, z) layout, without lambda_apply.
+
+    Expanding P^(m+k) and lambda^m by the multinomial theorem leaves only
+    z-derivatives of products of the components:
+      k=0: (m!)^2 sum_{|alpha|=m} d^alpha(H^alpha)/alpha!
+      k=1: m!(m+1)! sum_i xi_i sum_{|alpha|=m} d^alpha(H_i H^alpha)/alpha!
+    """
+    xiz = VarSet.xiz(h.n)
+    scale = factorial(m) * factorial(m + k)
+    if k == 0:
+        return _derivative_shell(h, SparsePoly.one(h.vars), m).scale(scale).lift(xiz)
+    return sum((SparsePoly.xi_var(xiz, i).mul(_derivative_shell(h, hi, m).lift(xiz))
+                for i, hi in enumerate(h.components)),
+               SparsePoly.zero(xiz)).scale(scale)
 
 
 def _det_bareiss(m: PolyMatrix) -> SparsePoly:

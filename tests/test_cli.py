@@ -222,6 +222,27 @@ class TestLab:
         assert report["result"] == {"det_deformation": "1", "nilpotent": True}
         assert report["flags"]["partial"] is True
 
+    def test_abort_in_k1_tail_keeps_the_k0_section(self, tmp_path, monkeypatch, capsys):
+        # both scans share one chain; this one trips on P^5, which only the
+        # k=1 scan needs, so the finished k=0 section stays in the report
+        item = agcalc.lab.gen_corpus(
+            agcalc.lab.CorpusSpec(n=3, family="cubic", count=3, seed=0))[1]
+        path = tmp_path / "cubic.json"
+        save_map_file(path, item.h, {"name": item.item_id, "nt_degree": item.nt_degree})
+        monkeypatch.setenv("AGCALC_TERM_CEILING", "200")
+        assert main(["lab", str(path), "--m-max", "4"]) == 3
+        assert capsys.readouterr().out == (
+            "# lab (sha256:173ec6b5f0a75f3a1629e5fde0ffc08a8558fd1e751f56299c6b82743a1a3094)\n"
+            "PASS  nilpotency certificate  [nilpotent=True]\n"
+            "PASS  vanishing scan k=0  [all zero]\n"
+            "FAIL  resource guard  [scan aborted at term ceiling]  "
+            "witness: term count 266 exceeded ceiling 200\n"
+            "det_deformation = 1\n"
+            "nilpotent = True\n"
+            "flag  partial = True\n"
+            "flag  resource_guard = term count 266 exceeded ceiling 200\n"
+            "overall: FAIL\n")
+
     def test_term_ceiling_exits_3(self, tmp_path):
         path = tmp_path / "wide.json"
         comps = (SparsePoly.monomial(Z2, (0, 2)) + SparsePoly.monomial(Z2, (0, 3)),
@@ -301,10 +322,13 @@ class TestWorkCounts:
     @pytest.mark.parametrize("mapfile", ["triangular_map", "control_map"])
     def test_lab_one_certificate_and_one_scan_per_k(self, mapfile, request, monkeypatch,
                                                     capsys):
+        # one chain serves both scans when check (ii) runs; when it is skipped
+        # (control_map is not nilpotent), lab runs a k=1 chain of its own
+        chains = {"triangular_map": 1, "control_map": 2}[mapfile]
         counts = _count_calls(monkeypatch, [agcalc.lab.is_nilpotent,
                                             agcalc.lab.vanishing_scan_poly])
         assert main(["lab", request.getfixturevalue(mapfile)]) == 0
-        assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": 2}
+        assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": chains}
 
 
 class TestDeterminism:

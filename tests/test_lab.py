@@ -29,7 +29,7 @@ from agcalc.lab import (
     vanishing_scan_poly,
 )
 from agcalc.poly import MapTuple, SparsePoly, VarSet, det, xi_pairing
-from poly_reference import _det_bareiss, deformation_matrix
+from poly_reference import _det_bareiss, deformation_matrix, scan_value
 
 Z1 = VarSet.z(1)
 Z2 = VarSet.z(2)
@@ -43,6 +43,14 @@ def triangular_2d():
 
 def diagonal_2d():
     return MapTuple.exact((SparsePoly.monomial(Z2, (2, 0)), SparsePoly.zero(Z2)))
+
+
+def wide_2d():
+    """Non-nilpotent, with powers of <xi, H> that grow: P^2 has 6 terms, P^3 10."""
+    return MapTuple.exact((
+        SparsePoly.monomial(Z2, (0, 2)) + SparsePoly.monomial(Z2, (0, 3)),
+        SparsePoly.monomial(Z2, (2, 0)),
+    ))
 
 
 class TestNilpotency:
@@ -126,12 +134,8 @@ class TestVanishingScan:
         assert rep.first_nonzero == 1
 
     def test_term_ceiling_guard(self):
-        h = MapTuple.exact((
-            SparsePoly.monomial(Z2, (0, 2)) + SparsePoly.monomial(Z2, (0, 3)),
-            SparsePoly.monomial(Z2, (2, 0)),
-        ))
         with pytest.raises(TermCeilingExceeded) as err:
-            vanishing_scan(h, 0, 6, term_ceiling=5)
+            vanishing_scan(wide_2d(), 0, 6, term_ceiling=5)
         partial = err.value.partial
         assert partial is not None and partial.mmax == 6
 
@@ -159,12 +163,10 @@ class TestVanishingScan:
 
     def test_one_product_per_m(self, monkeypatch):
         # the power of P grows by one factor per scanned m; lambda^m of it
-        # costs m applications, so both k make 1 + 2 + 3 + 4 of them
-        h = MapTuple.exact((
-            SparsePoly.monomial(Z2, (0, 2)) + SparsePoly.monomial(Z2, (0, 3)),
-            SparsePoly.monomial(Z2, (2, 0)),
-        ))
-        p = xi_pairing(h)
+        # costs m applications, so both k make 1 + 2 + 3 + 4 of them.  Both
+        # scans through 4 share one chain P^1..P^5: 5 products and
+        # 1 + 2 + 3 + 4 + 4 applications, where two scans make 9 and 20
+        p = xi_pairing(wide_2d())
         counts = {"mul": 0, "lambda_apply": 0}
         mul, apply = SparsePoly.mul, agcalc.lab.lambda_apply
 
@@ -183,6 +185,28 @@ class TestVanishingScan:
             rep = vanishing_scan_poly(p, k, 4)
             assert [m for m, _ in rep.values] == list(range(1 - k, 5))
             assert counts == {"mul": products, "lambda_apply": 10}
+        counts.update(mul=0, lambda_apply=0)
+        vanishing_scan_poly(p, 0, 4, k1_mmax=4)
+        assert counts == {"mul": 5, "lambda_apply": 14}
+
+    def test_shared_chain_depths_and_partials(self):
+        p = xi_pairing(wide_2d())
+        for mmax, k1_mmax in ((2, 4), (4, 1), (3, 3)):
+            scan0, scan1 = vanishing_scan_poly(p, 0, mmax, k1_mmax=k1_mmax)
+            assert scan0 == vanishing_scan_poly(p, 0, mmax)
+            assert scan1 == vanishing_scan_poly(p, 1, k1_mmax)
+        # every step through P^2 has at most 6 terms; P^3, needed only by
+        # the k=1 scan, has 10: the abort carries both scans as they stand
+        with pytest.raises(TermCeilingExceeded) as err:
+            vanishing_scan_poly(p, 0, 2, k1_mmax=3, term_ceiling=9)
+        assert str(err.value) == "term count 10 exceeded ceiling 9"
+        scan0, scan1 = err.value.partial
+        assert scan0 == vanishing_scan_poly(p, 0, 2)
+        assert scan1 == replace(vanishing_scan_poly(p, 1, 3).through(1), mmax=3)
+        with pytest.raises(ContractViolation):
+            vanishing_scan_poly(p, 1, 2, k1_mmax=3)
+        with pytest.raises(ContractViolation):
+            vanishing_scan_poly(p, 0, 2, k1_mmax=0)
 
     def test_bad_arguments(self):
         with pytest.raises(ContractViolation):
@@ -265,6 +289,18 @@ class TestNtSeries:
             assert n_t.components[i] == expect.truncate_z(int(series.degree()))
 
 
+class TestScanReference:
+    """Both scans of the shared chain against the xi-free formulas of poly_reference."""
+
+    def test_standard_corpus(self):
+        items = [i for i in standard_corpus(0) if i.is_polynomial]
+        assert len(items) == 15
+        for item in items:
+            for scan in vanishing_scan_poly(xi_pairing(item.h), 0, 4, k1_mmax=4):
+                for m, v in scan.values:
+                    assert v == scan_value(item.h, scan.k, m), (item.item_id, scan.k, m)
+
+
 class TestEquivalences:
     def test_triangular_all_pass(self):
         rep = check_equivalences(triangular_2d(), 6, known_nt_degree=0)
@@ -286,6 +322,13 @@ class TestEquivalences:
         # claiming t-degree 1 for the t-independent triangular map must fail
         rep = check_equivalences(triangular_2d(), 6, known_nt_degree=1)
         assert not rep.passed
+
+    @pytest.mark.parametrize("mmax", [0, -5])
+    def test_mmax_below_1_refused(self, mmax):
+        with pytest.raises(ContractViolation, match="mmax must be >= 1"):
+            check_equivalences(triangular_2d(), mmax, known_nt_degree=0)
+        with pytest.raises(ContractViolation, match="mmax must be >= 1"):
+            next(equivalence_steps(diagonal_2d(), mmax))
 
     def test_steps_yield_certificate_scans_then_report(self):
         cert, scan0, scan1, rep = equivalence_steps(triangular_2d(), 4, known_nt_degree=0)
@@ -342,10 +385,11 @@ class TestEquivalenceWork:
     COUNTED = ("is_nilpotent", "vanishing_scan_poly", "invert_fixed_point")
 
     def test_nilpotent_item_scans_once_per_k(self, monkeypatch):
+        # both scans are read off one chain
         counts = _count_calls(monkeypatch, self.COUNTED)
         rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
         assert rep.passed
-        assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": 2,
+        assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": 1,
                           "invert_fixed_point": 2}
 
     def test_control_item_scans_once(self, monkeypatch):
@@ -380,12 +424,10 @@ class TestEquivalenceFailures:
         real = agcalc.lab.vanishing_scan_poly
 
         def widened(p, k, mmax, **kwargs):
-            rep = real(p, k, mmax, **kwargs)
-            if k == 0:
-                return rep
+            scan0, scan1 = real(p, k, mmax, **kwargs)  # the shared chain of both scans
             extra = SparsePoly.monomial(p.vars, (2, 0, 0, 2))  # xi1^2*z2^2
-            m0, v0 = rep.values[0]
-            return replace(rep, values=((m0, v0 + extra),) + rep.values[1:])
+            m0, v0 = scan1.values[0]
+            return scan0, replace(scan1, values=((m0, v0 + extra),) + scan1.values[1:])
         monkeypatch.setattr(agcalc.lab, "vanishing_scan_poly", widened)
         rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
         cross = _checks_by_name(rep)["deformed inverse series cross-check"]

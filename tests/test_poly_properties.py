@@ -5,7 +5,9 @@ with n <= 3.  Results are read only through items(), so the tests hold for
 any storage behind SparsePoly.  The packed storage adds its own contracts:
 an exponent above MAX_EXPONENT is refused, at construction and in a
 product, and equal polynomials compare equal however they were reached.
-det is checked against sympy, when it is installed.  Runs are
+Both vanishing scans of one shared chain are checked against their
+xi-free formulas on small random maps.  det is checked against sympy, when
+it is installed.  Runs are
 derandomized, keep no example database, and leave nothing in the working
 directory.
 """
@@ -34,7 +36,9 @@ from agcalc.poly import (  # noqa: E402
     compose,
     compose_map,
     det,
+    xi_pairing,
 )
+from agcalc.lab import vanishing_scan_poly  # noqa: E402
 from agcalc.weyl import lambda_apply  # noqa: E402
 
 # hypothesis caches the constants it reads from local source files under its
@@ -256,6 +260,18 @@ class TestPackedForm:
         vs = data.draw(layouts())
         a = SparsePoly(vs, data.draw(polys(vs)))
         assert a.scale(q).scale(1 / q) == a
+
+
+class TestScanAgainstReference:
+    @PROPERTY
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3))
+    def test_shared_chain(self, data, mmax, k1_mmax):
+        vs = VarSet.z(data.draw(st.integers(1, 3)))
+        h = MapTuple.exact([SparsePoly(vs, {e: c for e, c in data.draw(
+            polys(vs, max_exp=2, max_terms=3)).items() if sum(e) >= 2}) for _ in range(vs.n)])
+        for scan in vanishing_scan_poly(xi_pairing(h), 0, mmax, k1_mmax=k1_mmax):
+            for m, v in scan.values:
+                assert v == ref.scan_value(h, scan.k, m)
 
 
 def sympy_det(sympy, m: PolyMatrix, trunc):
