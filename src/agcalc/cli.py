@@ -44,11 +44,8 @@ from .inversion import (
 )
 from .lab import (
     CorpusSpec,
-    EquivalenceReport,
-    NilpotencyCertificate,
     VanishingReport,
     check_equivalences,
-    equivalence_steps,
     gen_corpus,
     is_nilpotent,
     standard_corpus,
@@ -93,10 +90,6 @@ def _digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
-def _digest_file(path: str) -> str:
-    return _digest(Path(path).read_bytes())
-
-
 def _require_min(value: int, least: int, name: str) -> None:
     if value < least:
         raise MapFileError(f"{name} must be >= {least}")
@@ -138,7 +131,7 @@ def _known_inverse_check(known: MapTuple, result, degree: int) -> Check:
 
 
 def cmd_invert(args) -> Report:
-    h, meta = load_map_file(args.mapfile)
+    h, meta, data = load_map_file(args.mapfile)
     _require_min(args.degree, 1, "--degree")
     checks: list[Check] = []
     if args.method == "all":
@@ -160,7 +153,7 @@ def cmd_invert(args) -> Report:
         command="invert",
         args={"mapfile": str(args.mapfile), "degree": args.degree,
               "method": args.method},
-        input_digest=_digest_file(args.mapfile),
+        input_digest=_digest(data),
         checks=tuple(checks),
         result=_g_result(shown),
     )
@@ -208,7 +201,7 @@ def verify_suite(h: MapTuple, bound: int, xi_bound: int,
 
 
 def cmd_verify(args) -> Report:
-    h, _meta = load_map_file(args.mapfile)
+    h, _meta, data = load_map_file(args.mapfile)
     _require_min(args.degree, 1, "--degree")
     _require_min(args.xi_degree, 0, "--xi-degree")
     k_eff = args.xi_degree
@@ -222,7 +215,7 @@ def cmd_verify(args) -> Report:
         command="verify",
         args={"mapfile": str(args.mapfile), "degree": args.degree,
               "xi_degree": k_eff, "q": args.q},
-        input_digest=_digest_file(args.mapfile),
+        input_digest=_digest(data),
         checks=tuple(checks),
     )
 
@@ -231,21 +224,41 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_lab(args) -> Report:
-    h, meta = load_map_file(args.mapfile)
+    h, meta, data = load_map_file(args.mapfile)
     _require_min(args.m_max, 1, "--m-max")
     ceiling = _term_ceiling()
     wanted = args.checks
+    equiv = None  # the EquivalenceReport, or its partial after an abort
+    cert = None
+    scans: tuple[VanishingReport, ...] = ()  # the scans lab runs itself
+    flags: dict = {}
+    try:
+        if wanted in ("equiv", "all"):
+            equiv = check_equivalences(h, args.m_max,
+                                       known_nt_degree=meta.get("nt_degree"),
+                                       term_ceiling=ceiling, label=meta.get("name", "map"))
+            if wanted == "all" and len(equiv.scans) == 1:  # check (ii) was skipped
+                scans = (vanishing_scan(h, 1, args.m_max, term_ceiling=ceiling),)
+        elif wanted == "nilpotent":
+            cert = is_nilpotent(h)
+        else:
+            k = {"scan0": 0, "scan1": 1}[wanted]
+            scans = (vanishing_scan(h, k, args.m_max, term_ceiling=ceiling),)
+    except TermCeilingExceeded as err:
+        if equiv is None and wanted in ("equiv", "all"):
+            equiv = err.partial
+        flags = {"resource_guard": str(err), "partial": True}
+
     checks: list[Check] = []
     result: dict = {}
-    flags: dict = {}
-
-    def show_certificate(cert: NilpotencyCertificate) -> None:
+    if equiv is not None and wanted == "all":
+        cert, scans = equiv.certificate, equiv.scans + scans
+    if cert is not None:
         checks.append(passed_check(
             "nilpotency certificate", detail=f"nilpotent={cert.nilpotent}"))
         result["det_deformation"] = render_poly(cert.det_deformation)
         result["nilpotent"] = cert.nilpotent
-
-    def show_scan(rep: VanishingReport) -> None:
+    for rep in scans:
         rep = rep.through(args.m_max)
         edge = (f"first nonzero at m={rep.first_nonzero}" if rep.k == 0
                 else f"last nonzero at m={rep.last_nonzero}")
@@ -258,40 +271,17 @@ def cmd_lab(args) -> Report:
             "last_nonzero": rep.last_nonzero,
             "values": [{"m": m, "value": render_poly(v)} for m, v in rep.values],
         }
-
-    try:
-        if wanted in ("equiv", "all"):
-            for step in equivalence_steps(h, args.m_max,
-                                          known_nt_degree=meta.get("nt_degree"),
-                                          term_ceiling=ceiling,
-                                          label=meta.get("name", "map")):
-                if isinstance(step, EquivalenceReport):
-                    eq = step
-                elif wanted == "equiv":  # the report alone
-                    continue
-                elif isinstance(step, NilpotencyCertificate):
-                    show_certificate(step)
-                else:
-                    show_scan(step)
-            if wanted == "all" and "scan1" not in result:  # check (ii) was skipped
-                show_scan(vanishing_scan(h, 1, args.m_max, term_ceiling=ceiling))
-            checks.extend(eq.checks)
-            result["nilpotent"] = eq.nilpotent
-        elif wanted == "nilpotent":
-            show_certificate(is_nilpotent(h))
-        else:
-            k = {"scan0": 0, "scan1": 1}[wanted]
-            show_scan(vanishing_scan(h, k, args.m_max, term_ceiling=ceiling))
-    except TermCeilingExceeded as err:
-        flags["resource_guard"] = str(err)
-        flags["partial"] = True
-        checks.append(failed_check("resource guard", witness=str(err),
+    if equiv is not None and equiv.checks:  # a partial has no checks and no verdict
+        checks.extend(equiv.checks)
+        result["nilpotent"] = equiv.nilpotent
+    if flags:
+        checks.append(failed_check("resource guard", witness=flags["resource_guard"],
                                    detail="scan aborted at term ceiling"))
     return Report(
         command="lab",
         args={"mapfile": str(args.mapfile), "m_max": args.m_max,
               "checks": args.checks},
-        input_digest=_digest_file(args.mapfile),
+        input_digest=_digest(data),
         checks=tuple(checks),
         result=result or None,
         flags=flags,

@@ -40,7 +40,12 @@ class ConvergenceViolation(AgcalcError):
 
 
 class TermCeilingExceeded(AgcalcError):
-    """The term-count resource guard tripped; carries whatever was computed."""
+    """The term-count resource guard tripped; partial holds what finished.
+
+    It has the shape its raiser returns: a VanishingReport from
+    lab.vanishing_scan, the tuple of scans from lab.vanishing_scan_poly, and
+    an EquivalenceReport with no checks from lab.check_equivalences.
+    """
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)

@@ -8,9 +8,11 @@ maps are rejected, and every scan value is a genuine polynomial identity.
 
 Both vanishing scans, lambda^m(P^m) and lambda^m(P^(m+1)) for P = <xi, H>,
 are read off one chain of powers P^j: the k=1 value at m = j - 1 is a step
-on the way to the k=0 value at m = j.  The scans are combinatorially
-explosive in m, so they run under a term-count ceiling and abort loudly
-(TermCeilingExceeded, carrying the partial report) instead of grinding.
+on the way to the k=0 value at m = j.  check_equivalences returns one
+EquivalenceReport: the certificate, the scans its checks read, and the
+checks.  The scans are combinatorially explosive in m, so they run under a
+term-count ceiling and abort loudly (TermCeilingExceeded, whose partial has
+the shape its raiser returns) instead of grinding.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     ContractViolation,
@@ -131,46 +133,38 @@ def _guard(p: SparsePoly, ceiling: int, partial_fn) -> SparsePoly:
     return p
 
 
-def vanishing_scan_poly(p: SparsePoly, k: int, mmax: int, *,
-                        k1_mmax: int | None = None,
+def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
                         term_ceiling: int | None = None,
-                        label: str = "phase-poly"
-                        ) -> VanishingReport | tuple[VanishingReport, VanishingReport]:
-    """Exact scan of lambda^m(p^(m+k)) for a general phase polynomial p.
+                        label: str = "phase-poly") -> tuple[VanishingReport, ...]:
+    """Exact scans of lambda^m(p^(m+k)) for a general phase polynomial p.
 
     This is the open-ended entry point: no equivalence with nilpotency is
     claimed for arbitrary p, only for the pairing built from a map (see
-    vanishing_scan).  k=0 scans m = 1..mmax; k=1 also reports the base term
-    m=0, which is p itself.
+    vanishing_scan).  depths maps each offset k in {0, 1} to the mmax of
+    its scan, and the scans come back in order of k.  k=0 scans
+    m = 1..mmax; k=1 also reports the base term m=0, which is p itself.
 
     Every value is a step of one chain: p^j takes one product from p^(j-1),
     and lambda^m(p^j) is the value at m of the scan with k = j - m.  So
     after j - 1 applications of lambda the chain holds the k=1 value at
-    m = j - 1, and one more gives the k=0 value at m = j.  With k=0 and
-    k1_mmax set, the same chain (run to max(mmax, k1_mmax + 1)) also
-    records the k=1 scan through k1_mmax, and the pair (k=0 scan, k=1 scan)
-    is returned.  A term-ceiling abort carries the partial scan, or the pair
-    of partial scans.
+    m = j - 1, and one more gives the k=0 value at m = j.  A term-ceiling
+    abort carries the tuple of scans as they stand.
     """
     if not p.vars.has_xi:
         raise ContractViolation("scans run over a xi-extended layout")
-    if k not in (0, 1):
+    if not depths or not depths.keys() <= {0, 1}:
         raise ContractViolation("scan offset k must be 0 or 1")
-    if k1_mmax is not None and k != 0:
-        raise ContractViolation("a k=1 scan rides along only with a k=0 scan")
-    depths = {k: mmax} if k1_mmax is None else {0: mmax, 1: k1_mmax}
     if min(depths.values()) < 1:
         raise ContractViolation("mmax must be >= 1")
     ceiling = DEFAULT_TERM_CEILING if term_ceiling is None else term_ceiling
-    values: dict[int, list[tuple[int, SparsePoly]]] = {kk: [] for kk in depths}
+    values: dict[int, list[tuple[int, SparsePoly]]] = {k: [] for k in sorted(depths)}
 
     def reports():
-        reps = tuple(VanishingReport(label, kk, depth, tuple(values[kk]))
-                     for kk, depth in depths.items())
-        return reps if k1_mmax is not None else reps[0]
+        return tuple(VanishingReport(label, k, depths[k], tuple(vals))
+                     for k, vals in values.items())
 
     power = SparsePoly.one(p.vars)  # p^j, one factor more per j
-    for j in range(1, max(depth + kk for kk, depth in depths.items()) + 1):
+    for j in range(1, max(depth + k for k, depth in depths.items()) + 1):
         v = power = _guard(power.mul(p), ceiling, reports)
         last = j if j <= depths.get(0, 0) else j - 1  # the k=0 value needs one more
         for m in range(last + 1):
@@ -186,7 +180,12 @@ def vanishing_scan(h: MapTuple, k: int, mmax: int, *,
                    label: str = "map") -> VanishingReport:
     """Scan for P = <xi, H> built from an exact polynomial map."""
     _require_exact(h)
-    return vanishing_scan_poly(xi_pairing(h), k, mmax, term_ceiling=term_ceiling, label=label)
+    try:
+        return vanishing_scan_poly(xi_pairing(h), {k: mmax},
+                                   term_ceiling=term_ceiling, label=label)[0]
+    except TermCeilingExceeded as err:
+        (err.partial,) = err.partial  # the one partial scan
+        raise
 
 
 # -- deformation series ------------------------------------------------------
@@ -297,13 +296,21 @@ def deformed_tail_components(h: MapTuple, mmax: int, *,
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """The certificate, the scans the checks read (k=0, then k=1), and the checks."""
+
     label: str
-    nilpotent: bool
+    certificate: NilpotencyCertificate
+    scans: tuple[VanishingReport, ...]
     checks: tuple[Check, ...]
 
     @property
+    def nilpotent(self) -> bool:
+        return self.certificate.nilpotent
+
+    @property
     def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
+        """At least one check ran and none failed; an abort's partial ran none."""
+        return bool(self.checks) and all(c.status != "fail" for c in self.checks)
 
     def __str__(self) -> str:
         lines = [f"{self.label}: {'nilpotent' if self.nilpotent else 'not nilpotent'}"]
@@ -311,11 +318,11 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def equivalence_steps(h: MapTuple, mmax: int, *,
-                      known_nt_degree: int | None = None,
-                      term_ceiling: int | None = None,
-                      label: str = "map") -> Iterator[object]:
-    """Consolidated instance-level report, yielded piece by piece.
+def check_equivalences(h: MapTuple, mmax: int, *,
+                       known_nt_degree: int | None = None,
+                       term_ceiling: int | None = None,
+                       label: str = "map") -> EquivalenceReport:
+    """Consolidated instance-level report.
 
     (i)   det(I - t*JH) == 1 iff the k=0 scan vanishes; a non-nilpotent
           instance must yield a witness at some m <= n (the determinant's
@@ -325,37 +332,35 @@ def equivalence_steps(h: MapTuple, mmax: int, *,
           series cross-checks against the oracle.  Skipped otherwise.
     (iii) the deformed-Jacobian series cross-checks (and equals 1 when
           nilpotent).  Skipped for non-nilpotent instances.
-    Yields the certificate, the k=0 scan (through max(mmax, n)), the k=1
-    scan (through max(mmax, d + 1)) when (ii) runs, and last the
-    EquivalenceReport.  Both scans are read off one vanishing_scan_poly
-    chain, and the series of (ii) and (iii) are summed from them.  When
-    the term ceiling trips after the k=0 scan has finished, that scan is
-    yielded before the abort propagates.
+    The report holds the certificate, the k=0 scan (through max(mmax, n))
+    and, when (ii) runs, the k=1 scan (through max(mmax, d + 1)).  Both
+    scans are read off one vanishing_scan_poly chain, and the series of
+    (ii) and (iii) are summed from them.  When the term ceiling trips, the
+    TermCeilingExceeded carries an EquivalenceReport with no checks: the
+    certificate, and the k=0 scan when the abort came in the part of the
+    chain that only the k=1 scan needs.
     """
     if mmax < 1:
         raise ContractViolation("mmax must be >= 1")
     cert = is_nilpotent(h)
-    yield cert
-    checks: list[Check] = []
-
-    scan_depth = max(mmax, h.n)
-    nt_depth = None
+    depths = {0: max(mmax, h.n)}
     if cert.nilpotent and known_nt_degree is not None:
-        nt_depth = max(mmax, known_nt_degree + 1)
+        depths[1] = max(mmax, known_nt_degree + 1)
     try:
-        scans = vanishing_scan_poly(xi_pairing(h), 0, scan_depth, k1_mmax=nt_depth,
-                                    term_ceiling=term_ceiling, label=label)
+        scans = vanishing_scan_poly(xi_pairing(h), depths, term_ceiling=term_ceiling,
+                                    label=label)
     except TermCeilingExceeded as err:
-        if nt_depth is not None and len(err.partial[0].values) == scan_depth:
-            yield err.partial[0]  # the abort came in the k=1-only tail
+        scan0 = err.partial[0]
+        finished = (scan0,) if len(scan0.values) == depths[0] else ()
+        err.partial = EquivalenceReport(label, cert, finished, ())
         raise
-    scan0, scan1 = scans if nt_depth is not None else (scans, None)
-    yield scan0
+    scan0 = scans[0]
+    checks: list[Check] = []
     if cert.nilpotent:
         if scan0.all_zero:
             checks.append(passed_check(
                 "nilpotent iff scan vanishes",
-                detail=f"det certificate 1; scan zero through m={scan_depth}"))
+                detail=f"det certificate 1; scan zero through m={scan0.mmax}"))
         else:
             m = scan0.first_nonzero
             checks.append(failed_check(
@@ -374,16 +379,15 @@ def equivalence_steps(h: MapTuple, mmax: int, *,
                 witness=f"first nonzero at m={m}",
                 detail=f"non-nilpotent instance needs a witness at m <= n={h.n}"))
 
-    if scan1 is not None:
-        d = known_nt_degree
-        yield scan1
+    if 1 in depths:  # check (ii) runs
+        scan1, d = scans[1], known_nt_degree
         # the scan runs past d, so index d means every later value is zero;
         # an all-zero series (H = 0) has no t-dependence: index 0
         observed = scan1.last_nonzero if scan1.last_nonzero is not None else 0
         if observed == d:
             checks.append(passed_check(
                 "deformed inverse stabilizes at known t-degree",
-                detail=f"stabilization index {d}, scanned through m={nt_depth}"))
+                detail=f"stabilization index {d}, scanned through m={scan1.mmax}"))
         else:
             checks.append(failed_check(
                 "deformed inverse stabilizes at known t-degree",
@@ -404,17 +408,7 @@ def equivalence_steps(h: MapTuple, mmax: int, *,
     else:
         checks.append(skipped_check("deformed Jacobian series", detail="not nilpotent"))
 
-    yield EquivalenceReport(label, cert.nilpotent, tuple(checks))
-
-
-def check_equivalences(h: MapTuple, mmax: int, *,
-                       known_nt_degree: int | None = None,
-                       term_ceiling: int | None = None,
-                       label: str = "map") -> EquivalenceReport:
-    """The EquivalenceReport that equivalence_steps ends with."""
-    *_, report = equivalence_steps(h, mmax, known_nt_degree=known_nt_degree,
-                                   term_ceiling=term_ceiling, label=label)
-    return report
+    return EquivalenceReport(label, cert, scans, tuple(checks))
 
 
 # -- corpus generation ---------------------------------------------------------

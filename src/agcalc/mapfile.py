@@ -172,17 +172,20 @@ def parse_map_obj(obj: dict) -> tuple[MapTuple, dict]:
     return h, metadata
 
 
-def load_map_file(path: str | Path) -> tuple[MapTuple, dict]:
+def load_map_file(path: str | Path) -> tuple[MapTuple, dict, bytes]:
+    """The map, its metadata, and the bytes they were parsed from, read once."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as err:
         raise MapFileError(f"cannot read {path}: {err}") from None
     try:
-        obj = json.loads(text)
+        obj = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise MapFileError(f"{path} is not UTF-8: {err}") from None
     except json.JSONDecodeError as err:
         raise MapFileError(f"{path} is not valid JSON: {err}") from None
-    return parse_map_obj(obj)
+    return (*parse_map_obj(obj), data)
 
 
 def map_to_obj(h: MapTuple, metadata: dict | None = None) -> dict:

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, report determinism, golden bytes."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -97,6 +98,12 @@ class TestInvert:
         proc = run_cli("invert", "/nonexistent/map.json", "--degree", "3")
         assert proc.returncode == 2
 
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 1, "components": [[]], "metadata": {"name": "\xe9"}}')
+        assert main(["invert", str(path), "--degree", "3"]) == 2
+        assert "is not UTF-8" in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", ["", "missing/report.json"])
     def test_unwritable_out_exits_2(self, square_map, tmp_path, target):
         # a directory, then a file under a directory that does not exist
@@ -156,6 +163,47 @@ class TestVerify:
     def test_negative_xi_degree_exits_2(self, triangular_map, capsys):
         assert main(["verify", triangular_map, "--xi-degree", "-1"]) == 2
         assert "--xi-degree must be >= 0" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def control_n3_map(tmp_path):
+    """Item 1 of the n=3 control cell: its k=1 chain outgrows its k=0 chain."""
+    item = agcalc.lab.gen_corpus(
+        agcalc.lab.CorpusSpec(n=3, family="control", count=3, seed=0))[1]
+    path = tmp_path / "control-n3-1.json"
+    save_map_file(path, item.h, {"name": item.item_id})
+    return str(path)
+
+
+CONTROL_N3_HEAD = (
+    "# lab (sha256:a63da62ecfd7d741df69bdc616446d0b2ef2967711aa3d52a74379618cf8246f)\n")
+CONTROL_N3_CERT = "PASS  nilpotency certificate  [nilpotent=False]\n"
+CONTROL_N3_EQUIV = (
+    "PASS  nilpotent iff scan vanishes  [witness m=1 <= n=3: -2*z2*z3 + 2*z1]\n"
+    "skip  deformed inverse stabilizes at known t-degree  [not nilpotent]\n"
+    "skip  deformed Jacobian series  [not nilpotent]\n")
+CONTROL_N3_DET = "det_deformation = -4*z1*z2*z3*t^2 + 2*z2*z3*t - 2*z1*t + 1\n"
+
+
+def _guard_lines(witness: str) -> tuple[str, str]:
+    """The resource-guard check line and the flag lines of a partial report."""
+    return (f"FAIL  resource guard  [scan aborted at term ceiling]  witness: {witness}\n",
+            f"flag  partial = True\nflag  resource_guard = {witness}\n")
+
+
+GUARD_35, FLAGS_35 = _guard_lines("term count 35 exceeded ceiling 20")
+
+# every lab mode on control_n3_map at ceiling 20; P^2 has 35 terms, so
+# every scan aborts and only the unguarded certificate finishes
+PARTIAL_REPORTS = {
+    "nilpotent": (0, CONTROL_N3_HEAD + CONTROL_N3_CERT + CONTROL_N3_DET
+                  + "nilpotent = False\noverall: PASS\n"),
+    "scan0": (3, CONTROL_N3_HEAD + GUARD_35 + FLAGS_35 + "overall: FAIL\n"),
+    "scan1": (3, CONTROL_N3_HEAD + GUARD_35 + FLAGS_35 + "overall: FAIL\n"),
+    "equiv": (3, CONTROL_N3_HEAD + GUARD_35 + FLAGS_35 + "overall: FAIL\n"),
+    "all": (3, CONTROL_N3_HEAD + CONTROL_N3_CERT + GUARD_35 + CONTROL_N3_DET
+            + "nilpotent = False\n" + FLAGS_35 + "overall: FAIL\n"),
+}
 
 
 class TestLab:
@@ -243,6 +291,48 @@ class TestLab:
             "flag  resource_guard = term count 266 exceeded ceiling 200\n"
             "overall: FAIL\n")
 
+    @pytest.mark.parametrize("checks", sorted(PARTIAL_REPORTS))
+    def test_partial_report_per_mode(self, checks, control_n3_map, monkeypatch, capsys):
+        monkeypatch.setenv("AGCALC_TERM_CEILING", "20")
+        code = main(["lab", control_n3_map, "--m-max", "4", "--checks", checks])
+        assert (code, capsys.readouterr().out) == PARTIAL_REPORTS[checks]
+
+    def test_abort_in_own_k1_chain_keeps_the_finished_checks(self, control_n3_map,
+                                                             monkeypatch, capsys):
+        # check (ii) is skipped, so lab runs a k=1 chain of its own after the
+        # equivalence checks; it trips on P^5, and those checks stay
+        guard, flags = _guard_lines("term count 70 exceeded ceiling 60")
+        monkeypatch.setenv("AGCALC_TERM_CEILING", "60")
+        assert main(["lab", control_n3_map, "--m-max", "4"]) == 3
+        assert capsys.readouterr().out == (
+            CONTROL_N3_HEAD + CONTROL_N3_CERT
+            + "PASS  vanishing scan k=0  [first nonzero at m=1]\n"
+            + CONTROL_N3_EQUIV + guard + CONTROL_N3_DET + "nilpotent = False\n"
+            + flags + "overall: FAIL\n")
+        assert main(["lab", control_n3_map, "--m-max", "4", "--checks", "equiv"]) == 0
+        assert capsys.readouterr().out == (
+            CONTROL_N3_HEAD + CONTROL_N3_EQUIV + "nilpotent = False\noverall: PASS\n")
+
+    @pytest.mark.parametrize("change", ["rewrite", "remove"])
+    def test_digest_is_of_the_bytes_parsed(self, change, triangular_map, monkeypatch,
+                                           capsys):
+        # an editor may rewrite or replace the file while a run is going on
+        with open(triangular_map, "rb") as f:
+            parsed = f.read()
+        real = agcalc.lab.is_nilpotent
+
+        def changing(h):
+            if change == "rewrite":
+                with open(triangular_map, "w", encoding="utf-8") as f:
+                    f.write('{"n": 1, "components": [[]]}\n')
+            else:
+                os.remove(triangular_map)
+            return real(h)
+        monkeypatch.setattr(agcalc.lab, "is_nilpotent", changing)
+        assert main(["lab", triangular_map, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["input_digest"] == "sha256:" + hashlib.sha256(parsed).hexdigest()
+
     def test_term_ceiling_exits_3(self, tmp_path):
         path = tmp_path / "wide.json"
         comps = (SparsePoly.monomial(Z2, (0, 2)) + SparsePoly.monomial(Z2, (0, 3)),
@@ -325,10 +415,12 @@ class TestWorkCounts:
         # one chain serves both scans when check (ii) runs; when it is skipped
         # (control_map is not nilpotent), lab runs a k=1 chain of its own
         chains = {"triangular_map": 1, "control_map": 2}[mapfile]
-        counts = _count_calls(monkeypatch, [agcalc.lab.is_nilpotent,
+        counts = _count_calls(monkeypatch, [agcalc.lab.check_equivalences,
+                                            agcalc.lab.is_nilpotent,
                                             agcalc.lab.vanishing_scan_poly])
         assert main(["lab", request.getfixturevalue(mapfile)]) == 0
-        assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": chains}
+        assert counts == {"check_equivalences": 1, "is_nilpotent": 1,
+                          "vanishing_scan_poly": chains}
 
 
 class TestDeterminism:

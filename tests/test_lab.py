@@ -17,9 +17,9 @@ from agcalc.inversion import cross_method_results, invert_fixed_point
 from agcalc.lab import (
     FAMILIES,
     CorpusSpec,
+    EquivalenceReport,
     check_equivalences,
     deformed_tail_components,
-    equivalence_steps,
     gen_corpus,
     gt_jacobian_series,
     is_nilpotent,
@@ -130,7 +130,7 @@ class TestVanishingScan:
     def test_general_poly_entry_point(self):
         # P = xi1*z1^2: not of pairing form restrictions, still scannable
         p = SparsePoly.monomial(XIZ2, (1, 0, 2, 0))
-        rep = vanishing_scan_poly(p, 0, 3)
+        (rep,) = vanishing_scan_poly(p, {0: 3})
         assert rep.first_nonzero == 1
 
     def test_term_ceiling_guard(self):
@@ -182,31 +182,36 @@ class TestVanishingScan:
         monkeypatch.setattr(agcalc.lab, "lambda_apply", counting_apply)
         for k, products in ((0, 4), (1, 5)):
             counts.update(mul=0, lambda_apply=0)
-            rep = vanishing_scan_poly(p, k, 4)
+            (rep,) = vanishing_scan_poly(p, {k: 4})
             assert [m for m, _ in rep.values] == list(range(1 - k, 5))
             assert counts == {"mul": products, "lambda_apply": 10}
         counts.update(mul=0, lambda_apply=0)
-        vanishing_scan_poly(p, 0, 4, k1_mmax=4)
+        vanishing_scan_poly(p, {0: 4, 1: 4})
         assert counts == {"mul": 5, "lambda_apply": 14}
 
     def test_shared_chain_depths_and_partials(self):
         p = xi_pairing(wide_2d())
-        for mmax, k1_mmax in ((2, 4), (4, 1), (3, 3)):
-            scan0, scan1 = vanishing_scan_poly(p, 0, mmax, k1_mmax=k1_mmax)
-            assert scan0 == vanishing_scan_poly(p, 0, mmax)
-            assert scan1 == vanishing_scan_poly(p, 1, k1_mmax)
+        for mmax, mmax1 in ((2, 4), (4, 1), (3, 3)):
+            # the scans come back in order of k, whatever the order of the keys
+            scan0, scan1 = vanishing_scan_poly(p, {1: mmax1, 0: mmax})
+            assert (scan0,) == vanishing_scan_poly(p, {0: mmax})
+            assert (scan1,) == vanishing_scan_poly(p, {1: mmax1})
         # every step through P^2 has at most 6 terms; P^3, needed only by
         # the k=1 scan, has 10: the abort carries both scans as they stand
         with pytest.raises(TermCeilingExceeded) as err:
-            vanishing_scan_poly(p, 0, 2, k1_mmax=3, term_ceiling=9)
+            vanishing_scan_poly(p, {0: 2, 1: 3}, term_ceiling=9)
         assert str(err.value) == "term count 10 exceeded ceiling 9"
         scan0, scan1 = err.value.partial
-        assert scan0 == vanishing_scan_poly(p, 0, 2)
-        assert scan1 == replace(vanishing_scan_poly(p, 1, 3).through(1), mmax=3)
-        with pytest.raises(ContractViolation):
-            vanishing_scan_poly(p, 1, 2, k1_mmax=3)
-        with pytest.raises(ContractViolation):
-            vanishing_scan_poly(p, 0, 2, k1_mmax=0)
+        assert scan0 == vanishing_scan(wide_2d(), 0, 2, label="phase-poly")
+        assert scan1 == replace(vanishing_scan(wide_2d(), 1, 3, label="phase-poly").through(1),
+                                mmax=3)
+        # a single scan's abort carries its one partial scan in a tuple
+        with pytest.raises(TermCeilingExceeded) as err:
+            vanishing_scan_poly(p, {1: 3}, term_ceiling=9)
+        assert err.value.partial == (scan1,)
+        for depths in ({}, {2: 3}, {0: 2, 2: 3}, {0: 0}, {0: 2, 1: 0}):
+            with pytest.raises(ContractViolation):
+                vanishing_scan_poly(p, depths)
 
     def test_bad_arguments(self):
         with pytest.raises(ContractViolation):
@@ -296,7 +301,7 @@ class TestScanReference:
         items = [i for i in standard_corpus(0) if i.is_polynomial]
         assert len(items) == 15
         for item in items:
-            for scan in vanishing_scan_poly(xi_pairing(item.h), 0, 4, k1_mmax=4):
+            for scan in vanishing_scan_poly(xi_pairing(item.h), {0: 4, 1: 4}):
                 for m, v in scan.values:
                     assert v == scan_value(item.h, scan.k, m), (item.item_id, scan.k, m)
 
@@ -325,20 +330,38 @@ class TestEquivalences:
 
     @pytest.mark.parametrize("mmax", [0, -5])
     def test_mmax_below_1_refused(self, mmax):
-        with pytest.raises(ContractViolation, match="mmax must be >= 1"):
-            check_equivalences(triangular_2d(), mmax, known_nt_degree=0)
-        with pytest.raises(ContractViolation, match="mmax must be >= 1"):
-            next(equivalence_steps(diagonal_2d(), mmax))
+        for h in (triangular_2d(), diagonal_2d()):
+            with pytest.raises(ContractViolation, match="mmax must be >= 1"):
+                check_equivalences(h, mmax, known_nt_degree=0)
 
-    def test_steps_yield_certificate_scans_then_report(self):
-        cert, scan0, scan1, rep = equivalence_steps(triangular_2d(), 4, known_nt_degree=0)
-        assert cert == is_nilpotent(triangular_2d())
+    def test_report_holds_certificate_and_scans(self):
+        rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
+        assert rep.certificate == is_nilpotent(triangular_2d()) and rep.nilpotent
+        scan0, scan1 = rep.scans
         assert (scan0.k, scan0.mmax, scan1.k, scan1.mmax) == (0, 4, 1, 4)
         assert rep == check_equivalences(triangular_2d(), 4, known_nt_degree=0)
         # no k=1 scan without a known t-degree
-        cert, scan0, rep = equivalence_steps(diagonal_2d(), 1)
-        assert not cert.nilpotent and (scan0.k, scan0.mmax) == (0, 2)
-        assert rep == check_equivalences(diagonal_2d(), 1)
+        rep = check_equivalences(diagonal_2d(), 1)
+        assert rep.certificate == is_nilpotent(diagonal_2d()) and not rep.nilpotent
+        (scan0,) = rep.scans
+        assert (scan0.k, scan0.mmax) == (0, 2)
+
+    def test_abort_carries_a_partial_report(self):
+        # P^2 of wide_2d (n = 2) has 6 terms: the k=0 scan through m=2 aborts
+        h = wide_2d()
+        with pytest.raises(TermCeilingExceeded) as err:
+            check_equivalences(h, 2, term_ceiling=5)
+        assert err.value.partial == EquivalenceReport("map", is_nilpotent(h), (), ())
+        assert not err.value.partial.passed
+        # this cubic trips on P^5, which only the k=1 scan needs: the
+        # finished k=0 scan stays in the partial report
+        item = gen_corpus(CorpusSpec(n=3, family="cubic", count=3, seed=0))[1]
+        with pytest.raises(TermCeilingExceeded) as err:
+            check_equivalences(item.h, 4, known_nt_degree=item.nt_degree, term_ceiling=200)
+        assert str(err.value) == "term count 266 exceeded ceiling 200"
+        full = check_equivalences(item.h, 4)
+        assert err.value.partial == replace(full, checks=())
+        assert not err.value.partial.passed
 
 
 def _count_calls(monkeypatch, names):
@@ -423,8 +446,8 @@ class TestEquivalenceFailures:
     def test_series_not_xi_linear(self, monkeypatch):
         real = agcalc.lab.vanishing_scan_poly
 
-        def widened(p, k, mmax, **kwargs):
-            scan0, scan1 = real(p, k, mmax, **kwargs)  # the shared chain of both scans
+        def widened(p, depths, **kwargs):
+            scan0, scan1 = real(p, depths, **kwargs)  # the shared chain of both scans
             extra = SparsePoly.monomial(p.vars, (2, 0, 0, 2))  # xi1^2*z2^2
             m0, v0 = scan1.values[0]
             return scan0, replace(scan1, values=((m0, v0 + extra),) + scan1.values[1:])

@@ -65,9 +65,10 @@ class TestMapFiles:
         assert meta["known_inverse"].components[0] == SparsePoly.monomial(Z2, (0, 2))
         path = tmp_path / "map.json"
         save_map_file(path, h, {"name": "shift", "known_inverse": meta["known_inverse"]})
-        h2, meta2 = load_map_file(path)
+        h2, meta2, data = load_map_file(path)
         assert h2 == h
         assert meta2["known_inverse"] == meta["known_inverse"]
+        assert data == path.read_bytes()
 
     def test_series_trunc_field(self):
         obj = triangular_obj()

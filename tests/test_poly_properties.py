@@ -265,11 +265,11 @@ class TestPackedForm:
 class TestScanAgainstReference:
     @PROPERTY
     @given(st.data(), st.integers(1, 3), st.integers(1, 3))
-    def test_shared_chain(self, data, mmax, k1_mmax):
+    def test_shared_chain(self, data, mmax, mmax1):
         vs = VarSet.z(data.draw(st.integers(1, 3)))
         h = MapTuple.exact([SparsePoly(vs, {e: c for e, c in data.draw(
             polys(vs, max_exp=2, max_terms=3)).items() if sum(e) >= 2}) for _ in range(vs.n)])
-        for scan in vanishing_scan_poly(xi_pairing(h), 0, mmax, k1_mmax=k1_mmax):
+        for scan in vanishing_scan_poly(xi_pairing(h), {0: mmax, 1: mmax1}):
             for m, v in scan.values:
                 assert v == ref.scan_value(h, scan.k, m)
 
