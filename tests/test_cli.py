@@ -193,7 +193,7 @@ def _guard_lines(witness: str) -> tuple[str, str]:
 
 GUARD_35, FLAGS_35 = _guard_lines("term count 35 exceeded ceiling 20")
 
-# every lab mode on control_n3_map at ceiling 20; P^2 has 35 terms, so
+# every lab mode on control_n3_map at ceiling 20; P^4 has 35 terms, so
 # every scan aborts and only the unguarded certificate finishes
 PARTIAL_REPORTS = {
     "nilpotent": (0, CONTROL_N3_HEAD + CONTROL_N3_CERT + CONTROL_N3_DET
@@ -300,7 +300,7 @@ class TestLab:
     def test_abort_in_own_k1_chain_keeps_the_finished_checks(self, control_n3_map,
                                                              monkeypatch, capsys):
         # check (ii) is skipped, so lab runs a k=1 chain of its own after the
-        # equivalence checks; it trips on P^5, and those checks stay
+        # equivalence checks; it trips at lambda(P^5), and those checks stay
         guard, flags = _guard_lines("term count 70 exceeded ceiling 60")
         monkeypatch.setenv("AGCALC_TERM_CEILING", "60")
         assert main(["lab", control_n3_map, "--m-max", "4"]) == 3
