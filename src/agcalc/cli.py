@@ -44,8 +44,9 @@ from .inversion import (
 )
 from .lab import (
     CorpusSpec,
-    VanishingReport,
     check_equivalences,
+    equivalence_checks,
+    equivalence_depths,
     gen_corpus,
     is_nilpotent,
     standard_corpus,
@@ -227,39 +228,32 @@ def cmd_lab(args) -> Report:
     h, meta, data = load_map_file(args.mapfile)
     _require_min(args.m_max, 1, "--m-max")
     ceiling = _term_ceiling()
-    wanted = args.checks
-    equiv = None  # the EquivalenceReport, or its partial after an abort
-    cert = None
-    scans: tuple[VanishingReport, ...] = ()  # the scans lab runs itself
+    wanted, nt_degree = args.checks, meta.get("nt_degree")
+    cert = is_nilpotent(h) if wanted in ("nilpotent", "equiv", "all") else None
+    # one chain: the depths the equivalence checks read, each shown scan raised to --m-max
+    read = (equivalence_depths(h, args.m_max, cert, nt_degree)
+            if wanted in ("equiv", "all") else {})
+    shown = {"scan0": (0,), "scan1": (1,), "all": (0, 1)}.get(wanted, ())
+    depths = {**read, **{k: max(read.get(k, 0), args.m_max) for k in shown}}
+    scans: dict = {}
     flags: dict = {}
-    try:
-        if wanted in ("equiv", "all"):
-            equiv = check_equivalences(h, args.m_max,
-                                       known_nt_degree=meta.get("nt_degree"),
-                                       term_ceiling=ceiling, label=meta.get("name", "map"))
-            if wanted == "all" and len(equiv.scans) == 1:  # check (ii) was skipped
-                scans = (vanishing_scan(h, 1, args.m_max, term_ceiling=ceiling),)
-        elif wanted == "nilpotent":
-            cert = is_nilpotent(h)
-        else:
-            k = {"scan0": 0, "scan1": 1}[wanted]
-            scans = (vanishing_scan(h, k, args.m_max, term_ceiling=ceiling),)
-    except TermCeilingExceeded as err:
-        if equiv is None and wanted in ("equiv", "all"):
-            equiv = err.partial
-        flags = {"resource_guard": str(err), "partial": True}
+    if depths:
+        try:
+            done = vanishing_scan(h, depths, term_ceiling=ceiling)
+        except TermCeilingExceeded as err:
+            done = err.partial
+            flags = {"resource_guard": str(err), "partial": True}
+        scans = {rep.k: rep for rep in done if rep.complete}
 
     checks: list[Check] = []
     result: dict = {}
-    if equiv is not None and wanted == "all":
-        cert, scans = equiv.certificate, equiv.scans + scans
-    if cert is not None:
+    if wanted in ("nilpotent", "all"):
         checks.append(passed_check(
             "nilpotency certificate", detail=f"nilpotent={cert.nilpotent}"))
         result["det_deformation"] = render_poly(cert.det_deformation)
+    if cert is not None:
         result["nilpotent"] = cert.nilpotent
-    for rep in scans:
-        rep = rep.through(args.m_max)
+    for rep in (scans[k].through(args.m_max) for k in shown if k in scans):
         edge = (f"first nonzero at m={rep.first_nonzero}" if rep.k == 0
                 else f"last nonzero at m={rep.last_nonzero}")
         checks.append(passed_check(f"vanishing scan k={rep.k}",
@@ -271,9 +265,9 @@ def cmd_lab(args) -> Report:
             "last_nonzero": rep.last_nonzero,
             "values": [{"m": m, "value": render_poly(v)} for m, v in rep.values],
         }
-    if equiv is not None and equiv.checks:  # a partial has no checks and no verdict
-        checks.extend(equiv.checks)
-        result["nilpotent"] = equiv.nilpotent
+    if read and read.keys() <= scans.keys():  # every scan the checks read finished
+        checks.extend(equivalence_checks(h, cert, tuple(scans[k] for k in sorted(read)),
+                                         nt_degree))
     if flags:
         checks.append(failed_check("resource guard", witness=flags["resource_guard"],
                                    detail="scan aborted at term ceiling"))

@@ -8,9 +8,9 @@ maps are rejected, and every scan value is a genuine polynomial identity.
 
 Both vanishing scans, lambda^m(P^m) and lambda^m(P^(m+1)) for P = <xi, H>,
 are read off one chain of powers P^j: the k=1 value at m = j - 1 is a step
-on the way to the k=0 value at m = j.  check_equivalences returns one
-EquivalenceReport: the certificate, the scans its checks read, and the
-checks.  The scans are combinatorially explosive in m, so they run under a
+on the way to the k=0 value at m = j.  check_equivalences composes
+equivalence_depths, one vanishing_scan and the pure equivalence_checks.
+The scans are combinatorially explosive in m, so they run under a
 term-count ceiling and abort loudly (TermCeilingExceeded, whose partial has
 the shape its raiser returns) instead of grinding.
 """
@@ -69,10 +69,6 @@ class NilpotencyCertificate:
     nilpotent: bool
     det_deformation: SparsePoly  # det(I - t*JH) over the (z, t) layout
 
-    def __str__(self) -> str:
-        verdict = "nilpotent" if self.nilpotent else "not nilpotent"
-        return f"{verdict}; det(I - t*JH) = {self.det_deformation}"
-
 
 def is_nilpotent(h: MapTuple) -> NilpotencyCertificate:
     """JH is nilpotent exactly when det J(z - t*H) = det(I - t*JH) collapses to 1."""
@@ -105,6 +101,11 @@ class VanishingReport:
     def all_zero(self) -> bool:
         return self.first_nonzero is None
 
+    @property
+    def complete(self) -> bool:
+        """The scan reached mmax; an abort's partial scan may stop short of it."""
+        return bool(self.values) and self.values[-1][0] == self.mmax
+
     def value(self, m: int) -> SparsePoly:
         for mm, v in self.values:
             if mm == m:
@@ -117,12 +118,6 @@ class VanishingReport:
             raise ContractViolation(f"scan ran through m={self.mmax}; cannot cut at m={m}")
         return replace(self, mmax=m,
                        values=tuple((mm, v) for mm, v in self.values if mm <= m))
-
-    def __str__(self) -> str:
-        if self.all_zero:
-            return f"{self.label}: scan k={self.k} all zero through m={self.mmax}"
-        return (f"{self.label}: scan k={self.k} first nonzero at m={self.first_nonzero}, "
-                f"last at m={self.last_nonzero} (through m={self.mmax})")
 
 
 def _guard(p: SparsePoly, ceiling: int, partial_fn) -> SparsePoly:
@@ -147,7 +142,8 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
     Every value is a step of one chain: p^j takes one product from p^(j-1),
     and lambda^m(p^j) is the value at m of the scan with k = j - m.  So
     after j - 1 applications of lambda the chain holds the k=1 value at
-    m = j - 1, and one more gives the k=0 value at m = j.  A term-ceiling
+    m = j - 1, and one more gives the k=0 value at m = j.  lambda of zero
+    is zero, so a step that is zero is not applied again.  A term-ceiling
     abort carries the tuple of scans as they stand.
     """
     if not p.vars.has_xi:
@@ -168,24 +164,20 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
         v = power = _guard(power.mul(p), ceiling, reports)
         last = j if j <= depths.get(0, 0) else j - 1  # the k=0 value needs one more
         for m in range(last + 1):
-            if m:
+            if m and not v.is_zero:
                 v = _guard(lambda_apply(v), ceiling, reports)
             if m <= depths.get(j - m, -1):
                 values[j - m].append((m, v))
     return reports()
 
 
-def vanishing_scan(h: MapTuple, k: int, mmax: int, *,
+def vanishing_scan(h: MapTuple, depths: dict[int, int], *,
                    term_ceiling: int | None = None,
-                   label: str = "map") -> VanishingReport:
-    """Scan for P = <xi, H> built from an exact polynomial map."""
+                   label: str = "map") -> tuple[VanishingReport, ...]:
+    """vanishing_scan_poly on P = <xi, H> built from an exact polynomial map."""
     _require_exact(h)
-    try:
-        return vanishing_scan_poly(xi_pairing(h), {k: mmax},
-                                   term_ceiling=term_ceiling, label=label)[0]
-    except TermCeilingExceeded as err:
-        (err.partial,) = err.partial  # the one partial scan
-        raise
+    return vanishing_scan_poly(xi_pairing(h), depths, term_ceiling=term_ceiling,
+                               label=label)
 
 
 # -- deformation series ------------------------------------------------------
@@ -261,7 +253,8 @@ def gt_jacobian_series(h: MapTuple, mmax: int, *,
     inverse of z - t*H over Q[t].  A window mismatch raises
     VerificationError naming the offending coefficient.
     """
-    scan = vanishing_scan(h, 0, mmax, term_ceiling=term_ceiling, label="jacobian series")
+    (scan,) = vanishing_scan(h, {0: mmax}, term_ceiling=term_ceiling,
+                             label="jacobian series")
     return _verified_series(_jacobian_series_report(h, scan))
 
 
@@ -279,8 +272,8 @@ def nt_pairing_series(h: MapTuple, mmax: int, *,
         raise PreconditionError(
             "the deformed-inverse series needs JH nilpotent (deformed Jacobian == 1); "
             f"certificate: det(I - t*JH) = {cert.det_deformation}")
-    scan = vanishing_scan(h, 1, mmax, term_ceiling=term_ceiling,
-                          label="deformed inverse series")
+    (scan,) = vanishing_scan(h, {1: mmax}, term_ceiling=term_ceiling,
+                             label="deformed inverse series")
     return _verified_series(_nt_series_report(h, scan))
 
 
@@ -312,48 +305,30 @@ class EquivalenceReport:
         """At least one check ran and none failed; an abort's partial ran none."""
         return bool(self.checks) and all(c.status != "fail" for c in self.checks)
 
-    def __str__(self) -> str:
-        lines = [f"{self.label}: {'nilpotent' if self.nilpotent else 'not nilpotent'}"]
-        lines.extend(f"  {c.status.upper():4s} {c.name}" for c in self.checks)
-        return "\n".join(lines)
 
+def equivalence_depths(h: MapTuple, mmax: int, cert: NilpotencyCertificate,
+                       known_nt_degree: int | None) -> dict[int, int]:
+    """The {k: mmax} of the scans equivalence_checks reads.
 
-def check_equivalences(h: MapTuple, mmax: int, *,
-                       known_nt_degree: int | None = None,
-                       term_ceiling: int | None = None,
-                       label: str = "map") -> EquivalenceReport:
-    """Consolidated instance-level report.
-
-    (i)   det(I - t*JH) == 1 iff the k=0 scan vanishes; a non-nilpotent
-          instance must yield a witness at some m <= n (the determinant's
-          first nonunit coefficient sits at t-degree <= n).
-    (ii)  with a known polynomial inverse of t-degree d: the k=1 scan is
-          zero beyond m=d and nonzero at m=d, and the deformed-inverse
-          series cross-checks against the oracle.  Skipped otherwise.
-    (iii) the deformed-Jacobian series cross-checks (and equals 1 when
-          nilpotent).  Skipped for non-nilpotent instances.
-    The report holds the certificate, the k=0 scan (through max(mmax, n))
-    and, when (ii) runs, the k=1 scan (through max(mmax, d + 1)).  Both
-    scans are read off one vanishing_scan_poly chain, and the series of
-    (ii) and (iii) are summed from them.  When the term ceiling trips, the
-    TermCeilingExceeded carries an EquivalenceReport with no checks: the
-    certificate, and the k=0 scan when the abort came in the part of the
-    chain that only the k=1 scan needs.
+    The k=0 scan runs through D0 = max(mmax, n); the k=1 scan, which only
+    check (ii) reads, runs through D1 = max(mmax, d + 1) for a nilpotent
+    map with a known t-degree d.
     """
     if mmax < 1:
         raise ContractViolation("mmax must be >= 1")
-    cert = is_nilpotent(h)
     depths = {0: max(mmax, h.n)}
     if cert.nilpotent and known_nt_degree is not None:
         depths[1] = max(mmax, known_nt_degree + 1)
-    try:
-        scans = vanishing_scan_poly(xi_pairing(h), depths, term_ceiling=term_ceiling,
-                                    label=label)
-    except TermCeilingExceeded as err:
-        scan0 = err.partial[0]
-        finished = (scan0,) if len(scan0.values) == depths[0] else ()
-        err.partial = EquivalenceReport(label, cert, finished, ())
-        raise
+    return depths
+
+
+def equivalence_checks(h: MapTuple, cert: NilpotencyCertificate,
+                       scans: tuple[VanishingReport, ...],
+                       known_nt_degree: int | None) -> tuple[Check, ...]:
+    """The checks of check_equivalences, given the scans equivalence_depths names.
+
+    scans holds those scans in order of k, each through its depth.
+    """
     scan0 = scans[0]
     checks: list[Check] = []
     if cert.nilpotent:
@@ -379,7 +354,7 @@ def check_equivalences(h: MapTuple, mmax: int, *,
                 witness=f"first nonzero at m={m}",
                 detail=f"non-nilpotent instance needs a witness at m <= n={h.n}"))
 
-    if 1 in depths:  # check (ii) runs
+    if len(scans) > 1:  # equivalence_depths named a k=1 scan: check (ii) runs
         scan1, d = scans[1], known_nt_degree
         # the scan runs past d, so index d means every later value is zero;
         # an all-zero series (H = 0) has no t-dependence: index 0
@@ -407,8 +382,39 @@ def check_equivalences(h: MapTuple, mmax: int, *,
         checks.append(first_failure((oracle, unit)).check)
     else:
         checks.append(skipped_check("deformed Jacobian series", detail="not nilpotent"))
+    return tuple(checks)
 
-    return EquivalenceReport(label, cert, scans, tuple(checks))
+
+def check_equivalences(h: MapTuple, mmax: int, *,
+                       known_nt_degree: int | None = None,
+                       term_ceiling: int | None = None,
+                       label: str = "map") -> EquivalenceReport:
+    """Consolidated instance-level report.
+
+    (i)   det(I - t*JH) == 1 iff the k=0 scan vanishes; a non-nilpotent
+          instance must yield a witness at some m <= n (the determinant's
+          first nonunit coefficient sits at t-degree <= n).
+    (ii)  with a known polynomial inverse of t-degree d: the k=1 scan is
+          zero beyond m=d and nonzero at m=d, and the deformed-inverse
+          series cross-checks against the oracle.  Skipped otherwise.
+    (iii) the deformed-Jacobian series cross-checks (and equals 1 when
+          nilpotent).  Skipped for non-nilpotent instances.
+    The report holds the certificate, the scans of equivalence_depths (read
+    off one vanishing_scan chain) and the checks; the series of (ii) and
+    (iii) are summed from the scans.  When the term ceiling trips, the
+    TermCeilingExceeded carries an EquivalenceReport with no checks: the
+    certificate and every scan that reached its depth before the abort.
+    """
+    cert = is_nilpotent(h)
+    depths = equivalence_depths(h, mmax, cert, known_nt_degree)
+    try:
+        scans = vanishing_scan(h, depths, term_ceiling=term_ceiling, label=label)
+    except TermCeilingExceeded as err:
+        finished = tuple(scan for scan in err.partial if scan.complete)
+        err.partial = EquivalenceReport(label, cert, finished, ())
+        raise
+    return EquivalenceReport(label, cert, scans,
+                             equivalence_checks(h, cert, scans, known_nt_degree))
 
 
 # -- corpus generation ---------------------------------------------------------

@@ -163,7 +163,7 @@ class TestAcceptance:
             if not item.is_polynomial:
                 continue
             cert = is_nilpotent(item.h)
-            scan = vanishing_scan(item.h, 0, SCAN_DEPTH)
+            (scan,) = vanishing_scan(item.h, {0: SCAN_DEPTH})
             if item.nilpotent:
                 nilpotent_count += 1
                 ok = ok and cert.nilpotent
@@ -197,7 +197,7 @@ class TestAcceptance:
             except Exception:
                 ok = False
                 continue
-            scan = vanishing_scan(item.h, 1, depth)
+            (scan,) = vanishing_scan(item.h, {1: depth})
             observed = scan.last_nonzero if scan.last_nonzero is not None else 0
             ok = ok and all(v.is_zero for m, v in scan.values if m > item.nt_degree)
             ok = ok and observed == item.nt_degree

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import agcalc.cli
 import agcalc.inversion
 import agcalc.lab
 from agcalc.cli import main
@@ -200,7 +201,8 @@ PARTIAL_REPORTS = {
                   + "nilpotent = False\noverall: PASS\n"),
     "scan0": (3, CONTROL_N3_HEAD + GUARD_35 + FLAGS_35 + "overall: FAIL\n"),
     "scan1": (3, CONTROL_N3_HEAD + GUARD_35 + FLAGS_35 + "overall: FAIL\n"),
-    "equiv": (3, CONTROL_N3_HEAD + GUARD_35 + FLAGS_35 + "overall: FAIL\n"),
+    "equiv": (3, CONTROL_N3_HEAD + GUARD_35 + "nilpotent = False\n" + FLAGS_35
+              + "overall: FAIL\n"),
     "all": (3, CONTROL_N3_HEAD + CONTROL_N3_CERT + GUARD_35 + CONTROL_N3_DET
             + "nilpotent = False\n" + FLAGS_35 + "overall: FAIL\n"),
 }
@@ -247,6 +249,8 @@ class TestLab:
             (SparsePoly.monomial(Z1, (2,)),), 8))
         proc = run_cli("lab", str(path))
         assert proc.returncode == 2
+        for checks in ("nilpotent", "scan0", "scan1", "equiv", "all"):
+            assert main(["lab", str(path), "--checks", checks]) == 2, checks
 
     @pytest.mark.parametrize("ceiling", ["0", "-1"])
     def test_term_ceiling_below_1_exits_2(self, ceiling, triangular_map, monkeypatch,
@@ -291,6 +295,27 @@ class TestLab:
             "flag  resource_guard = term count 266 exceeded ceiling 200\n"
             "overall: FAIL\n")
 
+    def test_abort_in_k0_part_keeps_the_k1_section(self, tmp_path, monkeypatch, capsys):
+        # without nt_degree the k=1 scan runs through --m-max 1 only and
+        # finishes on P^2; the k=0 scan through m=n=3 trips later in the chain
+        item = agcalc.lab.gen_corpus(
+            agcalc.lab.CorpusSpec(n=3, family="cubic", count=3, seed=0))[1]
+        path = tmp_path / "cubic.json"
+        save_map_file(path, item.h, {"name": item.item_id})
+        monkeypatch.setenv("AGCALC_TERM_CEILING", "40")
+        assert main(["lab", str(path), "--m-max", "1"]) == 3
+        assert capsys.readouterr().out == (
+            "# lab (sha256:925322f86845258055c2613acd731e3fe1eb81bdce2d384beb40fcc782e90df6)\n"
+            "PASS  nilpotency certificate  [nilpotent=True]\n"
+            "PASS  vanishing scan k=1  [last nonzero at m=1]\n"
+            "FAIL  resource guard  [scan aborted at term ceiling]  "
+            "witness: term count 80 exceeded ceiling 40\n"
+            "det_deformation = 1\n"
+            "nilpotent = True\n"
+            "flag  partial = True\n"
+            "flag  resource_guard = term count 80 exceeded ceiling 40\n"
+            "overall: FAIL\n")
+
     @pytest.mark.parametrize("checks", sorted(PARTIAL_REPORTS))
     def test_partial_report_per_mode(self, checks, control_n3_map, monkeypatch, capsys):
         monkeypatch.setenv("AGCALC_TERM_CEILING", "20")
@@ -299,8 +324,9 @@ class TestLab:
 
     def test_abort_in_own_k1_chain_keeps_the_finished_checks(self, control_n3_map,
                                                              monkeypatch, capsys):
-        # check (ii) is skipped, so lab runs a k=1 chain of its own after the
-        # equivalence checks; it trips at lambda(P^5), and those checks stay
+        # check (ii) is skipped, so the k=0 scan the checks read runs through
+        # m=4 and only the shown k=1 scan needs P^5; the chain trips at
+        # lambda(P^5), and the finished checks stay
         guard, flags = _guard_lines("term count 70 exceeded ceiling 60")
         monkeypatch.setenv("AGCALC_TERM_CEILING", "60")
         assert main(["lab", control_n3_map, "--m-max", "4"]) == 3
@@ -319,17 +345,20 @@ class TestLab:
         # an editor may rewrite or replace the file while a run is going on
         with open(triangular_map, "rb") as f:
             parsed = f.read()
-        real = agcalc.lab.is_nilpotent
+        real = agcalc.cli.is_nilpotent
+        calls = []
 
         def changing(h):
+            calls.append(h)
             if change == "rewrite":
                 with open(triangular_map, "w", encoding="utf-8") as f:
                     f.write('{"n": 1, "components": [[]]}\n')
             else:
                 os.remove(triangular_map)
             return real(h)
-        monkeypatch.setattr(agcalc.lab, "is_nilpotent", changing)
+        monkeypatch.setattr(agcalc.cli, "is_nilpotent", changing)
         assert main(["lab", triangular_map, "--format", "json"]) == 0
+        assert len(calls) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["input_digest"] == "sha256:" + hashlib.sha256(parsed).hexdigest()
 
@@ -412,15 +441,15 @@ class TestWorkCounts:
     @pytest.mark.parametrize("mapfile", ["triangular_map", "control_map"])
     def test_lab_one_certificate_and_one_scan_per_k(self, mapfile, request, monkeypatch,
                                                     capsys):
-        # one chain serves both scans when check (ii) runs; when it is skipped
-        # (control_map is not nilpotent), lab runs a k=1 chain of its own
-        chains = {"triangular_map": 1, "control_map": 2}[mapfile]
-        counts = _count_calls(monkeypatch, [agcalc.lab.check_equivalences,
-                                            agcalc.lab.is_nilpotent,
+        # every mode reads both scans it needs, shown or checked, off one chain
+        path = request.getfixturevalue(mapfile)
+        counts = _count_calls(monkeypatch, [agcalc.lab.is_nilpotent,
                                             agcalc.lab.vanishing_scan_poly])
-        assert main(["lab", request.getfixturevalue(mapfile)]) == 0
-        assert counts == {"check_equivalences": 1, "is_nilpotent": 1,
-                          "vanishing_scan_poly": chains}
+        for checks in ("nilpotent", "scan0", "scan1", "equiv", "all"):
+            counts.update(is_nilpotent=0, vanishing_scan_poly=0)
+            assert main(["lab", path, "--checks", checks]) == 0
+            assert counts == {"is_nilpotent": int(checks not in ("scan0", "scan1")),
+                              "vanishing_scan_poly": int(checks != "nilpotent")}, checks
 
 
 class TestDeterminism:

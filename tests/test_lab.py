@@ -106,24 +106,25 @@ class TestNilpotency:
 
 class TestVanishingScan:
     def test_triangular_all_zero(self):
-        rep = vanishing_scan(triangular_2d(), 0, 6)
+        (rep,) = vanishing_scan(triangular_2d(), {0: 6})
         assert rep.all_zero
         assert [m for m, _ in rep.values] == [1, 2, 3, 4, 5, 6]
 
     def test_diagonal_first_witness(self):
-        rep = vanishing_scan(diagonal_2d(), 0, 4)
+        (rep,) = vanishing_scan(diagonal_2d(), {0: 4})
         assert rep.first_nonzero == 1
         # lambda(P) = trace(JH) = 2 z1
         assert rep.value(1) == SparsePoly.monomial(XIZ2, (0, 0, 1, 0), 2)
 
     def test_zero_map_any_k(self):
         h = MapTuple.exact((SparsePoly.zero(Z2), SparsePoly.zero(Z2)))
-        assert vanishing_scan(h, 0, 4).all_zero
-        rep1 = vanishing_scan(h, 1, 4)
+        (scan0,) = vanishing_scan(h, {0: 4})
+        assert scan0.all_zero
+        (rep1,) = vanishing_scan(h, {1: 4})
         assert rep1.all_zero  # base term P is itself zero
 
     def test_k1_base_term_is_pairing(self):
-        rep = vanishing_scan(triangular_2d(), 1, 3)
+        (rep,) = vanishing_scan(triangular_2d(), {1: 3})
         assert rep.values[0][0] == 0
         assert rep.values[0][1] == xi_pairing(triangular_2d())
 
@@ -135,12 +136,12 @@ class TestVanishingScan:
 
     def test_term_ceiling_guard(self):
         with pytest.raises(TermCeilingExceeded) as err:
-            vanishing_scan(wide_2d(), 0, 6, term_ceiling=5)
-        partial = err.value.partial
-        assert partial is not None and partial.mmax == 6
+            vanishing_scan(wide_2d(), {0: 6}, term_ceiling=5)
+        (partial,) = err.value.partial
+        assert partial.mmax == 6 and not partial.complete
 
     def test_through_cuts_to_a_computed_window(self):
-        rep = vanishing_scan(diagonal_2d(), 1, 4)
+        (rep,) = vanishing_scan(diagonal_2d(), {1: 4})
         cut = rep.through(2)
         assert (cut.k, cut.mmax) == (1, 2)
         assert cut.values == rep.values[:3]
@@ -151,7 +152,7 @@ class TestVanishingScan:
                 rep.through(m)
 
     def test_verdicts_read_off_the_values(self):
-        rep = vanishing_scan(diagonal_2d(), 1, 4)
+        (rep,) = vanishing_scan(diagonal_2d(), {1: 4})
         assert (rep.first_nonzero, rep.last_nonzero, rep.all_zero) == (0, 4, False)
         zero = SparsePoly.zero(XIZ2)
         inner = replace(rep, values=((0, zero), (1, rep.value(1)), (2, rep.value(2)),
@@ -180,14 +181,16 @@ class TestVanishingScan:
 
         monkeypatch.setattr(SparsePoly, "mul", counting_mul)
         monkeypatch.setattr(agcalc.lab, "lambda_apply", counting_apply)
-        for k, products in ((0, 4), (1, 5)):
+        # lambda of a zero step is zero and is not applied: on H = (z2^2, 0)
+        # every lambda(P^j) is zero, so 50 applications, not 1 + 2 + ... + 50
+        triangular = xi_pairing(triangular_2d())
+        for q, depths, products, applications in (
+                (p, {0: 4}, 4, 10), (p, {1: 4}, 5, 10), (p, {0: 4, 1: 4}, 5, 14),
+                (triangular, {0: 50}, 50, 50)):
             counts.update(mul=0, lambda_apply=0)
-            (rep,) = vanishing_scan_poly(p, {k: 4})
-            assert [m for m, _ in rep.values] == list(range(1 - k, 5))
-            assert counts == {"mul": products, "lambda_apply": 10}
-        counts.update(mul=0, lambda_apply=0)
-        vanishing_scan_poly(p, {0: 4, 1: 4})
-        assert counts == {"mul": 5, "lambda_apply": 14}
+            for rep in vanishing_scan_poly(q, depths):
+                assert [m for m, _ in rep.values] == list(range(1 - rep.k, depths[rep.k] + 1))
+            assert counts == {"mul": products, "lambda_apply": applications}, depths
 
     def test_shared_chain_depths_and_partials(self):
         p = xi_pairing(wide_2d())
@@ -202,9 +205,10 @@ class TestVanishingScan:
             vanishing_scan_poly(p, {0: 2, 1: 3}, term_ceiling=9)
         assert str(err.value) == "term count 10 exceeded ceiling 9"
         scan0, scan1 = err.value.partial
-        assert scan0 == vanishing_scan(wide_2d(), 0, 2, label="phase-poly")
-        assert scan1 == replace(vanishing_scan(wide_2d(), 1, 3, label="phase-poly").through(1),
-                                mmax=3)
+        assert scan0.complete and not scan1.complete
+        assert (scan0,) == vanishing_scan(wide_2d(), {0: 2}, label="phase-poly")
+        (full1,) = vanishing_scan(wide_2d(), {1: 3}, label="phase-poly")
+        assert scan1 == replace(full1.through(1), mmax=3)
         # a single scan's abort carries its one partial scan in a tuple
         with pytest.raises(TermCeilingExceeded) as err:
             vanishing_scan_poly(p, {1: 3}, term_ceiling=9)
@@ -215,9 +219,9 @@ class TestVanishingScan:
 
     def test_bad_arguments(self):
         with pytest.raises(ContractViolation):
-            vanishing_scan(triangular_2d(), 2, 4)
+            vanishing_scan(triangular_2d(), {2: 4})
         with pytest.raises(ContractViolation):
-            vanishing_scan(triangular_2d(), 0, 0)
+            vanishing_scan(triangular_2d(), {0: 0})
 
 
 class TestGtJacobianSeries:
@@ -362,6 +366,15 @@ class TestEquivalences:
         full = check_equivalences(item.h, 4)
         assert err.value.partial == replace(full, checks=())
         assert not err.value.partial.passed
+        # n = 3 and t-degree 0: at mmax 1 the k=1 scan finishes on P^2 (3 terms)
+        # and the k=0 scan through m=3 trips on P^3 (4 terms); the k=1 scan stays
+        z3 = VarSet.z(3)
+        squares = SparsePoly.monomial(z3, (0, 2, 0)) + SparsePoly.monomial(z3, (0, 0, 2))
+        h = MapTuple.exact((squares, SparsePoly.zero(z3), SparsePoly.zero(z3)))
+        with pytest.raises(TermCeilingExceeded) as err:
+            check_equivalences(h, 1, known_nt_degree=0, term_ceiling=3)
+        assert str(err.value) == "term count 4 exceeded ceiling 3"
+        assert err.value.partial.scans == vanishing_scan(h, {1: 1})
 
 
 def _count_calls(monkeypatch, names):
