@@ -314,7 +314,7 @@ def _run_suite_on_item(item, args, ceiling) -> Check:
                 return skipped_check(item.item_id, detail="series map; lab is exact-only")
             eq = check_equivalences(item.h, args.m_max,
                                     known_nt_degree=item.nt_degree,
-                                    term_ceiling=ceiling, label=item.item_id)
+                                    term_ceiling=ceiling)
             checks = eq.checks
             done = f"lab mmax={args.m_max}, nilpotent={eq.nilpotent}"
         else:

@@ -13,13 +13,18 @@ lambda_series    evaluate the k = 1 phase series
 
 Both series routes read N_i off <xi, N> as the coefficient of xi_i.
 
-Every summation cutoff is justified by an order bound.  With debug=True the
-first discarded shell (term) is computed as well, under the same truncations
-as the kept ones, and must vanish.  On valid input, o(H) >= 2, which every
-route enforces, those truncations already zero it, so the check passes by
-construction: it guards the summation cutoff against a loop that stops too
-early, not the truncation pads.  The count of checked discards is reported
-on the result.
+Each series route yields its shells from a generator (route 2 the terms
+with |alpha| = a, route 3 the one term m) into one loop, _sum_shells, which
+adds up shells 0..last; each route computes its own last, and neither
+calls the other's generator.  Every summation cutoff is justified by an
+order bound.  With debug=True the loop builds the first discarded shell as
+well, under the same truncations as the kept ones, and it must vanish; it
+never builds a shell past that one.  On valid input, o(H) >= 2, which
+every route enforces, those truncations already zero it, so the check
+passes by construction: it guards the summation cutoff against a loop that
+stops too early, not the truncation pads.  The count of checked discards,
+one per multi-index on route 2 and one per term on route 3, is reported on
+the result.
 
 Each product is formed once, and only to the z-degree the output window
 depends on.  The oracle composes H with z + N in one compose_map per pass,
@@ -41,8 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import factorial, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AgcalcError,
@@ -55,6 +61,7 @@ from .poly import (
     MapTuple,
     SeriesTrunc,
     SparsePoly,
+    VarSet,
     compose,
     compose_map,
     det,
@@ -161,16 +168,57 @@ def invert_fixed_point(h: MapTuple, bound: int, *,
     return _route_result(n_comps, FIXED_POINT, bound)
 
 
+# -- the shared summation loop ------------------------------------------------
+
+
+def _sum_shells(shells: Iterator[list[SparsePoly]], vs: VarSet, last: int, bound: int, *,
+                debug: bool, where: str) -> tuple[SparsePoly, int]:
+    """Add up shells 0..last of a series; with debug, shell last + 1 must vanish.
+
+    shells yields each shell as the list of its terms, built only when asked
+    for, so no shell past the last one taken is formed.  The discarded shell
+    is built under the same truncations as the kept ones, and a vanishing
+    truncated term verifies its discard.  Returns the sum over vs and the
+    count of checked discards, one per term of the discarded shell.
+    """
+    total, checked = SparsePoly.zero(vs), 0
+    for index, shell in zip(range(last + 1 + debug), shells):
+        if index <= last:
+            total = sum(shell, total)
+            continue
+        checked = len(shell)
+        for term in shell:
+            if not term.is_zero:
+                raise ConvergenceViolation(
+                    f"discarded {where}={index} has order <= {bound}: {term}")
+    return total, checked
+
+
 # -- route 2: the derivative sum --------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _derivative_shells(u: SparsePoly, h: MapTuple, bound: int,
+                       include_jf: bool) -> Iterator[list[SparsePoly]]:
+    """Shell a = 0, 1, ...: the terms d^alpha(u * H^alpha * JF?) / alpha! with |alpha| = a.
+
+    Shell a needs u * H^alpha * JF only to z-degree bound + a, the a degrees
+    the derivative removes.  It is grown from shell a - 1 by one multiply
+    per multi-index: alpha = beta + e_i for each beta of shell a - 1 and
+    each i up to beta's first nonzero index, so i is alpha's first nonzero
+    index and every alpha arises once, as (u H^beta JF) * H_i truncated at
+    bound + a.  Shell a - 1 is known only to bound + a - 1, which is
+    enough: o(H_i) >= 2, so a term it dropped would land past the pad.
+    """
+    vs = u.vars
+    jf = jacobian_factor(h, bound) if include_jf else SparsePoly.one(h.vars)
+    hs = [c.lift(vs) for c in h.components]
+    shell = {(0,) * h.n: u.mul(jf.lift(vs), trunc=bound)}  # u H^alpha JF for |alpha| = a
+    for a in count(1):
+        yield [base.diff_z_multi(alpha).scale(Fraction(1, prod(map(factorial, alpha))))
+               for alpha, base in shell.items()]
+        shell = {beta[:i] + (beta[i] + 1,) + beta[i + 1:]: base.mul(hs[i], trunc=bound + a)
+                 for beta, base in shell.items()
+                 for i in range(next((j for j, b in enumerate(beta) if b), h.n - 1) + 1)}
 
 
 def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
@@ -180,16 +228,9 @@ def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
     u lives over h's layout or its xi-extension: d^alpha acts on z only, so
     a xi-block rides along (route 2 sums u = <xi, H>).  With o = min(o(u),
     bound), term |alpha| = a has z-order >= o + 2a - a, so the sum stops at
-    a = bound - o.  It needs u * H^alpha * JF only to z-degree bound + a, the
-    a degrees the derivative removes.  The shell |alpha| = a is grown from
-    the one before by one multiply per multi-index,
-    u H^alpha JF = (u H^(alpha - e_i) JF) * H_i with i the first nonzero
-    index of alpha, truncated at bound + a.  The previous shell is known only
-    to bound + a - 1, which is enough: o(H_i) >= 2, so a term it dropped
-    would land past the pad.
-    The pads bound the sum at z-degree bound, since d^alpha lowers every
-    degree by exactly a.  Returns the sum, plus the count of debug-verified
-    discarded terms.
+    a = bound - o.  The pads of _derivative_shells bound the sum at z-degree
+    bound, since d^alpha lowers every degree by exactly a.  Returns the sum,
+    plus the count of debug-verified discarded terms, one per multi-index.
     """
     vs = u.vars
     if vs not in (h.vars, h.vars.with_xi()):
@@ -197,32 +238,9 @@ def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
                                 f"{h.vars.kind}(n={h.vars.n})")
     if u.is_zero:
         return u, 0
-    jf = jacobian_factor(h, bound) if include_jf else SparsePoly.one(h.vars)
-    hs = [c.lift(vs) for c in h.components]
-    last = bound - min(u.order(), bound)
-    total = SparsePoly.zero(vs)
-    shell = {(0,) * h.n: u.mul(jf.lift(vs), trunc=bound)}  # u H^alpha JF for |alpha| = a
-    checked = 0
-    for a in range(last + (2 if debug else 1)):
-        discard = a > last
-        if a:
-            prev, shell = shell, {}
-            for alpha in _compositions(a, h.n):
-                i = next(j for j, k in enumerate(alpha) if k)
-                lower = prev[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]]
-                shell[alpha] = lower.mul(hs[i], trunc=bound + a)
-        for alpha, base in shell.items():
-            # a vanishing truncated product verifies the discard too
-            checked += discard
-            term = base.diff_z_multi(alpha)
-            if term.is_zero:
-                continue
-            term = term.scale(Fraction(1, prod(map(factorial, alpha))))
-            if discard:
-                raise ConvergenceViolation(
-                    f"discarded derivative-sum term at |alpha|={a} has order <= {bound}: {term}")
-            total = total + term
-    return total, checked
+    return _sum_shells(_derivative_shells(u, h, bound, include_jf), vs,
+                       bound - min(u.order(), bound), bound, debug=debug,
+                       where="derivative-sum term at |alpha|")
 
 
 def invert_ag(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResult:
@@ -258,46 +276,44 @@ def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int,
 # -- route 3: the phase-space series ----------------------------------------
 
 
+def _phase_terms(u: SparsePoly, h: MapTuple, bound: int,
+                 k: int) -> Iterator[list[SparsePoly]]:
+    """Term m = 0, 1, ... of the phase series, as a one-term shell, u over the xi-layout.
+
+    Term m is k! lambda^m(u * P^(m+k) * JF) / (m! (m+k)!) and has xi-degree
+    exactly k.  It needs u * P^(m+k) * JF only to z-degree bound + m, the m
+    degrees lambda^m removes, so it is grown from the term before by one
+    multiply by P truncated at bound + m; the term before is known to one
+    degree less, which is enough as o(P) >= 2.
+    """
+    pairing = xi_pairing(h)
+    base = u.mul(jacobian_factor(h, bound).lift(u.vars), trunc=bound)  # u P^(m+k) JF
+    for _ in range(k):
+        base = base.mul(pairing, trunc=bound)
+    for m in count():
+        if m:
+            base = base.mul(pairing, trunc=bound + m)
+        term = lambda_pow(base, m)
+        if not term.is_zero and term.max_xi_degree() != k:
+            raise AgcalcError(f"phase-series term has xi-degree other than {k}")
+        yield [term.scale(Fraction(factorial(k), factorial(m) * factorial(m + k)))]
+
+
 def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *,
                 debug: bool, k: int = 0) -> tuple[SparsePoly, int]:
     """k! sum_m lambda^m(u * P^(m+k) * JF) / (m! (m+k)!), u lifted to the xi-layout.
 
-    Every term has xi-degree exactly k; k = 0 is the inversion series, whose
-    callers drop the xi-block.  Term m has z-order >= m + 2k + o, with
-    o = min(o(u), bound), so the sum stops at m = bound - 2k - o.  Term m
-    needs u * P^(m+k) * JF only to z-degree bound + m, the m degrees
-    lambda^m removes, so it is grown from the term before by one multiply
-    by P truncated at bound + m; the term before is known to one degree
-    less, which is enough as o(P) >= 2.
+    k = 0 is the inversion series, whose callers drop the xi-block.  Term m
+    has z-order >= m + 2k + o, with o = min(o(u), bound), so the sum stops
+    at m = bound - 2k - o.  Returns the sum, plus the count of
+    debug-verified discarded terms (one).
     """
-    target = h.vars.with_xi()
-    u = u.lift(target)
+    u = u.lift(h.vars.with_xi())
     if u.is_zero:
         return u, 0
-    pairing = xi_pairing(h)
-    last = bound - 2 * k - min(u.order(), bound)
-    base = u.mul(jacobian_factor(h, bound).lift(target), trunc=bound)  # u P^(m+k) JF to bound + m
-    for _ in range(k):
-        base = base.mul(pairing, trunc=bound)
-    total = SparsePoly.zero(target)
-    checked = 0
-    for m in range(last + (2 if debug else 1)):
-        discard = m > last
-        if m:
-            base = base.mul(pairing, trunc=bound + m)
-        # the truncated computation below IS the verification
-        checked += discard
-        term = lambda_pow(base, m)
-        if term.is_zero:
-            continue
-        if term.max_xi_degree() != k:
-            raise AgcalcError(f"phase-series term has xi-degree other than {k}")
-        term = term.scale(Fraction(factorial(k), factorial(m) * factorial(m + k)))
-        if discard:
-            raise ConvergenceViolation(
-                f"discarded phase-series term at m={m} has order <= {bound}: {term}")
-        total = total + term
-    return total, checked
+    return _sum_shells(_phase_terms(u, h, bound, k), u.vars,
+                       bound - 2 * k - min(u.order(), bound), bound, debug=debug,
+                       where="phase-series term at m")
 
 
 def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResult:
@@ -353,6 +369,7 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: i
     xi-degree <= xi_bound, z-degree <= bound.  The right side sums the slices
     q(G) <xi,N>^k / k!, of xi-degree exactly k <= xi_bound, from oracle, the
     fixed-point inverse to z-degree >= bound.  xi_bound is capped at bound by the window rule.
+    Phi sums the assembled input exactly, and the window is cut from its output.
     """
     if xi_bound < 0:
         raise ContractViolation("xi-degree bound must be >= 0")
@@ -363,7 +380,7 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: i
     target = h.vars.with_xi()
     head = q_poly.lift(target).mul(jacobian_factor(h, bound).lift(target), trunc=bound)
     assembled = _exp_slices(head, xi_pairing(h), range(bound + 1, 2 * bound + 1))
-    lhs = phi_apply(assembled, xi_bound=k_eff, z_bound=bound)
+    lhs = phi_apply(assembled).restrict_xi(k_eff).truncate_z(bound)
 
     q_of_g = compose(q, oracle.G, bound).poly.lift(target)
     rhs = _exp_slices(q_of_g, xi_pairing(oracle.N), [bound] * k_eff)

@@ -8,7 +8,9 @@ maps are rejected, and every scan value is a genuine polynomial identity.
 
 Both vanishing scans, lambda^m(P^m) and lambda^m(P^(m+1)) for P = <xi, H>,
 are read off one chain of powers P^j: the k=1 value at m = j - 1 is a step
-on the way to the k=0 value at m = j.  check_equivalences composes
+on the way to the k=0 value at m = j.  lambda is applied to P^j only up to
+the last step recorded, and not past a step that is zero, so a chain that
+goes zero costs one product per power.  check_equivalences composes
 equivalence_depths, one vanishing_scan and the pure equivalence_checks.
 The scans are combinatorially explosive in m, so they run under a
 term-count ceiling and abort loudly (TermCeilingExceeded, whose partial has
@@ -66,15 +68,17 @@ def _require_exact(h: MapTuple) -> None:
 
 @dataclass(frozen=True)
 class NilpotencyCertificate:
-    nilpotent: bool
     det_deformation: SparsePoly  # det(I - t*JH) over the (z, t) layout
+
+    @property
+    def nilpotent(self) -> bool:
+        return self.det_deformation == SparsePoly.one(self.det_deformation.vars)
 
 
 def is_nilpotent(h: MapTuple) -> NilpotencyCertificate:
     """JH is nilpotent exactly when det J(z - t*H) = det(I - t*JH) collapses to 1."""
     _require_exact(h)
-    cert = det(jacobian(f_from_h(_deformed_map(h))))
-    return NilpotencyCertificate(cert == SparsePoly.one(cert.vars), cert)
+    return NilpotencyCertificate(det(jacobian(f_from_h(_deformed_map(h)))))
 
 
 # -- vanishing scans ---------------------------------------------------------
@@ -84,7 +88,6 @@ def is_nilpotent(h: MapTuple) -> NilpotencyCertificate:
 class VanishingReport:
     """Values lambda^m(P^(m+k)) for one phase polynomial P."""
 
-    label: str
     k: int
     mmax: int
     values: tuple[tuple[int, SparsePoly], ...]
@@ -129,8 +132,7 @@ def _guard(p: SparsePoly, ceiling: int, partial_fn) -> SparsePoly:
 
 
 def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
-                        term_ceiling: int | None = None,
-                        label: str = "phase-poly") -> tuple[VanishingReport, ...]:
+                        term_ceiling: int | None = None) -> tuple[VanishingReport, ...]:
     """Exact scans of lambda^m(p^(m+k)) for a general phase polynomial p.
 
     This is the open-ended entry point: no equivalence with nilpotency is
@@ -142,9 +144,10 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
     Every value is a step of one chain: p^j takes one product from p^(j-1),
     and lambda^m(p^j) is the value at m of the scan with k = j - m.  So
     after j - 1 applications of lambda the chain holds the k=1 value at
-    m = j - 1, and one more gives the k=0 value at m = j.  lambda of zero
-    is zero, so a step that is zero is not applied again.  A term-ceiling
-    abort carries the tuple of scans as they stand.
+    m = j - 1, and one more gives the k=0 value at m = j.  lambda is applied
+    only up to the last step recorded, and lambda of zero is zero, so a step
+    that is zero is not applied again: it is the value at every later m.  A
+    term-ceiling abort carries the tuple of scans as they stand.
     """
     if not p.vars.has_xi:
         raise ContractViolation("scans run over a xi-extended layout")
@@ -156,28 +159,27 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
     values: dict[int, list[tuple[int, SparsePoly]]] = {k: [] for k in sorted(depths)}
 
     def reports():
-        return tuple(VanishingReport(label, k, depths[k], tuple(vals))
+        return tuple(VanishingReport(k, depths[k], tuple(vals))
                      for k, vals in values.items())
 
     power = SparsePoly.one(p.vars)  # p^j, one factor more per j
     for j in range(1, max(depth + k for k, depth in depths.items()) + 1):
         v = power = _guard(power.mul(p), ceiling, reports)
-        last = j if j <= depths.get(0, 0) else j - 1  # the k=0 value needs one more
-        for m in range(last + 1):
-            if m and not v.is_zero:
-                v = _guard(lambda_apply(v), ceiling, reports)
-            if m <= depths.get(j - m, -1):
-                values[j - m].append((m, v))
+        m = 0  # v is lambda^m(p^j), or zero, which is every later step too
+        for k in (1, 0):  # the recorded steps m = j - k, in order of m
+            if j - k <= depths.get(k, -1):
+                while m < j - k and not v.is_zero:
+                    v = _guard(lambda_apply(v), ceiling, reports)
+                    m += 1
+                values[k].append((j - k, v))
     return reports()
 
 
 def vanishing_scan(h: MapTuple, depths: dict[int, int], *,
-                   term_ceiling: int | None = None,
-                   label: str = "map") -> tuple[VanishingReport, ...]:
+                   term_ceiling: int | None = None) -> tuple[VanishingReport, ...]:
     """vanishing_scan_poly on P = <xi, H> built from an exact polynomial map."""
     _require_exact(h)
-    return vanishing_scan_poly(xi_pairing(h), depths, term_ceiling=term_ceiling,
-                               label=label)
+    return vanishing_scan_poly(xi_pairing(h), depths, term_ceiling=term_ceiling)
 
 
 # -- deformation series ------------------------------------------------------
@@ -253,8 +255,7 @@ def gt_jacobian_series(h: MapTuple, mmax: int, *,
     inverse of z - t*H over Q[t].  A window mismatch raises
     VerificationError naming the offending coefficient.
     """
-    (scan,) = vanishing_scan(h, {0: mmax}, term_ceiling=term_ceiling,
-                             label="jacobian series")
+    (scan,) = vanishing_scan(h, {0: mmax}, term_ceiling=term_ceiling)
     return _verified_series(_jacobian_series_report(h, scan))
 
 
@@ -272,8 +273,7 @@ def nt_pairing_series(h: MapTuple, mmax: int, *,
         raise PreconditionError(
             "the deformed-inverse series needs JH nilpotent (deformed Jacobian == 1); "
             f"certificate: det(I - t*JH) = {cert.det_deformation}")
-    (scan,) = vanishing_scan(h, {1: mmax}, term_ceiling=term_ceiling,
-                             label="deformed inverse series")
+    (scan,) = vanishing_scan(h, {1: mmax}, term_ceiling=term_ceiling)
     return _verified_series(_nt_series_report(h, scan))
 
 
@@ -408,7 +408,7 @@ def check_equivalences(h: MapTuple, mmax: int, *,
     cert = is_nilpotent(h)
     depths = equivalence_depths(h, mmax, cert, known_nt_degree)
     try:
-        scans = vanishing_scan(h, depths, term_ceiling=term_ceiling, label=label)
+        scans = vanishing_scan(h, depths, term_ceiling=term_ceiling)
     except TermCeilingExceeded as err:
         finished = tuple(scan for scan in err.partial if scan.complete)
         err.partial = EquivalenceReport(label, cert, finished, ())

@@ -668,9 +668,6 @@ class SeriesTrunc:
 
     __hash__ = None
 
-    def __str__(self) -> str:
-        return f"{self.poly} + O(z^{self.trunc + 1})"
-
 
 def series_parts(u: SparsePoly | SeriesTrunc) -> tuple[SparsePoly, int | float]:
     """Normalize an exact polynomial / truncated series argument."""

@@ -34,10 +34,6 @@ class Check:
         return {"name": self.name, "status": self.status,
                 "witness": self.witness, "detail": self.detail}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Check":
-        return cls(d["name"], d["status"], d.get("witness"), d.get("detail"))
-
 
 def passed_check(name: str, detail: str | None = None) -> Check:
     return Check(name, PASS, None, detail)
@@ -84,9 +80,6 @@ class IdentityReport:
             return passed_check(self.name, self.detail)
         return failed_check(self.name, self.witness)
 
-    def __str__(self) -> str:
-        return f"{self.name}: {'pass' if self.passed else f'FAIL at {self.witness}'}"
-
 
 def first_failure(reports: Iterable[IdentityReport]) -> IdentityReport:
     """The first failing report, else the last one; later reports are not built."""
@@ -122,21 +115,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        return cls(
-            command=d["command"],
-            args=d["args"],
-            input_digest=d["input_digest"],
-            checks=tuple(Check.from_dict(c) for c in d["checks"]),
-            result=d.get("result"),
-            flags=d.get("flags", {}),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
 
     def to_text(self) -> str:
         lines = [f"# {self.command} ({self.input_digest})"]

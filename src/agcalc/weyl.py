@@ -17,7 +17,7 @@ polynomial storage in poly, and lambda_pow) and its exponential
 (phi_apply).  Both preserve the eta grading, so on polynomials the
 exponential is a finite sum.  phi_apply only ever receives a polynomial;
 callers that want a series argument assemble its window-bounded slices
-themselves and pass the window (xi_bound, z_bound) along.
+themselves and cut the output to their window.
 """
 
 from __future__ import annotations
@@ -226,15 +226,11 @@ def lambda_pow(f: SparsePoly, m: int) -> SparsePoly:
     return f
 
 
-def phi_apply(f: SparsePoly, xi_bound: int | None = None,
-              z_bound: int | None = None) -> SparsePoly:
+def phi_apply(f: SparsePoly) -> SparsePoly:
     """Exponential of the mixed derivative: sum_m lambda^m(f) / m!.
 
     Exact on polynomials (each pass strictly lowers the maximal xi-degree,
-    so the sum terminates).  When bounds are given the result is restricted
-    to the window xi-degree <= xi_bound, z-degree <= z_bound; for inputs
-    assembled from order >= 2 map data per the window rule, that window of
-    the output is exact.
+    so the sum terminates).
     """
     total = f
     term = f
@@ -245,10 +241,6 @@ def phi_apply(f: SparsePoly, xi_bound: int | None = None,
             break
         total = total + term.scale(Fraction(1, factorial(m)))
         m += 1
-    if xi_bound is not None:
-        total = total.restrict_xi(xi_bound)
-    if z_bound is not None:
-        total = total.truncate_z(z_bound)
     return total
 
 

@@ -1,6 +1,7 @@
 """The three inversion routes and the identities tying them together."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -145,6 +146,32 @@ class TestDerivativeSumRoute:
         res = invert_ag(one_var_square(), 4, debug=True)
         assert res.checked_discards > 0
         assert res.G.components[0] == catalan_series(4)
+
+    def test_checked_discards_per_route(self):
+        # o(H) = 2 and D = 5, so route 2 stops at |alpha| = 3 and checks one
+        # discard per multi-index of |alpha| = 4: 5 of them for n = 2, 15 for
+        # n = 3; route 3 stops at m = 3 and checks its one term m = 4
+        z3 = VarSet.z(3)
+        upper_3d = MapTuple.exact((SparsePoly.monomial(z3, (0, 1, 1)),
+                                   SparsePoly.monomial(z3, (0, 0, 2)), SparsePoly.zero(z3)))
+        for h, per_multi_index in ((triangular_2d(), 5), (upper_3d, 15)):
+            assert invert_ag(h, 5, debug=True).checked_discards == per_multi_index
+            assert invert_lambda(h, 5, debug=True).checked_discards == 1
+            assert invert_ag(h, 5).checked_discards == invert_lambda(h, 5).checked_discards == 0
+
+    def test_shared_loop_builds_no_shell_past_the_last(self):
+        asked = []
+
+        def shells():
+            for a in itertools.count():
+                asked.append(a)
+                yield [SparsePoly.zero(Z1)] * (a + 1)
+
+        for debug, want in ((False, [0, 1, 2, 3]), (True, [0, 1, 2, 3, 4])):
+            asked.clear()
+            total, checked = agcalc.inversion._sum_shells(shells(), Z1, 3, 3, debug=debug,
+                                                          where="term at a")
+            assert (total, checked, asked) == (SparsePoly.zero(Z1), 5 * debug, want)
 
 
 class TestAgApply:
@@ -384,6 +411,18 @@ class TestFailingChecks:
                            match=r"term at \|alpha\|=3 has order <= 3: 1/4\*z1$"):
             agcalc.inversion._derivative_sum(u, self.order_one_tail(), 3,
                                              include_jf=True, debug=True)
+
+    def test_derivative_sum_discard_check_in_a_multi_index_shell(self):
+        # n = 2, H = (z2/2, z1/2): of the four multi-indices of the discarded
+        # shell |alpha| = 3, only alpha = (2, 1) leaves a term
+        half = Fraction(1, 2)
+        h = MapTuple.exact((SparsePoly.monomial(Z2, (0, 1), half),
+                            SparsePoly.monomial(Z2, (1, 0), half)))
+        u = SparsePoly.z_var(Z2, 0)
+        agcalc.inversion._derivative_sum(u, h, 3, include_jf=True, debug=False)
+        with pytest.raises(ConvergenceViolation,
+                           match=r"term at \|alpha\|=3 has order <= 3: 3/16\*z2$"):
+            agcalc.inversion._derivative_sum(u, h, 3, include_jf=True, debug=True)
 
     def test_phase_series_discard_check(self):
         u = SparsePoly.z_var(Z1, 0)

@@ -287,7 +287,7 @@ class TestPhi:
 
     def test_window_restriction(self):
         f = SparsePoly.monomial(XIZ1, (2, 2))
-        got = phi_apply(f, xi_bound=1, z_bound=1)
+        got = phi_apply(f).restrict_xi(1).truncate_z(1)
         assert got == SparsePoly.monomial(XIZ1, (1, 1), 4) + SparsePoly.const(XIZ1, 2)
 
 
