@@ -28,9 +28,7 @@ from .errors import (
     TruncationError,
 )
 from .inversion import (
-    ABHYANKAR_GURJAR,
     FIXED_POINT,
-    LAMBDA_SERIES,
     ag_jacobian_identity,
     cross_method_results,
     invert_ag,
@@ -79,12 +77,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
-
-METHOD_FLAGS = {
-    "fixedpoint": FIXED_POINT,
-    "ag": ABHYANKAR_GURJAR,
-    "lambda": LAMBDA_SERIES,
-}
 
 
 def _digest(data: bytes) -> str:
@@ -142,10 +134,10 @@ def cmd_invert(args) -> Report:
         shown = results[FIXED_POINT]
     else:
         runner = {
-            FIXED_POINT: invert_fixed_point,
-            ABHYANKAR_GURJAR: lambda m, d: invert_ag(m, d, debug=args.debug),
-            LAMBDA_SERIES: lambda m, d: invert_lambda(m, d, debug=args.debug),
-        }[METHOD_FLAGS[args.method]]
+            "fixedpoint": invert_fixed_point,
+            "ag": lambda m, d: invert_ag(m, d, debug=args.debug),
+            "lambda": lambda m, d: invert_lambda(m, d, debug=args.debug),
+        }[args.method]
         shown = runner(h, args.degree)
         checks.append(passed_check(f"inverted via {shown.method}"))
     if meta.get("known_inverse") is not None:
@@ -432,12 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact numbers may be longer than Python's default int-string limit
+    # (4,300 digits); Python before 3.10.7 has neither the limit nor the call
+    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
         report: Report = args.func(args)
-    except (MapFileError, ContractViolation, PreconditionError, TruncationError) as err:
+    except (MapFileError, ContractViolation, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except TermCeilingExceeded as err:

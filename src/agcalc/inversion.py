@@ -17,14 +17,18 @@ Each series route yields its shells from a generator (route 2 the terms
 with |alpha| = a, route 3 the one term m) into one loop, _sum_shells, which
 adds up shells 0..last; each route computes its own last, and neither
 calls the other's generator.  Every summation cutoff is justified by an
-order bound.  With debug=True the loop builds the first discarded shell as
+order bound.  When asked, the loop builds the first discarded shell as
 well, under the same truncations as the kept ones, and it must vanish; it
-never builds a shell past that one.  On valid input, o(H) >= 2, which
-every route enforces, those truncations already zero it, so the check
-passes by construction: it guards the summation cutoff against a loop that
-stops too early, not the truncation pads.  The count of checked discards,
-one per multi-index on route 2 and one per term on route 3, is reported on
-the result.
+never builds a shell past that one.  The routes invert_ag and
+invert_lambda (and cross_method_results) ask for it with debug=True;
+ag_apply and lambda_compose, whose results nothing else checks, always
+ask; ag_jacobian_identity and xi_moment_series, which are compared against
+the oracle, never do.  On valid input, o(H) >= 2, which every route
+enforces, those truncations already zero it, so the check passes by
+construction: it guards the summation cutoff against a loop that stops too
+early, not the truncation pads.  The count of checked discards, one per
+multi-index on route 2 and one per term on route 3, is reported on the
+result.
 
 Each product is formed once, and only to the z-degree the output window
 depends on.  The oracle composes H with z + N in one compose_map per pass,
@@ -251,11 +255,10 @@ def invert_ag(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResul
                          ABHYANKAR_GURJAR, bound, checked)
 
 
-def ag_apply(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
-             debug: bool = False) -> SeriesTrunc:
-    """u composed with the inverse map, via the derivative sum (no oracle)."""
+def ag_apply(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int) -> SeriesTrunc:
+    """u composed with the inverse map by the derivative sum; always checks its discard."""
     _require_h(h, bound, derivatives=True)
-    total, _ = _derivative_sum(_known_to(u, bound, "u"), h, bound, include_jf=True, debug=debug)
+    total, _ = _derivative_sum(_known_to(u, bound, "u"), h, bound, include_jf=True, debug=True)
     return SeriesTrunc(total, bound)
 
 
@@ -324,11 +327,10 @@ def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False) -> InversionR
                          LAMBDA_SERIES, bound, checked)
 
 
-def lambda_compose(q: SparsePoly | SeriesTrunc, h: MapTuple, bound: int, *,
-                   debug: bool = False) -> SeriesTrunc:
-    """q composed with the inverse map, via the phase-space series (m <= bound - o(q))."""
+def lambda_compose(q: SparsePoly | SeriesTrunc, h: MapTuple, bound: int) -> SeriesTrunc:
+    """q composed with the inverse map by the phase series; always checks its discard."""
     _require_h(h, bound, derivatives=True)
-    total, _ = _lambda_sum(_known_to(q, bound, "q"), h, bound, debug=debug)
+    total, _ = _lambda_sum(_known_to(q, bound, "q"), h, bound, debug=True)
     return SeriesTrunc(total.drop_xi(), bound)
 
 

@@ -14,7 +14,10 @@ goes zero costs one product per power.  check_equivalences composes
 equivalence_depths, one vanishing_scan and the pure equivalence_checks.
 The scans are combinatorially explosive in m, so they run under a
 term-count ceiling and abort loudly (TermCeilingExceeded, whose partial has
-the shape its raiser returns) instead of grinding.
+the shape its raiser returns) instead of grinding.  vanishing_scan_poly,
+vanishing_scan and check_equivalences take the ceiling as term_ceiling=;
+the deformation series gt_jacobian_series, nt_pairing_series and
+deformed_tail_components run under DEFAULT_TERM_CEILING.
 """
 
 from __future__ import annotations
@@ -246,8 +249,7 @@ def _verified_series(rep: IdentityReport) -> SparsePoly:
     return rep.lhs
 
 
-def gt_jacobian_series(h: MapTuple, mmax: int, *,
-                       term_ceiling: int | None = None) -> SparsePoly:
+def gt_jacobian_series(h: MapTuple, mmax: int) -> SparsePoly:
     """sum_m t^m lambda^m(P^m) / (m!)^2 over (z, t), cross-checked.
 
     The sum is computed exactly to t-degree mmax, then compared in the
@@ -255,12 +257,11 @@ def gt_jacobian_series(h: MapTuple, mmax: int, *,
     inverse of z - t*H over Q[t].  A window mismatch raises
     VerificationError naming the offending coefficient.
     """
-    (scan,) = vanishing_scan(h, {0: mmax}, term_ceiling=term_ceiling)
+    (scan,) = vanishing_scan(h, {0: mmax})
     return _verified_series(_jacobian_series_report(h, scan))
 
 
-def nt_pairing_series(h: MapTuple, mmax: int, *,
-                      term_ceiling: int | None = None) -> SparsePoly:
+def nt_pairing_series(h: MapTuple, mmax: int) -> SparsePoly:
     """<xi, N_t> = sum_m t^m lambda^m(P^(m+1)) / (m!(m+1)!) over (xi, z, t).
 
     Requires a nilpotent Jacobian (so the deformed map has Jacobian one);
@@ -273,14 +274,13 @@ def nt_pairing_series(h: MapTuple, mmax: int, *,
         raise PreconditionError(
             "the deformed-inverse series needs JH nilpotent (deformed Jacobian == 1); "
             f"certificate: det(I - t*JH) = {cert.det_deformation}")
-    (scan,) = vanishing_scan(h, {1: mmax}, term_ceiling=term_ceiling)
+    (scan,) = vanishing_scan(h, {1: mmax})
     return _verified_series(_nt_series_report(h, scan))
 
 
-def deformed_tail_components(h: MapTuple, mmax: int, *,
-                             term_ceiling: int | None = None) -> MapTuple:
+def deformed_tail_components(h: MapTuple, mmax: int) -> MapTuple:
     """N_t read off the xi-linear series componentwise, over (z, t)."""
-    series = nt_pairing_series(h, mmax, term_ceiling=term_ceiling)
+    series = nt_pairing_series(h, mmax)
     return MapTuple.exact(tuple(series.xi_linear_component(i) for i in range(h.n)))
 
 

@@ -183,7 +183,7 @@ def load_map_file(path: str | Path) -> tuple[MapTuple, dict, bytes]:
         obj = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as err:
         raise MapFileError(f"{path} is not UTF-8: {err}") from None
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # a JSONDecodeError, or nesting too deep
         raise MapFileError(f"{path} is not valid JSON: {err}") from None
     return (*parse_map_obj(obj), data)
 

@@ -463,9 +463,6 @@ class SparsePoly:
                 break
         return out
 
-    def __pow__(self, k: int) -> "SparsePoly":
-        return self.power(k)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented

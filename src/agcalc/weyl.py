@@ -97,10 +97,6 @@ class DiffOp:
     def n(self) -> int:
         return self.symbol.vars.n
 
-    @property
-    def is_zero(self) -> bool:
-        return self.symbol.is_zero
-
     def max_order(self) -> int:
         return self.symbol.max_xi_degree()
 

@@ -104,6 +104,15 @@ class TestInvert:
         assert main(["invert", str(path), "--degree", "3"]) == 2
         assert "is not UTF-8" in capsys.readouterr().err
 
+    def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
+        # the JSON reader gives up with a RecursionError, not a JSONDecodeError
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        assert main(["invert", str(path), "--degree", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not valid JSON" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("target", ["", "missing/report.json"])
     def test_unwritable_out_exits_2(self, square_map, tmp_path, target):
         # a directory, then a file under a directory that does not exist
@@ -360,6 +369,18 @@ class TestLab:
         assert len(calls) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["input_digest"] == "sha256:" + hashlib.sha256(parsed).hexdigest()
+
+    def test_values_longer_than_the_int_string_limit(self, tmp_path, capsys):
+        # c has 1,500 digits, so the m=3 value 720*c^3*z1^3 has 4,502 and
+        # renders past Python's default 4,300-digit int-string limit
+        c = int("7" * 1500)
+        path = tmp_path / "long.json"
+        save_map_file(path, MapTuple.exact((SparsePoly.monomial(Z1, (2,), c),)))
+        assert main(["lab", str(path), "--m-max", "3", "--checks", "scan0",
+                     "--format", "json"]) == 0
+        values = json.loads(capsys.readouterr().out)["result"]["scan0"]["values"]
+        assert values[-1] == {"m": 3, "value": f"{720 * c ** 3}*z1^3"}
+        assert len(values[-1]["value"]) == 4508
 
     def test_term_ceiling_exits_3(self, tmp_path):
         path = tmp_path / "wide.json"

@@ -173,6 +173,23 @@ class TestDerivativeSumRoute:
                                                           where="term at a")
             assert (total, checked, asked) == (SparsePoly.zero(Z1), 5 * debug, want)
 
+    def test_compositions_always_check_their_discard(self, monkeypatch):
+        # nothing compares ag_apply or lambda_compose with the oracle at run
+        # time, so both always ask the shared loop for the discarded shell
+        sum_shells = agcalc.inversion._sum_shells
+        asked = []
+
+        def spy(*args, debug, where):
+            asked.append((where, debug))
+            return sum_shells(*args, debug=debug, where=where)
+
+        monkeypatch.setattr(agcalc.inversion, "_sum_shells", spy)
+        u = SparsePoly.z_var(Z1, 0)
+        ag_apply(u, one_var_square(), 4)
+        lambda_compose(u, one_var_square(), 4)
+        assert asked == [("derivative-sum term at |alpha|", True),
+                         ("phase-series term at m", True)]
+
 
 class TestAgApply:
     def test_u_equals_z_reduces_to_inversion(self):
