@@ -193,15 +193,19 @@ def verify_suite(h: MapTuple, bound: int, xi_bound: int,
     return checks
 
 
+def _xi_window(args) -> int:
+    """--xi-degree, checked and capped at --degree by the window rule, with a warning."""
+    _require_min(args.xi_degree, 0, "--xi-degree")
+    if args.xi_degree <= args.degree:
+        return args.xi_degree
+    print(f"warning: window rule caps effective xi-degree at {args.degree}", file=sys.stderr)
+    return args.degree
+
+
 def cmd_verify(args) -> Report:
     h, _meta, data = load_map_file(args.mapfile)
     _require_min(args.degree, 1, "--degree")
-    _require_min(args.xi_degree, 0, "--xi-degree")
-    k_eff = args.xi_degree
-    if k_eff > args.degree:
-        print(f"warning: window rule caps effective xi-degree at {args.degree}",
-              file=sys.stderr)
-        k_eff = args.degree
+    k_eff = _xi_window(args)
     q = parse_poly(args.q, VarSet.z(h.n))
     checks = verify_suite(h, args.degree, k_eff, q)
     return Report(
@@ -296,7 +300,7 @@ def _invert_all_checks(item, degree: int, debug: bool) -> list[Check]:
     return checks
 
 
-def _run_suite_on_item(item, args, ceiling) -> Check:
+def _run_suite_on_item(item, args, k_eff, ceiling) -> Check:
     try:
         if args.run == "invert-all":
             checks = _invert_all_checks(item, args.degree, args.debug)
@@ -311,8 +315,8 @@ def _run_suite_on_item(item, args, ceiling) -> Check:
             done = f"lab mmax={args.m_max}, nilpotent={eq.nilpotent}"
         else:
             q = SparsePoly.one(item.h.vars)
-            checks = verify_suite(item.h, args.degree, args.xi_degree, q)
-            done = f"verify D={args.degree} K={args.xi_degree}"
+            checks = verify_suite(item.h, args.degree, k_eff, q)
+            done = f"verify D={args.degree} K={k_eff}"
     except (TruncationError, PreconditionError) as err:
         return failed_check(item.item_id, witness=str(err), detail="contract")
     bad = next((c for c in checks if c.status == FAIL), None)
@@ -324,8 +328,9 @@ def _run_suite_on_item(item, args, ceiling) -> Check:
 def cmd_corpus(args) -> Report:
     if args.run == "lab":
         _require_min(args.m_max, 1, "--m-max")
-    elif args.run == "verify":
-        _require_min(args.xi_degree, 0, "--xi-degree")
+    else:  # invert-all and verify read --degree
+        _require_min(args.degree, 1, "--degree")
+    k_eff = _xi_window(args) if args.run == "verify" else None
     items = _corpus_items(args)
     ceiling = _term_ceiling()
     checks: list[Check] = []
@@ -333,7 +338,7 @@ def cmd_corpus(args) -> Report:
     flags: dict = {}
     for item in sorted(items, key=lambda i: i.item_id):
         try:
-            checks.append(_run_suite_on_item(item, args, ceiling))
+            checks.append(_run_suite_on_item(item, args, k_eff, ceiling))
         except TermCeilingExceeded as err:
             guard_hit = True
             checks.append(failed_check(item.item_id, witness=str(err),

@@ -487,32 +487,35 @@ def _strictly_triangular(rng, n: int, homogeneous: int | None = None) -> MapTupl
         else SparsePoly.zero(vs) for i in range(n)))
 
 
-def _back_substitute(h: MapTuple) -> MapTuple:
-    """Exact inverse tail N for strictly triangular H, by back-substitution.
+def _deformed_inverse(h: MapTuple) -> tuple[MapTuple, int]:
+    """Exact inverse tail N of z - H, and the t-degree of N_t, for strictly triangular H.
 
-    Over the (z, t) layout this also inverts the deformed map t*H.
+    One back-substitution inverts F_t = z - t*H over the (z, t) layout; its
+    tail is t*N_t, and N is N_t at t = 1.  A linear conjugate T^-1 H(T z)
+    conjugates N_t by the same T, so it keeps the t-degree.
     """
-    vs = h.vars
-    n = h.n
-    g = [SparsePoly.z_var(vs, i) for i in range(n)]
-    for i in range(n - 1, -1, -1):
-        hi = h.components[i]
-        if hi.is_zero:
-            continue
-        g_map = MapTuple.exact(tuple(g))
-        bound = int(hi.degree()) * max(1, max(int(c.degree()) for c in g))
-        g[i] = SparsePoly.z_var(vs, i) + compose(hi, g_map, bound).poly
-    return MapTuple.exact(tuple(gi - SparsePoly.z_var(vs, i) for i, gi in enumerate(g)))
+    tail = _deformed_map(h)
+    vs = tail.vars
+    g = [SparsePoly.z_var(vs, i) for i in range(h.n)]
+    for i in reversed(range(h.n)):  # g[i] is still z_i, and g[i+1:] are done
+        hi = tail.components[i]
+        if not hi.is_zero:
+            bound = int(hi.degree()) * max(1, max(int(c.degree()) for c in g))
+            g[i] = g[i] + compose(hi, MapTuple.exact(tuple(g)), bound).poly
+    n_t = _divide_by_t(MapTuple.exact(tuple(gi - SparsePoly.z_var(vs, i)
+                                            for i, gi in enumerate(g))))
+    at_one = []
+    for comp in n_t.components:  # at t = 1, terms that differ only in t add up
+        terms: dict = {}
+        for e, c in comp.items():
+            terms[e[:-1]] = terms.get(e[:-1], 0) + c
+        at_one.append(SparsePoly(h.vars, terms))
+    return MapTuple.exact(at_one), max(c.max_t_degree() for c in n_t.components)
 
 
-def _nt_degree(h: MapTuple) -> int:
-    """t-degree of N_t for strictly triangular H, and for its linear conjugates."""
-    n_t = _divide_by_t(_back_substitute(_deformed_map(h)))
-    return max(c.max_t_degree() for c in n_t.components)
-
-
-def _unimodular(rng, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer matrix with integer inverse, as a product of random shears."""
+def _shear_maps(rng, vs: VarSet) -> tuple[MapTuple, MapTuple]:
+    """z -> T z and z -> T^-1 z for an integer T, a product of random shears."""
+    n = vs.n
     t_mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     t_inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for _ in range(rng.randint(1, 3)):
@@ -526,18 +529,13 @@ def _unimodular(rng, n: int) -> tuple[list[list[int]], list[list[int]]]:
             t_mat[i][col] += c * t_mat[j][col]
         for row in range(n):
             t_inv[row][j] += -c * t_inv[row][i]
-    return t_mat, t_inv
-
-
-def _linear_map(vs: VarSet, m: list[list[int]]) -> MapTuple:
-    """z -> m z over the z layout of vs."""
-    return MapTuple.exact(tuple(
-        SparsePoly(vs, {tuple(int(k == j) for k in range(vs.nvars)): c
+    return tuple(MapTuple.exact(tuple(
+        SparsePoly(vs, {tuple(int(k == j) for k in range(n)): c
                         for j, c in enumerate(row) if c}) for row in m))
+        for m in (t_mat, t_inv))
 
 
-def _conjugate_map(h: MapTuple, t_mat: list[list[int]],
-                   t_inv: list[list[int]]) -> MapTuple:
+def _conjugate_map(h: MapTuple, t: MapTuple, t_inv: MapTuple) -> MapTuple:
     """T^-1 H(T z): same nilpotency and inverse structure in new coordinates.
 
     Composed as (T^-1 H)(T z): the monomials of T^-1 H are among those of H,
@@ -545,8 +543,7 @@ def _conjugate_map(h: MapTuple, t_mat: list[list[int]],
     are exact at the largest z-degree of h.
     """
     bound = max(0, *(c.degree() for c in h.components))
-    t_inv_h = compose_map(_linear_map(h.vars, t_inv), h, bound)
-    return MapTuple.exact(compose_map(t_inv_h, _linear_map(h.vars, t_mat), bound).components)
+    return MapTuple.exact(compose_map(compose_map(t_inv, h, bound), t, bound).components)
 
 
 def _random_series_map(rng, n: int) -> MapTuple:
@@ -591,26 +588,23 @@ def gen_corpus(spec: CorpusSpec) -> list[CorpusItem]:
     for idx in range(spec.count):
         item_id = f"{spec.family}-n{n}-{idx}"
         if spec.family == "triangular":
-            if n == 1:
-                h = MapTuple.exact((SparsePoly.zero(vs),))
-            elif n == 2 and idx == 0:
+            if n == 2 and idx == 0:
                 # canonical smallest member
                 h = MapTuple.exact((SparsePoly.monomial(vs, (0, 2)), SparsePoly.zero(vs)))
             else:
                 h = _strictly_triangular(rng, n)
-            items.append(CorpusItem(item_id, spec.family, h, True, _back_substitute(h),
-                                    _nt_degree(h)))
+            items.append(CorpusItem(item_id, spec.family, h, True, *_deformed_inverse(h)))
         elif spec.family == "cubic":
             base = _strictly_triangular(rng, n, homogeneous=3)
-            t_mat, t_inv = _unimodular(rng, n)
-            h = _conjugate_map(base, t_mat, t_inv)
+            t, t_inv = _shear_maps(rng, vs)
+            h = _conjugate_map(base, t, t_inv)
             cert = is_nilpotent(h)
             if not cert.nilpotent:
                 raise ContractViolation(
                     f"conjugated cubic instance lost nilpotency: {cert.det_deformation}")
-            known_n = _conjugate_map(_back_substitute(base), t_mat, t_inv)
-            items.append(CorpusItem(item_id, spec.family, h, True, known_n,
-                                    _nt_degree(base)))
+            base_n, nt_degree = _deformed_inverse(base)
+            items.append(CorpusItem(item_id, spec.family, h, True,
+                                    _conjugate_map(base_n, t, t_inv), nt_degree))
         elif spec.family == "control":
             items.append(CorpusItem(item_id, spec.family, _control_map(rng, n, idx), False))
         else:  # series

@@ -422,6 +422,8 @@ class TestCorpus:
     @pytest.mark.parametrize("argv, message", [
         (["--run", "lab", "--m-max", "0"], "--m-max must be >= 1"),
         (["--run", "verify", "--xi-degree", "-1"], "--xi-degree must be >= 0"),
+        (["--run", "invert-all", "--degree", "0"], "--degree must be >= 1"),
+        (["--run", "verify", "--degree", "0"], "--degree must be >= 1"),
     ])
     def test_bad_numeric_argument_exits_2(self, argv, message, capsys):
         assert main(["corpus", "--family", "triangular", "--n", "2"] + argv) == 2
@@ -430,9 +432,18 @@ class TestCorpus:
     @pytest.mark.parametrize("argv", [
         ["--run", "invert-all", "--degree", "3", "--m-max", "0"],
         ["--run", "lab", "--m-max", "2", "--xi-degree", "-1"],
+        ["--run", "lab", "--m-max", "2", "--degree", "0"],
     ])
     def test_numeric_argument_checked_only_for_its_run(self, argv):
         assert main(["corpus", "--family", "triangular", "--n", "2", "--count", "1"] + argv) == 0
+
+    def test_verify_caps_xi_degree_at_degree(self, capsys):
+        # the window rule caps --xi-degree at --degree, as for verify on one map
+        assert main(["corpus", "--family", "triangular", "--n", "2", "--count", "2",
+                     "--run", "verify", "--degree", "3", "--xi-degree", "5"]) == 0
+        out, err = capsys.readouterr()
+        assert out.count("[verify D=3 K=3]") == 2 and "K=5" not in out
+        assert err.count("warning: window rule caps effective xi-degree at 3") == 1
 
 
 def _count_calls(monkeypatch, functions) -> dict:

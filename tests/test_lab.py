@@ -530,6 +530,22 @@ class TestCorpus:
             for known, computed in zip(item.known_n.components, res.N.components):
                 assert known.truncate_z(7) == computed
 
+    @pytest.mark.parametrize("family, calls", [("triangular", 8), ("cubic", 5)])
+    def test_one_back_substitution_per_item(self, family, calls, monkeypatch):
+        # one compose per nonzero component of t*H gives both known_n and nt_degree
+        counts = _count_calls(monkeypatch, ["compose"])
+        gen_corpus(CorpusSpec(n=3, family=family, count=4, seed=0))
+        assert counts == {"compose": calls}
+
+    @pytest.mark.parametrize("family", ["triangular", "cubic"])
+    def test_nt_degree_is_stabilization_index(self, family):
+        # the k=1 scan of the map itself, conjugated or not, stops at nt_degree
+        for n in (2, 3):
+            for seed in (1, 2):
+                for item in gen_corpus(CorpusSpec(n=n, family=family, count=4, seed=seed)):
+                    (scan1,) = vanishing_scan(item.h, {1: item.nt_degree + 1})
+                    assert (scan1.last_nonzero or 0) == item.nt_degree, item.item_id
+
     def test_control_family_not_nilpotent(self):
         for item in gen_corpus(CorpusSpec(n=2, family="control", count=3, seed=3)):
             assert item.nilpotent is False
