@@ -50,7 +50,6 @@ from .poly import (
     NEG_INF,
     MapTuple,
     PolyMatrix,
-    SeriesTrunc,
     SparsePoly,
     VarSet,
     compose,

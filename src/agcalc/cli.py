@@ -172,7 +172,7 @@ def verify_suite(h: MapTuple, bound: int, xi_bound: int,
 
     oracle = invert_fixed_point(h, bound + 1)  # shared below; JG needs degree bound + 1
     jf = jacobian_factor(h, bound)
-    jf_of_g = compose(jf, oracle.G, bound).poly
+    jf_of_g = compose(jf, oracle.G, bound)
     jg = det(jacobian(oracle.G), trunc=bound)
     checks.append(IdentityReport("chain rule JF(G) * JG == 1",
                                  jf_of_g.mul(jg, trunc=bound),
@@ -180,7 +180,7 @@ def verify_suite(h: MapTuple, bound: int, xi_bound: int,
 
     checks.append(ag_jacobian_identity(q, h, bound, oracle).check)
 
-    q_of_g = compose(q, oracle.G, bound).poly.lift(VarSet.xiz(h.n))
+    q_of_g = compose(q, oracle.G, bound).lift(VarSet.xiz(h.n))
     xi_n = xi_pairing(oracle.N)
     checks.append(first_failure(
         IdentityReport("xi-moment series k=0,1,2", xi_moment_series(h, q, k, bound),

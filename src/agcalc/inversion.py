@@ -43,7 +43,8 @@ m), so a product cut at D + a (D + m) lands at z-degree <= D.
 Series-truncated H is accepted when it is known deep enough: composition
 routes need trunc(H) >= D, while the derivative-based routes need
 trunc(H) >= D + 1 because the Jacobian factor at z-degree D already
-depends on H at degree D + 1.
+depends on H at degree D + 1.  The inputs u and q are exact polynomials; a
+series is passed as its truncation at D, which is all the window reads.
 """
 
 from __future__ import annotations
@@ -63,14 +64,12 @@ from .errors import (
 )
 from .poly import (
     MapTuple,
-    SeriesTrunc,
     SparsePoly,
     VarSet,
     compose,
     compose_map,
     det,
     jacobian,
-    series_parts,
     xi_pairing,
 )
 from .report import IdentityReport, first_failure
@@ -104,14 +103,6 @@ def _require_h(h: MapTuple, bound: int, *, derivatives: bool) -> None:
         raise TruncationError(
             f"map truncated at z-degree {h.trunc}; this route to output degree "
             f"{bound} needs >= {need}")
-
-
-def _known_to(u: SparsePoly | SeriesTrunc, bound: int, name: str) -> SparsePoly:
-    """The polynomial part of u, which must be known to z-degree >= bound."""
-    poly, trunc = series_parts(u)
-    if trunc < bound:
-        raise TruncationError(f"{name} known to z-degree {trunc}; need >= {bound}")
-    return poly
 
 
 def f_from_h(h: MapTuple) -> MapTuple:
@@ -255,24 +246,22 @@ def invert_ag(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResul
                          ABHYANKAR_GURJAR, bound, checked)
 
 
-def ag_apply(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int) -> SeriesTrunc:
+def ag_apply(u: SparsePoly, h: MapTuple, bound: int) -> SparsePoly:
     """u composed with the inverse map by the derivative sum; always checks its discard."""
     _require_h(h, bound, derivatives=True)
-    total, _ = _derivative_sum(_known_to(u, bound, "u"), h, bound, include_jf=True, debug=True)
-    return SeriesTrunc(total, bound)
+    return _derivative_sum(u, h, bound, include_jf=True, debug=True)[0]
 
 
-def ag_jacobian_identity(u: SparsePoly | SeriesTrunc, h: MapTuple, bound: int,
+def ag_jacobian_identity(u: SparsePoly, h: MapTuple, bound: int,
                          oracle: InversionResult) -> IdentityReport:
     """Check sum_alpha d^alpha(H^alpha u)/alpha! == JG * u(G), both sides built
     independently (left: derivative sum without JF; right: oracle, the
     fixed-point inverse to z-degree >= bound + 1, since JG differentiates G)."""
     _require_h(h, bound, derivatives=True)
     _require_oracle(oracle, h, bound + 1)
-    lhs, _ = _derivative_sum(_known_to(u, bound, "u"), h, bound, include_jf=False, debug=False)
+    lhs, _ = _derivative_sum(u, h, bound, include_jf=False, debug=False)
     jg = det(jacobian(oracle.G), trunc=bound)
-    u_of_g = compose(u, oracle.G, bound)
-    rhs = jg.mul(u_of_g.poly, trunc=bound)
+    rhs = jg.mul(compose(u, oracle.G, bound), trunc=bound)
     return IdentityReport("derivative sum == JG * u(G)", lhs, rhs)
 
 
@@ -327,15 +316,13 @@ def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False) -> InversionR
                          LAMBDA_SERIES, bound, checked)
 
 
-def lambda_compose(q: SparsePoly | SeriesTrunc, h: MapTuple, bound: int) -> SeriesTrunc:
+def lambda_compose(q: SparsePoly, h: MapTuple, bound: int) -> SparsePoly:
     """q composed with the inverse map by the phase series; always checks its discard."""
     _require_h(h, bound, derivatives=True)
-    total, _ = _lambda_sum(_known_to(q, bound, "q"), h, bound, debug=True)
-    return SeriesTrunc(total.drop_xi(), bound)
+    return _lambda_sum(q, h, bound, debug=True)[0].drop_xi()
 
 
-def xi_moment_series(h: MapTuple, q: SparsePoly | SeriesTrunc, k: int,
-                     bound: int) -> SparsePoly:
+def xi_moment_series(h: MapTuple, q: SparsePoly, k: int, bound: int) -> SparsePoly:
     """The xi-degree-k phase series k! sum_m lambda^m(P^(m+k) q JF)/(m!(m+k)!).
 
     Equals q(G) * <xi, N>^k mod z-degree > bound, with N the inverse tail;
@@ -344,7 +331,7 @@ def xi_moment_series(h: MapTuple, q: SparsePoly | SeriesTrunc, k: int,
     if k < 0:
         raise ContractViolation("moment index k must be >= 0")
     _require_h(h, bound, derivatives=True)
-    return _lambda_sum(_known_to(q, bound, "q"), h, bound, debug=False, k=k)[0]
+    return _lambda_sum(q, h, bound, debug=False, k=k)[0]
 
 
 # -- the exponential transport identity --------------------------------------
@@ -361,7 +348,7 @@ def _exp_slices(head: SparsePoly, x: SparsePoly, pads: Iterable[int]) -> SparseP
     return total
 
 
-def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: int,
+def verify_phi_exponential(h: MapTuple, q: SparsePoly, xi_bound: int,
                            bound: int, oracle: InversionResult) -> IdentityReport:
     """Window check of Phi(q JF e^<xi,H>) == q(G) e^<xi,N>, for xi_bound >= 0.
 
@@ -377,14 +364,13 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly | SeriesTrunc, xi_bound: i
         raise ContractViolation("xi-degree bound must be >= 0")
     _require_h(h, bound, derivatives=True)
     _require_oracle(oracle, h, bound)
-    q_poly = _known_to(q, bound, "q")
     k_eff = min(xi_bound, bound)
     target = h.vars.with_xi()
-    head = q_poly.lift(target).mul(jacobian_factor(h, bound).lift(target), trunc=bound)
+    head = q.lift(target).mul(jacobian_factor(h, bound).lift(target), trunc=bound)
     assembled = _exp_slices(head, xi_pairing(h), range(bound + 1, 2 * bound + 1))
     lhs = phi_apply(assembled).restrict_xi(k_eff).truncate_z(bound)
 
-    q_of_g = compose(q, oracle.G, bound).poly.lift(target)
+    q_of_g = compose(q, oracle.G, bound).lift(target)
     rhs = _exp_slices(q_of_g, xi_pairing(oracle.N), [bound] * k_eff)
     return IdentityReport(f"exponential transport (xi<={k_eff}, z<={bound})", lhs, rhs)
 

@@ -501,7 +501,7 @@ def _deformed_inverse(h: MapTuple) -> tuple[MapTuple, int]:
         hi = tail.components[i]
         if not hi.is_zero:
             bound = int(hi.degree()) * max(1, max(int(c.degree()) for c in g))
-            g[i] = g[i] + compose(hi, MapTuple.exact(tuple(g)), bound).poly
+            g[i] = g[i] + compose(hi, MapTuple.exact(tuple(g)), bound)
     n_t = _divide_by_t(MapTuple.exact(tuple(gi - SparsePoly.z_var(vs, i)
                                             for i, gi in enumerate(g))))
     at_one = []

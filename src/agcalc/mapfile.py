@@ -16,9 +16,10 @@ A map file holds the tail H of F = z - H:
       }
     }
 
-Coefficients are exact rational strings ("p/q" or an integer literal) in any
-form, or JSON integers; they are canonicalized on load.  Any other JSON number
-is refused, since the JSON reader would round it through a float.
+Coefficients are JSON integers or ASCII strings, a signed integer, p/q or
+decimal fraction ("-3/4", ".5"), canonicalized on load.  Exponent notation
+("1e999999" is a million digits) and any other JSON number, which the JSON
+reader would round through a float, are refused.
 
 Polynomial literals on the command line use a deliberately small grammar:
 sums of terms, each term a '*'-joined product of a rational literal and
@@ -37,8 +38,9 @@ from pathlib import Path
 from .errors import MapFileError
 from .poly import Exponent, MapTuple, SparsePoly, VarSet
 
-_VAR_RE = re.compile(r"^(xi|z|t)(\d*)(?:\^(\d+))?$")
-_RAT_RE = re.compile(r"^\d+(?:/\d+)?$")
+_VAR_RE = re.compile(r"^(xi|z|t)(\d*)(?:\^(\d+))?$", re.ASCII)
+_RAT_RE = re.compile(r"^\d+(?:/\d+)?$", re.ASCII)
+_COEFF_RE = re.compile(r"\s*[+-]?(?:\d+(?:/\d+)?|\d+\.\d*|\.\d+)\s*", re.ASCII)
 
 
 def _is_count(x, least: int) -> bool:
@@ -115,10 +117,13 @@ def entries_to_poly(entries, vs: VarSet) -> SparsePoly:
         if isinstance(item["coeff"], bool) or not isinstance(item["coeff"], (str, int)):
             raise MapFileError(
                 f"term entry {item!r}: coefficient must be a string or an integer")
+        text = str(item["coeff"])
         try:
-            coeff = Fraction(str(item["coeff"]))
+            if not _COEFF_RE.fullmatch(text):
+                raise ValueError("expected an integer, p/q or a decimal fraction")
+            coeff = Fraction(text)
         except (ValueError, ZeroDivisionError) as err:
-            raise MapFileError(f"bad coefficient {item['coeff']!r}: {err}") from None
+            raise MapFileError(f"term entry {item!r}: bad coefficient: {err}") from None
         exps = item["exps"]
         if (not isinstance(exps, list) or len(exps) != vs.nvars
                 or not all(_is_count(e, 0) for e in exps)):

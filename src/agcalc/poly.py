@@ -37,6 +37,10 @@ degree() the maximal (-inf for 0).  xi- and t-degrees are bounded
 separately by the callers that need bounds.  The infinities are
 sentinels used only in comparisons, never in arithmetic.
 
+A power series exists only as a MapTuple whose trunc is the z-degree to
+which its components are known; every single polynomial is exact, and
+compose_map, the one place a series is substituted into, holds its contract.
+
 Canonical term order for rendering and witnesses is graded
 lexicographic on the full exponent tuple (xi-block before z-block
 before t), so output is deterministic and diff-stable.
@@ -642,37 +646,7 @@ def diff_witness(p: SparsePoly, q: SparsePoly) -> str | None:
     return f"{render_monomial(p.vars, e)}: {a} vs {b}"
 
 
-# -- truncated series and map tuples -------------------------------------
-
-
-@dataclass(frozen=True)
-class SeriesTrunc:
-    """A polynomial known to represent a series correctly mod z-degree > trunc."""
-
-    poly: SparsePoly
-    trunc: int
-
-    def __post_init__(self) -> None:
-        if self.trunc < 0:
-            raise ContractViolation("truncation order must be >= 0")
-        if self.poly.degree() > self.trunc:
-            raise ContractViolation(
-                f"series carries degree {self.poly.degree()} terms beyond trunc={self.trunc}")
-
-    @classmethod
-    def of(cls, poly: SparsePoly, trunc: int) -> "SeriesTrunc":
-        return cls(poly.truncate_z(trunc), trunc)
-
-    __hash__ = None
-
-
-def series_parts(u: SparsePoly | SeriesTrunc) -> tuple[SparsePoly, int | float]:
-    """Normalize an exact polynomial / truncated series argument."""
-    if isinstance(u, SeriesTrunc):
-        return u.poly, u.trunc
-    if isinstance(u, SparsePoly):
-        return u, INF
-    raise ContractViolation(f"expected SparsePoly or SeriesTrunc, got {type(u).__name__}")
+# -- map tuples ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -834,19 +808,17 @@ class MonomialTable:
         return out
 
 
-def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int, *,
-            table: MonomialTable | None = None) -> SeriesTrunc:
+def compose(u: SparsePoly, g: MapTuple, bound: int, *,
+            table: MonomialTable | None = None) -> SparsePoly:
     """Substitute the components of g for the z-variables of u, mod z-degree > bound.
 
-    An exact polynomial u composes with any map; a proper series u needs
-    every component of g to be z-constant-free, and both u and g must be
-    known at least to the requested bound.  table, when given, is the
-    MonomialTable of this g and bound; compositions that pass the same
-    table build each g^e once between them.  u is a scaled sum of table
-    entries; a t-exponent of u enters as a monomial factor through mul.
+    u is an exact polynomial; g must be known at least to the requested
+    bound.  table, when given, is the MonomialTable of this g and bound;
+    compositions that pass the same table build each g^e once between
+    them.  u is a scaled sum of table entries; a t-exponent of u enters as
+    a monomial factor through mul.
     """
-    upoly, utrunc = series_parts(u)
-    vsu, vsg = upoly.vars, g.vars
+    vsu, vsg = u.vars, g.vars
     if vsu.has_xi:
         raise ContractViolation("composition substitutes z-variables only; no xi allowed in u")
     if vsu.n != vsg.n:
@@ -862,22 +834,13 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int, *,
         table = MonomialTable(g, bound)
     elif table.g is not g or table.bound != bound:
         raise ContractViolation("monomial table was built for another map or bound")
-    if isinstance(u, SeriesTrunc):
-        if utrunc < bound:
-            raise TruncationError(
-                f"series u known to z-degree {utrunc}; need >= {bound}")
-        for i, free in enumerate(table.const_free):
-            if not free:
-                raise CompositionError(
-                    f"component {i + 1} has a z-constant term; substituting it into a "
-                    f"proper series is undefined")
 
     n = vsg.n
     one = table.one
     upk = _packing(vsu)
     out: dict[int, int] = {}
     den = 1
-    for key, num in upoly._terms.items():
+    for key, num in u._terms.items():
         e = upk.exps(key)
         gp = table.power(e[:n])  # the z-block leads both z layouts
         if gp.is_zero:
@@ -885,28 +848,36 @@ def compose(u: SparsePoly | SeriesTrunc, g: MapTuple, bound: int, *,
         t_exp = e[-1] if vsu.has_t else 0
         if t_exp:
             # the z-free monomial c*t^e_t; t is the last field of both layouts
-            common = gcd(num, upoly._den)
-            mono = _make(vsg, {t_exp: num // common}, upoly._den // common)
+            common = gcd(num, u._den)
+            mono = _make(vsg, {t_exp: num // common}, u._den // common)
             gp = mono if gp is one else mono.mul(gp, trunc=bound)
             den = _sum_into(out, den, gp._terms, gp._den)
         else:
-            den = _sum_into(out, den, gp._terms, gp._den * upoly._den, num)
+            den = _sum_into(out, den, gp._terms, gp._den * u._den, num)
     # no cut needed: each table entry is 1 or truncated at bound
-    return SeriesTrunc(_reduced(vsg, out, den), bound)
+    return _reduced(vsg, out, den)
 
 
 def compose_map(h: MapTuple, g: MapTuple, bound: int) -> MapTuple:
     """Every component of h with g substituted, mod z-degree > bound.
 
     One compose per component, all through one MonomialTable, so each
-    g^e is built once per call however many components use it.  A
-    truncated h is composed as proper series, under compose's refusals.
+    g^e is built once per call however many components use it.  This is
+    the one place a series is substituted into: a truncated h must be known
+    to the bound, and g must be z-constant-free, or a series term of
+    unbounded degree would land in the window.
     """
     table = MonomialTable(g, bound)
-    exact = h.trunc is None
-    return MapTuple(tuple(
-        compose(hi if exact else SeriesTrunc(hi, h.trunc), g, bound, table=table).poly
-        for hi in h.components), bound)
+    if h.trunc is not None:
+        if h.trunc < bound:
+            raise TruncationError(
+                f"series known to z-degree {h.trunc}; composition to degree {bound} "
+                f"needs >= {bound}")
+        if False in table.const_free:
+            raise CompositionError(
+                f"component {table.const_free.index(False) + 1} has a z-constant term; "
+                "substituting it into a proper series is undefined")
+    return MapTuple(tuple(compose(hi, g, bound, table=table) for hi in h.components), bound)
 
 
 # -- matrices and determinants -------------------------------------------

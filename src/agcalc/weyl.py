@@ -8,7 +8,7 @@ symbol; coefficients() groups it by alpha on demand.  Reading a phase
 polynomial as a LEFT symbol instead (derivatives on the left of their
 coefficients) and reordering it into right-normal form is normal_order.
 Both normal_order and DiffOp composition reorder d^alpha b with the one
-Leibniz rule, _leibniz.
+Leibniz rule, _leibniz.  DiffOp.apply acts on an exact z-polynomial.
 
 The module also carries the two phase-space endomorphisms the rest of the
 package is built on: the mixed second-derivative operator
@@ -27,15 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .errors import ContractViolation, TruncationError
-from .poly import (
-    Exponent,
-    SeriesTrunc,
-    SparsePoly,
-    VarSet,
-    lambda_apply,
-    series_parts,
-)
+from .errors import ContractViolation
+from .poly import Exponent, SparsePoly, VarSet, lambda_apply
 from .report import IdentityReport
 
 
@@ -142,24 +135,18 @@ class DiffOp:
                     out[key] = out.get(key, 0) + coeff
         return DiffOp(SparsePoly(self.symbol.vars, out))
 
-    def apply(self, u: SparsePoly | SeriesTrunc, bound: int) -> SeriesTrunc:
-        """Apply to a series, correct mod z-degree > bound.
+    def apply(self, u: SparsePoly, bound: int) -> SparsePoly:
+        """Apply to the z-polynomial u, mod z-degree > bound.
 
-        The input must be known to degree bound + max_order(), since every
-        d^alpha consumes |alpha| degrees of information.
+        A series u must be passed known to z-degree bound + max_order(), since
+        every d^alpha consumes |alpha| degrees of information.
         """
-        upoly, utrunc = series_parts(u)
-        if upoly.vars != VarSet.z(self.n):
+        if u.vars != VarSet.z(self.n):
             raise ContractViolation("operator acts on z-polynomials with matching n")
-        need = bound + self.max_order()
-        if utrunc < need:
-            raise TruncationError(
-                f"input known to z-degree {utrunc}; applying an operator of order "
-                f"{self.max_order()} to output degree {bound} requires >= {need}")
-        acc = SparsePoly.zero(upoly.vars)
+        acc = SparsePoly.zero(u.vars)
         for alpha, a in self.coefficients().items():
-            acc = acc + a.mul(upoly.diff_z_multi(alpha), trunc=bound)
-        return SeriesTrunc(acc, bound)
+            acc = acc + a.mul(u.diff_z_multi(alpha), trunc=bound)
+        return acc
 
     def __str__(self) -> str:
         terms = self.coefficients()

@@ -25,7 +25,7 @@ Z3 = VarSet.z(3)
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(agcalc.lab.__file__))
 
 
-def run_cli(*argv, env_extra=None):
+def run_cli(*argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
@@ -33,7 +33,7 @@ def run_cli(*argv, env_extra=None):
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "agcalc", *argv],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.fixture()
@@ -86,6 +86,16 @@ class TestInvert:
         proc = run_cli("invert", str(path), "--degree", "3")
         assert proc.returncode == 2
         assert "1/0" in proc.stderr
+
+    def test_exponent_coefficient_exits_2_at_once(self, tmp_path):
+        # as a Fraction, "1e999999" is a million digits; the grammar refuses it unread
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "n": 1, "components": [[{"coeff": "1e999999", "exps": [2]}]]}))
+        proc = run_cli("invert", str(path), "--degree", "3", timeout=10)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "1e999999" in proc.stderr
 
     def test_float_coefficient_exits_2(self, tmp_path, capsys):
         path = tmp_path / "float.json"

@@ -34,7 +34,6 @@ from agcalc.inversion import (
 )
 from agcalc.poly import (
     MapTuple,
-    SeriesTrunc,
     SparsePoly,
     VarSet,
     compose,
@@ -194,17 +193,17 @@ class TestDerivativeSumRoute:
 class TestAgApply:
     def test_u_equals_z_reduces_to_inversion(self):
         got = ag_apply(SparsePoly.z_var(Z1, 0), one_var_square(), 4)
-        assert got.poly == invert_ag(one_var_square(), 4).G.components[0]
+        assert got == invert_ag(one_var_square(), 4).G.components[0]
 
     def test_square_of_catalan(self):
         # u = z^2 composed with G: z^2 + 2z^3 + 5z^4 mod degree > 4
         got = ag_apply(SparsePoly.monomial(Z1, (2,)), one_var_square(), 4)
         z = SparsePoly.z_var(Z1, 0)
-        assert got.poly == z.power(2) + z.power(3).scale(2) + z.power(4).scale(5)
+        assert got == z.power(2) + z.power(3).scale(2) + z.power(4).scale(5)
 
     def test_constants_fixed(self):
         got = ag_apply(SparsePoly.const(Z1, Fraction(3, 7)), one_var_square(), 4)
-        assert got.poly == SparsePoly.const(Z1, Fraction(3, 7))
+        assert got == SparsePoly.const(Z1, Fraction(3, 7))
 
     def test_matches_oracle_composition(self):
         rng = random.Random(41)
@@ -216,12 +215,10 @@ class TestAgApply:
             assert got == compose(u, oracle.G, 5)
 
     def test_series_u_accepted_at_matching_trunc(self):
-        u = SeriesTrunc.of(SparsePoly.z_var(Z1, 0) + SparsePoly.monomial(Z1, (3,)), 4)
+        u = (SparsePoly.z_var(Z1, 0) + SparsePoly.monomial(Z1, (3,))).truncate_z(4)
         got = ag_apply(u, one_var_square(), 4)
         oracle = invert_fixed_point(one_var_square(), 4)
         assert got == compose(u, oracle.G, 4)
-        with pytest.raises(TruncationError):
-            ag_apply(SeriesTrunc.of(SparsePoly.z_var(Z1, 0), 3), one_var_square(), 4)
 
     def test_u_over_another_layout_refused(self):
         # u must live over the map's layout (the series lift it only into the
@@ -291,15 +288,15 @@ class TestLambdaCompose:
     def test_square_example(self):
         got = lambda_compose(SparsePoly.monomial(Z1, (2,)), one_var_square(), 4)
         z = SparsePoly.z_var(Z1, 0)
-        assert got.poly == z.power(2) + z.power(3).scale(2) + z.power(4).scale(5)
+        assert got == z.power(2) + z.power(3).scale(2) + z.power(4).scale(5)
 
     def test_constant(self):
         got = lambda_compose(SparsePoly.one(Z2), triangular_2d(), 4)
-        assert got.poly == SparsePoly.one(Z2)
+        assert got == SparsePoly.one(Z2)
 
     def test_z1_on_triangular(self):
         got = lambda_compose(SparsePoly.z_var(Z2, 0), triangular_2d(), 4)
-        assert got.poly == SparsePoly.z_var(Z2, 0) + SparsePoly.monomial(Z2, (0, 2))
+        assert got == SparsePoly.z_var(Z2, 0) + SparsePoly.monomial(Z2, (0, 2))
 
     def test_agrees_with_oracle(self):
         rng = random.Random(47)
@@ -396,7 +393,7 @@ class TestCrossMethod:
         u = SparsePoly.monomial(Z2, (2, 1)) + SparsePoly.z_var(Z2, 1)
         inner = compose(u, res.G, 5)
         outer = compose(inner, f_map, 5)
-        assert outer.poly == u.truncate_z(5)
+        assert outer == u.truncate_z(5)
 
     def test_series_pad_by_the_least_measured_order(self):
         # inputs of orders 0, 1 and 3 and a zero one, one at a time: each sum
@@ -405,7 +402,7 @@ class TestCrossMethod:
         oracle = invert_fixed_point(h, 5)
         z1, z2 = SparsePoly.z_var(Z2, 0), SparsePoly.z_var(Z2, 1)
         for u in (z2 + SparsePoly.one(Z2), z1, z1 * z1 * z2, SparsePoly.zero(Z2)):
-            want = compose(u, oracle.G, 5).poly
+            want = compose(u, oracle.G, 5)
             ag, _ = agcalc.inversion._derivative_sum(u, h, 5, include_jf=True, debug=True)
             lam, _ = agcalc.inversion._lambda_sum(u, h, 5, debug=True)
             assert ag == want
@@ -466,7 +463,7 @@ class TestChainRule:
             bound = 5
             oracle = invert_fixed_point(h, bound + 1)
             jf = jacobian_factor(h, bound)
-            jf_of_g = compose(jf, oracle.G, bound).poly
+            jf_of_g = compose(jf, oracle.G, bound)
             jg = det(jacobian(oracle.G), trunc=bound)
             prod = jf_of_g.mul(jg, trunc=bound)
             assert prod == SparsePoly.one(h.vars)
@@ -476,7 +473,7 @@ class TestXiMoments:
     def test_k0_reduces_to_compose(self):
         q = SparsePoly.z_var(Z2, 0)
         got = xi_moment_series(triangular_2d(), q, 0, 4)
-        assert got.drop_xi() == lambda_compose(q, triangular_2d(), 4).poly
+        assert got.drop_xi() == lambda_compose(q, triangular_2d(), 4)
 
     def test_k1_reads_off_n(self):
         got = xi_moment_series(one_var_square(), SparsePoly.one(Z1), 1, 3)
@@ -500,7 +497,7 @@ class TestXiMoments:
                 got = xi_moment_series(h, q, k, bound)
                 oracle = invert_fixed_point(h, bound)
                 target = VarSet.xiz(2)
-                q_of_g = compose(q, oracle.G, bound).poly.lift(target)
+                q_of_g = compose(q, oracle.G, bound).lift(target)
                 xi_n = xi_pairing(oracle.N)
                 expected = q_of_g.mul(xi_n.power(k, trunc=bound), trunc=bound)
                 assert got == expected
@@ -550,7 +547,7 @@ class TestPhiExponential:
         rng = random.Random(73)
         for _ in range(4):
             h = random_h(rng, 2, max_deg=3)
-            q = SeriesTrunc.of(SparsePoly.one(Z2) + SparsePoly.monomial(Z2, (1, 1)), 5)
+            q = (SparsePoly.one(Z2) + SparsePoly.monomial(Z2, (1, 1))).truncate_z(5)
             rep = verify_phi_exponential(h, q, 2, 5, invert_fixed_point(h, 6))
             assert rep.passed, rep.witness
 

@@ -52,7 +52,8 @@ class TestLiterals:
         assert p == SparsePoly.monomial(xizt, (1, 1, 2), 2)
 
     def test_rejections(self):
-        for bad in ("", "z3", "xi1", "q1", "z1^", "1//2", "z1**2", "+"):
+        for bad in ("", "z3", "xi1", "q1", "z1^", "1//2", "z1**2", "+", "1e3*z1",
+                    "\u0662*z1", "z\u0661", "z1^\u0662"):  # ASCII digits only
             with pytest.raises(MapFileError):
                 parse_poly(bad, Z2)
 
@@ -142,6 +143,50 @@ class TestMapFiles:
         for literal in ("0.12345678901234567890123", "0.5", "1e3", "true"):
             with pytest.raises(MapFileError, match="coefficient must be a string"):
                 parse_map_obj(json.loads(text % literal))
+
+    @pytest.mark.parametrize("text, value", [
+        ("0.5", "1/2"), (".5", "1/2"), ("1.", "1"), ("-3/4", "-3/4"), ("+2", "2"),
+        (" 12 ", "12"), ("7" * 1500, "7" * 1500)])
+    def test_coefficient_grammar_accepts(self, text, value):
+        p = entries_to_poly([{"coeff": text, "exps": [2]}], VarSet.z(1))
+        assert p.coeff((2,)) == Fraction(value)
+
+    @pytest.mark.parametrize("text", ["1e3", "1E-5", "1e999999", "1_0", "\u0661\u0662",
+                                      "1/-2", "- 1", "", "inf", "nan", "0x10"])
+    def test_coefficient_grammar_refuses(self, text):
+        entry = {"coeff": text, "exps": [2]}
+        with pytest.raises(MapFileError, match="bad coefficient") as err:
+            entries_to_poly([entry], VarSet.z(1))
+        assert f"term entry {entry!r}" in str(err.value)
+
+    def test_coefficient_is_refused_or_read_exactly(self, tmp_path):
+        # for any text: a MapFileError, or exactly Fraction(text) in a size
+        # proportional to the text, about 4 bits per character at most
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis.configuration import set_hypothesis_home_dir
+        set_hypothesis_home_dir(str(tmp_path))  # keep its caches out of the working directory
+        st = hypothesis.strategies
+        z1 = VarSet.z(1)
+
+        # strings of number-like characters, or of any code points; drawn as
+        # lists, without the unicode tables st.text builds on first use
+        def strings(chars):
+            return st.lists(chars, max_size=12).map("".join)
+
+        @hypothesis.settings(derandomize=True, database=None, max_examples=200,
+                             deadline=None)
+        @hypothesis.given(strings(st.sampled_from("0123456789+-./_eE \u0661"))
+                          | strings(st.integers(0, 0x10FFFF).map(chr)))
+        def check(text):
+            try:
+                p = entries_to_poly([{"coeff": text, "exps": [2]}], z1)
+            except MapFileError:
+                return
+            c = p.coeff((2,))
+            assert c == Fraction(text)
+            assert max(c.numerator.bit_length(), c.denominator.bit_length()) <= 4 * len(text)
+
+        check()
 
     def test_coefficients_canonicalized(self):
         obj = {"n": 1, "components": [[

@@ -25,7 +25,7 @@ from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 import agcalc.poly  # noqa: E402
 import poly_reference as ref  # noqa: E402
-from agcalc.errors import CompositionError, ContractViolation  # noqa: E402
+from agcalc.errors import CompositionError, ContractViolation, TruncationError  # noqa: E402
 from agcalc.poly import (  # noqa: E402
     MAX_EXPONENT,
     MapTuple,
@@ -112,8 +112,7 @@ class TestKernelMatchesReference:
             g = [{e: c for e, c in gi.items() if sum(e[zs])} for gi in g]
         bound = data.draw(st.integers(0, 4))
         got = compose(SparsePoly(vs, u), MapTuple.exact([SparsePoly(vs, c) for c in g]), bound)
-        assert got.trunc == bound
-        assert as_dict(got.poly) == ref.compose(u, g, vs.kind, bound)
+        assert as_dict(got) == ref.compose(u, g, vs.kind, bound)
 
 
 class TestComposeMap:
@@ -147,6 +146,17 @@ class TestComposeMap:
             compose_map(h, g_bad, 3)
         # the same components, read as exact polynomials, compose fine
         assert compose_map(MapTuple.exact(h.components), g_bad, 3).trunc == 3
+
+    def test_truncated_h_known_short_of_bound_refused(self):
+        # every inversion route refuses such an h before it composes, in
+        # _require_h; compose_map still holds the contract on its own
+        vs = VarSet.z(2)
+        z1, z2 = SparsePoly.z_var(vs, 0), SparsePoly.z_var(vs, 1)
+        h = MapTuple.truncated([z1.mul(z2), z2.power(2)], 3)
+        g = MapTuple.exact([z1 + z2.power(2), z2])
+        with pytest.raises(TruncationError, match="known to z-degree 3; .* needs >= 4"):
+            compose_map(h, g, 4)
+        assert compose_map(h, g, 3).trunc == 3
 
     def test_t_exponent_overflow_refused(self):
         vs = VarSet.zt(1)
@@ -192,7 +202,7 @@ class TestComposeMap:
         calls.clear()
         all_three = compose_map(h, g, 5)
         assert len(calls) == one_calls > 0
-        assert all_three.components[0] == one.poly
+        assert all_three.components[0] == one
 
     def test_one_compose_per_component(self, monkeypatch):
         # compose_map is compose per component over one shared table, so a

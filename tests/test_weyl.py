@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from agcalc.errors import ContractViolation, TruncationError
-from agcalc.poly import MapTuple, SeriesTrunc, SparsePoly, VarSet, jacobian, xi_pairing
+from agcalc.errors import ContractViolation
+from agcalc.poly import MapTuple, SparsePoly, VarSet, jacobian, xi_pairing
 from agcalc.weyl import (
     DiffOp,
     lambda_apply,
@@ -144,20 +144,13 @@ class TestApply:
     def test_euler_counts_degree(self):
         u = SparsePoly.monomial(Z1, (3,))
         got = euler_1d().apply(u, 5)
-        assert got.poly == u.scale(3)
+        assert got == u.scale(3)
 
     def test_d_after_multiply(self):
         # (d1 z1) applied to 1 gives 1
         op = normal_order(SparsePoly.monomial(XIZ1, (1, 1)))
         got = op.apply(SparsePoly.one(Z1), 4)
-        assert got.poly == SparsePoly.one(Z1)
-
-    def test_insufficient_truncation_names_requirement(self):
-        op = DiffOp.partial(1, 0, 2)
-        u = SeriesTrunc.of(SparsePoly.z_var(Z1, 0), 4)
-        with pytest.raises(TruncationError) as err:
-            op.apply(u, 3)
-        assert ">= 5" in str(err.value)
+        assert got == SparsePoly.one(Z1)
 
     def test_apply_respects_composition(self):
         rng = random.Random(34)
@@ -169,7 +162,7 @@ class TestApply:
             bound = 3
             via_product = (a * b).apply(u, bound)
             inner = b.apply(u, bound + a.max_order())
-            via_stages = a.apply(inner.poly, bound)
+            via_stages = a.apply(inner, bound)
             assert via_product == via_stages
 
 
