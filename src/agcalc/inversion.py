@@ -49,7 +49,6 @@ series is passed as its truncation at D, which is all the window reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import factorial, prod
@@ -72,6 +71,7 @@ from .poly import (
     jacobian,
     xi_pairing,
 )
+from .record import Record, set_field
 from .report import IdentityReport, first_failure
 from .weyl import lambda_pow, phi_apply
 
@@ -81,15 +81,18 @@ LAMBDA_SERIES = "lambda_series"
 METHODS = (FIXED_POINT, ABHYANKAR_GURJAR, LAMBDA_SERIES)
 
 
-@dataclass(frozen=True)
-class InversionResult:
+class InversionResult(Record):
     """Inverse G = z + N of F = z - H, correct mod z-degree > D."""
 
-    G: MapTuple
-    N: MapTuple
-    method: str
-    D: int
-    checked_discards: int = 0
+    __slots__ = ("G", "N", "method", "D", "checked_discards")
+
+    def __init__(self, G: MapTuple, N: MapTuple, method: str, D: int,
+                 checked_discards: int = 0) -> None:
+        set_field(self, "G", G)
+        set_field(self, "N", N)
+        set_field(self, "method", method)
+        set_field(self, "D", D)
+        set_field(self, "checked_discards", checked_discards)
 
 
 def _require_h(h: MapTuple, bound: int, *, derivatives: bool) -> None:

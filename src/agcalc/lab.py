@@ -22,7 +22,6 @@ deformed_tail_components run under DEFAULT_TERM_CEILING.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
@@ -45,6 +44,7 @@ from .poly import (
     render_poly,
     xi_pairing,
 )
+from .record import Record, set_field
 from .report import (
     Check,
     IdentityReport,
@@ -69,9 +69,11 @@ def _require_exact(h: MapTuple) -> None:
         raise PreconditionError(f"map order must be >= 2; got {h.order()}")
 
 
-@dataclass(frozen=True)
-class NilpotencyCertificate:
-    det_deformation: SparsePoly  # det(I - t*JH) over the (z, t) layout
+class NilpotencyCertificate(Record):
+    __slots__ = ("det_deformation",)
+
+    def __init__(self, det_deformation: SparsePoly) -> None:
+        set_field(self, "det_deformation", det_deformation)  # det(I - t*JH) over (z, t)
 
     @property
     def nilpotent(self) -> bool:
@@ -87,13 +89,15 @@ def is_nilpotent(h: MapTuple) -> NilpotencyCertificate:
 # -- vanishing scans ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(Record):
     """Values lambda^m(P^(m+k)) for one phase polynomial P."""
 
-    k: int
-    mmax: int
-    values: tuple[tuple[int, SparsePoly], ...]
+    __slots__ = ("k", "mmax", "values")
+
+    def __init__(self, k: int, mmax: int, values: tuple[tuple[int, SparsePoly], ...]) -> None:
+        set_field(self, "k", k)
+        set_field(self, "mmax", mmax)
+        set_field(self, "values", values)
 
     @property
     def first_nonzero(self) -> int | None:
@@ -122,8 +126,7 @@ class VanishingReport:
         """The same scan cut to m <= mmax."""
         if not 1 <= m <= self.mmax:
             raise ContractViolation(f"scan ran through m={self.mmax}; cannot cut at m={m}")
-        return replace(self, mmax=m,
-                       values=tuple((mm, v) for mm, v in self.values if mm <= m))
+        return VanishingReport(self.k, m, tuple((mm, v) for mm, v in self.values if mm <= m))
 
 
 def _guard(p: SparsePoly, ceiling: int, partial_fn) -> SparsePoly:
@@ -287,14 +290,17 @@ def deformed_tail_components(h: MapTuple, mmax: int) -> MapTuple:
 # -- the per-instance equivalence report --------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(Record):
     """The certificate, the scans the checks read (k=0, then k=1), and the checks."""
 
-    label: str
-    certificate: NilpotencyCertificate
-    scans: tuple[VanishingReport, ...]
-    checks: tuple[Check, ...]
+    __slots__ = ("label", "certificate", "scans", "checks")
+
+    def __init__(self, label: str, certificate: NilpotencyCertificate,
+                 scans: tuple[VanishingReport, ...], checks: tuple[Check, ...]) -> None:
+        set_field(self, "label", label)
+        set_field(self, "certificate", certificate)
+        set_field(self, "scans", scans)
+        set_field(self, "checks", checks)
 
     @property
     def nilpotent(self) -> bool:
@@ -425,34 +431,42 @@ MAX_DEGREE = 3  # z-degree of the random terms (series maps draw one degree more
 SERIES_TRUNC = 12  # z-degree to which series maps are known
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
-    n: int
-    family: str
-    count: int = 3
-    seed: int = 0
+class CorpusSpec(Record):
+    __slots__ = ("n", "family", "count", "seed")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= 4:
+    def __init__(self, n: int, family: str, count: int = 3, seed: int = 0) -> None:
+        if not 1 <= n <= 4:
             raise ContractViolation("corpus supports 1 <= n <= 4")
-        if self.family not in FAMILIES:
+        if family not in FAMILIES:
             raise ContractViolation(
-                f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.count < 1:
+                f"unknown family {family!r}; choose from {FAMILIES}")
+        if count < 1:
             raise ContractViolation("corpus count must be >= 1")
-        if self.family == "cubic" and self.n < 2:
+        if family == "cubic" and n < 2:
             raise ContractViolation(
                 "no nonzero strictly-triangular homogeneous cubic exists for n=1")
+        set_field(self, "n", n)
+        set_field(self, "family", family)
+        set_field(self, "count", count)
+        set_field(self, "seed", seed)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
 
-@dataclass(frozen=True)
-class CorpusItem:
-    item_id: str
-    family: str
-    h: MapTuple
-    nilpotent: bool | None  # None for series items: the lab refuses them
-    known_n: MapTuple | None = None  # exact inverse tail, G = z + N
-    nt_degree: int | None = None
+class CorpusItem(Record):
+    __slots__ = ("item_id", "family", "h", "nilpotent", "known_n", "nt_degree")
+
+    def __init__(self, item_id: str, family: str, h: MapTuple,
+                 nilpotent: bool | None,  # None for series items: the lab refuses them
+                 known_n: MapTuple | None = None,  # exact inverse tail, G = z + N
+                 nt_degree: int | None = None) -> None:
+        set_field(self, "item_id", item_id)
+        set_field(self, "family", family)
+        set_field(self, "h", h)
+        set_field(self, "nilpotent", nilpotent)
+        set_field(self, "known_n", known_n)
+        set_field(self, "nt_degree", nt_degree)
 
     @property
     def is_polynomial(self) -> bool:

@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, islice
@@ -60,6 +59,7 @@ from operator import mul, or_
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import CompositionError, ContractViolation, TruncationError
+from .record import Record, set_field
 
 Exponent = tuple[int, ...]
 
@@ -75,18 +75,28 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1  # the top bit of a field is its guard
 
 
-@dataclass(frozen=True)
-class VarSet:
+class VarSet(Record):
     """Variable layout (xi1..xin | z1..zn | t) restricted by kind."""
 
-    kind: str
-    n: int
+    __slots__ = ("kind", "n")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _ALL_KINDS:
-            raise ContractViolation(f"unknown variable kind {self.kind!r}")
-        if self.n < 1:
+    def __init__(self, kind: str, n: int) -> None:
+        if kind not in _ALL_KINDS:
+            raise ContractViolation(f"unknown variable kind {kind!r}")
+        if n < 1:
             raise ContractViolation("variable count n must be >= 1")
+        set_field(self, "kind", kind)
+        set_field(self, "n", n)
+
+    # spelled out, not read from Record: the kernel hashes and compares
+    # layouts on every product
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind and self.n == other.n
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.n))
 
     @classmethod
     def z(cls, n: int) -> "VarSet":
@@ -213,15 +223,14 @@ def _valid_exponents(keys: list[tuple], nv: int) -> bool:
 
 
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _make(vs: VarSet, terms: dict[int, int], den: int) -> "SparsePoly":
     """A polynomial from storage that is already canonical."""
     p = _new(SparsePoly)
-    _set(p, "vars", vs)
-    _set(p, "_terms", terms)
-    _set(p, "_den", den)
+    set_field(p, "vars", vs)
+    set_field(p, "_terms", terms)
+    set_field(p, "_den", den)
     return p
 
 
@@ -258,7 +267,7 @@ def _sum_into(out: dict[int, int], den: int, terms: Mapping[int, int], tden: int
     return den
 
 
-class SparsePoly:
+class SparsePoly(Record):
     """Immutable sparse polynomial over the rationals, in packed form.
 
     Built from {exponent tuple: Fraction | int | str}; zero coefficients
@@ -283,16 +292,10 @@ class SparsePoly:
                   for c in terms.values()]
         den = lcm(*[d for _, d in ratios])
         pack = pk.pack
-        _set(self, "vars", vars)
-        _set(self, "_terms", {pack(e): num * (den // d)
-                              for e, (num, d) in zip(keys, ratios) if num})
-        _set(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SparsePoly is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SparsePoly is immutable; cannot delete {name!r}")
+        set_field(self, "vars", vars)
+        set_field(self, "_terms", {pack(e): num * (den // d)
+                                   for e, (num, d) in zip(keys, ratios) if num})
+        set_field(self, "_den", den)
 
     def __reduce__(self):  # pickle and copy rebuild through the constructor
         return (SparsePoly, (self.vars, dict(self.items())))
@@ -649,19 +652,17 @@ def diff_witness(p: SparsePoly, q: SparsePoly) -> str | None:
 # -- map tuples ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapTuple:
+class MapTuple(Record):
     """n-tuple of z-components over a common layout.
 
     trunc=None marks an exact polynomial tuple; otherwise every component
     is a series known mod z-degree > trunc.
     """
 
-    components: tuple[SparsePoly, ...]
-    trunc: int | None = None
+    __slots__ = ("components", "trunc")
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
+    def __init__(self, components: Sequence[SparsePoly], trunc: int | None = None) -> None:
+        comps = tuple(components)
         if not comps:
             raise ContractViolation("map tuple needs at least one component")
         vs = comps[0].vars
@@ -672,14 +673,15 @@ class MapTuple:
         if len(comps) != vs.n:
             raise ContractViolation(
                 f"map has {len(comps)} components but layout expects n={vs.n}")
-        if self.trunc is not None:
-            if self.trunc < 0:
+        if trunc is not None:
+            if trunc < 0:
                 raise ContractViolation("truncation order must be >= 0")
             for i, c in enumerate(comps):
-                if c.degree() > self.trunc:
+                if c.degree() > trunc:
                     raise ContractViolation(
-                        f"component {i + 1} carries degree {c.degree()} beyond trunc={self.trunc}")
-        object.__setattr__(self, "components", comps)
+                        f"component {i + 1} carries degree {c.degree()} beyond trunc={trunc}")
+        set_field(self, "components", comps)
+        set_field(self, "trunc", trunc)
 
     @property
     def vars(self) -> VarSet:
@@ -702,8 +704,6 @@ class MapTuple:
 
     def __iter__(self) -> Iterator[SparsePoly]:
         return iter(self.components)
-
-    __hash__ = None
 
     def __str__(self) -> str:
         body = ", ".join(str(c) for c in self.components)
@@ -883,20 +883,19 @@ def compose_map(h: MapTuple, g: MapTuple, bound: int) -> MapTuple:
 # -- matrices and determinants -------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(Record):
     """Square matrix of polynomials over a common layout."""
 
-    rows: tuple[tuple[SparsePoly, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
+    def __init__(self, rows: Sequence[Sequence[SparsePoly]]) -> None:
+        rows = tuple(tuple(r) for r in rows)
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ContractViolation("matrix must be square and nonempty")
         vs = rows[0][0].vars
         if any(e.vars != vs for r in rows for e in r):
             raise ContractViolation("matrix entries must share one variable layout")
-        object.__setattr__(self, "rows", rows)
+        set_field(self, "rows", rows)
 
     @property
     def dim(self) -> int:
@@ -908,8 +907,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> SparsePoly:
         return self.rows[i][j]
-
-    __hash__ = None
 
 
 def jacobian(h: MapTuple) -> PolyMatrix:

@@ -9,26 +9,31 @@ check property is the Check the CLI puts into its report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable
 
+from .errors import ContractViolation
 from .poly import SparsePoly, diff_witness
+from .record import Record, set_field
 
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    status: str
-    witness: str | None = None
-    detail: str | None = None
+class Check(Record):
+    __slots__ = ("name", "status", "witness", "detail")
 
-    def __post_init__(self) -> None:
-        if self.status not in (PASS, FAIL, SKIP):
-            raise ValueError(f"unknown check status {self.status!r}")
+    def __init__(self, name: str, status: str, witness: str | None = None,
+                 detail: str | None = None) -> None:
+        if status not in (PASS, FAIL, SKIP):
+            raise ContractViolation(f"unknown check status {status!r}")
+        set_field(self, "name", name)
+        set_field(self, "status", status)
+        set_field(self, "witness", witness)
+        set_field(self, "detail", detail)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
     def to_dict(self) -> dict:
         return {"name": self.name, "status": self.status,
@@ -47,8 +52,7 @@ def skipped_check(name: str, detail: str | None = None) -> Check:
     return Check(name, SKIP, None, detail)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Two independently computed sides of one identity, compared exactly.
 
     The witness names the first differing monomial as
@@ -57,18 +61,19 @@ class IdentityReport:
     detail describes what a passing comparison covered.
     """
 
-    name: str
-    lhs: SparsePoly
-    rhs: SparsePoly
-    where: str | None = None
-    detail: str | None = None
-    witness: str | None = field(init=False)
+    __slots__ = ("name", "lhs", "rhs", "where", "detail", "witness")
 
-    def __post_init__(self) -> None:
-        wit = None if self.lhs == self.rhs else diff_witness(self.lhs, self.rhs)
-        if wit is not None and self.where:
-            wit = f"{self.where}: {wit}"
-        object.__setattr__(self, "witness", wit)
+    def __init__(self, name: str, lhs: SparsePoly, rhs: SparsePoly,
+                 where: str | None = None, detail: str | None = None) -> None:
+        wit = None if lhs == rhs else diff_witness(lhs, rhs)
+        if wit is not None and where:
+            wit = f"{where}: {wit}"
+        set_field(self, "name", name)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "where", where)
+        set_field(self, "detail", detail)
+        set_field(self, "witness", wit)
 
     @property
     def passed(self) -> bool:
@@ -89,14 +94,20 @@ def first_failure(reports: Iterable[IdentityReport]) -> IdentityReport:
     return rep
 
 
-@dataclass(frozen=True)
-class Report:
-    command: str
-    args: dict
-    input_digest: str
-    checks: tuple[Check, ...]
-    result: dict | None = None
-    flags: dict = field(default_factory=dict)
+class Report(Record):
+    """One command's report; flags defaults to a fresh empty dict."""
+
+    __slots__ = ("command", "args", "input_digest", "checks", "result", "flags")
+
+    def __init__(self, command: str, args: dict, input_digest: str,
+                 checks: tuple[Check, ...], result: dict | None = None,
+                 flags: dict | None = None) -> None:
+        set_field(self, "command", command)
+        set_field(self, "args", args)
+        set_field(self, "input_digest", input_digest)
+        set_field(self, "checks", checks)
+        set_field(self, "result", result)
+        set_field(self, "flags", {} if flags is None else flags)
 
     @property
     def passed(self) -> bool:

@@ -23,12 +23,12 @@ themselves and cut the output to their window.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
 from .errors import ContractViolation
 from .poly import Exponent, SparsePoly, VarSet, lambda_apply
+from .record import Record, set_field
 from .report import IdentityReport
 
 
@@ -55,15 +55,15 @@ def _require_symbol_layout(vs: VarSet) -> None:
         raise ContractViolation("a total symbol lives over the (xi, z) layout")
 
 
-@dataclass(frozen=True)
-class DiffOp:
+class DiffOp(Record):
     """Differential operator sum_alpha a_alpha(z) d^alpha in right-normal form,
     stored as its right total symbol sum_alpha a_alpha(z) xi^alpha."""
 
-    symbol: SparsePoly
+    __slots__ = ("symbol",)
 
-    def __post_init__(self) -> None:
-        _require_symbol_layout(self.symbol.vars)
+    def __init__(self, symbol: SparsePoly) -> None:
+        _require_symbol_layout(symbol.vars)
+        set_field(self, "symbol", symbol)
 
     # -- constructors ----------------------------------------------------
 
@@ -101,8 +101,6 @@ class DiffOp:
             buckets.setdefault(e[:n], {})[e[n:]] = c
         zvs = VarSet.z(n)
         return {alpha: SparsePoly(zvs, t) for alpha, t in buckets.items()}
-
-    __hash__ = None
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
         self._check(other)

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: exit codes, report determinism, golden bytes."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +12,7 @@ import agcalc.cli
 import agcalc.inversion
 import agcalc.lab
 from agcalc.cli import main
+from agcalc.inversion import InversionResult
 from agcalc.mapfile import save_map_file
 from agcalc.poly import MapTuple, SparsePoly, VarSet
 
@@ -25,15 +25,19 @@ Z3 = VarSet.z(3)
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(agcalc.lab.__file__))
 
 
-def run_cli(*argv, env_extra=None, timeout=None):
+def run_python(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "agcalc", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_cli(*argv, env_extra=None, timeout=None):
+    return run_python("-m", "agcalc", *argv, env_extra=env_extra, timeout=timeout)
 
 
 @pytest.fixture()
@@ -493,6 +497,15 @@ class TestWorkCounts:
                               "vanishing_scan_poly": int(checks != "nilpotent")}, checks
 
 
+class TestStartup:
+    def test_cli_import_loads_no_dataclasses(self):
+        # what the import adds, so that modules a site hook loaded do not count;
+        # the same line runs as a CI step on every supported Python
+        proc = run_python("-c", "import sys; before = set(sys.modules); import agcalc.cli; "
+                          "sys.exit('dataclasses' in set(sys.modules) - before)")
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, triangular_map, tmp_path):
         a = run_cli("lab", triangular_map, "--format", "json")
@@ -526,7 +539,8 @@ def _perturb_component_2(route):
         res = route(h, bound, **kwargs)
         comps = list(res.G.components)
         comps[1] = comps[1] + SparsePoly.monomial(res.G.vars, (2,) + (0,) * (h.n - 1))
-        return dataclasses.replace(res, G=MapTuple(tuple(comps), res.G.trunc))
+        return InversionResult(MapTuple(tuple(comps), res.G.trunc), res.N, res.method, res.D,
+                               res.checked_discards)
     return perturbed
 
 

@@ -3,7 +3,6 @@
 import hashlib
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -14,12 +13,13 @@ from agcalc.errors import (
     TermCeilingExceeded,
     VerificationError,
 )
-from agcalc.inversion import cross_method_results, invert_fixed_point
+from agcalc.inversion import InversionResult, cross_method_results, invert_fixed_point
 from agcalc.lab import (
     FAMILIES,
     CorpusSpec,
     EquivalenceReport,
     NilpotencyCertificate,
+    VanishingReport,
     check_equivalences,
     deformed_tail_components,
     gen_corpus,
@@ -167,10 +167,10 @@ class TestVanishingScan:
         (rep,) = vanishing_scan(diagonal_2d(), {1: 4})
         assert (rep.first_nonzero, rep.last_nonzero, rep.all_zero) == (0, 4, False)
         zero = SparsePoly.zero(XIZ2)
-        inner = replace(rep, values=((0, zero), (1, rep.value(1)), (2, rep.value(2)),
-                                     (3, zero), (4, zero)))
+        inner = VanishingReport(rep.k, rep.mmax, ((0, zero), (1, rep.value(1)), (2, rep.value(2)),
+                                                  (3, zero), (4, zero)))
         assert (inner.first_nonzero, inner.last_nonzero, inner.all_zero) == (1, 2, False)
-        cleared = replace(rep, values=tuple((m, zero) for m, _ in rep.values))
+        cleared = VanishingReport(rep.k, rep.mmax, tuple((m, zero) for m, _ in rep.values))
         assert (cleared.first_nonzero, cleared.last_nonzero, cleared.all_zero) == (
             None, None, True)
 
@@ -220,7 +220,7 @@ class TestVanishingScan:
         assert scan0.complete and not scan1.complete
         assert (scan0,) == vanishing_scan(wide_2d(), {0: 2})
         (full1,) = vanishing_scan(wide_2d(), {1: 3})
-        assert scan1 == replace(full1.through(1), mmax=3)
+        assert scan1 == VanishingReport(1, 3, full1.through(1).values)
         # a single scan's abort carries its one partial scan in a tuple
         with pytest.raises(TermCeilingExceeded) as err:
             vanishing_scan_poly(p, {1: 3}, term_ceiling=9)
@@ -376,7 +376,7 @@ class TestEquivalences:
             check_equivalences(item.h, 4, known_nt_degree=item.nt_degree, term_ceiling=200)
         assert str(err.value) == "term count 266 exceeded ceiling 200"
         full = check_equivalences(item.h, 4)
-        assert err.value.partial == replace(full, checks=())
+        assert err.value.partial == EquivalenceReport(full.label, full.certificate, full.scans, ())
         assert not err.value.partial.passed
         # n = 3 and t-degree 0: at mmax 1 the k=1 scan finishes on P^2 (3 terms)
         # and the k=0 scan through m=3 trips on P^3 (4 terms); the k=1 scan stays
@@ -406,7 +406,7 @@ def _perturb_oracle(monkeypatch, g=lambda g: g, n=lambda n: n):
 
     def perturbed(h, bound, **kwargs):
         res = real(h, bound, **kwargs)
-        return replace(res, G=g(res.G), N=n(res.N))
+        return InversionResult(g(res.G), n(res.N), res.method, res.D, res.checked_discards)
     monkeypatch.setattr(agcalc.lab, "invert_fixed_point", perturbed)
 
 
@@ -475,7 +475,8 @@ class TestEquivalenceFailures:
             scan0, scan1 = real(p, depths, **kwargs)  # the shared chain of both scans
             extra = SparsePoly.monomial(p.vars, (2, 0, 0, 2))  # xi1^2*z2^2
             m0, v0 = scan1.values[0]
-            return scan0, replace(scan1, values=((m0, v0 + extra),) + scan1.values[1:])
+            return scan0, VanishingReport(scan1.k, scan1.mmax,
+                                          ((m0, v0 + extra),) + scan1.values[1:])
         monkeypatch.setattr(agcalc.lab, "vanishing_scan_poly", widened)
         rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
         cross = _checks_by_name(rep)["deformed inverse series cross-check"]
