@@ -16,7 +16,6 @@ from .inversion import (
     FIXED_POINT,
     LAMBDA_SERIES,
     InversionResult,
-    ag_apply,
     ag_jacobian_identity,
     cross_method_results,
     f_from_h,
@@ -24,7 +23,6 @@ from .inversion import (
     invert_fixed_point,
     invert_lambda,
     jacobian_factor,
-    lambda_compose,
     verify_phi_exponential,
     verify_round_trip,
     xi_moment_series,
@@ -62,12 +60,10 @@ from .poly import (
     xi_pairing,
 )
 from .weyl import (
-    DiffOp,
     lambda_apply,
     lambda_pow,
     normal_order,
     phi_apply,
-    tau,
     verify_phi_normal_order,
 )
 

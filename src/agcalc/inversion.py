@@ -21,9 +21,8 @@ order bound.  When asked, the loop builds the first discarded shell as
 well, under the same truncations as the kept ones, and it must vanish; it
 never builds a shell past that one.  The routes invert_ag and
 invert_lambda (and cross_method_results) ask for it with debug=True;
-ag_apply and lambda_compose, whose results nothing else checks, always
-ask; ag_jacobian_identity and xi_moment_series, which are compared against
-the oracle, never do.  On valid input, o(H) >= 2, which every route
+ag_jacobian_identity and xi_moment_series, which are compared against the
+oracle, never do.  On valid input, o(H) >= 2, which every route
 enforces, those truncations already zero it, so the check passes by
 construction: it guards the summation cutoff against a loop that stops too
 early, not the truncation pads.  The count of checked discards, one per
@@ -249,12 +248,6 @@ def invert_ag(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResul
                          ABHYANKAR_GURJAR, bound, checked)
 
 
-def ag_apply(u: SparsePoly, h: MapTuple, bound: int) -> SparsePoly:
-    """u composed with the inverse map by the derivative sum; always checks its discard."""
-    _require_h(h, bound, derivatives=True)
-    return _derivative_sum(u, h, bound, include_jf=True, debug=True)[0]
-
-
 def ag_jacobian_identity(u: SparsePoly, h: MapTuple, bound: int,
                          oracle: InversionResult) -> IdentityReport:
     """Check sum_alpha d^alpha(H^alpha u)/alpha! == JG * u(G), both sides built
@@ -295,13 +288,13 @@ def _phase_terms(u: SparsePoly, h: MapTuple, bound: int,
 
 
 def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *,
-                debug: bool, k: int = 0) -> tuple[SparsePoly, int]:
+                debug: bool, k: int) -> tuple[SparsePoly, int]:
     """k! sum_m lambda^m(u * P^(m+k) * JF) / (m! (m+k)!), u lifted to the xi-layout.
 
-    k = 0 is the inversion series, whose callers drop the xi-block.  Term m
-    has z-order >= m + 2k + o, with o = min(o(u), bound), so the sum stops
-    at m = bound - 2k - o.  Returns the sum, plus the count of
-    debug-verified discarded terms (one).
+    It equals u(G) * <xi, N>^k mod z-degree > bound.  Term m has z-order
+    >= m + 2k + o, with o = min(o(u), bound), so the sum stops at
+    m = bound - 2k - o.  Returns the sum, plus the count of debug-verified
+    discarded terms (one).
     """
     u = u.lift(h.vars.with_xi())
     if u.is_zero:
@@ -319,17 +312,11 @@ def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False) -> InversionR
                          LAMBDA_SERIES, bound, checked)
 
 
-def lambda_compose(q: SparsePoly, h: MapTuple, bound: int) -> SparsePoly:
-    """q composed with the inverse map by the phase series; always checks its discard."""
-    _require_h(h, bound, derivatives=True)
-    return _lambda_sum(q, h, bound, debug=True)[0].drop_xi()
-
-
 def xi_moment_series(h: MapTuple, q: SparsePoly, k: int, bound: int) -> SparsePoly:
     """The xi-degree-k phase series k! sum_m lambda^m(P^(m+k) q JF)/(m!(m+k)!).
 
     Equals q(G) * <xi, N>^k mod z-degree > bound, with N the inverse tail;
-    the k = 0 case reduces to lambda_compose.
+    at k = 0 it is q(G), the composition with the inverse.
     """
     if k < 0:
         raise ContractViolation("moment index k must be >= 0")

@@ -5,7 +5,10 @@ plain ``{exponent tuple: Fraction}`` dict with no zero coefficients and
 shares no code with ``agcalc.poly``; the property tests compare the kernel
 with it.  ``exact_div`` and ``_det_bareiss`` work through the public
 ``SparsePoly`` API and give ``det`` an independent second route.
-``diffop`` builds an operator from its grouped terms {alpha: a_alpha(z)};
+An operator is its right total symbol: ``diffop`` builds one from its
+grouped terms {alpha: a_alpha(z)}, ``op_mul`` composes two through
+``agcalc.weyl``'s one Leibniz rule, ``op_apply`` applies one to a
+z-polynomial, and ``tau`` is the product-reversing involution;
 ``deformation_matrix`` builds the nilpotency test's matrix I - t*JH entry by
 entry, beside ``agcalc.lab``'s route through J(z - t*H).
 ``scan_value`` computes a vanishing-scan value from z-derivatives alone,
@@ -20,7 +23,7 @@ from math import factorial, perm, prod
 
 from agcalc.errors import ContractViolation
 from agcalc.poly import MapTuple, PolyMatrix, SparsePoly, VarSet
-from agcalc.weyl import DiffOp
+from agcalc.weyl import _leibniz, normal_order
 
 Poly = dict  # {tuple[int, ...]: Fraction}, zero coefficients never stored
 
@@ -192,7 +195,41 @@ def _det_bareiss(m: PolyMatrix) -> SparsePoly:
     return result if sign > 0 else -result
 
 
-def diffop(n: int, terms: dict) -> DiffOp:
+def diffop(n: int, terms: dict) -> SparsePoly:
     """sum_alpha a_alpha(z) d^alpha, built as its right total symbol."""
-    return DiffOp(SparsePoly(VarSet.xiz(n), {alpha + e: c for alpha, a in terms.items()
-                                             for e, c in a.items()}))
+    return SparsePoly(VarSet.xiz(n), {alpha + e: c for alpha, a in terms.items()
+                                      for e, c in a.items()})
+
+
+def op_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+    """The right symbol of the composition a * b, reordered by the Leibniz rule:
+    a z^p d^alpha * b z^q d^beta = a b z^p (d^alpha z^q) d^beta."""
+    n = a.vars.n
+    out: Poly = {}
+    for e, ca in a.items():
+        alpha, p = e[:n], e[n:]
+        for f, cb in b.items():
+            beta = f[:n]
+            for rest, ze, coeff in _leibniz(alpha, f[n:], ca * cb):
+                key = (tuple(r + s for r, s in zip(rest, beta))
+                       + tuple(x + y for x, y in zip(p, ze)))
+                out[key] = out.get(key, 0) + coeff
+    return SparsePoly(a.vars, out)
+
+
+def op_apply(op: SparsePoly, u: SparsePoly, bound: int) -> SparsePoly:
+    """The operator of right symbol op applied to the z-polynomial u, mod z-degree > bound.
+
+    A series u must be known to z-degree bound + op.max_xi_degree(), since
+    every d^alpha consumes |alpha| degrees of information.
+    """
+    n = u.vars.n
+    return sum((SparsePoly.monomial(u.vars, e[n:], c).mul(u.diff_z_multi(e[:n]), trunc=bound)
+                for e, c in op.items()), SparsePoly.zero(u.vars))
+
+
+def tau(op: SparsePoly) -> SparsePoly:
+    """The product-reversing involution a(z) d^alpha -> (-1)^|alpha| d^alpha a(z)."""
+    n = op.vars.n
+    return normal_order(SparsePoly(op.vars, {e: -c if sum(e[:n]) % 2 else c
+                                             for e, c in op.items()}))

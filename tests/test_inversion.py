@@ -18,7 +18,6 @@ from agcalc.inversion import (
     FIXED_POINT,
     LAMBDA_SERIES,
     InversionResult,
-    ag_apply,
     ag_jacobian_identity,
     cross_method_results,
     f_from_h,
@@ -26,7 +25,6 @@ from agcalc.inversion import (
     invert_fixed_point,
     invert_lambda,
     jacobian_factor,
-    lambda_compose,
     route_agreement,
     verify_phi_exponential,
     verify_round_trip,
@@ -172,37 +170,30 @@ class TestDerivativeSumRoute:
                                                           where="term at a")
             assert (total, checked, asked) == (SparsePoly.zero(Z1), 5 * debug, want)
 
-    def test_compositions_always_check_their_discard(self, monkeypatch):
-        # nothing compares ag_apply or lambda_compose with the oracle at run
-        # time, so both always ask the shared loop for the discarded shell
-        sum_shells = agcalc.inversion._sum_shells
-        asked = []
 
-        def spy(*args, debug, where):
-            asked.append((where, debug))
-            return sum_shells(*args, debug=debug, where=where)
+def compose_by_derivative_sum(u, h, bound):
+    # u(G) by the paper's derivative sum, sum_alpha d^alpha(u H^alpha JF) / alpha!
+    return agcalc.inversion._derivative_sum(u, h, bound, include_jf=True, debug=True)[0]
 
-        monkeypatch.setattr(agcalc.inversion, "_sum_shells", spy)
-        u = SparsePoly.z_var(Z1, 0)
-        ag_apply(u, one_var_square(), 4)
-        lambda_compose(u, one_var_square(), 4)
-        assert asked == [("derivative-sum term at |alpha|", True),
-                         ("phase-series term at m", True)]
+
+def compose_by_phase_series(q, h, bound):
+    # q(G) by the k = 0 phase series, sum_m lambda^m(q P^m JF) / (m!)^2
+    return agcalc.inversion._lambda_sum(q, h, bound, debug=True, k=0)[0].drop_xi()
 
 
 class TestAgApply:
     def test_u_equals_z_reduces_to_inversion(self):
-        got = ag_apply(SparsePoly.z_var(Z1, 0), one_var_square(), 4)
+        got = compose_by_derivative_sum(SparsePoly.z_var(Z1, 0), one_var_square(), 4)
         assert got == invert_ag(one_var_square(), 4).G.components[0]
 
     def test_square_of_catalan(self):
         # u = z^2 composed with G: z^2 + 2z^3 + 5z^4 mod degree > 4
-        got = ag_apply(SparsePoly.monomial(Z1, (2,)), one_var_square(), 4)
+        got = compose_by_derivative_sum(SparsePoly.monomial(Z1, (2,)), one_var_square(), 4)
         z = SparsePoly.z_var(Z1, 0)
         assert got == z.power(2) + z.power(3).scale(2) + z.power(4).scale(5)
 
     def test_constants_fixed(self):
-        got = ag_apply(SparsePoly.const(Z1, Fraction(3, 7)), one_var_square(), 4)
+        got = compose_by_derivative_sum(SparsePoly.const(Z1, Fraction(3, 7)), one_var_square(), 4)
         assert got == SparsePoly.const(Z1, Fraction(3, 7))
 
     def test_matches_oracle_composition(self):
@@ -210,13 +201,13 @@ class TestAgApply:
         for _ in range(8):
             h = random_h(rng, 2, max_deg=3)
             u = SparsePoly.monomial(Z2, (1, 1)) + SparsePoly.z_var(Z2, 0)
-            got = ag_apply(u, h, 5)
+            got = compose_by_derivative_sum(u, h, 5)
             oracle = invert_fixed_point(h, 5)
             assert got == compose(u, oracle.G, 5)
 
     def test_series_u_accepted_at_matching_trunc(self):
         u = (SparsePoly.z_var(Z1, 0) + SparsePoly.monomial(Z1, (3,))).truncate_z(4)
-        got = ag_apply(u, one_var_square(), 4)
+        got = compose_by_derivative_sum(u, one_var_square(), 4)
         oracle = invert_fixed_point(one_var_square(), 4)
         assert got == compose(u, oracle.G, 4)
 
@@ -227,9 +218,9 @@ class TestAgApply:
         for u in (SparsePoly.z_var(VarSet.zt(2), 0), SparsePoly.z_var(VarSet.z(3), 0),
                   SparsePoly.z_var(Z1, 0)):
             with pytest.raises(ContractViolation):
-                ag_apply(u, h, 4)
+                compose_by_derivative_sum(u, h, 4)
             with pytest.raises(ContractViolation):
-                lambda_compose(u, h, 4)
+                compose_by_phase_series(u, h, 4)
 
 
 class TestAgJacobianIdentity:
@@ -286,16 +277,16 @@ class TestLambdaSeriesRoute:
 
 class TestLambdaCompose:
     def test_square_example(self):
-        got = lambda_compose(SparsePoly.monomial(Z1, (2,)), one_var_square(), 4)
+        got = compose_by_phase_series(SparsePoly.monomial(Z1, (2,)), one_var_square(), 4)
         z = SparsePoly.z_var(Z1, 0)
         assert got == z.power(2) + z.power(3).scale(2) + z.power(4).scale(5)
 
     def test_constant(self):
-        got = lambda_compose(SparsePoly.one(Z2), triangular_2d(), 4)
+        got = compose_by_phase_series(SparsePoly.one(Z2), triangular_2d(), 4)
         assert got == SparsePoly.one(Z2)
 
     def test_z1_on_triangular(self):
-        got = lambda_compose(SparsePoly.z_var(Z2, 0), triangular_2d(), 4)
+        got = compose_by_phase_series(SparsePoly.z_var(Z2, 0), triangular_2d(), 4)
         assert got == SparsePoly.z_var(Z2, 0) + SparsePoly.monomial(Z2, (0, 2))
 
     def test_agrees_with_oracle(self):
@@ -304,7 +295,7 @@ class TestLambdaCompose:
             h = random_h(rng, 2, max_deg=3)
             q = SparsePoly.monomial(Z2, (0, 2)) - SparsePoly.z_var(Z2, 0)
             oracle = invert_fixed_point(h, 5)
-            assert lambda_compose(q, h, 5) == compose(q, oracle.G, 5)
+            assert compose_by_phase_series(q, h, 5) == compose(q, oracle.G, 5)
 
 
 class TestCrossMethod:
@@ -405,7 +396,7 @@ class TestCrossMethod:
         for u in (z2 + SparsePoly.one(Z2), z1, z1 * z1 * z2, SparsePoly.zero(Z2)):
             want = compose(u, oracle.G, 5)
             ag, _ = agcalc.inversion._derivative_sum(u, h, 5, include_jf=True, debug=True)
-            lam, _ = agcalc.inversion._lambda_sum(u, h, 5, debug=True)
+            lam, _ = agcalc.inversion._lambda_sum(u, h, 5, debug=True, k=0)
             assert ag == want
             assert lam.drop_xi() == want
 
@@ -441,10 +432,10 @@ class TestFailingChecks:
 
     def test_phase_series_discard_check(self):
         u = SparsePoly.z_var(Z1, 0)
-        agcalc.inversion._lambda_sum(u, self.order_one_tail(), 3, debug=False)
+        agcalc.inversion._lambda_sum(u, self.order_one_tail(), 3, debug=False, k=0)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at m=3 has order <= 3: 1/4\*z1$"):
-            agcalc.inversion._lambda_sum(u, self.order_one_tail(), 3, debug=True)
+            agcalc.inversion._lambda_sum(u, self.order_one_tail(), 3, debug=True, k=0)
 
     def test_round_trip_names_first_difference(self):
         h = one_var_square()
@@ -475,7 +466,7 @@ class TestXiMoments:
     def test_k0_reduces_to_compose(self):
         q = SparsePoly.z_var(Z2, 0)
         got = xi_moment_series(triangular_2d(), q, 0, 4)
-        assert got.drop_xi() == lambda_compose(q, triangular_2d(), 4)
+        assert got.drop_xi() == compose(q, invert_fixed_point(triangular_2d(), 4).G, 4)
 
     def test_k1_reads_off_n(self):
         got = xi_moment_series(one_var_square(), SparsePoly.one(Z1), 1, 3)

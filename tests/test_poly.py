@@ -156,9 +156,16 @@ class TestCalculus:
         p = SparsePoly.monomial(XIZ2, (1, 0, 0, 2))
         assert p.diff(XIZ2.xi_index(1)).is_zero
 
-    def test_index_out_of_range(self):
-        with pytest.raises(ContractViolation):
-            zvar(Z2, 0).diff(5)
+    @pytest.mark.parametrize("index_into, size", [
+        pytest.param(XIZ2.z_index, 2, id="z_index"),
+        pytest.param(XIZ2.xi_index, 2, id="xi_index"),
+        pytest.param(lambda i: SparsePoly.variable(XIZ2, i), 4, id="variable"),
+        pytest.param(lambda i: zvar(Z2, 0).diff(i), 2, id="diff"),
+    ])
+    def test_index_out_of_range(self, index_into, size):
+        for index in (-1, size):
+            with pytest.raises(ContractViolation, match="out of range"):
+                index_into(index)
 
     def test_diff_z_multi_matches_iterated(self):
         rng = random.Random(11)

@@ -21,7 +21,6 @@ from agcalc.lab import (
 from agcalc.poly import MapTuple, PolyMatrix, SparsePoly, VarSet
 from agcalc.record import Record
 from agcalc.report import FAIL, PASS, SKIP, Check, IdentityReport, Report
-from agcalc.weyl import DiffOp
 
 Z1 = VarSet.z(1)
 ZT1 = VarSet.zt(1)
@@ -58,7 +57,6 @@ RECORDS = [
               "checks": (Check("c", PASS),), "result": None, "flags": {}},
      {"command": "invert", "args": {}, "input_digest": "e", "checks": (),
       "result": {"degree": 4}, "flags": {"f": 1}}),
-    (DiffOp, lambda: {"symbol": xiz(1, 1)}, {"symbol": xiz(1, 2)}),
     (InversionResult,
      lambda: {"G": MapTuple((z_power(1) + z_power(2),), 2), "N": MapTuple((z_power(2),), 2),
               "method": FIXED_POINT, "D": 2, "checked_discards": 0},
