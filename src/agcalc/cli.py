@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -35,6 +36,7 @@ from .inversion import (
     invert_fixed_point,
     invert_lambda,
     jacobian_factor,
+    require_inputs,
     route_agreement,
     verify_phi_exponential,
     verify_round_trip,
@@ -155,6 +157,7 @@ def cmd_invert(args) -> Report:
 # -- verify -------------------------------------------------------------------
 
 
+@cache  # the battery reads n alone, never the map or q
 def _symbol_battery(n: int) -> Check:
     vs = VarSet.xiz(n)
     small = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
@@ -166,12 +169,15 @@ def _symbol_battery(n: int) -> Check:
 
 def verify_suite(h: MapTuple, bound: int, xi_bound: int,
                  q: SparsePoly) -> list[Check]:
-    results = cross_method_results(h, bound)
+    # one oracle and one JF for every check: JG differentiates G, so the oracle
+    # goes to bound + 1, and the chain rule composes JF with G, so JF goes to bound
+    require_inputs(h, bound)  # the refusals of the routes at bound, not of the oracle at bound + 1
+    oracle = invert_fixed_point(h, bound + 1)
+    jf = jacobian_factor(h, bound)
+    results = cross_method_results(h, bound, jf=jf, oracle=oracle)
     checks = [route_agreement(results).check,
               verify_round_trip(h, results[FIXED_POINT]).check]
 
-    oracle = invert_fixed_point(h, bound + 1)  # shared below; JG needs degree bound + 1
-    jf = jacobian_factor(h, bound)
     jf_of_g = compose(jf, oracle.G, bound)
     jg = det(jacobian(oracle.G), trunc=bound)
     checks.append(IdentityReport("chain rule JF(G) * JG == 1",
@@ -183,12 +189,12 @@ def verify_suite(h: MapTuple, bound: int, xi_bound: int,
     q_of_g = compose(q, oracle.G, bound).lift(VarSet.xiz(h.n))
     xi_n = xi_pairing(oracle.N)
     checks.append(first_failure(
-        IdentityReport("xi-moment series k=0,1,2", xi_moment_series(h, q, k, bound),
+        IdentityReport("xi-moment series k=0,1,2", xi_moment_series(h, q, k, bound, jf=jf),
                        q_of_g.mul(xi_n.power(k, trunc=bound), trunc=bound),
                        where=f"k={k}")
         for k in range(3)).check)
 
-    checks.append(verify_phi_exponential(h, q, xi_bound, bound, oracle).check)
+    checks.append(verify_phi_exponential(h, q, xi_bound, bound, oracle, jf=jf).check)
     checks.append(_symbol_battery(h.n))
     return checks
 

@@ -39,10 +39,21 @@ it, truncated there.  That cut is the only one a term gets: d^alpha lowers
 the z-degree of every monomial it keeps by exactly a (lambda^m by exactly
 m), so a product cut at D + a (D + m) lands at z-degree <= D.
 
+The Jacobian factor JF = det J(z - H) is an input of the series, like H,
+computed once per map: cross_method_results forms it once and hands it to
+both series routes (keyword jf), and verify hands its one JF to every
+reader.  The routes read it only to z-degree max(D - 2, 0): their first
+product multiplies JF by <xi, H> (route 2) or by P = <xi, H> (route 3),
+both of order >= 2, truncated at D, and every later term grows from that
+product, so a term of JF above D - 2 only feeds products above D.  A route
+called without jf computes JF itself at that cut.  The oracle never reads
+JF, so a wrong shared JF still fails route_agreement.
+
 Series-truncated H is accepted when it is known deep enough: composition
-routes need trunc(H) >= D, while the derivative-based routes need
-trunc(H) >= D + 1 because the Jacobian factor at z-degree D already
-depends on H at degree D + 1.  The inputs u and q are exact polynomials; a
+routes need trunc(H) >= D, while the derivative-based entry points need
+trunc(H) >= D + 1 because the Jacobian factor at z-degree D, which the
+xi-moments and the exponential transport read, already depends on H at
+degree D + 1.  The inputs u and q are exact polynomials; a
 series is passed as its truncation at D, which is all the window reads.
 """
 
@@ -107,6 +118,13 @@ def _require_h(h: MapTuple, bound: int, *, derivatives: bool) -> None:
             f"{bound} needs >= {need}")
 
 
+def require_inputs(h: MapTuple, bound: int) -> None:
+    """Refuse h as cross_method_results(h, bound) does, in its order: first
+    the oracle's contract, then the series routes' one degree deeper."""
+    _require_h(h, bound, derivatives=False)
+    _require_h(h, bound, derivatives=True)
+
+
 def f_from_h(h: MapTuple) -> MapTuple:
     """The forward map F = z - H over the same layout and truncation."""
     vs = h.vars
@@ -117,6 +135,22 @@ def f_from_h(h: MapTuple) -> MapTuple:
 def jacobian_factor(h: MapTuple, bound: int) -> SparsePoly:
     """JF = det(d(z - H)_i / d z_j), truncated at z-degree bound."""
     return det(jacobian(f_from_h(h)), trunc=bound)
+
+
+def _given_jf(h: MapTuple, jf: SparsePoly | None, cut: int) -> SparsePoly:
+    """The Jacobian factor a caller passed in, or JF computed to z-degree cut."""
+    if jf is None:
+        return jacobian_factor(h, cut)
+    if jf.vars != h.vars:
+        raise ContractViolation(f"JF over {jf.vars.kind}(n={jf.vars.n}) does not meet a map "
+                                f"over {h.vars.kind}(n={h.vars.n})")
+    return jf
+
+
+def _series_jf(h: MapTuple, bound: int, jf: SparsePoly | None) -> SparsePoly:
+    """JF as both series routes read it: to z-degree max(bound - 2, 0), the
+    cut the module docstring derives from o(<xi, H>) >= 2."""
+    return _given_jf(h, jf, max(bound - 2, 0))
 
 
 def _route_result(tail: Sequence[SparsePoly], method: str, bound: int,
@@ -195,21 +229,20 @@ def _sum_shells(shells: Iterator[list[SparsePoly]], vs: VarSet, last: int, bound
 
 
 def _derivative_shells(u: SparsePoly, h: MapTuple, bound: int,
-                       include_jf: bool) -> Iterator[list[SparsePoly]]:
-    """Shell a = 0, 1, ...: the terms d^alpha(u * H^alpha * JF?) / alpha! with |alpha| = a.
+                       jf: SparsePoly) -> Iterator[list[SparsePoly]]:
+    """Shell a = 0, 1, ...: the terms d^alpha(u * H^alpha * jf) / alpha! with |alpha| = a.
 
-    Shell a needs u * H^alpha * JF only to z-degree bound + a, the a degrees
+    Shell a needs u * H^alpha * jf only to z-degree bound + a, the a degrees
     the derivative removes.  It is grown from shell a - 1 by one multiply
     per multi-index: alpha = beta + e_i for each beta of shell a - 1 and
     each i up to beta's first nonzero index, so i is alpha's first nonzero
-    index and every alpha arises once, as (u H^beta JF) * H_i truncated at
+    index and every alpha arises once, as (u H^beta jf) * H_i truncated at
     bound + a.  Shell a - 1 is known only to bound + a - 1, which is
     enough: o(H_i) >= 2, so a term it dropped would land past the pad.
     """
     vs = u.vars
-    jf = jacobian_factor(h, bound) if include_jf else SparsePoly.one(h.vars)
     hs = [c.lift(vs) for c in h.components]
-    shell = {(0,) * h.n: u.mul(jf.lift(vs), trunc=bound)}  # u H^alpha JF for |alpha| = a
+    shell = {(0,) * h.n: u.mul(jf.lift(vs), trunc=bound)}  # u H^alpha jf for |alpha| = a
     for a in count(1):
         yield [base.diff_z_multi(alpha).scale(Fraction(1, prod(map(factorial, alpha))))
                for alpha, base in shell.items()]
@@ -218,16 +251,18 @@ def _derivative_shells(u: SparsePoly, h: MapTuple, bound: int,
                  for i in range(next((j for j, b in enumerate(beta) if b), h.n - 1) + 1)}
 
 
-def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
-                    include_jf: bool, debug: bool) -> tuple[SparsePoly, int]:
+def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *, include_jf: bool,
+                    debug: bool, jf: SparsePoly | None = None) -> tuple[SparsePoly, int]:
     """sum over |alpha| <= bound - o of d^alpha(u * H^alpha * JF?) / alpha!.
 
     u lives over h's layout or its xi-extension: d^alpha acts on z only, so
     a xi-block rides along (route 2 sums u = <xi, H>).  With o = min(o(u),
     bound), term |alpha| = a has z-order >= o + 2a - a, so the sum stops at
     a = bound - o.  The pads of _derivative_shells bound the sum at z-degree
-    bound, since d^alpha lowers every degree by exactly a.  Returns the sum,
-    plus the count of debug-verified discarded terms, one per multi-index.
+    bound, since d^alpha lowers every degree by exactly a.  With include_jf,
+    JF is jf or, if none is given, det J(z - H) to z-degree bound.  Returns
+    the sum, plus the count of debug-verified discarded terms, one per
+    multi-index.
     """
     vs = u.vars
     if vs not in (h.vars, h.vars.with_xi()):
@@ -235,15 +270,22 @@ def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
                                 f"{h.vars.kind}(n={h.vars.n})")
     if u.is_zero:
         return u, 0
-    return _sum_shells(_derivative_shells(u, h, bound, include_jf), vs,
+    jf = _given_jf(h, jf, bound) if include_jf else SparsePoly.one(h.vars)
+    return _sum_shells(_derivative_shells(u, h, bound, jf), vs,
                        bound - min(u.order(), bound), bound, debug=debug,
                        where="derivative-sum term at |alpha|")
 
 
-def invert_ag(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResult:
-    """Inverse via one derivative sum on u = <xi, H>, which is <xi, H(G)> = <xi, N>."""
+def invert_ag(h: MapTuple, bound: int, *, debug: bool = False,
+              jf: SparsePoly | None = None) -> InversionResult:
+    """Inverse via one derivative sum on u = <xi, H>, which is <xi, H(G)> = <xi, N>.
+
+    jf, when given, is JF = det J(z - H) known to z-degree >= max(bound - 2, 0);
+    otherwise the route computes it to that degree.
+    """
     _require_h(h, bound, derivatives=True)
-    xi_n, checked = _derivative_sum(xi_pairing(h), h, bound, include_jf=True, debug=debug)
+    xi_n, checked = _derivative_sum(xi_pairing(h), h, bound, include_jf=True, debug=debug,
+                                    jf=_series_jf(h, bound, jf))
     return _route_result([xi_n.xi_linear_component(i) for i in range(h.n)],
                          ABHYANKAR_GURJAR, bound, checked)
 
@@ -264,64 +306,73 @@ def ag_jacobian_identity(u: SparsePoly, h: MapTuple, bound: int,
 # -- route 3: the phase-space series ----------------------------------------
 
 
-def _phase_terms(u: SparsePoly, h: MapTuple, bound: int,
-                 k: int) -> Iterator[list[SparsePoly]]:
+def _phase_terms(u: SparsePoly, h: MapTuple, bound: int, k: int,
+                 jf: SparsePoly) -> Iterator[list[SparsePoly]]:
     """Term m = 0, 1, ... of the phase series, as a one-term shell, u over the xi-layout.
 
-    Term m is k! lambda^m(u * P^(m+k) * JF) / (m! (m+k)!) and has xi-degree
-    exactly k.  It needs u * P^(m+k) * JF only to z-degree bound + m, the m
-    degrees lambda^m removes, so it is grown from the term before by one
-    multiply by P truncated at bound + m; the term before is known to one
-    degree less, which is enough as o(P) >= 2.
+    Term m is k! lambda^m(u * P^(m+k) * JF) / (m! (m+k)!), and each of its
+    monomials has xi-degree exactly k.  It needs u * P^(m+k) * JF only to
+    z-degree bound + m, the m degrees lambda^m removes, so it is grown from
+    the term before by one multiply by P truncated at bound + m; the term
+    before is known to one degree less, which is enough as o(P) >= 2.
     """
     pairing = xi_pairing(h)
-    base = u.mul(jacobian_factor(h, bound).lift(u.vars), trunc=bound)  # u P^(m+k) JF
+    base = u.mul(jf.lift(u.vars), trunc=bound)  # u P^(m+k) JF
     for _ in range(k):
         base = base.mul(pairing, trunc=bound)
     for m in count():
         if m:
             base = base.mul(pairing, trunc=bound + m)
         term = lambda_pow(base, m)
-        if not term.is_zero and term.max_xi_degree() != k:
+        if not term.is_zero and term.xi_degrees() != {k}:
             raise AgcalcError(f"phase-series term has xi-degree other than {k}")
         yield [term.scale(Fraction(factorial(k), factorial(m) * factorial(m + k)))]
 
 
-def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *,
-                debug: bool, k: int) -> tuple[SparsePoly, int]:
+def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *, debug: bool, k: int,
+                jf: SparsePoly | None = None) -> tuple[SparsePoly, int]:
     """k! sum_m lambda^m(u * P^(m+k) * JF) / (m! (m+k)!), u lifted to the xi-layout.
 
     It equals u(G) * <xi, N>^k mod z-degree > bound.  Term m has z-order
     >= m + 2k + o, with o = min(o(u), bound), so the sum stops at
-    m = bound - 2k - o.  Returns the sum, plus the count of debug-verified
+    m = bound - 2k - o.  JF is jf or, if none is given, det J(z - H) to
+    z-degree bound.  Returns the sum, plus the count of debug-verified
     discarded terms (one).
     """
     u = u.lift(h.vars.with_xi())
     if u.is_zero:
         return u, 0
-    return _sum_shells(_phase_terms(u, h, bound, k), u.vars,
+    return _sum_shells(_phase_terms(u, h, bound, k, _given_jf(h, jf, bound)), u.vars,
                        bound - 2 * k - min(u.order(), bound), bound, debug=debug,
                        where="phase-series term at m")
 
 
-def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False) -> InversionResult:
-    """Inverse via the k = 1 phase series of u = 1, which is <xi, N> (cutoff m <= bound - 2)."""
+def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False,
+                  jf: SparsePoly | None = None) -> InversionResult:
+    """Inverse via the k = 1 phase series of u = 1, which is <xi, N> (cutoff m <= bound - 2).
+
+    jf, when given, is JF = det J(z - H) known to z-degree >= max(bound - 2, 0);
+    otherwise the route computes it to that degree.
+    """
     _require_h(h, bound, derivatives=True)
-    xi_n, checked = _lambda_sum(SparsePoly.one(h.vars), h, bound, debug=debug, k=1)
+    xi_n, checked = _lambda_sum(SparsePoly.one(h.vars), h, bound, debug=debug, k=1,
+                                jf=_series_jf(h, bound, jf))
     return _route_result([xi_n.xi_linear_component(i) for i in range(h.n)],
                          LAMBDA_SERIES, bound, checked)
 
 
-def xi_moment_series(h: MapTuple, q: SparsePoly, k: int, bound: int) -> SparsePoly:
+def xi_moment_series(h: MapTuple, q: SparsePoly, k: int, bound: int, *,
+                     jf: SparsePoly | None = None) -> SparsePoly:
     """The xi-degree-k phase series k! sum_m lambda^m(P^(m+k) q JF)/(m!(m+k)!).
 
     Equals q(G) * <xi, N>^k mod z-degree > bound, with N the inverse tail;
-    at k = 0 it is q(G), the composition with the inverse.
+    at k = 0 it is q(G), the composition with the inverse.  jf, when given,
+    is JF known to z-degree >= bound; otherwise it is computed to bound.
     """
     if k < 0:
         raise ContractViolation("moment index k must be >= 0")
     _require_h(h, bound, derivatives=True)
-    return _lambda_sum(q, h, bound, debug=False, k=k)[0]
+    return _lambda_sum(q, h, bound, debug=False, k=k, jf=jf)[0]
 
 
 # -- the exponential transport identity --------------------------------------
@@ -339,7 +390,8 @@ def _exp_slices(head: SparsePoly, x: SparsePoly, pads: Iterable[int]) -> SparseP
 
 
 def verify_phi_exponential(h: MapTuple, q: SparsePoly, xi_bound: int,
-                           bound: int, oracle: InversionResult) -> IdentityReport:
+                           bound: int, oracle: InversionResult, *,
+                           jf: SparsePoly | None = None) -> IdentityReport:
     """Window check of Phi(q JF e^<xi,H>) == q(G) e^<xi,N>, for xi_bound >= 0.
 
     The left side is assembled from the xi-degree-j slices q JF P^j / j!
@@ -349,6 +401,7 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly, xi_bound: int,
     q(G) <xi,N>^k / k!, of xi-degree exactly k <= xi_bound, from oracle, the
     fixed-point inverse to z-degree >= bound.  xi_bound is capped at bound by the window rule.
     Phi sums the assembled input exactly, and the window is cut from its output.
+    jf, when given, is JF known to z-degree >= bound; otherwise it is computed to bound.
     """
     if xi_bound < 0:
         raise ContractViolation("xi-degree bound must be >= 0")
@@ -356,7 +409,7 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly, xi_bound: int,
     _require_oracle(oracle, h, bound)
     k_eff = min(xi_bound, bound)
     target = h.vars.with_xi()
-    head = q.lift(target).mul(jacobian_factor(h, bound).lift(target), trunc=bound)
+    head = q.lift(target).mul(_given_jf(h, jf, bound).lift(target), trunc=bound)
     assembled = _exp_slices(head, xi_pairing(h), range(bound + 1, 2 * bound + 1))
     lhs = phi_apply(assembled).restrict_xi(k_eff).truncate_z(bound)
 
@@ -385,12 +438,28 @@ def verify_round_trip(h: MapTuple, result: InversionResult) -> IdentityReport:
     return IdentityReport("round trip F(G) == z == G(F)", ident, ident)
 
 
-def cross_method_results(h: MapTuple, bound: int, *,
-                         debug: bool = False) -> dict[str, InversionResult]:
+def cross_method_results(h: MapTuple, bound: int, *, debug: bool = False,
+                         jf: SparsePoly | None = None,
+                         oracle: InversionResult | None = None) -> dict[str, InversionResult]:
+    """The three routes to z-degree bound, keyed by method.
+
+    Both series routes read one JF, computed here to z-degree max(bound - 2,
+    0) unless jf passes it in (known at least that deep).  oracle, when
+    given, is a fixed-point inverse to z-degree >= bound and stands in for
+    route 1, cut at bound: the inverse mod z-degree > bound is unique.
+    Neither input is a route, and the oracle never reads JF, so a wrong
+    shared JF still fails route_agreement.
+    """
+    if oracle is None:
+        fixed = invert_fixed_point(h, bound)
+    else:
+        _require_oracle(oracle, h, bound)
+        fixed = _route_result([c.truncate_z(bound) for c in oracle.N], FIXED_POINT, bound)
+    jf = _series_jf(h, bound, jf)
     return {
-        FIXED_POINT: invert_fixed_point(h, bound),
-        ABHYANKAR_GURJAR: invert_ag(h, bound, debug=debug),
-        LAMBDA_SERIES: invert_lambda(h, bound, debug=debug),
+        FIXED_POINT: fixed,
+        ABHYANKAR_GURJAR: invert_ag(h, bound, debug=debug, jf=jf),
+        LAMBDA_SERIES: invert_lambda(h, bound, debug=debug, jf=jf),
     }
 
 

@@ -385,8 +385,13 @@ class SparsePoly(Record):
         pk = _packing(self.vars)
         return min((k >> pk.shift) - pk.xi_degree(k) for k in self._terms)
 
+    def xi_degrees(self) -> set[int]:
+        """The xi-degrees of the terms, read once per distinct xi-part."""
+        pk = _packing(self.vars)
+        return set(map(pk.xi_degree, {k & pk.xi_mask for k in self._terms}))
+
     def max_xi_degree(self) -> int:
-        return max(map(_packing(self.vars).xi_degree, self._terms), default=0)
+        return max(self.xi_degrees(), default=0)
 
     def max_t_degree(self) -> int:
         if not self.vars.has_t:

@@ -11,6 +11,7 @@ import pytest
 import agcalc.cli
 import agcalc.inversion
 import agcalc.lab
+import agcalc.weyl
 from agcalc.cli import main
 from agcalc.inversion import InversionResult
 from agcalc.mapfile import save_map_file
@@ -478,10 +479,26 @@ def _count_calls(monkeypatch, functions) -> dict:
 class TestWorkCounts:
     """Each command computes every oracle, certificate and scan once."""
 
-    def test_verify_builds_two_oracles(self, triangular_map, monkeypatch, capsys):
-        counts = _count_calls(monkeypatch, [agcalc.inversion.invert_fixed_point])
+    def test_verify_builds_one_oracle_and_one_jf(self, triangular_map, monkeypatch, capsys):
+        # the oracle at D + 1 also stands in for route 1, cut at D; JF at D feeds
+        # both series routes, the chain rule, the xi-moments and the transport
+        counts = _count_calls(monkeypatch, [agcalc.inversion.invert_fixed_point,
+                                            agcalc.inversion.jacobian_factor])
         assert main(["verify", triangular_map, "--degree", "4", "--xi-degree", "2"]) == 0
-        assert counts == {"invert_fixed_point": 2}
+        assert counts == {"invert_fixed_point": 1, "jacobian_factor": 1}
+        counts.update(invert_fixed_point=0, jacobian_factor=0)
+        assert main(["corpus", "--family", "cubic", "--n", "2", "--count", "3",
+                     "--run", "verify", "--degree", "4"]) == 0
+        assert counts == {"invert_fixed_point": 3, "jacobian_factor": 3}
+
+    def test_symbol_battery_once_per_n(self, monkeypatch, capsys):
+        # the battery reads n alone, so a corpus of three n = 2 maps runs it
+        # once: normal_order on the 6 x 6 monomials with |a|, |b| <= 2
+        agcalc.cli._symbol_battery.cache_clear()
+        counts = _count_calls(monkeypatch, [agcalc.weyl.normal_order])
+        assert main(["corpus", "--family", "triangular", "--n", "2", "--count", "3",
+                     "--run", "verify", "--degree", "4"]) == 0
+        assert counts == {"normal_order": 36}
 
     @pytest.mark.parametrize("mapfile", ["triangular_map", "control_map"])
     def test_lab_one_certificate_and_one_scan_per_k(self, mapfile, request, monkeypatch,

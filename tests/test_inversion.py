@@ -8,6 +8,7 @@ import pytest
 
 import agcalc.inversion
 from agcalc.errors import (
+    AgcalcError,
     ContractViolation,
     ConvergenceViolation,
     PreconditionError,
@@ -401,6 +402,93 @@ class TestCrossMethod:
             assert lam.drop_xi() == want
 
 
+class TestSharedJacobianFactor:
+    """One JF per map, read by both series routes only to z-degree D - 2."""
+
+    def test_one_det_per_cross_method_results(self, monkeypatch):
+        calls = []
+        counted = agcalc.inversion.det
+
+        def counting(m, trunc=None):
+            calls.append(trunc)
+            return counted(m, trunc)
+
+        monkeypatch.setattr(agcalc.inversion, "det", counting)
+        h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
+        assert route_agreement(cross_method_results(h, 5, debug=True)).passed
+        assert calls == [3]
+
+    def test_routes_compute_jf_at_the_same_cut(self):
+        rng = random.Random(71)
+        for h in (one_var_square(), random_h(rng, 2), random_h(rng, 3, max_deg=3)):
+            results = cross_method_results(h, 5, debug=True)
+            assert invert_ag(h, 5, debug=True) == results[ABHYANKAR_GURJAR]
+            assert invert_lambda(h, 5, debug=True) == results[LAMBDA_SERIES]
+
+    def test_perturbed_jf_fails_route_agreement(self):
+        # H = z^2, D = 5: a term c z^3 of JF (degree D - 2) reaches both series
+        # routes through their first product, <xi, H> * JF, as c z^5; the
+        # oracle never reads JF, so the agreement check names that monomial
+        h = one_var_square()
+        results = cross_method_results(
+            h, 5, jf=jacobian_factor(h, 3) + SparsePoly.monomial(Z1, (3,)))
+        rep = route_agreement(results)
+        assert not rep.passed
+        assert rep.witness == "abhyankar_gurjar component 1: z1^5: 15 vs 14"
+        results[ABHYANKAR_GURJAR] = invert_ag(h, 5)
+        assert route_agreement(results).witness == "lambda_series component 1: z1^5: 15 vs 14"
+
+    def test_jf_above_the_cut_is_never_read(self):
+        rng = random.Random(73)
+        for h in (one_var_square(), random_h(rng, 2), random_h(rng, 3, max_deg=3)):
+            z1 = SparsePoly.z_var(h.vars, 0)
+            junk = z1.power(4).scale(7) + z1.power(9)  # z-degree above D - 2 = 3
+            want = cross_method_results(h, 5, debug=True)
+            got = cross_method_results(h, 5, debug=True, jf=jacobian_factor(h, 5) + junk)
+            assert got == want
+
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_cut_at_zero(self, bound):
+        # D - 2 <= 0: JF is read only through its constant term, 1
+        rng = random.Random(79)
+        cases = [one_var_square(), triangular_2d(), random_h(rng, 2), random_h(rng, 3)]
+        for h in cases:
+            assert jacobian_factor(h, max(bound - 2, 0)) == SparsePoly.one(h.vars)
+            results = cross_method_results(h, bound, debug=True)
+            assert route_agreement(results).passed
+            assert results[FIXED_POINT].G == invert_fixed_point(h, bound).G
+            for method in (ABHYANKAR_GURJAR, LAMBDA_SERIES):
+                assert results[method].checked_discards >= 1
+
+    def test_deeper_oracle_stands_in_for_route_one(self):
+        rng = random.Random(83)
+        for h in (one_var_square(), triangular_2d(), random_h(rng, 3, max_deg=3)):
+            deep = invert_fixed_point(h, 6)
+            assert cross_method_results(h, 4, oracle=deep) == cross_method_results(h, 4)
+
+    def test_shared_inputs_checked(self):
+        h = triangular_2d()
+        with pytest.raises(ContractViolation, match="oracle must be the fixed-point inverse"):
+            cross_method_results(h, 4, oracle=invert_fixed_point(h, 3))
+        with pytest.raises(ContractViolation, match="oracle must be the fixed-point inverse"):
+            cross_method_results(h, 4, oracle=invert_ag(h, 5))
+        with pytest.raises(ContractViolation, match="JF over z"):
+            invert_lambda(h, 4, jf=jacobian_factor(one_var_square(), 4))
+
+    def test_phase_term_of_mixed_xi_degree_refused(self, monkeypatch):
+        # a term with an xi-free part beside its xi-degree-1 part has maximal
+        # xi-degree 1, but xi_linear_component would drop that part unseen
+        lambda_pow = agcalc.inversion.lambda_pow
+
+        def mixed(base, m):
+            term = lambda_pow(base, m)
+            return term + SparsePoly.z_var(term.vars, 0).power(2)
+
+        monkeypatch.setattr(agcalc.inversion, "lambda_pow", mixed)
+        with pytest.raises(AgcalcError, match="xi-degree other than 1"):
+            invert_lambda(one_var_square(), 4)
+
+
 class TestFailingChecks:
     """Each check below must fail when its identity does not hold."""
 
@@ -601,7 +689,7 @@ class TestWorkCounts:
         h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
         results = cross_method_results(h, 5, debug=True)
         assert route_agreement(results).passed
-        assert counts == {"calls": 140, "pairs": 112335}
+        assert counts == {"calls": 128, "pairs": 110842}
 
     def test_fixed_point_passes(self, monkeypatch):
         # one compose_map per pass of the oracle; sharing the monomial table

@@ -96,6 +96,18 @@ class TestKernelMatchesReference:
 
     @PROPERTY
     @given(st.data())
+    def test_xi_degrees(self, data):
+        # read once per distinct xi-part, they must still be every term's
+        vs = data.draw(layouts(("xiz", "xizt")))
+        p = SparsePoly(vs, data.draw(polys(vs)))
+        naive = [sum(e[:vs.n]) for e in as_dict(p)]  # the xi-block comes first
+        assert p.xi_degrees() == set(naive)
+        assert p.max_xi_degree() == max(naive, default=0)
+        assert SparsePoly.zero(vs).xi_degrees() == set()
+        assert SparsePoly.zero(vs).max_xi_degree() == 0
+
+    @PROPERTY
+    @given(st.data())
     def test_lambda_apply(self, data):
         vs = data.draw(layouts(("xiz", "xizt")))
         p = data.draw(polys(vs))
