@@ -137,20 +137,11 @@ def jacobian_factor(h: MapTuple, bound: int) -> SparsePoly:
     return det(jacobian(f_from_h(h)), trunc=bound)
 
 
-def _given_jf(h: MapTuple, jf: SparsePoly | None, cut: int) -> SparsePoly:
-    """The Jacobian factor a caller passed in, or JF computed to z-degree cut."""
-    if jf is None:
-        return jacobian_factor(h, cut)
+def _require_jf(h: MapTuple, jf: SparsePoly) -> SparsePoly:
     if jf.vars != h.vars:
         raise ContractViolation(f"JF over {jf.vars.kind}(n={jf.vars.n}) does not meet a map "
                                 f"over {h.vars.kind}(n={h.vars.n})")
     return jf
-
-
-def _series_jf(h: MapTuple, bound: int, jf: SparsePoly | None) -> SparsePoly:
-    """JF as both series routes read it: to z-degree max(bound - 2, 0), the
-    cut the module docstring derives from o(<xi, H>) >= 2."""
-    return _given_jf(h, jf, max(bound - 2, 0))
 
 
 def _route_result(tail: Sequence[SparsePoly], method: str, bound: int,
@@ -251,18 +242,17 @@ def _derivative_shells(u: SparsePoly, h: MapTuple, bound: int,
                  for i in range(next((j for j, b in enumerate(beta) if b), h.n - 1) + 1)}
 
 
-def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *, include_jf: bool,
-                    debug: bool, jf: SparsePoly | None = None) -> tuple[SparsePoly, int]:
-    """sum over |alpha| <= bound - o of d^alpha(u * H^alpha * JF?) / alpha!.
+def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *, jf: SparsePoly,
+                    debug: bool) -> tuple[SparsePoly, int]:
+    """sum over |alpha| <= bound - o of d^alpha(u * H^alpha * jf) / alpha!.
 
     u lives over h's layout or its xi-extension: d^alpha acts on z only, so
     a xi-block rides along (route 2 sums u = <xi, H>).  With o = min(o(u),
     bound), term |alpha| = a has z-order >= o + 2a - a, so the sum stops at
     a = bound - o.  The pads of _derivative_shells bound the sum at z-degree
-    bound, since d^alpha lowers every degree by exactly a.  With include_jf,
-    JF is jf or, if none is given, det J(z - H) to z-degree bound.  Returns
-    the sum, plus the count of debug-verified discarded terms, one per
-    multi-index.
+    bound, since d^alpha lowers every degree by exactly a.  jf is JF, or 1
+    for the sum without it.  Returns the sum, plus the count of
+    debug-verified discarded terms, one per multi-index.
     """
     vs = u.vars
     if vs not in (h.vars, h.vars.with_xi()):
@@ -270,8 +260,7 @@ def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *, include_jf: bool,
                                 f"{h.vars.kind}(n={h.vars.n})")
     if u.is_zero:
         return u, 0
-    jf = _given_jf(h, jf, bound) if include_jf else SparsePoly.one(h.vars)
-    return _sum_shells(_derivative_shells(u, h, bound, jf), vs,
+    return _sum_shells(_derivative_shells(u, h, bound, _require_jf(h, jf)), vs,
                        bound - min(u.order(), bound), bound, debug=debug,
                        where="derivative-sum term at |alpha|")
 
@@ -280,12 +269,13 @@ def invert_ag(h: MapTuple, bound: int, *, debug: bool = False,
               jf: SparsePoly | None = None) -> InversionResult:
     """Inverse via one derivative sum on u = <xi, H>, which is <xi, H(G)> = <xi, N>.
 
-    jf, when given, is JF = det J(z - H) known to z-degree >= max(bound - 2, 0);
-    otherwise the route computes it to that degree.
+    jf, when given, is JF known to z-degree >= max(bound - 2, 0); otherwise
+    the route computes it to that degree.
     """
     _require_h(h, bound, derivatives=True)
-    xi_n, checked = _derivative_sum(xi_pairing(h), h, bound, include_jf=True, debug=debug,
-                                    jf=_series_jf(h, bound, jf))
+    if jf is None:
+        jf = jacobian_factor(h, max(bound - 2, 0))
+    xi_n, checked = _derivative_sum(xi_pairing(h), h, bound, jf=jf, debug=debug)
     return _route_result([xi_n.xi_linear_component(i) for i in range(h.n)],
                          ABHYANKAR_GURJAR, bound, checked)
 
@@ -297,7 +287,7 @@ def ag_jacobian_identity(u: SparsePoly, h: MapTuple, bound: int,
     fixed-point inverse to z-degree >= bound + 1, since JG differentiates G)."""
     _require_h(h, bound, derivatives=True)
     _require_oracle(oracle, h, bound + 1)
-    lhs, _ = _derivative_sum(u, h, bound, include_jf=False, debug=False)
+    lhs, _ = _derivative_sum(u, h, bound, jf=SparsePoly.one(h.vars), debug=False)
     jg = det(jacobian(oracle.G), trunc=bound)
     rhs = jg.mul(compose(u, oracle.G, bound), trunc=bound)
     return IdentityReport("derivative sum == JG * u(G)", lhs, rhs)
@@ -330,19 +320,18 @@ def _phase_terms(u: SparsePoly, h: MapTuple, bound: int, k: int,
 
 
 def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *, debug: bool, k: int,
-                jf: SparsePoly | None = None) -> tuple[SparsePoly, int]:
+                jf: SparsePoly) -> tuple[SparsePoly, int]:
     """k! sum_m lambda^m(u * P^(m+k) * JF) / (m! (m+k)!), u lifted to the xi-layout.
 
     It equals u(G) * <xi, N>^k mod z-degree > bound.  Term m has z-order
     >= m + 2k + o, with o = min(o(u), bound), so the sum stops at
-    m = bound - 2k - o.  JF is jf or, if none is given, det J(z - H) to
-    z-degree bound.  Returns the sum, plus the count of debug-verified
+    m = bound - 2k - o.  Returns the sum, plus the count of debug-verified
     discarded terms (one).
     """
     u = u.lift(h.vars.with_xi())
     if u.is_zero:
         return u, 0
-    return _sum_shells(_phase_terms(u, h, bound, k, _given_jf(h, jf, bound)), u.vars,
+    return _sum_shells(_phase_terms(u, h, bound, k, _require_jf(h, jf)), u.vars,
                        bound - 2 * k - min(u.order(), bound), bound, debug=debug,
                        where="phase-series term at m")
 
@@ -351,23 +340,24 @@ def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False,
                   jf: SparsePoly | None = None) -> InversionResult:
     """Inverse via the k = 1 phase series of u = 1, which is <xi, N> (cutoff m <= bound - 2).
 
-    jf, when given, is JF = det J(z - H) known to z-degree >= max(bound - 2, 0);
-    otherwise the route computes it to that degree.
+    jf, when given, is JF known to z-degree >= max(bound - 2, 0); otherwise
+    the route computes it to that degree.
     """
     _require_h(h, bound, derivatives=True)
-    xi_n, checked = _lambda_sum(SparsePoly.one(h.vars), h, bound, debug=debug, k=1,
-                                jf=_series_jf(h, bound, jf))
+    if jf is None:
+        jf = jacobian_factor(h, max(bound - 2, 0))
+    xi_n, checked = _lambda_sum(SparsePoly.one(h.vars), h, bound, debug=debug, k=1, jf=jf)
     return _route_result([xi_n.xi_linear_component(i) for i in range(h.n)],
                          LAMBDA_SERIES, bound, checked)
 
 
 def xi_moment_series(h: MapTuple, q: SparsePoly, k: int, bound: int, *,
-                     jf: SparsePoly | None = None) -> SparsePoly:
+                     jf: SparsePoly) -> SparsePoly:
     """The xi-degree-k phase series k! sum_m lambda^m(P^(m+k) q JF)/(m!(m+k)!).
 
     Equals q(G) * <xi, N>^k mod z-degree > bound, with N the inverse tail;
-    at k = 0 it is q(G), the composition with the inverse.  jf, when given,
-    is JF known to z-degree >= bound; otherwise it is computed to bound.
+    at k = 0 it is q(G), the composition with the inverse.  jf is JF known
+    to z-degree >= bound.
     """
     if k < 0:
         raise ContractViolation("moment index k must be >= 0")
@@ -391,7 +381,7 @@ def _exp_slices(head: SparsePoly, x: SparsePoly, pads: Iterable[int]) -> SparseP
 
 def verify_phi_exponential(h: MapTuple, q: SparsePoly, xi_bound: int,
                            bound: int, oracle: InversionResult, *,
-                           jf: SparsePoly | None = None) -> IdentityReport:
+                           jf: SparsePoly) -> IdentityReport:
     """Window check of Phi(q JF e^<xi,H>) == q(G) e^<xi,N>, for xi_bound >= 0.
 
     The left side is assembled from the xi-degree-j slices q JF P^j / j!
@@ -401,7 +391,7 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly, xi_bound: int,
     q(G) <xi,N>^k / k!, of xi-degree exactly k <= xi_bound, from oracle, the
     fixed-point inverse to z-degree >= bound.  xi_bound is capped at bound by the window rule.
     Phi sums the assembled input exactly, and the window is cut from its output.
-    jf, when given, is JF known to z-degree >= bound; otherwise it is computed to bound.
+    jf is JF known to z-degree >= bound.
     """
     if xi_bound < 0:
         raise ContractViolation("xi-degree bound must be >= 0")
@@ -409,7 +399,7 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly, xi_bound: int,
     _require_oracle(oracle, h, bound)
     k_eff = min(xi_bound, bound)
     target = h.vars.with_xi()
-    head = q.lift(target).mul(_given_jf(h, jf, bound).lift(target), trunc=bound)
+    head = q.lift(target).mul(_require_jf(h, jf).lift(target), trunc=bound)
     assembled = _exp_slices(head, xi_pairing(h), range(bound + 1, 2 * bound + 1))
     lhs = phi_apply(assembled).restrict_xi(k_eff).truncate_z(bound)
 
@@ -443,19 +433,18 @@ def cross_method_results(h: MapTuple, bound: int, *, debug: bool = False,
                          oracle: InversionResult | None = None) -> dict[str, InversionResult]:
     """The three routes to z-degree bound, keyed by method.
 
-    Both series routes read one JF, computed here to z-degree max(bound - 2,
-    0) unless jf passes it in (known at least that deep).  oracle, when
-    given, is a fixed-point inverse to z-degree >= bound and stands in for
-    route 1, cut at bound: the inverse mod z-degree > bound is unique.
-    Neither input is a route, and the oracle never reads JF, so a wrong
-    shared JF still fails route_agreement.
+    Both series routes read one JF: jf, known to z-degree >= max(bound - 2,
+    0), or, when none is given, JF computed here to that degree.  oracle,
+    when given, is a fixed-point inverse to z-degree >= bound and stands in
+    for route 1, cut at bound: the inverse mod z-degree > bound is unique.
     """
     if oracle is None:
         fixed = invert_fixed_point(h, bound)
     else:
         _require_oracle(oracle, h, bound)
         fixed = _route_result([c.truncate_z(bound) for c in oracle.N], FIXED_POINT, bound)
-    jf = _series_jf(h, bound, jf)
+    if jf is None:
+        jf = jacobian_factor(h, max(bound - 2, 0))
     return {
         FIXED_POINT: fixed,
         ABHYANKAR_GURJAR: invert_ag(h, bound, debug=debug, jf=jf),

@@ -390,9 +390,6 @@ class SparsePoly(Record):
         pk = _packing(self.vars)
         return set(map(pk.xi_degree, {k & pk.xi_mask for k in self._terms}))
 
-    def max_xi_degree(self) -> int:
-        return max(self.xi_degrees(), default=0)
-
     def max_t_degree(self) -> int:
         if not self.vars.has_t:
             return 0

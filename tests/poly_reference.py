@@ -220,7 +220,7 @@ def op_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
 def op_apply(op: SparsePoly, u: SparsePoly, bound: int) -> SparsePoly:
     """The operator of right symbol op applied to the z-polynomial u, mod z-degree > bound.
 
-    A series u must be known to z-degree bound + op.max_xi_degree(), since
+    A series u must be known to z-degree bound + max(op.xi_degrees(), default=0), since
     every d^alpha consumes |alpha| degrees of information.
     """
     n = u.vars.n

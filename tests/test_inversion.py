@@ -174,12 +174,14 @@ class TestDerivativeSumRoute:
 
 def compose_by_derivative_sum(u, h, bound):
     # u(G) by the paper's derivative sum, sum_alpha d^alpha(u H^alpha JF) / alpha!
-    return agcalc.inversion._derivative_sum(u, h, bound, include_jf=True, debug=True)[0]
+    return agcalc.inversion._derivative_sum(u, h, bound, jf=jacobian_factor(h, bound),
+                                            debug=True)[0]
 
 
 def compose_by_phase_series(q, h, bound):
     # q(G) by the k = 0 phase series, sum_m lambda^m(q P^m JF) / (m!)^2
-    return agcalc.inversion._lambda_sum(q, h, bound, debug=True, k=0)[0].drop_xi()
+    return agcalc.inversion._lambda_sum(q, h, bound, debug=True, k=0,
+                                        jf=jacobian_factor(h, bound))[0].drop_xi()
 
 
 class TestAgApply:
@@ -392,12 +394,12 @@ class TestCrossMethod:
         # inputs of orders 0, 1 and 3 and a zero one, one at a time: each sum
         # measures o(u) for its cutoff and is still u(G)
         h = random_h(random.Random(67), 2)
-        oracle = invert_fixed_point(h, 5)
+        oracle, jf = invert_fixed_point(h, 5), jacobian_factor(h, 5)
         z1, z2 = SparsePoly.z_var(Z2, 0), SparsePoly.z_var(Z2, 1)
         for u in (z2 + SparsePoly.one(Z2), z1, z1 * z1 * z2, SparsePoly.zero(Z2)):
             want = compose(u, oracle.G, 5)
-            ag, _ = agcalc.inversion._derivative_sum(u, h, 5, include_jf=True, debug=True)
-            lam, _ = agcalc.inversion._lambda_sum(u, h, 5, debug=True, k=0)
+            ag, _ = agcalc.inversion._derivative_sum(u, h, 5, jf=jf, debug=True)
+            lam, _ = agcalc.inversion._lambda_sum(u, h, 5, debug=True, k=0, jf=jf)
             assert ag == want
             assert lam.drop_xi() == want
 
@@ -498,13 +500,12 @@ class TestFailingChecks:
         return MapTuple.exact((SparsePoly.monomial(Z1, (1,), Fraction(1, 2)),))
 
     def test_derivative_sum_discard_check(self):
-        u = SparsePoly.z_var(Z1, 0)
-        agcalc.inversion._derivative_sum(u, self.order_one_tail(), 3, include_jf=True,
-                                         debug=False)
+        u, h = SparsePoly.z_var(Z1, 0), self.order_one_tail()
+        jf = jacobian_factor(h, 3)
+        agcalc.inversion._derivative_sum(u, h, 3, jf=jf, debug=False)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at \|alpha\|=3 has order <= 3: 1/4\*z1$"):
-            agcalc.inversion._derivative_sum(u, self.order_one_tail(), 3,
-                                             include_jf=True, debug=True)
+            agcalc.inversion._derivative_sum(u, h, 3, jf=jf, debug=True)
 
     def test_derivative_sum_discard_check_in_a_multi_index_shell(self):
         # n = 2, H = (z2/2, z1/2): of the four multi-indices of the discarded
@@ -512,18 +513,19 @@ class TestFailingChecks:
         half = Fraction(1, 2)
         h = MapTuple.exact((SparsePoly.monomial(Z2, (0, 1), half),
                             SparsePoly.monomial(Z2, (1, 0), half)))
-        u = SparsePoly.z_var(Z2, 0)
-        agcalc.inversion._derivative_sum(u, h, 3, include_jf=True, debug=False)
+        u, jf = SparsePoly.z_var(Z2, 0), jacobian_factor(h, 3)
+        agcalc.inversion._derivative_sum(u, h, 3, jf=jf, debug=False)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at \|alpha\|=3 has order <= 3: 3/16\*z2$"):
-            agcalc.inversion._derivative_sum(u, h, 3, include_jf=True, debug=True)
+            agcalc.inversion._derivative_sum(u, h, 3, jf=jf, debug=True)
 
     def test_phase_series_discard_check(self):
-        u = SparsePoly.z_var(Z1, 0)
-        agcalc.inversion._lambda_sum(u, self.order_one_tail(), 3, debug=False, k=0)
+        u, h = SparsePoly.z_var(Z1, 0), self.order_one_tail()
+        jf = jacobian_factor(h, 3)
+        agcalc.inversion._lambda_sum(u, h, 3, debug=False, k=0, jf=jf)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at m=3 has order <= 3: 1/4\*z1$"):
-            agcalc.inversion._lambda_sum(u, self.order_one_tail(), 3, debug=True, k=0)
+            agcalc.inversion._lambda_sum(u, h, 3, debug=True, k=0, jf=jf)
 
     def test_round_trip_names_first_difference(self):
         h = one_var_square()
@@ -553,18 +555,20 @@ class TestChainRule:
 class TestXiMoments:
     def test_k0_reduces_to_compose(self):
         q = SparsePoly.z_var(Z2, 0)
-        got = xi_moment_series(triangular_2d(), q, 0, 4)
+        got = xi_moment_series(triangular_2d(), q, 0, 4, jf=jacobian_factor(triangular_2d(), 4))
         assert got.drop_xi() == compose(q, invert_fixed_point(triangular_2d(), 4).G, 4)
 
     def test_k1_reads_off_n(self):
-        got = xi_moment_series(one_var_square(), SparsePoly.one(Z1), 1, 3)
+        got = xi_moment_series(one_var_square(), SparsePoly.one(Z1), 1, 3,
+                               jf=jacobian_factor(one_var_square(), 3))
         # equals xi * N(z) with N = z^2 + 2z^3 mod degree > 3
         oracle = invert_fixed_point(one_var_square(), 3)
         expected = xi_pairing(oracle.N)
         assert got == expected
 
     def test_k2_triangular(self):
-        got = xi_moment_series(triangular_2d(), SparsePoly.one(Z2), 2, 4)
+        got = xi_moment_series(triangular_2d(), SparsePoly.one(Z2), 2, 4,
+                               jf=jacobian_factor(triangular_2d(), 4))
         xiz = VarSet.xiz(2)
         assert got == SparsePoly.monomial(xiz, (2, 0, 0, 4))
 
@@ -575,7 +579,7 @@ class TestXiMoments:
             q = SparsePoly.one(Z2) + SparsePoly.z_var(Z2, 0)
             bound = 5
             for k in range(3):
-                got = xi_moment_series(h, q, k, bound)
+                got = xi_moment_series(h, q, k, bound, jf=jacobian_factor(h, bound))
                 oracle = invert_fixed_point(h, bound)
                 target = VarSet.xiz(2)
                 q_of_g = compose(q, oracle.G, bound).lift(target)
@@ -587,23 +591,25 @@ class TestXiMoments:
         # result(k=2, q=1) * qG == result(k=1, q=1)^2 where qG = result(k=0, q=1)
         h = triangular_2d()
         bound = 6
-        one = SparsePoly.one(Z2)
-        m0 = xi_moment_series(h, one, 0, bound)
-        m1 = xi_moment_series(h, one, 1, bound)
-        m2 = xi_moment_series(h, one, 2, bound)
+        one, jf = SparsePoly.one(Z2), jacobian_factor(h, bound)
+        m0 = xi_moment_series(h, one, 0, bound, jf=jf)
+        m1 = xi_moment_series(h, one, 1, bound, jf=jf)
+        m2 = xi_moment_series(h, one, 2, bound, jf=jf)
         # triangular inverse is polynomial of low degree, so this is exact
         assert m1.mul(m1) == m2.mul(m0)
         assert exact_div(m1.mul(m1), m2) == m0
 
     def test_negative_k_rejected(self):
         with pytest.raises(ContractViolation):
-            xi_moment_series(triangular_2d(), SparsePoly.one(Z2), -1, 3)
+            xi_moment_series(triangular_2d(), SparsePoly.one(Z2), -1, 3,
+                             jf=jacobian_factor(triangular_2d(), 3))
 
 
 class TestPhiExponential:
     def test_triangular_window(self):
         rep = verify_phi_exponential(triangular_2d(), SparsePoly.one(Z2), 2, 4,
-                                     invert_fixed_point(triangular_2d(), 5))
+                                     invert_fixed_point(triangular_2d(), 5),
+                                     jf=jacobian_factor(triangular_2d(), 4))
         assert rep.passed
         xiz = VarSet.xiz(2)
         expected = (SparsePoly.one(xiz)
@@ -614,14 +620,16 @@ class TestPhiExponential:
     def test_zero_map(self):
         h = MapTuple.exact((SparsePoly.zero(Z2), SparsePoly.zero(Z2)))
         q = SparsePoly.z_var(Z2, 0) + SparsePoly.const(Z2, 3)
-        rep = verify_phi_exponential(h, q, 2, 4, invert_fixed_point(h, 5))
+        rep = verify_phi_exponential(h, q, 2, 4, invert_fixed_point(h, 5),
+                                     jf=jacobian_factor(h, 4))
         assert rep.passed
         assert rep.lhs == q.lift(VarSet.xiz(2))
 
     def test_nonunit_jacobian_path(self):
         # H = z^2 in one variable has JF = 1 - 2z
         rep = verify_phi_exponential(one_var_square(), SparsePoly.one(Z1), 1, 3,
-                                     invert_fixed_point(one_var_square(), 4))
+                                     invert_fixed_point(one_var_square(), 4),
+                                     jf=jacobian_factor(one_var_square(), 3))
         assert rep.passed
 
     def test_random_maps_and_series_q(self):
@@ -629,17 +637,20 @@ class TestPhiExponential:
         for _ in range(4):
             h = random_h(rng, 2, max_deg=3)
             q = (SparsePoly.one(Z2) + SparsePoly.monomial(Z2, (1, 1))).truncate_z(5)
-            rep = verify_phi_exponential(h, q, 2, 5, invert_fixed_point(h, 6))
+            rep = verify_phi_exponential(h, q, 2, 5, invert_fixed_point(h, 6),
+                                         jf=jacobian_factor(h, 5))
             assert rep.passed, rep.witness
 
     def test_negative_xi_bound_refused(self):
         h = triangular_2d()
         with pytest.raises(ContractViolation, match="xi-degree bound must be >= 0"):
-            verify_phi_exponential(h, SparsePoly.one(Z2), -1, 4, invert_fixed_point(h, 4))
+            verify_phi_exponential(h, SparsePoly.one(Z2), -1, 4, invert_fixed_point(h, 4),
+                                   jf=jacobian_factor(h, 4))
 
     def test_xi_bound_capped_at_z_bound(self):
         rep = verify_phi_exponential(triangular_2d(), SparsePoly.one(Z2), 9, 3,
-                                     invert_fixed_point(triangular_2d(), 4))
+                                     invert_fixed_point(triangular_2d(), 4),
+                                     jf=jacobian_factor(triangular_2d(), 3))
         assert "xi<=3" in rep.name
 
 
@@ -655,11 +666,12 @@ class TestOracleArgument:
 
     def test_verify_phi_exponential_needs_fixed_point_to_bound(self):
         h, q = triangular_2d(), SparsePoly.one(Z2)
+        jf = jacobian_factor(h, 4)
         for wrong in (invert_ag(h, 5), invert_lambda(h, 5), invert_fixed_point(h, 5).G,
                       invert_fixed_point(h, 3), invert_fixed_point(one_var_square(), 4)):
             with pytest.raises(ContractViolation, match="fixed-point inverse to z-degree >= 4"):
-                verify_phi_exponential(h, q, 2, 4, wrong)
-        assert verify_phi_exponential(h, q, 2, 4, invert_fixed_point(h, 4)).passed
+                verify_phi_exponential(h, q, 2, 4, wrong, jf=jf)
+        assert verify_phi_exponential(h, q, 2, 4, invert_fixed_point(h, 4), jf=jf).passed
 
 
 # A fixed n=3 map with terms of z-degree 2..3 and rational coefficients.

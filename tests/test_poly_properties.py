@@ -102,9 +102,7 @@ class TestKernelMatchesReference:
         p = SparsePoly(vs, data.draw(polys(vs)))
         naive = [sum(e[:vs.n]) for e in as_dict(p)]  # the xi-block comes first
         assert p.xi_degrees() == set(naive)
-        assert p.max_xi_degree() == max(naive, default=0)
         assert SparsePoly.zero(vs).xi_degrees() == set()
-        assert SparsePoly.zero(vs).max_xi_degree() == 0
 
     @PROPERTY
     @given(st.data())

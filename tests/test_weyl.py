@@ -143,7 +143,7 @@ class TestApply:
             u = SparsePoly(Z2, u_terms)
             bound = 3
             via_product = op_apply(op_mul(a, b), u, bound)
-            inner = op_apply(b, u, bound + a.max_xi_degree())
+            inner = op_apply(b, u, bound + max(a.xi_degrees(), default=0))
             via_stages = op_apply(a, inner, bound)
             assert via_product == via_stages
 
