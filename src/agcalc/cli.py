@@ -171,7 +171,7 @@ def verify_suite(h: MapTuple, bound: int, xi_bound: int,
                  q: SparsePoly) -> list[Check]:
     # one oracle and one JF for every check: JG differentiates G, so the oracle
     # goes to bound + 1, and the chain rule composes JF with G, so JF goes to bound
-    require_inputs(h, bound)  # the refusals of the routes at bound, not of the oracle at bound + 1
+    require_inputs(h, bound)  # the refusals of the checks at bound, not of the oracle at bound + 1
     oracle = invert_fixed_point(h, bound + 1)
     jf = jacobian_factor(h, bound)
     results = cross_method_results(h, bound, jf=jf, oracle=oracle)

@@ -16,10 +16,13 @@ Both series routes read N_i off <xi, N> as the coefficient of xi_i.
 Each series route yields its shells from a generator (route 2 the terms
 with |alpha| = a, route 3 the one term m) into one loop, _sum_shells, which
 adds up shells 0..last; each route computes its own last, and neither
-calls the other's generator.  Every summation cutoff is justified by an
-order bound.  When asked, the loop builds the first discarded shell as
-well, under the same truncations as the kept ones, and it must vanish; it
-never builds a shell past that one.  The routes invert_ag and
+calls the other's generator.  A shell is a run of (term, weight) pairs,
+the weight 1/alpha! (k!/(m! (m+k)!)) left off the term, and _sum_shells
+adds every kept term, times its weight, into one weighted_sum accumulator
+over a common denominator, reduced once at the end.  Every summation
+cutoff is justified by an order bound.  When asked, the loop builds the
+first discarded shell as well, under the same truncations as the kept
+ones, and it must vanish; it never builds a shell past that one.  The routes invert_ag and
 invert_lambda (and cross_method_results) ask for it with debug=True;
 ag_jacobian_identity and xi_moment_series, which are compared against the
 oracle, never do.  On valid input, o(H) >= 2, which every route
@@ -49,18 +52,22 @@ product, so a term of JF above D - 2 only feeds products above D.  A route
 called without jf computes JF itself at that cut.  The oracle never reads
 JF, so a wrong shared JF still fails route_agreement.
 
-Series-truncated H is accepted when it is known deep enough: composition
-routes need trunc(H) >= D, while the derivative-based entry points need
-trunc(H) >= D + 1 because the Jacobian factor at z-degree D, which the
-xi-moments and the exponential transport read, already depends on H at
-degree D + 1.  The inputs u and q are exact polynomials; a
-series is passed as its truncation at D, which is all the window reads.
+Series-truncated H is accepted when it is known deep enough.  The three
+routes, and so cross_method_results, need trunc(H) >= D: the oracle
+composes H to D, and the series routes read <xi, H> and each H_i to D and
+JF only to D - 2, which H to D - 1 determines; a term of H past D only
+feeds products past their pads, as o(H) >= 2.  The entry points that read
+JF to z-degree D (xi_moment_series, verify_phi_exponential,
+ag_jacobian_identity, and require_inputs for verify) need
+trunc(H) >= D + 1, because JF at D already depends on H at D + 1.  The
+inputs u and q are exact polynomials; a series is passed as its
+truncation at D, which is all the window reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count, islice
 from math import factorial, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -79,6 +86,7 @@ from .poly import (
     compose_map,
     det,
     jacobian,
+    weighted_sum,
     xi_pairing,
 )
 from .record import Record, set_field
@@ -119,8 +127,10 @@ def _require_h(h: MapTuple, bound: int, *, derivatives: bool) -> None:
 
 
 def require_inputs(h: MapTuple, bound: int) -> None:
-    """Refuse h as cross_method_results(h, bound) does, in its order: first
-    the oracle's contract, then the series routes' one degree deeper."""
+    """Refuse h as the verify checks at bound do, in their order: first the
+    contract of the routes, trunc >= bound, then one degree deeper, since
+    the checks read JF to z-degree bound and JF there depends on H at
+    bound + 1."""
     _require_h(h, bound, derivatives=False)
     _require_h(h, bound, derivatives=True)
 
@@ -193,35 +203,34 @@ def invert_fixed_point(h: MapTuple, bound: int, *,
 # -- the shared summation loop ------------------------------------------------
 
 
-def _sum_shells(shells: Iterator[list[SparsePoly]], vs: VarSet, last: int, bound: int, *,
-                debug: bool, where: str) -> tuple[SparsePoly, int]:
+def _sum_shells(shells: Iterator[Iterable[tuple[SparsePoly, Fraction]]], vs: VarSet,
+                last: int, bound: int, *, debug: bool, where: str) -> tuple[SparsePoly, int]:
     """Add up shells 0..last of a series; with debug, shell last + 1 must vanish.
 
-    shells yields each shell as the list of its terms, built only when asked
-    for, so no shell past the last one taken is formed.  The discarded shell
-    is built under the same truncations as the kept ones, and a vanishing
-    truncated term verifies its discard.  Returns the sum over vs and the
-    count of checked discards, one per term of the discarded shell.
+    shells yields each shell as the (term, weight) pairs of its terms, built
+    only when asked for, so no shell past the last one taken is formed.  The
+    kept terms stream into one weighted_sum accumulator.  The discarded
+    shell is built under the same truncations as the kept ones, and a
+    vanishing truncated term verifies its discard.  Returns the sum over vs
+    and the count of checked discards, one per term of the discarded shell.
     """
-    total, checked = SparsePoly.zero(vs), 0
-    for index, shell in zip(range(last + 1 + debug), shells):
-        if index <= last:
-            total = sum(shell, total)
-            continue
-        checked = len(shell)
-        for term in shell:
+    total = weighted_sum(vs, chain.from_iterable(islice(shells, last + 1)))
+    checked = 0
+    if debug:
+        for term, weight in next(shells):
             if not term.is_zero:
-                raise ConvergenceViolation(
-                    f"discarded {where}={index} has order <= {bound}: {term}")
+                raise ConvergenceViolation(f"discarded {where}={last + 1} has order "
+                                           f"<= {bound}: {term.scale(weight)}")
+            checked += 1
     return total, checked
 
 
 # -- route 2: the derivative sum --------------------------------------------
 
 
-def _derivative_shells(u: SparsePoly, h: MapTuple, bound: int,
-                       jf: SparsePoly) -> Iterator[list[SparsePoly]]:
-    """Shell a = 0, 1, ...: the terms d^alpha(u * H^alpha * jf) / alpha! with |alpha| = a.
+def _derivative_shells(u: SparsePoly, h: MapTuple, bound: int, jf: SparsePoly
+                       ) -> Iterator[Iterator[tuple[SparsePoly, Fraction]]]:
+    """Shell a = 0, 1, ...: the pairs (d^alpha(u * H^alpha * jf), 1/alpha!) with |alpha| = a.
 
     Shell a needs u * H^alpha * jf only to z-degree bound + a, the a degrees
     the derivative removes.  It is grown from shell a - 1 by one multiply
@@ -235,8 +244,8 @@ def _derivative_shells(u: SparsePoly, h: MapTuple, bound: int,
     hs = [c.lift(vs) for c in h.components]
     shell = {(0,) * h.n: u.mul(jf.lift(vs), trunc=bound)}  # u H^alpha jf for |alpha| = a
     for a in count(1):
-        yield [base.diff_z_multi(alpha).scale(Fraction(1, prod(map(factorial, alpha))))
-               for alpha, base in shell.items()]
+        yield ((base.diff_z_multi(alpha), Fraction(1, prod(map(factorial, alpha))))
+               for alpha, base in shell.items())
         shell = {beta[:i] + (beta[i] + 1,) + beta[i + 1:]: base.mul(hs[i], trunc=bound + a)
                  for beta, base in shell.items()
                  for i in range(next((j for j, b in enumerate(beta) if b), h.n - 1) + 1)}
@@ -272,7 +281,7 @@ def invert_ag(h: MapTuple, bound: int, *, debug: bool = False,
     jf, when given, is JF known to z-degree >= max(bound - 2, 0); otherwise
     the route computes it to that degree.
     """
-    _require_h(h, bound, derivatives=True)
+    _require_h(h, bound, derivatives=False)
     if jf is None:
         jf = jacobian_factor(h, max(bound - 2, 0))
     xi_n, checked = _derivative_sum(xi_pairing(h), h, bound, jf=jf, debug=debug)
@@ -296,15 +305,16 @@ def ag_jacobian_identity(u: SparsePoly, h: MapTuple, bound: int,
 # -- route 3: the phase-space series ----------------------------------------
 
 
-def _phase_terms(u: SparsePoly, h: MapTuple, bound: int, k: int,
-                 jf: SparsePoly) -> Iterator[list[SparsePoly]]:
+def _phase_terms(u: SparsePoly, h: MapTuple, bound: int, k: int, jf: SparsePoly
+                 ) -> Iterator[tuple[tuple[SparsePoly, Fraction]]]:
     """Term m = 0, 1, ... of the phase series, as a one-term shell, u over the xi-layout.
 
-    Term m is k! lambda^m(u * P^(m+k) * JF) / (m! (m+k)!), and each of its
-    monomials has xi-degree exactly k.  It needs u * P^(m+k) * JF only to
-    z-degree bound + m, the m degrees lambda^m removes, so it is grown from
-    the term before by one multiply by P truncated at bound + m; the term
-    before is known to one degree less, which is enough as o(P) >= 2.
+    Term m is the pair (lambda^m(u * P^(m+k) * JF), k! / (m! (m+k)!)), and
+    each monomial of its term has xi-degree exactly k.  It needs
+    u * P^(m+k) * JF only to z-degree bound + m, the m degrees lambda^m
+    removes, so it is grown from the term before by one multiply by P
+    truncated at bound + m; the term before is known to one degree less,
+    which is enough as o(P) >= 2.
     """
     pairing = xi_pairing(h)
     base = u.mul(jf.lift(u.vars), trunc=bound)  # u P^(m+k) JF
@@ -316,7 +326,7 @@ def _phase_terms(u: SparsePoly, h: MapTuple, bound: int, k: int,
         term = lambda_pow(base, m)
         if not term.is_zero and term.xi_degrees() != {k}:
             raise AgcalcError(f"phase-series term has xi-degree other than {k}")
-        yield [term.scale(Fraction(factorial(k), factorial(m) * factorial(m + k)))]
+        yield ((term, Fraction(factorial(k), factorial(m) * factorial(m + k))),)
 
 
 def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *, debug: bool, k: int,
@@ -343,7 +353,7 @@ def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False,
     jf, when given, is JF known to z-degree >= max(bound - 2, 0); otherwise
     the route computes it to that degree.
     """
-    _require_h(h, bound, derivatives=True)
+    _require_h(h, bound, derivatives=False)
     if jf is None:
         jf = jacobian_factor(h, max(bound - 2, 0))
     xi_n, checked = _lambda_sum(SparsePoly.one(h.vars), h, bound, debug=debug, k=1, jf=jf)
@@ -370,13 +380,15 @@ def xi_moment_series(h: MapTuple, q: SparsePoly, k: int, bound: int, *,
 
 def _exp_slices(head: SparsePoly, x: SparsePoly, pads: Iterable[int]) -> SparsePoly:
     """sum_j head * x^j / j!, slice j >= 1 cut at the j-th of pads, up to the first zero slice."""
-    total = slice_j = head
-    for j, pad in enumerate(pads, 1):
-        slice_j = slice_j.mul(x, trunc=pad).scale(Fraction(1, j))
-        if slice_j.is_zero:
-            break
-        total = total + slice_j
-    return total
+    def slices():
+        yield head, 1
+        power = head  # head * x^j, cut at the pads so far
+        for j, pad in enumerate(pads, 1):
+            power = power.mul(x, trunc=pad)
+            if power.is_zero:
+                return
+            yield power, Fraction(1, factorial(j))
+    return weighted_sum(head.vars, slices())
 
 
 def verify_phi_exponential(h: MapTuple, q: SparsePoly, xi_bound: int,

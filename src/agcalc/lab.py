@@ -42,6 +42,7 @@ from .poly import (
     det,
     jacobian,
     render_poly,
+    weighted_sum,
     xi_pairing,
 )
 from .record import Record, set_field
@@ -208,12 +209,15 @@ def _scan_series(scan: VanishingReport) -> SparsePoly:
     """sum_m t^m v_m / (m!(m+k)!) over (xi, z, t); the k=0 series starts at 1."""
     xizt = VarSet.xizt(scan.values[0][1].vars.n)
     t = SparsePoly.t_var(xizt)
-    series = SparsePoly.one(xizt) if scan.k == 0 else SparsePoly.zero(xizt)
-    for m, v in scan.values:
-        if not v.is_zero:
-            series = series + v.lift(xizt).mul(t.power(m)).scale(
-                Fraction(1, factorial(m) * factorial(m + scan.k)))
-    return series
+
+    def terms():
+        if scan.k == 0:
+            yield SparsePoly.one(xizt), 1
+        for m, v in scan.values:
+            if not v.is_zero:
+                yield (v.lift(xizt).mul(t.power(m)),
+                       Fraction(1, factorial(m) * factorial(m + scan.k)))
+    return weighted_sum(xizt, terms())
 
 
 def _jacobian_series_report(h: MapTuple, scan0: VanishingReport) -> IdentityReport:

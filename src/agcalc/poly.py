@@ -12,6 +12,17 @@ sparse polynomial multiplication using heaps" (ISSAC 2009):
   denominator, kept canonical: no numerator is zero and
   gcd(den, *numerators) == 1, so equality is a plain structural compare.
 
+The kernel loops read that order.  A truncated mul walks the keys of its
+left operand in ascending order, as Monagan & Pearce process terms in
+sorted order, and bisects the sorted right operand for each row's window;
+since the key of a larger z-degree is larger, the rows only shrink, and
+the walk stops at the first empty one, so a product that is empty by
+order costs its sorts and one comparison.  lambda_apply groups the terms
+by xi-part (key & xi_mask): terms of one group share the xi-exponents
+a_i, so each a_i is read once per group, and per term only the z-field of
+a nonzero a_i.  weighted_sum streams (term, weight) pairs into one dict
+over a common denominator and reduces once, at the end.
+
 The top bit of every field is a guard, so each exponent must lie in
 0..MAX_EXPONENT (32767).  The constructor refuses a larger one, and a mul
 whose product crosses the limit raises ContractViolation: two fields below
@@ -56,7 +67,7 @@ from functools import cache, reduce
 from itertools import chain, islice
 from math import gcd, lcm, perm
 from operator import mul, or_
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CompositionError, ContractViolation, TruncationError
 from .record import Record, set_field
@@ -445,11 +456,17 @@ class SparsePoly(Record):
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
         else:
-            # k1 + k2 < limit exactly when the z-degrees sum to <= trunc
+            # k1 + k2 < limit exactly when the z-degrees sum to <= trunc; keys
+            # order by z-degree first, so rows only shrink as k1 ascends, and
+            # from the first k1 >= stop on every row is empty
             limit = (trunc + 1) << pk.shift
             bk = sorted(b)
             bl = [(k, b[k]) for k in bk]
-            for k1, c1 in a.items():
+            stop = limit - bk[0]
+            for k1 in sorted(a):
+                if k1 >= stop:
+                    break
+                c1 = a[k1]
                 for k2, c2 in islice(bl, bisect_left(bk, limit - k1)):
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
@@ -601,6 +618,26 @@ class SparsePoly(Record):
         return f"SparsePoly[{self.vars.kind},n={self.vars.n}]({render_poly(self)})"
 
 
+def weighted_sum(vs: VarSet, pairs: Iterable[tuple[SparsePoly, Fraction | int]]) -> SparsePoly:
+    """sum of weight * term over the (term, weight) pairs, every term over vs.
+
+    The terms stream into one dict of numerators over one common
+    denominator, reduced once at the end, so no term is scaled and no
+    partial sum is copied.
+    """
+    out: dict[int, int] = {}
+    den = 1
+    for term, weight in pairs:
+        if term.vars != vs:
+            raise ContractViolation(
+                f"variable layout mismatch: {vs.kind}(n={vs.n}) vs "
+                f"{term.vars.kind}(n={term.vars.n})")
+        if term._terms:
+            w = _as_fraction(weight)
+            den = _sum_into(out, den, term._terms, term._den * w.denominator, w.numerator)
+    return _reduced(vs, out, den)
+
+
 def render_monomial(vs: VarSet, exps: Exponent) -> str:
     names = vs.names()
     parts = [f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(exps) if k]
@@ -749,16 +786,27 @@ def lambda_apply(f: SparsePoly) -> SparsePoly:
     # per i: the fields of xi_i and z_i, and the key of xi_i*z_i
     pairs = [(pk.shifts[i], pk.shifts[n + i], pk.units[i] + pk.units[n + i])
              for i in range(n)]
+    # terms that share a xi-part share its exponents a_i, so each a_i is read
+    # once per xi-part, and per term only the z-field b_i of a nonzero a_i
+    xi_mask = pk.xi_mask
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k, v in f._terms.items():
+        group = groups.get(k & xi_mask)
+        if group is None:
+            groups[k & xi_mask] = [(k, v)]
+        else:
+            group.append((k, v))
     out: dict[int, int] = {}
     get = out.get
-    for k, v in f._terms.items():
+    for xp, group in groups.items():
         for xs, zs, step in pairs:
-            a = (k >> xs) & _FIELD_MASK
+            a = (xp >> xs) & _FIELD_MASK
             if a:
-                b = (k >> zs) & _FIELD_MASK
-                if b:
-                    nk = k - step
-                    out[nk] = get(nk, 0) + v * (a * b)
+                for k, v in group:
+                    b = (k >> zs) & _FIELD_MASK
+                    if b:
+                        nk = k - step
+                        out[nk] = get(nk, 0) + v * (a * b)
     return _reduced(vs, out, f._den)
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .errors import ContractViolation
-from .poly import Exponent, SparsePoly, VarSet, lambda_apply
+from .poly import Exponent, SparsePoly, VarSet, lambda_apply, weighted_sum
 from .report import IdentityReport
 
 
@@ -85,16 +85,14 @@ def phi_apply(f: SparsePoly) -> SparsePoly:
     Exact on polynomials (each pass strictly lowers the maximal xi-degree,
     so the sum terminates).
     """
-    total = f
-    term = f
-    m = 1
-    while True:
-        term = lambda_apply(term)
-        if term.is_zero:
-            break
-        total = total + term.scale(Fraction(1, factorial(m)))
-        m += 1
-    return total
+    def terms():
+        term, m = f, 0
+        while True:
+            yield term, Fraction(1, factorial(m))
+            term, m = lambda_apply(term), m + 1
+            if term.is_zero:
+                return
+    return weighted_sum(f.vars, terms())
 
 
 def verify_phi_normal_order(f: SparsePoly) -> IdentityReport:

@@ -18,6 +18,7 @@ from agcalc.inversion import (
     ABHYANKAR_GURJAR,
     FIXED_POINT,
     LAMBDA_SERIES,
+    METHODS,
     InversionResult,
     ag_jacobian_identity,
     cross_method_results,
@@ -134,11 +135,12 @@ class TestDerivativeSumRoute:
         z = SparsePoly.z_var(Z1, 0)
         assert jf == SparsePoly.one(Z1) - z.scale(2)
 
-    def test_series_needs_one_extra_degree(self):
+    def test_series_known_to_the_output_degree(self):
         h = MapTuple.truncated((SparsePoly.monomial(Z1, (2,)),), 4)
-        with pytest.raises(TruncationError):
-            invert_ag(h, 4)
-        assert invert_ag(h, 3).G.components[0] == catalan_series(3)
+        for route in (invert_ag, invert_lambda):
+            with pytest.raises(TruncationError, match="needs >= 5"):
+                route(h, 5)
+            assert route(h, 4, debug=True).G.components[0] == catalan_series(4)
 
     def test_debug_mode_checks_discards(self):
         res = invert_ag(one_var_square(), 4, debug=True)
@@ -163,7 +165,7 @@ class TestDerivativeSumRoute:
         def shells():
             for a in itertools.count():
                 asked.append(a)
-                yield [SparsePoly.zero(Z1)] * (a + 1)
+                yield [(SparsePoly.zero(Z1), Fraction(1, a + 1))] * (a + 1)
 
         for debug, want in ((False, [0, 1, 2, 3]), (True, [0, 1, 2, 3, 4])):
             asked.clear()
@@ -363,8 +365,8 @@ class TestCrossMethod:
     def test_series_truncated_input(self):
         rng = random.Random(59)
         cases = [(random_h(rng, 2, trunc=8, max_deg=5), 7)]
-        # known to exactly D + 1, the least the derivative routes accept: the
-        # terms of degree D + 2 and D + 3 are cut off, those of degree D + 1 kept
+        # known to exactly D + 1: the terms of degree D + 2 and D + 3 are cut
+        # off, those of degree D + 1 kept
         low = random_h(rng, 3, max_deg=6, terms=6)
         high = random_h(rng, 3, min_order=7, max_deg=8)
         cases.append((MapTuple.truncated(tuple(a + b for a, b in zip(low, high)), 6), 5))
@@ -372,6 +374,19 @@ class TestCrossMethod:
             results = cross_method_results(h, bound, debug=True)
             assert results[ABHYANKAR_GURJAR].G == results[FIXED_POINT].G
             assert results[LAMBDA_SERIES].G == results[FIXED_POINT].G
+
+    def test_series_known_to_exactly_d(self):
+        # with JF cut at D - 2 the series routes read H only to z-degree D, so
+        # a map known to exactly D is enough; its cut-off terms of degree up
+        # to D + 3 would move the window if any route read past D
+        rng = random.Random(71)
+        for n in (1, 2, 3) * 4:
+            bound = rng.randint(2, 6)
+            full = random_h(rng, n, max_deg=bound + 3, terms=4)
+            h = MapTuple.truncated(full.components, bound)
+            want = invert_fixed_point(full, bound).G
+            results = cross_method_results(h, bound, debug=True)
+            assert [results[m].G for m in METHODS] == [want] * 3
 
     def test_n_tail_order(self):
         rng = random.Random(61)

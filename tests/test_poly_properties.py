@@ -36,6 +36,7 @@ from agcalc.poly import (  # noqa: E402
     compose,
     compose_map,
     det,
+    weighted_sum,
     xi_pairing,
 )
 from agcalc.lab import vanishing_scan_poly  # noqa: E402
@@ -123,6 +124,74 @@ class TestKernelMatchesReference:
         bound = data.draw(st.integers(0, 4))
         got = compose(SparsePoly(vs, u), MapTuple.exact([SparsePoly(vs, c) for c in g]), bound)
         assert as_dict(got) == ref.compose(u, g, vs.kind, bound)
+
+
+@st.composite
+def shared_xi_parts(draw):
+    """A polynomial over a xi-layout whose terms share one to three xi-parts."""
+    vs = draw(layouts(("xiz", "xizt")))
+    parts = draw(st.lists(st.tuples(*[st.integers(0, 3)] * vs.n), min_size=1, max_size=3))
+    rest = st.tuples(*[st.integers(0, 3)] * (vs.nvars - vs.n))
+    terms = draw(st.dictionaries(st.tuples(st.sampled_from(parts), rest), coeffs, max_size=12))
+    return vs, {part + r: c for (part, r), c in terms.items()}
+
+
+@st.composite
+def unequal_products(draw):
+    """A product of a 5..14-term and a 1..3-term operand, in either order,
+    with a window from two z-degrees below the product's order (empty by
+    order) to its degree (rows empty partway through the walk)."""
+    vs = draw(layouts())
+    exps = st.tuples(*[st.integers(0, 4)] * vs.nvars)
+    big = draw(st.dictionaries(exps, coeffs, min_size=5, max_size=14))
+    small = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+    a, b = (big, small) if draw(st.booleans()) else (small, big)
+    zs = ref.z_block(vs.kind, vs.n)
+    lo = min(sum(e[zs]) for e in a) + min(sum(e[zs]) for e in b)
+    hi = max(sum(e[zs]) for e in a) + max(sum(e[zs]) for e in b)
+    return vs, a, b, draw(st.integers(max(lo - 2, 0), hi)), lo
+
+
+class TestKernelLoops:
+    """The row walk of truncated mul, lambda_apply's grouping by xi-part and
+    the weighted_sum accumulator, against the reference and the naive chain."""
+
+    @PROPERTY
+    @given(shared_xi_parts())
+    def test_lambda_apply_on_shared_xi_parts(self, case):
+        vs, p = case
+        assert as_dict(lambda_apply(SparsePoly(vs, p))) == ref.lambda_apply(p, vs.n)
+
+    @PROPERTY
+    @given(unequal_products())
+    def test_truncated_mul_of_unequal_operands(self, case):
+        vs, a, b, trunc, lo = case
+        got = SparsePoly(vs, a).mul(SparsePoly(vs, b), trunc)
+        assert as_dict(got) == ref.mul(a, b, ref.z_block(vs.kind, vs.n), trunc)
+        if trunc < lo:
+            assert got.is_zero
+
+    @PROPERTY
+    @given(st.data())
+    def test_weighted_sum_against_scale_chain(self, data):
+        vs = data.draw(layouts())
+        weights = coeffs | st.integers(-3, 3)
+        pairs = [(SparsePoly(vs, p), w)
+                 for p, w in data.draw(st.lists(st.tuples(polys(vs), weights), max_size=5))]
+        cancel = data.draw(st.booleans())
+        if cancel:  # every term again with the opposite weight, in a drawn order
+            pairs = data.draw(st.permutations(pairs + [(p, -w) for p, w in pairs]))
+        naive = SparsePoly.zero(vs)
+        for p, w in pairs:
+            naive = naive + p.scale(w)
+        got = weighted_sum(vs, pairs)
+        assert got == naive
+        assert got.is_zero or not cancel
+
+    def test_weighted_sum_refuses_another_layout(self):
+        z2 = VarSet.z(2)
+        with pytest.raises(ContractViolation, match="layout mismatch"):
+            weighted_sum(z2, [(SparsePoly.one(z2), 1), (SparsePoly.one(VarSet.zt(2)), 1)])
 
 
 class TestComposeMap:
