@@ -23,6 +23,7 @@ from . import __version__
 from .errors import (
     AgcalcError,
     ContractViolation,
+    ConvergenceViolation,
     MapFileError,
     PreconditionError,
     TermCeilingExceeded,
@@ -130,16 +131,13 @@ def cmd_invert(args) -> Report:
     _require_min(args.degree, 1, "--degree")
     checks: list[Check] = []
     if args.method == "all":
-        results = cross_method_results(h, args.degree, debug=args.debug)
+        results = cross_method_results(h, args.degree)
         checks.append(route_agreement(
             results, detail="3 methods, coefficientwise").check)
         shown = results[FIXED_POINT]
     else:
-        runner = {
-            "fixedpoint": invert_fixed_point,
-            "ag": lambda m, d: invert_ag(m, d, debug=args.debug),
-            "lambda": lambda m, d: invert_lambda(m, d, debug=args.debug),
-        }[args.method]
+        runner = {"fixedpoint": invert_fixed_point, "ag": invert_ag,
+                  "lambda": invert_lambda}[args.method]
         shown = runner(h, args.degree)
         checks.append(passed_check(f"inverted via {shown.method}"))
     if meta.get("known_inverse") is not None:
@@ -297,8 +295,8 @@ def _corpus_items(args):
     return gen_corpus(spec)
 
 
-def _invert_all_checks(item, degree: int, debug: bool) -> list[Check]:
-    results = cross_method_results(item.h, degree, debug=debug)
+def _invert_all_checks(item, degree: int) -> list[Check]:
+    results = cross_method_results(item.h, degree)
     base = results[FIXED_POINT]
     checks = [route_agreement(results).check, verify_round_trip(item.h, base).check]
     if item.known_n is not None:
@@ -309,7 +307,7 @@ def _invert_all_checks(item, degree: int, debug: bool) -> list[Check]:
 def _run_suite_on_item(item, args, k_eff, ceiling) -> Check:
     try:
         if args.run == "invert-all":
-            checks = _invert_all_checks(item, args.degree, args.debug)
+            checks = _invert_all_checks(item, args.degree)
             done = f"invert-all D={args.degree}"
         elif args.run == "lab":
             if not item.is_polynomial:
@@ -325,6 +323,8 @@ def _run_suite_on_item(item, args, k_eff, ceiling) -> Check:
             done = f"verify D={args.degree} K={k_eff}"
     except (TruncationError, PreconditionError) as err:
         return failed_check(item.item_id, witness=str(err), detail="contract")
+    except ConvergenceViolation as err:
+        return failed_check(item.item_id, witness=str(err), detail="summation cutoff")
     bad = next((c for c in checks if c.status == FAIL), None)
     if bad is not None:
         return failed_check(item.item_id, witness=bad.witness, detail=bad.name)
@@ -389,16 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing", action="store_true",
                        help="print elapsed seconds to stderr (kept out of reports)")
 
-    def debug_flag(p):
-        p.add_argument("--debug", action="store_true",
-                       help="check that the first shell past each summation cutoff vanishes")
-
     p = sub.add_parser("invert", help="compute the inverse map to a degree")
     p.add_argument("mapfile")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--method", choices=("fixedpoint", "ag", "lambda", "all"),
                    default="all")
-    debug_flag(p)
     common(p)
     p.set_defaults(func=cmd_invert)
 
@@ -428,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=6)
     p.add_argument("--m-max", type=int, default=4, dest="m_max")
     p.add_argument("--xi-degree", type=int, default=2, dest="xi_degree")
-    debug_flag(p)
     common(p)
     p.set_defaults(func=cmd_corpus)
     return parser

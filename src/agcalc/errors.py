@@ -36,7 +36,7 @@ class VerificationError(AgcalcError):
 
 
 class ConvergenceViolation(AgcalcError):
-    """A discarded truncation-cutoff term had order <= D (debug-mode check)."""
+    """The first shell past a series cutoff had a term of order <= D."""
 
 
 class TermCeilingExceeded(AgcalcError):

@@ -20,17 +20,14 @@ calls the other's generator.  A shell is a run of (term, weight) pairs,
 the weight 1/alpha! (k!/(m! (m+k)!)) left off the term, and _sum_shells
 adds every kept term, times its weight, into one weighted_sum accumulator
 over a common denominator, reduced once at the end.  Every summation
-cutoff is justified by an order bound.  When asked, the loop builds the
-first discarded shell as well, under the same truncations as the kept
-ones, and it must vanish; it never builds a shell past that one.  The routes invert_ag and
-invert_lambda (and cross_method_results) ask for it with debug=True;
-ag_jacobian_identity and xi_moment_series, which are compared against the
-oracle, never do.  On valid input, o(H) >= 2, which every route
-enforces, those truncations already zero it, so the check passes by
-construction: it guards the summation cutoff against a loop that stops too
-early, not the truncation pads.  The count of checked discards, one per
-multi-index on route 2 and one per term on route 3, is reported on the
-result.
+cutoff is justified by an order bound, and every sum checks it: the loop
+builds the first discarded shell as well, under the same truncations as
+the kept ones, and it must vanish; it never builds a shell past that one.
+On valid input, o(H) >= 2, which every route enforces, those truncations
+already zero it, so the check passes by construction: it guards the
+summation cutoff against a loop that stops too early, not the truncation
+pads.  The count of checked discards, one per multi-index on route 2 and
+one per term on route 3, is reported on the result.
 
 Each product is formed once, and only to the z-degree the output window
 depends on.  The oracle composes H with z + N in one compose_map per pass,
@@ -204,8 +201,8 @@ def invert_fixed_point(h: MapTuple, bound: int, *,
 
 
 def _sum_shells(shells: Iterator[Iterable[tuple[SparsePoly, Fraction]]], vs: VarSet,
-                last: int, bound: int, *, debug: bool, where: str) -> tuple[SparsePoly, int]:
-    """Add up shells 0..last of a series; with debug, shell last + 1 must vanish.
+                last: int, bound: int, *, where: str) -> tuple[SparsePoly, int]:
+    """Add up shells 0..last of a series; shell last + 1 must vanish.
 
     shells yields each shell as the (term, weight) pairs of its terms, built
     only when asked for, so no shell past the last one taken is formed.  The
@@ -216,12 +213,11 @@ def _sum_shells(shells: Iterator[Iterable[tuple[SparsePoly, Fraction]]], vs: Var
     """
     total = weighted_sum(vs, chain.from_iterable(islice(shells, last + 1)))
     checked = 0
-    if debug:
-        for term, weight in next(shells):
-            if not term.is_zero:
-                raise ConvergenceViolation(f"discarded {where}={last + 1} has order "
-                                           f"<= {bound}: {term.scale(weight)}")
-            checked += 1
+    for term, weight in next(shells):
+        if not term.is_zero:
+            raise ConvergenceViolation(f"discarded {where}={last + 1} has order "
+                                       f"<= {bound}: {term.scale(weight)}")
+        checked += 1
     return total, checked
 
 
@@ -251,8 +247,8 @@ def _derivative_shells(u: SparsePoly, h: MapTuple, bound: int, jf: SparsePoly
                  for i in range(next((j for j, b in enumerate(beta) if b), h.n - 1) + 1)}
 
 
-def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *, jf: SparsePoly,
-                    debug: bool) -> tuple[SparsePoly, int]:
+def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
+                    jf: SparsePoly) -> tuple[SparsePoly, int]:
     """sum over |alpha| <= bound - o of d^alpha(u * H^alpha * jf) / alpha!.
 
     u lives over h's layout or its xi-extension: d^alpha acts on z only, so
@@ -260,8 +256,8 @@ def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *, jf: SparsePoly,
     bound), term |alpha| = a has z-order >= o + 2a - a, so the sum stops at
     a = bound - o.  The pads of _derivative_shells bound the sum at z-degree
     bound, since d^alpha lowers every degree by exactly a.  jf is JF, or 1
-    for the sum without it.  Returns the sum, plus the count of
-    debug-verified discarded terms, one per multi-index.
+    for the sum without it.  Returns the sum, plus the count of verified
+    discarded terms, one per multi-index.
     """
     vs = u.vars
     if vs not in (h.vars, h.vars.with_xi()):
@@ -270,12 +266,11 @@ def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *, jf: SparsePoly,
     if u.is_zero:
         return u, 0
     return _sum_shells(_derivative_shells(u, h, bound, _require_jf(h, jf)), vs,
-                       bound - min(u.order(), bound), bound, debug=debug,
+                       bound - min(u.order(), bound), bound,
                        where="derivative-sum term at |alpha|")
 
 
-def invert_ag(h: MapTuple, bound: int, *, debug: bool = False,
-              jf: SparsePoly | None = None) -> InversionResult:
+def invert_ag(h: MapTuple, bound: int, *, jf: SparsePoly | None = None) -> InversionResult:
     """Inverse via one derivative sum on u = <xi, H>, which is <xi, H(G)> = <xi, N>.
 
     jf, when given, is JF known to z-degree >= max(bound - 2, 0); otherwise
@@ -284,7 +279,7 @@ def invert_ag(h: MapTuple, bound: int, *, debug: bool = False,
     _require_h(h, bound, derivatives=False)
     if jf is None:
         jf = jacobian_factor(h, max(bound - 2, 0))
-    xi_n, checked = _derivative_sum(xi_pairing(h), h, bound, jf=jf, debug=debug)
+    xi_n, checked = _derivative_sum(xi_pairing(h), h, bound, jf=jf)
     return _route_result([xi_n.xi_linear_component(i) for i in range(h.n)],
                          ABHYANKAR_GURJAR, bound, checked)
 
@@ -296,7 +291,7 @@ def ag_jacobian_identity(u: SparsePoly, h: MapTuple, bound: int,
     fixed-point inverse to z-degree >= bound + 1, since JG differentiates G)."""
     _require_h(h, bound, derivatives=True)
     _require_oracle(oracle, h, bound + 1)
-    lhs, _ = _derivative_sum(u, h, bound, jf=SparsePoly.one(h.vars), debug=False)
+    lhs, _ = _derivative_sum(u, h, bound, jf=SparsePoly.one(h.vars))
     jg = det(jacobian(oracle.G), trunc=bound)
     rhs = jg.mul(compose(u, oracle.G, bound), trunc=bound)
     return IdentityReport("derivative sum == JG * u(G)", lhs, rhs)
@@ -329,25 +324,24 @@ def _phase_terms(u: SparsePoly, h: MapTuple, bound: int, k: int, jf: SparsePoly
         yield ((term, Fraction(factorial(k), factorial(m) * factorial(m + k))),)
 
 
-def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *, debug: bool, k: int,
+def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *, k: int,
                 jf: SparsePoly) -> tuple[SparsePoly, int]:
     """k! sum_m lambda^m(u * P^(m+k) * JF) / (m! (m+k)!), u lifted to the xi-layout.
 
     It equals u(G) * <xi, N>^k mod z-degree > bound.  Term m has z-order
     >= m + 2k + o, with o = min(o(u), bound), so the sum stops at
-    m = bound - 2k - o.  Returns the sum, plus the count of debug-verified
+    m = bound - 2k - o.  Returns the sum, plus the count of verified
     discarded terms (one).
     """
     u = u.lift(h.vars.with_xi())
     if u.is_zero:
         return u, 0
     return _sum_shells(_phase_terms(u, h, bound, k, _require_jf(h, jf)), u.vars,
-                       bound - 2 * k - min(u.order(), bound), bound, debug=debug,
+                       bound - 2 * k - min(u.order(), bound), bound,
                        where="phase-series term at m")
 
 
-def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False,
-                  jf: SparsePoly | None = None) -> InversionResult:
+def invert_lambda(h: MapTuple, bound: int, *, jf: SparsePoly | None = None) -> InversionResult:
     """Inverse via the k = 1 phase series of u = 1, which is <xi, N> (cutoff m <= bound - 2).
 
     jf, when given, is JF known to z-degree >= max(bound - 2, 0); otherwise
@@ -356,7 +350,7 @@ def invert_lambda(h: MapTuple, bound: int, *, debug: bool = False,
     _require_h(h, bound, derivatives=False)
     if jf is None:
         jf = jacobian_factor(h, max(bound - 2, 0))
-    xi_n, checked = _lambda_sum(SparsePoly.one(h.vars), h, bound, debug=debug, k=1, jf=jf)
+    xi_n, checked = _lambda_sum(SparsePoly.one(h.vars), h, bound, k=1, jf=jf)
     return _route_result([xi_n.xi_linear_component(i) for i in range(h.n)],
                          LAMBDA_SERIES, bound, checked)
 
@@ -372,7 +366,7 @@ def xi_moment_series(h: MapTuple, q: SparsePoly, k: int, bound: int, *,
     if k < 0:
         raise ContractViolation("moment index k must be >= 0")
     _require_h(h, bound, derivatives=True)
-    return _lambda_sum(q, h, bound, debug=False, k=k, jf=jf)[0]
+    return _lambda_sum(q, h, bound, k=k, jf=jf)[0]
 
 
 # -- the exponential transport identity --------------------------------------
@@ -449,6 +443,8 @@ def cross_method_results(h: MapTuple, bound: int, *, debug: bool = False,
     0), or, when none is given, JF computed here to that degree.  oracle,
     when given, is a fixed-point inverse to z-degree >= bound and stands in
     for route 1, cut at bound: the inverse mod z-degree > bound is unique.
+    debug is unread: every series sum checks its cutoff; the keyword is
+    kept for callers that pass one.
     """
     if oracle is None:
         fixed = invert_fixed_point(h, bound)
@@ -459,8 +455,8 @@ def cross_method_results(h: MapTuple, bound: int, *, debug: bool = False,
         jf = jacobian_factor(h, max(bound - 2, 0))
     return {
         FIXED_POINT: fixed,
-        ABHYANKAR_GURJAR: invert_ag(h, bound, debug=debug, jf=jf),
-        LAMBDA_SERIES: invert_lambda(h, bound, debug=debug, jf=jf),
+        ABHYANKAR_GURJAR: invert_ag(h, bound, jf=jf),
+        LAMBDA_SERIES: invert_lambda(h, bound, jf=jf),
     }
 
 

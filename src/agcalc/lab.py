@@ -208,14 +208,14 @@ def _divide_by_t(tail: MapTuple) -> MapTuple:
 def _scan_series(scan: VanishingReport) -> SparsePoly:
     """sum_m t^m v_m / (m!(m+k)!) over (xi, z, t); the k=0 series starts at 1."""
     xizt = VarSet.xizt(scan.values[0][1].vars.n)
-    t = SparsePoly.t_var(xizt)
+    no_t = (0,) * xizt.t_index  # t is the last variable
 
     def terms():
         if scan.k == 0:
             yield SparsePoly.one(xizt), 1
         for m, v in scan.values:
             if not v.is_zero:
-                yield (v.lift(xizt).mul(t.power(m)),
+                yield (v.lift(xizt).mul(SparsePoly.monomial(xizt, no_t + (m,))),
                        Fraction(1, factorial(m) * factorial(m + scan.k)))
     return weighted_sum(xizt, terms())
 

@@ -461,6 +461,43 @@ class TestCorpus:
         assert err.count("warning: window rule caps effective xi-degree at 3") == 1
 
 
+class TestSummationCutoff:
+    """A series sum that stops one shell early fails on the shell it discards."""
+
+    @pytest.fixture(autouse=True)
+    def stop_early(self, monkeypatch):
+        sum_shells = agcalc.inversion._sum_shells
+
+        def early(shells, vs, last, bound, **kwargs):
+            return sum_shells(shells, vs, last - 1, bound, **kwargs)
+        monkeypatch.setattr(agcalc.inversion, "_sum_shells", early)
+
+    @pytest.mark.parametrize("method, shell", [
+        ("ag", "derivative-sum term at |alpha|=3"), ("lambda", "phase-series term at m=3"),
+        ("all", "derivative-sum term at |alpha|=3")])
+    def test_invert_exits_1(self, method, shell, square_map, capsys):
+        assert main(["invert", square_map, "--degree", "5", "--method", method]) == 1
+        assert f"error: discarded {shell} has order <= 5: " in capsys.readouterr().err
+
+    def test_corpus_reports_the_item(self, capsys):
+        assert main(["corpus", "--family", "control", "--n", "2", "--count", "2",
+                     "--run", "invert-all", "--degree", "5", "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["failed"] == 2
+        for check in report["checks"]:
+            assert (check["status"], check["detail"]) == ("fail", "summation cutoff")
+            assert check["witness"].startswith(
+                "discarded derivative-sum term at |alpha|=3 has order <= 5: ")
+
+    @pytest.mark.parametrize("argv", [["invert", "m.json", "--degree", "3"],
+                                      ["corpus", "--family", "mixed", "--run", "invert-all"]])
+    def test_no_debug_switch(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--debug"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --debug" in capsys.readouterr().err
+
+
 def _count_calls(monkeypatch, functions) -> dict:
     """Count calls to each function through every agcalc module that binds it."""
     counts = {}

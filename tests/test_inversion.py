@@ -140,10 +140,10 @@ class TestDerivativeSumRoute:
         for route in (invert_ag, invert_lambda):
             with pytest.raises(TruncationError, match="needs >= 5"):
                 route(h, 5)
-            assert route(h, 4, debug=True).G.components[0] == catalan_series(4)
+            assert route(h, 4).G.components[0] == catalan_series(4)
 
     def test_debug_mode_checks_discards(self):
-        res = invert_ag(one_var_square(), 4, debug=True)
+        res = invert_ag(one_var_square(), 4)
         assert res.checked_discards > 0
         assert res.G.components[0] == catalan_series(4)
 
@@ -155,9 +155,8 @@ class TestDerivativeSumRoute:
         upper_3d = MapTuple.exact((SparsePoly.monomial(z3, (0, 1, 1)),
                                    SparsePoly.monomial(z3, (0, 0, 2)), SparsePoly.zero(z3)))
         for h, per_multi_index in ((triangular_2d(), 5), (upper_3d, 15)):
-            assert invert_ag(h, 5, debug=True).checked_discards == per_multi_index
-            assert invert_lambda(h, 5, debug=True).checked_discards == 1
-            assert invert_ag(h, 5).checked_discards == invert_lambda(h, 5).checked_discards == 0
+            assert invert_ag(h, 5).checked_discards == per_multi_index
+            assert invert_lambda(h, 5).checked_discards == 1
 
     def test_shared_loop_builds_no_shell_past_the_last(self):
         asked = []
@@ -167,22 +166,18 @@ class TestDerivativeSumRoute:
                 asked.append(a)
                 yield [(SparsePoly.zero(Z1), Fraction(1, a + 1))] * (a + 1)
 
-        for debug, want in ((False, [0, 1, 2, 3]), (True, [0, 1, 2, 3, 4])):
-            asked.clear()
-            total, checked = agcalc.inversion._sum_shells(shells(), Z1, 3, 3, debug=debug,
-                                                          where="term at a")
-            assert (total, checked, asked) == (SparsePoly.zero(Z1), 5 * debug, want)
+        total, checked = agcalc.inversion._sum_shells(shells(), Z1, 3, 3, where="term at a")
+        assert (total, checked, asked) == (SparsePoly.zero(Z1), 5, [0, 1, 2, 3, 4])
 
 
 def compose_by_derivative_sum(u, h, bound):
     # u(G) by the paper's derivative sum, sum_alpha d^alpha(u H^alpha JF) / alpha!
-    return agcalc.inversion._derivative_sum(u, h, bound, jf=jacobian_factor(h, bound),
-                                            debug=True)[0]
+    return agcalc.inversion._derivative_sum(u, h, bound, jf=jacobian_factor(h, bound))[0]
 
 
 def compose_by_phase_series(q, h, bound):
     # q(G) by the k = 0 phase series, sum_m lambda^m(q P^m JF) / (m!)^2
-    return agcalc.inversion._lambda_sum(q, h, bound, debug=True, k=0,
+    return agcalc.inversion._lambda_sum(q, h, bound, k=0,
                                         jf=jacobian_factor(h, bound))[0].drop_xi()
 
 
@@ -275,7 +270,7 @@ class TestLambdaSeriesRoute:
         assert res.G == invert_fixed_point(triangular_2d(), 4).G
 
     def test_debug_discards(self):
-        res = invert_lambda(one_var_square(), 5, debug=True)
+        res = invert_lambda(one_var_square(), 5)
         assert res.checked_discards > 0
         assert res.G.components[0] == catalan_series(5)
 
@@ -340,8 +335,8 @@ class TestCrossMethod:
 
         monkeypatch.setattr(agcalc.inversion, "invert_fixed_point", oracle_called)
         for h, g in zip(cases, expected):
-            assert invert_ag(h, 6, debug=True).G == g
-            assert invert_lambda(h, 6, debug=True).G == g
+            assert invert_ag(h, 6).G == g
+            assert invert_lambda(h, 6).G == g
 
     def test_routes_do_not_call_each_other(self, monkeypatch):
         # route 2 never forms a phase-space power, route 3 never a derivative sum
@@ -356,11 +351,11 @@ class TestCrossMethod:
         with monkeypatch.context() as patch:
             patch.setattr(agcalc.inversion, "lambda_pow", forbidden)
             for h, g in zip(cases, expected):
-                assert invert_ag(h, 6, debug=True).G == g
+                assert invert_ag(h, 6).G == g
         with monkeypatch.context() as patch:
             patch.setattr(agcalc.inversion, "_derivative_sum", forbidden)
             for h, g in zip(cases, expected):
-                assert invert_lambda(h, 6, debug=True).G == g
+                assert invert_lambda(h, 6).G == g
 
     def test_series_truncated_input(self):
         rng = random.Random(59)
@@ -413,8 +408,8 @@ class TestCrossMethod:
         z1, z2 = SparsePoly.z_var(Z2, 0), SparsePoly.z_var(Z2, 1)
         for u in (z2 + SparsePoly.one(Z2), z1, z1 * z1 * z2, SparsePoly.zero(Z2)):
             want = compose(u, oracle.G, 5)
-            ag, _ = agcalc.inversion._derivative_sum(u, h, 5, jf=jf, debug=True)
-            lam, _ = agcalc.inversion._lambda_sum(u, h, 5, debug=True, k=0, jf=jf)
+            ag, _ = agcalc.inversion._derivative_sum(u, h, 5, jf=jf)
+            lam, _ = agcalc.inversion._lambda_sum(u, h, 5, k=0, jf=jf)
             assert ag == want
             assert lam.drop_xi() == want
 
@@ -439,8 +434,16 @@ class TestSharedJacobianFactor:
         rng = random.Random(71)
         for h in (one_var_square(), random_h(rng, 2), random_h(rng, 3, max_deg=3)):
             results = cross_method_results(h, 5, debug=True)
-            assert invert_ag(h, 5, debug=True) == results[ABHYANKAR_GURJAR]
-            assert invert_lambda(h, 5, debug=True) == results[LAMBDA_SERIES]
+            assert invert_ag(h, 5) == results[ABHYANKAR_GURJAR]
+            assert invert_lambda(h, 5) == results[LAMBDA_SERIES]
+
+    def test_debug_keyword_is_unread(self):
+        rng = random.Random(89)
+        for h in (one_var_square(), random_h(rng, 2), random_h(rng, 3, max_deg=3)):
+            results = cross_method_results(h, 5)
+            assert cross_method_results(h, 5, debug=False) == results
+            assert results[ABHYANKAR_GURJAR].checked_discards == invert_ag(h, 5).checked_discards
+            assert results[LAMBDA_SERIES].checked_discards == 1
 
     def test_perturbed_jf_fails_route_agreement(self):
         # H = z^2, D = 5: a term c z^3 of JF (degree D - 2) reaches both series
@@ -517,10 +520,9 @@ class TestFailingChecks:
     def test_derivative_sum_discard_check(self):
         u, h = SparsePoly.z_var(Z1, 0), self.order_one_tail()
         jf = jacobian_factor(h, 3)
-        agcalc.inversion._derivative_sum(u, h, 3, jf=jf, debug=False)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at \|alpha\|=3 has order <= 3: 1/4\*z1$"):
-            agcalc.inversion._derivative_sum(u, h, 3, jf=jf, debug=True)
+            agcalc.inversion._derivative_sum(u, h, 3, jf=jf)
 
     def test_derivative_sum_discard_check_in_a_multi_index_shell(self):
         # n = 2, H = (z2/2, z1/2): of the four multi-indices of the discarded
@@ -529,18 +531,16 @@ class TestFailingChecks:
         h = MapTuple.exact((SparsePoly.monomial(Z2, (0, 1), half),
                             SparsePoly.monomial(Z2, (1, 0), half)))
         u, jf = SparsePoly.z_var(Z2, 0), jacobian_factor(h, 3)
-        agcalc.inversion._derivative_sum(u, h, 3, jf=jf, debug=False)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at \|alpha\|=3 has order <= 3: 3/16\*z2$"):
-            agcalc.inversion._derivative_sum(u, h, 3, jf=jf, debug=True)
+            agcalc.inversion._derivative_sum(u, h, 3, jf=jf)
 
     def test_phase_series_discard_check(self):
         u, h = SparsePoly.z_var(Z1, 0), self.order_one_tail()
         jf = jacobian_factor(h, 3)
-        agcalc.inversion._lambda_sum(u, h, 3, debug=False, k=0, jf=jf)
         with pytest.raises(ConvergenceViolation,
                            match=r"term at m=3 has order <= 3: 1/4\*z1$"):
-            agcalc.inversion._lambda_sum(u, h, 3, debug=True, k=0, jf=jf)
+            agcalc.inversion._lambda_sum(u, h, 3, k=0, jf=jf)
 
     def test_round_trip_names_first_difference(self):
         h = one_var_square()
