@@ -171,14 +171,12 @@ def _require_oracle(oracle: InversionResult, h: MapTuple, need: int) -> None:
 # -- route 1: fixed point ---------------------------------------------------
 
 
-def invert_fixed_point(h: MapTuple, bound: int, *,
-                       t_bound: int | None = None) -> InversionResult:
+def invert_fixed_point(h: MapTuple, bound: int) -> InversionResult:
     """Oracle inverse: iterate N <- H(z + N) mod z-degree > bound.
 
     Each pass freezes at least one more z-degree because o(H) >= 2, so the
-    iteration reaches its fixed point within bound passes.  t_bound, when
-    given, additionally truncates t-degrees between passes (a congruence
-    mod t^(t_bound+1); used by the deformation machinery).
+    iteration reaches its fixed point within bound passes.  A t in the
+    layout rides along: the z-cut alone bounds the passes.
     """
     _require_h(h, bound, derivatives=False)
     vs = h.vars
@@ -187,8 +185,6 @@ def invert_fixed_point(h: MapTuple, bound: int, *,
     for _ in range(bound + 2):
         g = MapTuple(tuple(z + c for z, c in zip(zs, n_comps)), bound)
         new_comps = compose_map(h, g, bound).components
-        if t_bound is not None:
-            new_comps = tuple(c.truncate_t(t_bound) for c in new_comps)
         if new_comps == n_comps:
             break
         n_comps = new_comps
@@ -418,20 +414,19 @@ def verify_phi_exponential(h: MapTuple, q: SparsePoly, xi_bound: int,
 
 
 def verify_round_trip(h: MapTuple, result: InversionResult) -> IdentityReport:
-    """F(G) == z == G(F) mod z-degree > D, componentwise via plain composition."""
-    bound = result.D
+    """F(G) == z == G(F) mod z-degree > D, componentwise via plain composition.
+
+    A mismatch is named "component <i> of F(G)" (or "of G(F)") in front of
+    the witness, for the first component that differs, F(G) before G(F).
+    """
     f_map = f_from_h(h)
-    vs = h.vars
-    f_of_g = compose_map(f_map, result.G, bound)
-    g_of_f = compose_map(result.G, f_map, bound)
-    for i, (fg, gf) in enumerate(zip(f_of_g, g_of_f)):
-        zi = SparsePoly.z_var(vs, i)
-        if fg != zi:
-            return IdentityReport(f"round trip, component {i + 1} of F(G)", fg, zi)
-        if gf != zi:
-            return IdentityReport(f"round trip, component {i + 1} of G(F)", gf, zi)
-    ident = SparsePoly.z_var(vs, 0)
-    return IdentityReport("round trip F(G) == z == G(F)", ident, ident)
+    f_of_g = compose_map(f_map, result.G, result.D)
+    g_of_f = compose_map(result.G, f_map, result.D)
+    return first_failure(
+        IdentityReport("round trip F(G) == z == G(F)", got, z,
+                       where=f"component {i + 1} of {side}")
+        for i, (z, fg, gf) in enumerate(zip(MapTuple.identity(h.vars), f_of_g, g_of_f))
+        for side, got in (("F(G)", fg), ("G(F)", gf)))
 
 
 def cross_method_results(h: MapTuple, bound: int, *, debug: bool = False,

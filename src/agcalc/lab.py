@@ -5,6 +5,8 @@ over Q[t]; the z-degree-0-in-xi part of the phase series recovers the
 Jacobian of the deformed inverse, and its xi-degree-1 part recovers the
 deformed inverse tail itself.  Everything here is exact: series-truncated
 maps are rejected, and every scan value is a genuine polynomial identity.
+The xi-degree-1 series is proved exactly, as the one fixed point
+N_t = H(z + t*N_t); the Jacobian series is compared with the deformed oracle.
 
 Both vanishing scans, lambda^m(P^m) and lambda^m(P^(m+1)) for P = <xi, H>,
 are read off one chain of powers P^j: the k=1 value at m = j - 1 is a step
@@ -199,12 +201,6 @@ def _deformed_map(h: MapTuple) -> MapTuple:
     return MapTuple.exact(tuple(c.lift(zt).mul(t) for c in h.components))
 
 
-def _divide_by_t(tail: MapTuple) -> MapTuple:
-    """N_t from the inverse tail t*N_t of z - t*H; a term without t is refused."""
-    return tail.apply(lambda comp: SparsePoly(
-        comp.vars, {e[:-1] + (e[-1] - 1,): c for e, c in comp.items()}))
-
-
 def _scan_series(scan: VanishingReport) -> SparsePoly:
     """sum_m t^m v_m / (m!(m+k)!) over (xi, z, t); the k=0 series starts at 1."""
     xizt = VarSet.xizt(scan.values[0][1].vars.n)
@@ -225,28 +221,29 @@ def _jacobian_series_report(h: MapTuple, scan0: VanishingReport) -> IdentityRepo
     series = _scan_series(scan0).drop_xi()
     z_window = max(int(series.degree()), 0)
     oracle_bound = z_window + 1  # one extra degree: the determinant differentiates
-    oracle = invert_fixed_point(_deformed_map(h), oracle_bound, t_bound=scan0.mmax)
+    oracle = invert_fixed_point(_deformed_map(h), oracle_bound)  # the z-cut bounds t too
     jg = det(jacobian(oracle.G), trunc=z_window).truncate_t(scan0.mmax)
     return IdentityReport("deformed Jacobian series", series, jg)
 
 
 def _nt_series_report(h: MapTuple, scan1: VanishingReport) -> IdentityReport:
-    """The k=1 series against <xi, N_t>, N_t = (G_t - z)/t from the deformed oracle.
+    """The k=1 series against <xi, H(G_t)>, G_t = z + t*N_t with N_t read off the series.
 
-    The series must be xi-linear and the oracle tail t*N_t must have no t^0 term.
+    The series must be xi-linear.  N -> H(z + t*N) has one fixed point in
+    Q[[z, t]], as its factor t makes it a contraction, and H(G_t) is composed
+    at deg H * deg G_t, where nothing is cut: equality proves the series is
+    <xi, N_t> of the inverse of z - t*H in every degree.
     """
     name = "deformed inverse series cross-check"
     series = _scan_series(scan1)
 
     def comparisons():
         yield IdentityReport(name, series.xi_slice(1), series, where="xi-linear part")
-        z_window = int(series.degree()) if not series.is_zero else 1
-        oracle = invert_fixed_point(_deformed_map(h), z_window, t_bound=scan1.mmax + 1)
-        tail = xi_pairing(oracle.N)
-        yield IdentityReport(name, SparsePoly.zero(tail.vars), tail.truncate_t(0),
-                             where="oracle tail at t^0")
-        n_t = _divide_by_t(oracle.N)  # t-degree <= mmax: the oracle cut t * N_t at mmax + 1
-        yield IdentityReport(name, series, xi_pairing(n_t))
+        t = SparsePoly.t_var(VarSet.zt(h.n))
+        g_t = MapTuple.exact(tuple(z + t.mul(series.xi_linear_component(i))
+                                   for i, z in enumerate(MapTuple.identity(t.vars))))
+        bound = max(0, *(c.degree() for c in h)) * max(c.degree() for c in g_t)
+        yield IdentityReport(name, series, xi_pairing(compose_map(h, g_t, bound)))
     return first_failure(comparisons())
 
 
@@ -272,9 +269,9 @@ def nt_pairing_series(h: MapTuple, mmax: int) -> SparsePoly:
     """<xi, N_t> = sum_m t^m lambda^m(P^(m+1)) / (m!(m+1)!) over (xi, z, t).
 
     Requires a nilpotent Jacobian (so the deformed map has Jacobian one);
-    non-nilpotent input is a precondition error.  The xi-degree-1 result is
-    cross-checked componentwise against the fixed-point inverse of
-    z - t*H using N_t = (G_t - z)/t.
+    non-nilpotent input is a precondition error.  mmax must reach the
+    stabilization index, the t-degree of N_t: the sum is proved exact, so a
+    sum cut below it raises VerificationError naming a coefficient it misses.
     """
     cert = is_nilpotent(h)
     if not cert.nilpotent:
@@ -286,7 +283,10 @@ def nt_pairing_series(h: MapTuple, mmax: int) -> SparsePoly:
 
 
 def deformed_tail_components(h: MapTuple, mmax: int) -> MapTuple:
-    """N_t read off the xi-linear series componentwise, over (z, t)."""
+    """N_t read off nt_pairing_series componentwise, over (z, t).
+
+    mmax must reach the stabilization index, the t-degree of N_t.
+    """
     series = nt_pairing_series(h, mmax)
     return MapTuple.exact(tuple(series.xi_linear_component(i) for i in range(h.n)))
 
@@ -406,7 +406,8 @@ def check_equivalences(h: MapTuple, mmax: int, *,
           first nonunit coefficient sits at t-degree <= n).
     (ii)  with a known polynomial inverse of t-degree d: the k=1 scan is
           zero beyond m=d and nonzero at m=d, and the deformed-inverse
-          series cross-checks against the oracle.  Skipped otherwise.
+          series is proved: with G_t = z + t*N_t read off it, it equals
+          <xi, H(G_t)> exactly.  Skipped otherwise.
     (iii) the deformed-Jacobian series cross-checks (and equals 1 when
           nilpotent).  Skipped for non-nilpotent instances.
     The report holds the certificate, the scans of equivalence_depths (read
@@ -520,15 +521,14 @@ def _deformed_inverse(h: MapTuple) -> tuple[MapTuple, int]:
         if not hi.is_zero:
             bound = int(hi.degree()) * max(1, max(int(c.degree()) for c in g))
             g[i] = g[i] + compose(hi, MapTuple.exact(tuple(g)), bound)
-    n_t = _divide_by_t(MapTuple.exact(tuple(gi - SparsePoly.z_var(vs, i)
-                                            for i, gi in enumerate(g))))
+    t_n = [gi - z for gi, z in zip(g, MapTuple.identity(vs))]  # t*N_t
     at_one = []
-    for comp in n_t.components:  # at t = 1, terms that differ only in t add up
+    for comp in t_n:  # at t = 1, terms that differ only in t add up
         terms: dict = {}
         for e, c in comp.items():
             terms[e[:-1]] = terms.get(e[:-1], 0) + c
         at_one.append(SparsePoly(h.vars, terms))
-    return MapTuple.exact(at_one), max(c.max_t_degree() for c in n_t.components)
+    return MapTuple.exact(at_one), max(0, *(c.max_t_degree() - 1 for c in t_n))
 
 
 def _shear_maps(rng, vs: VarSet) -> tuple[MapTuple, MapTuple]:

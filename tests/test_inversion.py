@@ -548,8 +548,8 @@ class TestFailingChecks:
         perturbed = (res.G.components[0] + SparsePoly.monomial(Z1, (3,)),)
         rep = verify_round_trip(h, InversionResult(MapTuple(perturbed, res.G.trunc), res.N,
                                                    res.method, res.D, res.checked_discards))
-        assert rep.name == "round trip, component 1 of F(G)"
-        assert rep.witness == "z1^3: 1 vs 0"
+        assert rep.name == "round trip F(G) == z == G(F)"
+        assert rep.witness == "component 1 of F(G): z1^3: 1 vs 0"
         assert rep.check.status == "fail"
 
 

@@ -302,12 +302,23 @@ class TestNtSeries:
         zt = VarSet.zt(3)
         t = SparsePoly.t_var(zt)
         th = MapTuple.exact(tuple(c.lift(zt).mul(t) for c in h.components))
-        oracle = invert_fixed_point(th, 8, t_bound=5)
+        oracle = invert_fixed_point(th, 8)
         for i in range(3):
             shifted = {e[:-1] + (e[-1] - 1,): c
                        for e, c in oracle.N.components[i].items()}
             expect = SparsePoly(zt, shifted).truncate_t(4)
             assert n_t.components[i] == expect.truncate_z(int(series.degree()))
+
+    def test_series_below_its_index_is_refused(self):
+        # N_t of (z2^2, z3^2, 0) has t-degree 2: the sum through m=1 misses its t^2 term
+        z3 = VarSet.z(3)
+        h = MapTuple.exact((SparsePoly.monomial(z3, (0, 2, 0)),
+                            SparsePoly.monomial(z3, (0, 0, 2)),
+                            SparsePoly.zero(z3)))
+        with pytest.raises(VerificationError) as err:
+            nt_pairing_series(h, 1)
+        assert err.value.witness == "xi1*z3^4*t^2: 0 vs 1"
+        assert nt_pairing_series(h, 2).max_t_degree() == 2
 
 
 class TestScanReference:
@@ -416,13 +427,17 @@ def _add_z1_t(m: MapTuple) -> MapTuple:
     return MapTuple((m.components[0] + bump,) + m.components[1:], m.trunc)
 
 
-def _at_t_one(p: SparsePoly) -> SparsePoly:
-    """p with t set to 1, kept over its (z, t) layout."""
-    out = {}
-    for e, c in p.items():
-        key = e[:-1] + (0,)
-        out[key] = out.get(key, 0) + c
-    return SparsePoly(p.vars, out)
+def _add_to_k1_scan(monkeypatch, exps):
+    """Add the monomial exps (over (xi, z)) to the k=1 scan value at m=0."""
+    real = agcalc.lab.vanishing_scan_poly
+
+    def perturbed(p, depths, **kwargs):
+        scan0, scan1 = real(p, depths, **kwargs)  # the shared chain of both scans
+        extra = SparsePoly.monomial(p.vars, exps)
+        m0, v0 = scan1.values[0]
+        return scan0, VanishingReport(scan1.k, scan1.mmax,
+                                      ((m0, v0 + extra),) + scan1.values[1:])
+    monkeypatch.setattr(agcalc.lab, "vanishing_scan_poly", perturbed)
 
 
 def _checks_by_name(rep):
@@ -438,7 +453,7 @@ class TestEquivalenceWork:
         rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
         assert rep.passed
         assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": 1,
-                          "invert_fixed_point": 2}
+                          "invert_fixed_point": 1}
 
     def test_control_item_scans_once(self, monkeypatch):
         counts = _count_calls(monkeypatch, self.COUNTED)
@@ -449,39 +464,27 @@ class TestEquivalenceWork:
 
 
 class TestEquivalenceFailures:
-    """A disagreeing oracle is a failing check naming the first differing monomial."""
+    """A disagreeing side is a failing check naming the first differing monomial."""
 
     def test_oracle_mismatch_witnesses(self, monkeypatch):
         _perturb_oracle(monkeypatch, g=_add_z1_t, n=_add_z1_t)
         checks = _checks_by_name(check_equivalences(triangular_2d(), 4, known_nt_degree=0))
-        cross = checks["deformed inverse series cross-check"]
-        assert (cross.status, cross.witness) == ("fail", "xi1*z1: 0 vs 1")
         jac = checks["deformed Jacobian series"]
         assert (jac.status, jac.witness) == ("fail", "t: 0 vs 1")
 
-    def test_oracle_tail_without_t_factor(self, monkeypatch):
-        # the oracle hands back N_t instead of t*N_t
-        _perturb_oracle(monkeypatch, n=lambda n: n.apply(_at_t_one))
-        rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
-        cross = _checks_by_name(rep)["deformed inverse series cross-check"]
-        assert (cross.status, cross.witness) == (
-            "fail", "oracle tail at t^0: xi1*z2^2: 0 vs 1")
-        assert _checks_by_name(rep)["deformed Jacobian series"].status == "pass"
-
     def test_series_not_xi_linear(self, monkeypatch):
-        real = agcalc.lab.vanishing_scan_poly
-
-        def widened(p, depths, **kwargs):
-            scan0, scan1 = real(p, depths, **kwargs)  # the shared chain of both scans
-            extra = SparsePoly.monomial(p.vars, (2, 0, 0, 2))  # xi1^2*z2^2
-            m0, v0 = scan1.values[0]
-            return scan0, VanishingReport(scan1.k, scan1.mmax,
-                                          ((m0, v0 + extra),) + scan1.values[1:])
-        monkeypatch.setattr(agcalc.lab, "vanishing_scan_poly", widened)
+        _add_to_k1_scan(monkeypatch, (2, 0, 0, 2))  # xi1^2*z2^2
         rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
         cross = _checks_by_name(rep)["deformed inverse series cross-check"]
         assert (cross.status, cross.witness) == (
             "fail", "xi-linear part: xi1^2*z2^2: 0 vs 1")
+
+    def test_series_not_the_deformed_inverse(self, monkeypatch):
+        # N_t gains z1^2 in component 1, which H(z + t*N_t) = (z2^2, 0) lacks
+        _add_to_k1_scan(monkeypatch, (1, 0, 2, 0))  # xi1*z1^2
+        rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
+        cross = _checks_by_name(rep)["deformed inverse series cross-check"]
+        assert (cross.status, cross.witness) == ("fail", "xi1*z1^2: 1 vs 0")
 
     def test_jacobian_series_must_equal_one(self, monkeypatch):
         # a false nilpotency verdict: the oracle agrees with the series, which is not 1
@@ -493,9 +496,6 @@ class TestEquivalenceFailures:
 
     def test_public_series_raise_with_witness(self, monkeypatch):
         _perturb_oracle(monkeypatch, g=_add_z1_t, n=_add_z1_t)
-        with pytest.raises(VerificationError) as err:
-            nt_pairing_series(triangular_2d(), 4)
-        assert err.value.witness == "xi1*z1: 0 vs 1"
         with pytest.raises(VerificationError) as err:
             gt_jacobian_series(triangular_2d(), 4)
         assert err.value.witness == "t: 0 vs 1"
