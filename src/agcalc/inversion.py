@@ -1,6 +1,7 @@
 """Formal inversion of maps F = z - H with o(H) >= 2, by three independent routes.
 
-fixed_point      iterate N <- H(z + N) until the truncation freezes; this is
+fixed_point      climb N <- H(z + N) one z-degree per pass, at bounds 2..D,
+                 each pass checked to keep the degrees below it; this is
                  the oracle every other route is checked against.
 abhyankar_gurjar evaluate the derivative sum over multi-indices alpha of
                  d^alpha(u * H^alpha * JF) / alpha! once, on u = <xi, H>:
@@ -172,24 +173,28 @@ def _require_oracle(oracle: InversionResult, h: MapTuple, need: int) -> None:
 
 
 def invert_fixed_point(h: MapTuple, bound: int) -> InversionResult:
-    """Oracle inverse: iterate N <- H(z + N) mod z-degree > bound.
+    """Oracle inverse: N = H(z + N) mod z-degree > bound, one degree per pass.
 
-    Each pass freezes at least one more z-degree because o(H) >= 2, so the
-    iteration reaches its fixed point within bound passes.  A t in the
-    layout rides along: the z-cut alone bounds the passes.
+    Pass j = 2..bound composes at bound j from N known below j.  As o(H) >= 2,
+    degree j of H(z + N) reads N only below j, so pass j gives N exactly to
+    degree j; it must give back every lower degree unchanged, or it raises
+    naming the component and monomial.  No pass confirms bound: pass bound's
+    check shows N = H(z + N) below bound, and degree bound does not read N
+    there.  A t in the layout rides along: the z-cut alone bounds the passes.
     """
     _require_h(h, bound, derivatives=False)
     vs = h.vars
     zs = tuple(SparsePoly.z_var(vs, i) for i in range(vs.n))
     n_comps = tuple(SparsePoly.zero(vs) for _ in range(vs.n))
-    for _ in range(bound + 2):
-        g = MapTuple(tuple(z + c for z, c in zip(zs, n_comps)), bound)
-        new_comps = compose_map(h, g, bound).components
-        if new_comps == n_comps:
-            break
+    for j in range(2, bound + 1):
+        g = MapTuple(tuple(z + c for z, c in zip(zs, n_comps)), j)
+        new_comps = compose_map(h, g, j).components
+        name = f"fixed-point pass at bound {j}"
+        rep = first_failure(IdentityReport(name, new.truncate_z(j - 1), old, f"component {i + 1}")
+                            for i, (new, old) in enumerate(zip(new_comps, n_comps)))
+        if not rep.passed:
+            raise AgcalcError(f"{name} moved a lower degree: {rep.witness}")
         n_comps = new_comps
-    else:
-        raise AgcalcError("fixed-point iteration failed to freeze (order contract broken?)")
     return _route_result(n_comps, FIXED_POINT, bound)
 
 
@@ -198,7 +203,8 @@ def invert_fixed_point(h: MapTuple, bound: int) -> InversionResult:
 
 def _sum_shells(shells: Iterator[Iterable[tuple[SparsePoly, Fraction]]], vs: VarSet,
                 last: int, bound: int, *, where: str) -> tuple[SparsePoly, int]:
-    """Add up shells 0..last of a series; shell last + 1 must vanish.
+    """Add up shells 0..last of a series; shell last + 1 must vanish.  A last
+    below -1 (an order bound past the window) sums no shell and checks shell 0.
 
     shells yields each shell as the (term, weight) pairs of its terms, built
     only when asked for, so no shell past the last one taken is formed.  The
@@ -207,6 +213,7 @@ def _sum_shells(shells: Iterator[Iterable[tuple[SparsePoly, Fraction]]], vs: Var
     vanishing truncated term verifies its discard.  Returns the sum over vs
     and the count of checked discards, one per term of the discarded shell.
     """
+    last = max(last, -1)
     total = weighted_sum(vs, chain.from_iterable(islice(shells, last + 1)))
     checked = 0
     for term, weight in next(shells):

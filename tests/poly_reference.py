@@ -13,6 +13,8 @@ z-polynomial, and ``tau`` is the product-reversing involution;
 entry, beside ``agcalc.lab``'s route through J(z - t*H).
 ``scan_value`` computes a vanishing-scan value from z-derivatives alone,
 beside ``agcalc.lab``'s chain of ``lambda_apply`` steps on powers of <xi, H>.
+``fixed_point_tail`` inverts by full-bound passes until the tail freezes,
+beside ``agcalc.inversion``'s one checked pass per degree.
 """
 
 from __future__ import annotations
@@ -99,6 +101,22 @@ def compose(u: Poly, g: list[Poly], kind: str, bound: int) -> Poly:
                 term = mul(term, g[i], zs, bound)
         out = add(out, term)
     return out
+
+
+def fixed_point_tail(h: list[Poly], kind: str, bound: int) -> list[Poly]:
+    """The inverse tail N = H(z + N) mod z-degree > bound, for H over one z
+    or (z, t) layout: full-bound passes of ``compose`` until N stops changing."""
+    n = len(h)
+    ident = [{tuple(int(k == i) for k in range(n + (kind == "zt"))): Fraction(1)}
+             for i in range(n)]
+    tail: list[Poly] = [{} for _ in h]
+    for _ in range(bound + 2):
+        g = [add(z, c) for z, c in zip(ident, tail)]
+        new = [compose(hi, g, kind, bound) for hi in h]
+        if new == tail:
+            return tail
+        tail = new
+    raise AssertionError(f"fixed-point passes at bound {bound} did not freeze")
 
 
 def exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:

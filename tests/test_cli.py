@@ -166,6 +166,12 @@ class TestVerify:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "overall: PASS" in proc.stdout
 
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_low_degree_passes(self, degree, triangular_map, capsys):
+        # the k=2 moment's order bound lies past a window this low
+        assert main(["verify", triangular_map, "--degree", str(degree)]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
     def test_nonunit_jacobian_path(self, square_map):
         proc = run_cli("verify", square_map, "--degree", "6", "--xi-degree", "2",
                        "--q", "1 + z1")

@@ -104,6 +104,22 @@ class TestFixedPoint:
                     SparsePoly.z_var(Z2, 1))
         assert res.G.components == expected
 
+    def test_pass_that_changes_a_lower_degree_raises(self, monkeypatch):
+        # pass j must give back every degree below j, so a one-off change
+        # to degree 2 in the pass at bound 3 is caught, not absorbed
+        compose_map = agcalc.inversion.compose_map
+
+        def perturbed(h, g, bound):
+            out = compose_map(h, g, bound)
+            if bound != 3:
+                return out
+            first, second = out.components
+            return MapTuple((first, second + SparsePoly.monomial(Z2, (1, 1))), bound)
+
+        monkeypatch.setattr(agcalc.inversion, "compose_map", perturbed)
+        with pytest.raises(AgcalcError, match=r"pass at bound 3 .*component 2: z1\*z2: 1 vs 0"):
+            invert_fixed_point(triangular_2d(), 5)
+
     def test_order_precondition(self):
         h = MapTuple.exact((SparsePoly.z_var(Z1, 0),))  # order 1
         with pytest.raises(PreconditionError):
@@ -587,6 +603,13 @@ class TestXiMoments:
         xiz = VarSet.xiz(2)
         assert got == SparsePoly.monomial(xiz, (2, 0, 0, 4))
 
+    def test_order_past_the_window_is_zero(self):
+        # P^2 has z-order 4 > 1, so the cutoff lies below shell 0
+        for q, k, bound in [(SparsePoly.one(Z2), 2, 1), (SparsePoly.monomial(Z2, (2, 0)), 2, 4)]:
+            got = xi_moment_series(triangular_2d(), q, k, bound,
+                                   jf=jacobian_factor(triangular_2d(), bound))
+            assert got.is_zero
+
     def test_matches_oracle_product(self):
         rng = random.Random(71)
         for _ in range(4):
@@ -716,11 +739,11 @@ class TestWorkCounts:
         h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
         results = cross_method_results(h, 5, debug=True)
         assert route_agreement(results).passed
-        assert counts == {"calls": 128, "pairs": 110842}
+        assert counts == {"calls": 110, "pairs": 46936}
 
     def test_fixed_point_passes(self, monkeypatch):
-        # one compose_map per pass of the oracle; sharing the monomial table
-        # across components must not change how many passes it takes to freeze
+        # one compose_map per pass of the oracle, at bounds 2..D and none past
+        # D; sharing the monomial table across components must not change them
         passes = []
         compose_map = agcalc.inversion.compose_map
 
@@ -731,4 +754,4 @@ class TestWorkCounts:
         monkeypatch.setattr(agcalc.inversion, "compose_map", counting)
         h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
         invert_fixed_point(h, 5)
-        assert passes == [5] * 5
+        assert passes == [2, 3, 4, 5]

@@ -6,7 +6,8 @@ any storage behind SparsePoly.  The packed storage adds its own contracts:
 an exponent above MAX_EXPONENT is refused, at construction and in a
 product, and equal polynomials compare equal however they were reached.
 Both vanishing scans of one shared chain are checked against their
-xi-free formulas on small random maps.  det is checked against sympy, when
+xi-free formulas on small random maps, and the fixed-point inverse against
+full-bound passes until it freezes.  det is checked against sympy, when
 it is installed.  Runs are
 derandomized, keep no example database, and leave nothing in the working
 directory.
@@ -39,6 +40,7 @@ from agcalc.poly import (  # noqa: E402
     weighted_sum,
     xi_pairing,
 )
+from agcalc.inversion import invert_fixed_point  # noqa: E402
 from agcalc.lab import vanishing_scan_poly  # noqa: E402
 from agcalc.weyl import lambda_apply  # noqa: E402
 
@@ -309,6 +311,38 @@ class TestComposeMap:
             compose(z.power(2), g, 3, table=MonomialTable(g, 4))
         with pytest.raises(ContractViolation, match="another map or bound"):
             compose(z.power(2), g, 3, table=MonomialTable(MapTuple.exact([z]), 3))
+
+
+@st.composite
+def inversion_inputs(draw):
+    """H of z-order >= 2 over z, or the deformed tH over (z, t), exact or
+    cut at the bound, with the bound."""
+    vs = draw(layouts(("z", "zt")))
+    z_exps = st.tuples(*[st.integers(0, 2)] * vs.n).filter(lambda e: sum(e) >= 2)
+    t_exps = st.tuples(st.integers(1, 2)) if vs.has_t else st.just(())
+    exps = st.tuples(z_exps, t_exps).map(lambda zt: zt[0] + zt[1])
+    h = [SparsePoly(vs, draw(st.dictionaries(exps, coeffs, max_size=3))) for _ in range(vs.n)]
+    bound = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return MapTuple.exact(h), bound
+    return MapTuple.truncated(h, bound), bound
+
+
+class TestFixedPointAgainstReference:
+    """invert_fixed_point's one checked pass per degree against the full-bound
+    passes until frozen of the reference."""
+
+    @settings(PROPERTY, max_examples=120)
+    @given(inversion_inputs())
+    def test_tail_matches_reference(self, case):
+        h, bound = case
+        zs = ref.z_block(h.vars.kind, h.n)
+        got = [as_dict(c) for c in invert_fixed_point(h, bound).N]
+        assert got == ref.fixed_point_tail([as_dict(c) for c in h], h.vars.kind, bound)
+        if bound == 1:
+            assert got == [{}] * h.n
+        if bound == 2:
+            assert got == [{e: c for e, c in as_dict(hi).items() if sum(e[zs]) == 2} for hi in h]
 
 
 class TestPackedForm:
