@@ -45,6 +45,7 @@ from .inversion import (
 )
 from .lab import (
     CorpusSpec,
+    IndexSearch,
     check_equivalences,
     equivalence_checks,
     equivalence_depths,
@@ -233,13 +234,16 @@ def cmd_lab(args) -> Report:
     # one chain: the depths the equivalence checks read, each shown scan raised to --m-max
     read = (equivalence_depths(h, args.m_max, cert, nt_degree)
             if wanted in ("equiv", "all") else {})
+    search = stop = IndexSearch(h, nt_degree, read[1]) if 1 in read else None
     shown = {"scan0": (0,), "scan1": (1,), "all": (0, 1)}.get(wanted, ())
+    if search is not None and 1 in shown:  # the shown k=1 scan runs on to --m-max
+        stop = lambda scan: search(scan) and scan.mmax >= args.m_max
     depths = {**read, **{k: max(read.get(k, 0), args.m_max) for k in shown}}
     scans: dict = {}
     flags: dict = {}
     if depths:
         try:
-            done = vanishing_scan(h, depths, term_ceiling=ceiling)
+            done = vanishing_scan(h, depths, term_ceiling=ceiling, stop=stop)
         except TermCeilingExceeded as err:
             done = err.partial
             flags = {"resource_guard": str(err), "partial": True}
@@ -267,7 +271,7 @@ def cmd_lab(args) -> Report:
         }
     if read and read.keys() <= scans.keys():  # every scan the checks read finished
         checks.extend(equivalence_checks(h, cert, tuple(scans[k] for k in sorted(read)),
-                                         nt_degree))
+                                         search))
     if flags:
         checks.append(failed_check("resource guard", witness=flags["resource_guard"],
                                    detail="scan aborted at term ceiling"))

@@ -13,7 +13,8 @@ are read off one chain of powers P^j: the k=1 value at m = j - 1 is a step
 on the way to the k=0 value at m = j.  lambda is applied to P^j only up to
 the last step recorded, and not past a step that is zero, so a chain that
 goes zero costs one product per power.  check_equivalences composes
-equivalence_depths, one vanishing_scan and the pure equivalence_checks.
+equivalence_depths, one vanishing_scan whose k=1 scan an IndexSearch stops
+at the index its certificate proves, and equivalence_checks.
 The scans are combinatorially explosive in m, so they run under a
 term-count ceiling and abort loudly (TermCeilingExceeded, whose partial has
 the shape its raiser returns) instead of grinding.  vanishing_scan_poly,
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     ContractViolation,
@@ -141,7 +142,9 @@ def _guard(p: SparsePoly, ceiling: int, partial_fn) -> SparsePoly:
 
 
 def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
-                        term_ceiling: int | None = None) -> tuple[VanishingReport, ...]:
+                        term_ceiling: int | None = None,
+                        stop: Callable[[VanishingReport], bool] | None = None,
+                        ) -> tuple[VanishingReport, ...]:
     """Exact scans of lambda^m(p^(m+k)) for a general phase polynomial p.
 
     This is the open-ended entry point: no equivalence with nilpotency is
@@ -155,8 +158,11 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
     after j - 1 applications of lambda the chain holds the k=1 value at
     m = j - 1, and one more gives the k=0 value at m = j.  lambda is applied
     only up to the last step recorded, and lambda of zero is zero, so a step
-    that is zero is not applied again: it is the value at every later m.  A
-    term-ceiling abort carries the tuple of scans as they stand.
+    that is zero is not applied again: it is the value at every later m.
+    stop, when given, is asked after each k=1 value from m = 1 on, with the
+    k=1 scan so far; once it answers True that scan ends there, its mmax
+    cut to that m, and the chain runs on only as far as the k=0 scan needs.
+    A term-ceiling abort carries the tuple of scans as they stand.
     """
     if not p.vars.has_xi:
         raise ContractViolation("scans run over a xi-extended layout")
@@ -165,6 +171,7 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
     if min(depths.values()) < 1:
         raise ContractViolation("mmax must be >= 1")
     ceiling = DEFAULT_TERM_CEILING if term_ceiling is None else term_ceiling
+    depths = dict(depths)  # a stopped k=1 scan ends where it stops
     values: dict[int, list[tuple[int, SparsePoly]]] = {k: [] for k in sorted(depths)}
 
     def reports():
@@ -172,7 +179,9 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
                      for k, vals in values.items())
 
     power = SparsePoly.one(p.vars)  # p^j, one factor more per j
-    for j in range(1, max(depth + k for k, depth in depths.items()) + 1):
+    j = 0
+    while j < max(depth + k for k, depth in depths.items()):
+        j += 1
         v = power = _guard(power.mul(p), ceiling, reports)
         m = 0  # v is lambda^m(p^j), or zero, which is every later step too
         for k in (1, 0):  # the recorded steps m = j - k, in order of m
@@ -181,14 +190,19 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
                     v = _guard(lambda_apply(v), ceiling, reports)
                     m += 1
                 values[k].append((j - k, v))
+                if k and j > 1 and stop is not None and stop(
+                        VanishingReport(1, j - 1, tuple(values[1]))):
+                    depths[1] = j - 1
     return reports()
 
 
 def vanishing_scan(h: MapTuple, depths: dict[int, int], *,
-                   term_ceiling: int | None = None) -> tuple[VanishingReport, ...]:
+                   term_ceiling: int | None = None,
+                   stop: Callable[[VanishingReport], bool] | None = None,
+                   ) -> tuple[VanishingReport, ...]:
     """vanishing_scan_poly on P = <xi, H> built from an exact polynomial map."""
     _require_exact(h)
-    return vanishing_scan_poly(xi_pairing(h), depths, term_ceiling=term_ceiling)
+    return vanishing_scan_poly(xi_pairing(h), depths, term_ceiling=term_ceiling, stop=stop)
 
 
 # -- deformation series ------------------------------------------------------
@@ -320,24 +334,79 @@ def equivalence_depths(h: MapTuple, mmax: int, cert: NilpotencyCertificate,
                        known_nt_degree: int | None) -> dict[int, int]:
     """The {k: mmax} of the scans equivalence_checks reads.
 
-    The k=0 scan runs through D0 = max(mmax, n); the k=1 scan, which only
-    check (ii) reads, runs through D1 = max(mmax, d + 1) for a nilpotent
-    map with a known t-degree d.
+    The k=0 scan runs through D0 = max(mmax, n).  On a nilpotent map the
+    k=1 scan, which only check (ii) reads, runs at most through the claimed
+    index, max(d, 1) for a known t-degree d, else through mmax; its
+    IndexSearch stops it earlier once a certificate holds.
     """
     if mmax < 1:
         raise ContractViolation("mmax must be >= 1")
     depths = {0: max(mmax, h.n)}
-    if cert.nilpotent and known_nt_degree is not None:
-        depths[1] = max(mmax, known_nt_degree + 1)
+    if cert.nilpotent:
+        depths[1] = mmax if known_nt_degree is None else max(known_nt_degree, 1)
     return depths
+
+
+STABILIZES = "deformed inverse stabilizes at known t-degree"
+
+
+class IndexSearch:
+    """Check (ii): the stopping rule of the k=1 scan, and its verdict.
+
+    As a stop of vanishing_scan it tries the exact certificate
+    (_nt_series_report) at each zero value below depth, the deepest m the
+    k=1 scan may reach, and ends the scan at the first m where it holds, or
+    at depth.  N -> H(z + t*N) has one fixed point in Q[[z, t]], so a
+    certificate proves every later value zero: the stabilization index is
+    then the last nonzero m, and scanning further adds no evidence.
+    """
+
+    __slots__ = ("h", "known", "depth", "reached", "_tried")
+
+    def __init__(self, h: MapTuple, known_nt_degree: int | None, depth: int) -> None:
+        self.h, self.known, self.depth = h, known_nt_degree, depth
+        self.reached: int | None = None  # the m where the scan stopped
+        self._tried = None  # (the scan through its last nonzero value, its certificate)
+
+    def proof(self, scan: VanishingReport) -> IdentityReport:
+        """The certificate of the scan's series, built once per series."""
+        head = scan.values[:(scan.last_nonzero or 0) + 1]
+        if self._tried is None or self._tried[0] != head:
+            self._tried = (head, _nt_series_report(self.h, scan))
+        return self._tried[1]
+
+    def __call__(self, scan: VanishingReport) -> bool:
+        if self.reached is None:
+            m, v = scan.values[-1]
+            if m >= self.depth or (v.is_zero and self.proof(scan).passed):
+                self.reached = m
+        return self.reached is not None
+
+    def checks(self, scan: VanishingReport) -> tuple[Check, Check]:
+        """The index check and the certificate, on the k=1 scan this search stopped."""
+        scan, d, m = scan.through(self.reached), self.known, self.reached
+        proof = self.proof(scan)
+        index = (scan.last_nonzero or 0) if proof.passed else None  # H = 0: index 0
+        if index is not None and d in (None, index):
+            return (passed_check(STABILIZES, detail=(
+                f"stabilization index {index}, certificate through m={m}; "
+                "later values proved zero, not scanned")), proof.check)
+        if d is not None:
+            witness = (f"proved index {index}" if index is not None
+                       else f"no certificate through m={m}: {proof.witness}")
+            return (failed_check(STABILIZES, witness=witness, detail=f"expected exactly m={d}"),
+                    proof.check)
+        return (skipped_check(STABILIZES, detail=f"no certificate through m={m}"),
+                skipped_check(proof.name, detail=f"through m={m}, first miss {proof.witness}"))
 
 
 def equivalence_checks(h: MapTuple, cert: NilpotencyCertificate,
                        scans: tuple[VanishingReport, ...],
-                       known_nt_degree: int | None) -> tuple[Check, ...]:
+                       search: IndexSearch | None) -> tuple[Check, ...]:
     """The checks of check_equivalences, given the scans equivalence_depths names.
 
-    scans holds those scans in order of k, each through its depth.
+    scans holds those scans in order of k, the k=1 scan stopped by search,
+    the IndexSearch of a nilpotent map (None otherwise).
     """
     scan0 = scans[0]
     checks: list[Check] = []
@@ -364,26 +433,10 @@ def equivalence_checks(h: MapTuple, cert: NilpotencyCertificate,
                 witness=f"first nonzero at m={m}",
                 detail=f"non-nilpotent instance needs a witness at m <= n={h.n}"))
 
-    if len(scans) > 1:  # equivalence_depths named a k=1 scan: check (ii) runs
-        scan1, d = scans[1], known_nt_degree
-        # the scan runs past d, so index d means every later value is zero;
-        # an all-zero series (H = 0) has no t-dependence: index 0
-        observed = scan1.last_nonzero if scan1.last_nonzero is not None else 0
-        if observed == d:
-            checks.append(passed_check(
-                "deformed inverse stabilizes at known t-degree",
-                detail=f"stabilization index {d}, scanned through m={scan1.mmax}"))
-        else:
-            checks.append(failed_check(
-                "deformed inverse stabilizes at known t-degree",
-                witness=f"last nonzero at m={scan1.last_nonzero}",
-                detail=f"expected exactly m={d}"))
-        checks.append(_nt_series_report(h, scan1).check)
+    if search is not None:
+        checks.extend(search.checks(scans[1]))
     else:
-        reason = ("not nilpotent" if not cert.nilpotent
-                  else "no known-inverse metadata")
-        checks.append(skipped_check(
-            "deformed inverse stabilizes at known t-degree", detail=reason))
+        checks.append(skipped_check(STABILIZES, detail="not nilpotent"))
 
     if cert.nilpotent:
         oracle = _jacobian_series_report(h, scan0)
@@ -404,10 +457,13 @@ def check_equivalences(h: MapTuple, mmax: int, *,
     (i)   det(I - t*JH) == 1 iff the k=0 scan vanishes; a non-nilpotent
           instance must yield a witness at some m <= n (the determinant's
           first nonunit coefficient sits at t-degree <= n).
-    (ii)  with a known polynomial inverse of t-degree d: the k=1 scan is
-          zero beyond m=d and nonzero at m=d, and the deformed-inverse
-          series is proved: with G_t = z + t*N_t read off it, it equals
-          <xi, H(G_t)> exactly.  Skipped otherwise.
+    (ii)  on a nilpotent instance, the stabilization index is proved: the
+          k=1 scan stops at the first zero value (or at its depth) where
+          the series is certified, G_t = z + t*N_t read off it giving
+          <xi, H(G_t)> exactly, and the index is its last nonzero m.  A
+          known t-degree d bounds the scan at max(d, 1) and must equal the
+          proved index; without one the scan runs to mmax, and an index not
+          proved by then is a skip naming the m reached.
     (iii) the deformed-Jacobian series cross-checks (and equals 1 when
           nilpotent).  Skipped for non-nilpotent instances.
     The report holds the certificate, the scans of equivalence_depths (read
@@ -418,14 +474,14 @@ def check_equivalences(h: MapTuple, mmax: int, *,
     """
     cert = is_nilpotent(h)
     depths = equivalence_depths(h, mmax, cert, known_nt_degree)
+    search = IndexSearch(h, known_nt_degree, depths[1]) if 1 in depths else None
     try:
-        scans = vanishing_scan(h, depths, term_ceiling=term_ceiling)
+        scans = vanishing_scan(h, depths, term_ceiling=term_ceiling, stop=search)
     except TermCeilingExceeded as err:
         finished = tuple(scan for scan in err.partial if scan.complete)
         err.partial = EquivalenceReport(label, cert, finished, ())
         raise
-    return EquivalenceReport(label, cert, scans,
-                             equivalence_checks(h, cert, scans, known_nt_degree))
+    return EquivalenceReport(label, cert, scans, equivalence_checks(h, cert, scans, search))
 
 
 # -- corpus generation ---------------------------------------------------------

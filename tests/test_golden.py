@@ -69,17 +69,17 @@ GOLDEN = {  # (command key, format): sha256 of stdout
     ("invert-catalan", "text"):
         "f0944ebc784ce18e048d6e8655ef36c6e2faccf75e3f337d14b1de236162a5e8",
     ("lab-chain", "json"):
-        "12cfff230871004eb126c2795c38e5b505901ded6790614e331077f4fc213fd9",
+        "95e5d30638867039de73414a947ee809fe8aa0b49933e32671b86a1155eba77b",
     ("lab-chain", "text"):
-        "3e576341a884023e00c277d0a2b861c5045e0a0523e60cbf8f73215ea6370f0a",
+        "f49db8ae8f31a4b999c0bd2d6163c2114f7a04445097d94a8ce894f11390baa6",
     ("lab-control", "json"):
         "9dd78e90cbbf595201dd937a7fc443e1cc5b1500ddfde483c4a86d3087f774de",
     ("lab-control", "text"):
         "9b0ab2cd8b319ffcf9440caa37fa4be8c96f21acd88eb61023641a38ae966cd1",
     ("lab-triangular", "json"):
-        "226702a96f9a89d130a31ee97ccdbffeae4655e8bfa0374a212676e030637279",
+        "2e2689d4793984d43ca84308475faebb6a33e1a098b506fce6d56f87fe860e8b",
     ("lab-triangular", "text"):
-        "d10d06af63bca934271b3de8f18d76babcf3665906cbebcc49d8b626c2bd6adc",
+        "2badf60ecd3483567f01aad2687207a82d3d353b585fb37fb39aaa5cb58762a9",
     ("verify-square", "json"):
         "6d759063f579b473b6394551ce589015aea4a622c89c9d0fc5ac473eab8ec32e",
     ("verify-square", "text"):

@@ -364,10 +364,11 @@ class TestEquivalences:
     def test_report_holds_certificate_and_scans(self):
         rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
         assert rep.certificate == is_nilpotent(triangular_2d()) and rep.nilpotent
+        # the k=1 scan stops at max(d, 1): the certificate proves the rest
         scan0, scan1 = rep.scans
-        assert (scan0.k, scan0.mmax, scan1.k, scan1.mmax) == (0, 4, 1, 4)
+        assert (scan0.k, scan0.mmax, scan1.k, scan1.mmax) == (0, 4, 1, 1)
         assert rep == check_equivalences(triangular_2d(), 4, known_nt_degree=0)
-        # no k=1 scan without a known t-degree
+        # no k=1 scan on a non-nilpotent map
         rep = check_equivalences(diagonal_2d(), 1)
         assert rep.certificate == is_nilpotent(diagonal_2d()) and not rep.nilpotent
         (scan0,) = rep.scans
@@ -380,14 +381,18 @@ class TestEquivalences:
             check_equivalences(h, 2, term_ceiling=5)
         assert err.value.partial == EquivalenceReport("map", is_nilpotent(h), (), ())
         assert not err.value.partial.passed
-        # this cubic trips on P^5, which only the k=1 scan needs: the
-        # finished k=0 scan stays in the partial report
-        item = gen_corpus(CorpusSpec(n=3, family="cubic", count=3, seed=0))[1]
+        # this cubic has t-degree 3 = n, so at mmax 3 it trips on P^4 (135
+        # terms), which only the k=1 scan through m=3 needs: the finished
+        # k=0 scan stays in the partial report
+        item = gen_corpus(CorpusSpec(n=3, family="cubic", count=4, seed=3))[3]
+        assert item.nt_degree == 3
         with pytest.raises(TermCeilingExceeded) as err:
-            check_equivalences(item.h, 4, known_nt_degree=item.nt_degree, term_ceiling=200)
-        assert str(err.value) == "term count 266 exceeded ceiling 200"
-        full = check_equivalences(item.h, 4)
-        assert err.value.partial == EquivalenceReport(full.label, full.certificate, full.scans, ())
+            check_equivalences(item.h, 3, known_nt_degree=item.nt_degree, term_ceiling=100)
+        assert str(err.value) == "term count 135 exceeded ceiling 100"
+        full = check_equivalences(item.h, 3, known_nt_degree=item.nt_degree)
+        assert [(scan.k, scan.mmax) for scan in full.scans] == [(0, 3), (1, 3)]
+        assert err.value.partial == EquivalenceReport(full.label, full.certificate,
+                                                      full.scans[:1], ())
         assert not err.value.partial.passed
         # n = 3 and t-degree 0: at mmax 1 the k=1 scan finishes on P^2 (3 terms)
         # and the k=0 scan through m=3 trips on P^3 (4 terms); the k=1 scan stays
@@ -399,6 +404,87 @@ class TestEquivalences:
         assert str(err.value) == "term count 4 exceeded ceiling 3"
         assert err.value.partial.scans == vanishing_scan(h, {1: 1})
 
+
+
+def _nilpotent_items(ns, seeds):
+    for family in ("triangular", "cubic"):
+        for n in ns:
+            for seed in seeds:
+                yield from gen_corpus(CorpusSpec(n=n, family=family, count=3, seed=seed))
+
+
+def _stabilizes(rep):
+    return next(c for c in rep.checks if "stabilizes" in c.name)
+
+
+class TestProvedIndex:
+    """Check (ii) proves the stabilization index, and the k=1 scan stops there."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_corpus_index_is_proved(self, n):
+        for item in _nilpotent_items([n], (2, 3)):
+            d = item.nt_degree
+            # without metadata the certificate finds the index on its own
+            rep = check_equivalences(item.h, d + 1)
+            assert rep.passed and len(rep.checks) == 4, item.item_id
+            assert _stabilizes(rep).detail.startswith(f"stabilization index {d},")
+            # with it, the k=1 scan stops at the index the metadata claims
+            rep = check_equivalences(item.h, 1, known_nt_degree=d)
+            assert rep.passed, item.item_id
+            assert rep.scans[1].mmax == max(d, 1), item.item_id
+
+    def test_metadata_one_short_fails_at_the_certificate(self):
+        checked = 0
+        for item in _nilpotent_items([3], (2, 3)):
+            d = item.nt_degree
+            if d < 2:  # a claim of 0 still scans through m=1, which proves index 1
+                continue
+            checks = {c.name: c for c in
+                      check_equivalences(item.h, 1, known_nt_degree=d - 1).checks}
+            cross = checks["deformed inverse series cross-check"]
+            assert cross.status == "fail" and cross.witness, item.item_id
+            stab = checks["deformed inverse stabilizes at known t-degree"]
+            assert (stab.status, stab.witness) == (
+                "fail", f"no certificate through m={d - 1}: {cross.witness}")
+            checked += 1
+        assert checked == 5
+
+    @pytest.mark.parametrize("excess", [3, 10**6])
+    def test_metadata_too_large_names_the_proved_index(self, excess):
+        for item in _nilpotent_items([3], (2, 3)):
+            d = item.nt_degree
+            rep = check_equivalences(item.h, 1, known_nt_degree=d + excess)
+            stab = _stabilizes(rep)
+            assert (stab.status, stab.witness) == ("fail", f"proved index {d}"), item.item_id
+            assert rep.scans[1].mmax == d + 1
+
+    def test_metadata_too_small_on_the_chain_map(self):
+        # N_t of (z2^2, z3^2, 0) has t-degree 2; the series through m=1 misses t^2
+        z3 = VarSet.z(3)
+        h = MapTuple.exact((SparsePoly.monomial(z3, (0, 2, 0)),
+                            SparsePoly.monomial(z3, (0, 0, 2)), SparsePoly.zero(z3)))
+        stab = _stabilizes(check_equivalences(h, 1, known_nt_degree=1))
+        assert stab.witness == "no certificate through m=1: xi1*z3^4*t^2: 0 vs 1"
+        # without metadata an m_max below the index is a skip naming the m reached
+        rep = check_equivalences(h, 1)
+        assert rep.passed
+        assert [(c.status, c.detail) for c in rep.checks[1:3]] == [
+            ("skip", "no certificate through m=1"),
+            ("skip", "through m=1, first miss xi1*z3^4*t^2: 0 vs 1")]
+
+    def test_chain_forms_powers_only_to_the_proved_index(self, monkeypatch):
+        # d = 3 = n: at mmax 1 the k=0 scan needs P^3 and the k=1 scan P^4
+        item = gen_corpus(CorpusSpec(n=3, family="triangular", count=3, seed=2))[0]
+        assert item.nt_degree == 3
+        p, real, powers = xi_pairing(item.h), SparsePoly.mul, []
+
+        def counted(self, other, *args, **kwargs):
+            if other.vars == p.vars and other == p:
+                powers.append(self.nterms)
+            return real(self, other, *args, **kwargs)
+        monkeypatch.setattr(SparsePoly, "mul", counted)
+        assert check_equivalences(item.h, 1, known_nt_degree=3).passed
+        assert len(powers) == max(3, 3 + 1)
 
 def _count_calls(monkeypatch, names):
     counts = dict.fromkeys(names, 0)
