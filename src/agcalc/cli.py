@@ -53,6 +53,7 @@ from .lab import (
     is_nilpotent,
     standard_corpus,
     vanishing_scan,
+    witness_found,
 )
 from .mapfile import load_map_file, parse_poly, poly_to_entries
 from .poly import (
@@ -234,10 +235,11 @@ def cmd_lab(args) -> Report:
     # one chain: the depths the equivalence checks read, each shown scan raised to --m-max
     read = (equivalence_depths(h, args.m_max, cert, nt_degree)
             if wanted in ("equiv", "all") else {})
-    search = stop = IndexSearch(h, nt_degree, read[1]) if 1 in read else None
+    search = IndexSearch(h, nt_degree, read[1]) if 1 in read else None
+    stop = (search if cert.nilpotent else witness_found) if read else None
     shown = {"scan0": (0,), "scan1": (1,), "all": (0, 1)}.get(wanted, ())
-    if search is not None and 1 in shown:  # the shown k=1 scan runs on to --m-max
-        stop = lambda scan: search(scan) and scan.mmax >= args.m_max
+    if stop is not None and shown:  # "all" shows both scans: they run on to --m-max
+        stop = lambda scan, read_stop=stop: read_stop(scan) and scan.mmax >= args.m_max
     depths = {**read, **{k: max(read.get(k, 0), args.m_max) for k in shown}}
     scans: dict = {}
     flags: dict = {}

@@ -13,8 +13,11 @@ are read off one chain of powers P^j: the k=1 value at m = j - 1 is a step
 on the way to the k=0 value at m = j.  lambda is applied to P^j only up to
 the last step recorded, and not past a step that is zero, so a chain that
 goes zero costs one product per power.  check_equivalences composes
-equivalence_depths, one vanishing_scan whose k=1 scan an IndexSearch stops
-at the index its certificate proves, and equivalence_checks.
+equivalence_depths, one vanishing_scan and equivalence_checks.  The scan's
+stop ends each scan where its check is settled: on a non-nilpotent map
+witness_found ends the k=0 scan at its first nonzero value, check (i)'s
+witness, and on a nilpotent one an IndexSearch ends the k=1 scan at the
+index its certificate proves.
 The scans are combinatorially explosive in m, so they run under a
 term-count ceiling and abort loudly (TermCeilingExceeded, whose partial has
 the shape its raiser returns) instead of grinding.  vanishing_scan_poly,
@@ -159,9 +162,10 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
     m = j - 1, and one more gives the k=0 value at m = j.  lambda is applied
     only up to the last step recorded, and lambda of zero is zero, so a step
     that is zero is not applied again: it is the value at every later m.
-    stop, when given, is asked after each k=1 value from m = 1 on, with the
-    k=1 scan so far; once it answers True that scan ends there, its mmax
-    cut to that m, and the chain runs on only as far as the k=0 scan needs.
+    stop, when given, is asked after each value of either scan from m = 1
+    on, with that scan so far; a scan for which it answers True ends there,
+    its mmax cut to that m, and the chain runs on only as far as the other
+    scan needs: once every scan has ended, no later power is formed.
     A term-ceiling abort carries the tuple of scans as they stand.
     """
     if not p.vars.has_xi:
@@ -171,7 +175,7 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
     if min(depths.values()) < 1:
         raise ContractViolation("mmax must be >= 1")
     ceiling = DEFAULT_TERM_CEILING if term_ceiling is None else term_ceiling
-    depths = dict(depths)  # a stopped k=1 scan ends where it stops
+    depths = dict(depths)  # a stopped scan ends where it stops
     values: dict[int, list[tuple[int, SparsePoly]]] = {k: [] for k in sorted(depths)}
 
     def reports():
@@ -190,9 +194,9 @@ def vanishing_scan_poly(p: SparsePoly, depths: dict[int, int], *,
                     v = _guard(lambda_apply(v), ceiling, reports)
                     m += 1
                 values[k].append((j - k, v))
-                if k and j > 1 and stop is not None and stop(
-                        VanishingReport(1, j - 1, tuple(values[1]))):
-                    depths[1] = j - 1
+                if j > k and stop is not None and stop(
+                        VanishingReport(k, j - k, tuple(values[k]))):
+                    depths[k] = j - k
     return reports()
 
 
@@ -334,9 +338,11 @@ def equivalence_depths(h: MapTuple, mmax: int, cert: NilpotencyCertificate,
                        known_nt_degree: int | None) -> dict[int, int]:
     """The {k: mmax} of the scans equivalence_checks reads.
 
-    The k=0 scan runs through D0 = max(mmax, n).  On a nilpotent map the
-    k=1 scan, which only check (ii) reads, runs at most through the claimed
-    index, max(d, 1) for a known t-degree d, else through mmax; its
+    The k=0 scan runs at most through D0 = max(mmax, n): on a nilpotent
+    map its all-zero values are check (i)'s evidence, and on any other
+    witness_found stops it at its first nonzero value.  On a nilpotent map
+    the k=1 scan, which only check (ii) reads, runs at most through the
+    claimed index, max(d, 1) for a known t-degree d, else through mmax; its
     IndexSearch stops it earlier once a certificate holds.
     """
     if mmax < 1:
@@ -347,16 +353,24 @@ def equivalence_depths(h: MapTuple, mmax: int, cert: NilpotencyCertificate,
     return depths
 
 
+def witness_found(scan: VanishingReport) -> bool:
+    """Check (i)'s stop on a non-nilpotent map: the k=0 scan ends at its first nonzero value.
+
+    That value is the witness check (i) reads, and it reads no later one.
+    """
+    return scan.k == 0 and not scan.all_zero
+
+
 STABILIZES = "deformed inverse stabilizes at known t-degree"
 
 
 class IndexSearch:
     """Check (ii): the stopping rule of the k=1 scan, and its verdict.
 
-    As a stop of vanishing_scan it tries the exact certificate
-    (_nt_series_report) at each zero value below depth, the deepest m the
-    k=1 scan may reach, and ends the scan at the first m where it holds, or
-    at depth.  N -> H(z + t*N) has one fixed point in Q[[z, t]], so a
+    As a stop of vanishing_scan it answers only for the k=1 scan.  It tries
+    the exact certificate (_nt_series_report) at each zero value below
+    depth, the deepest m the k=1 scan may reach, and ends the scan at the
+    first m where it holds, or at depth.  N -> H(z + t*N) has one fixed point in Q[[z, t]], so a
     certificate proves every later value zero: the stabilization index is
     then the last nonzero m, and scanning further adds no evidence.
     """
@@ -376,6 +390,8 @@ class IndexSearch:
         return self._tried[1]
 
     def __call__(self, scan: VanishingReport) -> bool:
+        if scan.k != 1:
+            return False
         if self.reached is None:
             m, v = scan.values[-1]
             if m >= self.depth or (v.is_zero and self.proof(scan).passed):
@@ -456,7 +472,10 @@ def check_equivalences(h: MapTuple, mmax: int, *,
 
     (i)   det(I - t*JH) == 1 iff the k=0 scan vanishes; a non-nilpotent
           instance must yield a witness at some m <= n (the determinant's
-          first nonunit coefficient sits at t-degree <= n).
+          first nonunit coefficient sits at t-degree <= n).  A nilpotent
+          instance scans through D0 = max(mmax, n), as its all-zero scan
+          is the evidence; any other scan ends at its first nonzero value,
+          the witness, and no later power is formed.
     (ii)  on a nilpotent instance, the stabilization index is proved: the
           k=1 scan stops at the first zero value (or at its depth) where
           the series is certified, G_t = z + t*N_t read off it giving
@@ -476,7 +495,8 @@ def check_equivalences(h: MapTuple, mmax: int, *,
     depths = equivalence_depths(h, mmax, cert, known_nt_degree)
     search = IndexSearch(h, known_nt_degree, depths[1]) if 1 in depths else None
     try:
-        scans = vanishing_scan(h, depths, term_ceiling=term_ceiling, stop=search)
+        scans = vanishing_scan(h, depths, term_ceiling=term_ceiling,
+                               stop=search if cert.nilpotent else witness_found)
     except TermCeilingExceeded as err:
         finished = tuple(scan for scan in err.partial if scan.complete)
         err.partial = EquivalenceReport(label, cert, finished, ())

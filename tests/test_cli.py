@@ -224,14 +224,14 @@ def _guard_lines(witness: str) -> tuple[str, str]:
 GUARD_35, FLAGS_35 = _guard_lines("term count 35 exceeded ceiling 20")
 
 # every lab mode on control_n3_map at ceiling 20; P^4 has 35 terms, so
-# every scan aborts and only the unguarded certificate finishes
+# every shown scan aborts and only the unguarded certificate finishes.
+# equiv shows no scan: its k=0 scan ends at the witness m=1, on P^1
 PARTIAL_REPORTS = {
     "nilpotent": (0, CONTROL_N3_HEAD + CONTROL_N3_CERT + CONTROL_N3_DET
                   + "nilpotent = False\noverall: PASS\n"),
     "scan0": (3, CONTROL_N3_HEAD + GUARD_35 + FLAGS_35 + "overall: FAIL\n"),
     "scan1": (3, CONTROL_N3_HEAD + GUARD_35 + FLAGS_35 + "overall: FAIL\n"),
-    "equiv": (3, CONTROL_N3_HEAD + GUARD_35 + "nilpotent = False\n" + FLAGS_35
-              + "overall: FAIL\n"),
+    "equiv": (0, CONTROL_N3_HEAD + CONTROL_N3_EQUIV + "nilpotent = False\noverall: PASS\n"),
     "all": (3, CONTROL_N3_HEAD + CONTROL_N3_CERT + GUARD_35 + CONTROL_N3_DET
             + "nilpotent = False\n" + FLAGS_35 + "overall: FAIL\n"),
 }
@@ -367,6 +367,25 @@ class TestLab:
         assert main(["lab", control_n3_map, "--m-max", "4", "--checks", "equiv"]) == 0
         assert capsys.readouterr().out == (
             CONTROL_N3_HEAD + CONTROL_N3_EQUIV + "nilpotent = False\noverall: PASS\n")
+
+    def test_equiv_stops_at_the_witness_but_a_shown_scan_runs_on(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # the k=0 scan equiv reads ends at its witness m=1; the one all
+        # shows runs to --m-max 6 and trips the ceiling on the way
+        z4 = VarSet.z(4)
+
+        def m(*exps):
+            return SparsePoly.monomial(z4, exps)
+        path = tmp_path / "quadratic-n4.json"
+        save_map_file(path, MapTuple.exact((m(2, 0, 0, 0) + m(0, 1, 1, 0) + m(0, 0, 1, 1),
+                                            m(1, 0, 1, 0) + m(0, 0, 0, 2),
+                                            m(0, 2, 0, 0) + m(1, 0, 0, 1),
+                                            m(1, 1, 0, 0) + m(0, 1, 0, 1))))
+        monkeypatch.setenv("AGCALC_TERM_CEILING", "500")
+        assert main(["lab", str(path), "--m-max", "6", "--checks", "equiv"]) == 0
+        assert "[witness m=1 <= n=4: 2*z1 + z2]" in capsys.readouterr().out
+        assert main(["lab", str(path), "--m-max", "6", "--checks", "all"]) == 3
+        assert "witness: term count 859 exceeded ceiling 500" in capsys.readouterr().out
 
     @pytest.mark.parametrize("change", ["rewrite", "remove"])
     def test_digest_is_of_the_bytes_parsed(self, change, triangular_map, monkeypatch,

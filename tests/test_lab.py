@@ -18,10 +18,12 @@ from agcalc.lab import (
     FAMILIES,
     CorpusSpec,
     EquivalenceReport,
+    IndexSearch,
     NilpotencyCertificate,
     VanishingReport,
     check_equivalences,
     deformed_tail_components,
+    equivalence_checks,
     gen_corpus,
     gt_jacobian_series,
     is_nilpotent,
@@ -368,11 +370,12 @@ class TestEquivalences:
         scan0, scan1 = rep.scans
         assert (scan0.k, scan0.mmax, scan1.k, scan1.mmax) == (0, 4, 1, 1)
         assert rep == check_equivalences(triangular_2d(), 4, known_nt_degree=0)
-        # no k=1 scan on a non-nilpotent map
+        # no k=1 scan on a non-nilpotent map, and the k=0 scan ends at its
+        # witness m=1, short of D0 = n = 2
         rep = check_equivalences(diagonal_2d(), 1)
         assert rep.certificate == is_nilpotent(diagonal_2d()) and not rep.nilpotent
         (scan0,) = rep.scans
-        assert (scan0.k, scan0.mmax) == (0, 2)
+        assert (scan0.k, scan0.mmax) == (0, 1)
 
     def test_abort_carries_a_partial_report(self):
         # P^2 of wide_2d (n = 2) has 6 terms: the k=0 scan through m=2 aborts
@@ -485,6 +488,61 @@ class TestProvedIndex:
         monkeypatch.setattr(SparsePoly, "mul", counted)
         assert check_equivalences(item.h, 1, known_nt_degree=3).passed
         assert len(powers) == max(3, 3 + 1)
+
+class TestWitnessStop:
+    """Check (i) is settled at a non-nilpotent map's first nonzero k=0 value."""
+
+    def test_stop_is_asked_for_either_scan(self):
+        # the stop sees each value from m=1 on, with that value's scan so
+        # far; the k=0 scan it ends at m=2 is cut there, the k=1 scan runs on
+        p, asked = xi_pairing(wide_2d()), []
+
+        def stop(scan):
+            asked.append((scan.k, scan.mmax))
+            return scan.k == 0 and scan.mmax == 2
+        scan0, scan1 = vanishing_scan_poly(p, {0: 4, 1: 3}, stop=stop)
+        assert asked == [(0, 1), (1, 1), (0, 2), (1, 2), (1, 3)]
+        full0, full1 = vanishing_scan_poly(p, {0: 4, 1: 3})
+        assert (scan0, scan1) == (full0.through(2), full1)
+
+    def test_index_search_answers_only_for_k1(self):
+        search = IndexSearch(triangular_2d(), None, 4)
+        (scan0,) = vanishing_scan(triangular_2d(), {0: 3})
+        assert not search(scan0) and search.reached is None
+
+    def test_trace_zero_map_stops_at_its_witness(self):
+        # JH of (z2^2, z1^2) has trace 0, so the first nonzero value is at m=2
+        h = MapTuple.exact((SparsePoly.monomial(Z2, (0, 2)), SparsePoly.monomial(Z2, (2, 0))))
+        rep = check_equivalences(h, 5)
+        assert rep.passed and not rep.nilpotent
+        assert [(scan.k, scan.mmax) for scan in rep.scans] == [(0, 2)]
+        assert rep.checks[0].detail == "witness m=2 <= n=2: 16*z1*z2"
+
+    def test_no_later_power_is_formed(self):
+        # a scan through D0 = 6 trips the ceiling on P^3 or later; the
+        # witness at m=1 needs only P^1
+        z4 = VarSet.z(4)
+
+        def m(*exps):
+            return SparsePoly.monomial(z4, exps)
+        h = MapTuple.exact((m(2, 0, 0, 0) + m(0, 1, 1, 0) + m(0, 0, 1, 1),
+                            m(1, 0, 1, 0) + m(0, 0, 0, 2),
+                            m(0, 2, 0, 0) + m(1, 0, 0, 1),
+                            m(1, 1, 0, 0) + m(0, 1, 0, 1)))
+        with pytest.raises(TermCeilingExceeded, match="term count 859 exceeded ceiling 500"):
+            vanishing_scan(h, {0: 6}, term_ceiling=500)
+        rep = check_equivalences(h, 6, term_ceiling=500)
+        assert rep.passed and rep.scans[0].mmax == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_checks_match_the_full_scan(self, n):
+        for seed in range(4):
+            for item in gen_corpus(CorpusSpec(n=n, family="control", seed=seed)):
+                rep = check_equivalences(item.h, 5)
+                full = vanishing_scan(item.h, {0: max(5, n)})
+                assert rep.checks == equivalence_checks(item.h, rep.certificate, full, None), (
+                    item.item_id, seed)
+
 
 def _count_calls(monkeypatch, names):
     counts = dict.fromkeys(names, 0)
