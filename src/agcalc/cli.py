@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -45,15 +44,12 @@ from .inversion import (
 )
 from .lab import (
     CorpusSpec,
-    IndexSearch,
+    EquivalencePlan,
     check_equivalences,
-    equivalence_checks,
-    equivalence_depths,
     gen_corpus,
     is_nilpotent,
     standard_corpus,
     vanishing_scan,
-    witness_found,
 )
 from .mapfile import load_map_file, parse_poly, poly_to_entries
 from .poly import (
@@ -157,10 +153,16 @@ def cmd_invert(args) -> Report:
 # -- verify -------------------------------------------------------------------
 
 
+def _small_exponents(n: int) -> list[tuple[int, ...]]:
+    """The multi-indices e with |e| <= 2, the sums of two of 0, e_1, ..., e_n, in lex order."""
+    basis = [(0,) * n, *(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    return sorted({tuple(a + b for a, b in zip(u, v)) for u in basis for v in basis})
+
+
 @cache  # the battery reads n alone, never the map or q
 def _symbol_battery(n: int) -> Check:
     vs = VarSet.xiz(n)
-    small = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+    small = _small_exponents(n)
     rep = first_failure(verify_phi_normal_order(SparsePoly.monomial(vs, xa + zb))
                         for xa in small for zb in small)
     return IdentityReport("symbol transport battery", rep.lhs, rep.rhs,
@@ -230,16 +232,16 @@ def cmd_lab(args) -> Report:
     h, meta, data = load_map_file(args.mapfile)
     _require_min(args.m_max, 1, "--m-max")
     ceiling = _term_ceiling()
-    wanted, nt_degree = args.checks, meta.get("nt_degree")
+    wanted = args.checks
     cert = is_nilpotent(h) if wanted in ("nilpotent", "equiv", "all") else None
-    # one chain: the depths the equivalence checks read, each shown scan raised to --m-max
-    read = (equivalence_depths(h, args.m_max, cert, nt_degree)
-            if wanted in ("equiv", "all") else {})
-    search = IndexSearch(h, nt_degree, read[1]) if 1 in read else None
-    stop = (search if cert.nilpotent else witness_found) if read else None
+    plan = (EquivalencePlan(h, args.m_max, cert, meta.get("nt_degree"))
+            if wanted in ("equiv", "all") else None)
+    # one chain: the depths the plan reads, each shown scan raised to --m-max
+    read = {} if plan is None else plan.depths
     shown = {"scan0": (0,), "scan1": (1,), "all": (0, 1)}.get(wanted, ())
-    if stop is not None and shown:  # "all" shows both scans: they run on to --m-max
-        stop = lambda scan, read_stop=stop: read_stop(scan) and scan.mmax >= args.m_max
+    stop = plan
+    if plan is not None and shown:  # "all" shows both scans: they run on to --m-max
+        stop = lambda scan: plan(scan) and scan.mmax >= args.m_max
     depths = {**read, **{k: max(read.get(k, 0), args.m_max) for k in shown}}
     scans: dict = {}
     flags: dict = {}
@@ -271,9 +273,8 @@ def cmd_lab(args) -> Report:
             "last_nonzero": rep.last_nonzero,
             "values": [{"m": m, "value": render_poly(v)} for m, v in rep.values],
         }
-    if read and read.keys() <= scans.keys():  # every scan the checks read finished
-        checks.extend(equivalence_checks(h, cert, tuple(scans[k] for k in sorted(read)),
-                                         search))
+    if plan is not None and read.keys() <= scans.keys():  # every scan the checks read finished
+        checks.extend(plan.checks(scans))
     if flags:
         checks.append(failed_check("resource guard", witness=flags["resource_guard"],
                                    detail="scan aborted at term ceiling"))

@@ -12,12 +12,13 @@ Both vanishing scans, lambda^m(P^m) and lambda^m(P^(m+1)) for P = <xi, H>,
 are read off one chain of powers P^j: the k=1 value at m = j - 1 is a step
 on the way to the k=0 value at m = j.  lambda is applied to P^j only up to
 the last step recorded, and not past a step that is zero, so a chain that
-goes zero costs one product per power.  check_equivalences composes
-equivalence_depths, one vanishing_scan and equivalence_checks.  The scan's
-stop ends each scan where its check is settled: on a non-nilpotent map
-witness_found ends the k=0 scan at its first nonzero value, check (i)'s
-witness, and on a nilpotent one an IndexSearch ends the k=1 scan at the
-index its certificate proves.
+goes zero costs one product per power.  One EquivalencePlan owns checks
+(i)-(iii): the depths of the scans they read, the stop= of the one
+vanishing_scan chain over them, which ends each scan where its check is
+settled (a non-nilpotent map's k=0 scan at its first nonzero value, check
+(i)'s witness; a nilpotent one's k=1 scan at the index its certificate
+proves), and the checks on the scans so stopped.  check_equivalences and
+agcalc lab both build it.
 The scans are combinatorially explosive in m, so they run under a
 term-count ceiling and abort loudly (TermCeilingExceeded, whose partial has
 the shape its raiser returns) instead of grinding.  vanishing_scan_poly,
@@ -334,74 +335,90 @@ class EquivalenceReport(Record):
         return bool(self.checks) and all(c.status != "fail" for c in self.checks)
 
 
-def equivalence_depths(h: MapTuple, mmax: int, cert: NilpotencyCertificate,
-                       known_nt_degree: int | None) -> dict[int, int]:
-    """The {k: mmax} of the scans equivalence_checks reads.
-
-    The k=0 scan runs at most through D0 = max(mmax, n): on a nilpotent
-    map its all-zero values are check (i)'s evidence, and on any other
-    witness_found stops it at its first nonzero value.  On a nilpotent map
-    the k=1 scan, which only check (ii) reads, runs at most through the
-    claimed index, max(d, 1) for a known t-degree d, else through mmax; its
-    IndexSearch stops it earlier once a certificate holds.
-    """
-    if mmax < 1:
-        raise ContractViolation("mmax must be >= 1")
-    depths = {0: max(mmax, h.n)}
-    if cert.nilpotent:
-        depths[1] = mmax if known_nt_degree is None else max(known_nt_degree, 1)
-    return depths
-
-
-def witness_found(scan: VanishingReport) -> bool:
-    """Check (i)'s stop on a non-nilpotent map: the k=0 scan ends at its first nonzero value.
-
-    That value is the witness check (i) reads, and it reads no later one.
-    """
-    return scan.k == 0 and not scan.all_zero
-
-
 STABILIZES = "deformed inverse stabilizes at known t-degree"
+VANISHES = "nilpotent iff scan vanishes"
 
 
-class IndexSearch:
-    """Check (ii): the stopping rule of the k=1 scan, and its verdict.
+class EquivalencePlan:
+    """Checks (i)-(iii) on one map: the scans they read, where each stops, and the checks.
 
-    As a stop of vanishing_scan it answers only for the k=1 scan.  It tries
-    the exact certificate (_nt_series_report) at each zero value below
-    depth, the deepest m the k=1 scan may reach, and ends the scan at the
-    first m where it holds, or at depth.  N -> H(z + t*N) has one fixed point in Q[[z, t]], so a
-    certificate proves every later value zero: the stabilization index is
-    then the last nonzero m, and scanning further adds no evidence.
+    depths is the {k: mmax} of those scans.  The k=0 scan runs at most
+    through D0 = max(mmax, n): on a nilpotent map its all-zero values are
+    check (i)'s evidence.  Only a nilpotent map has a k=1 scan, which only
+    check (ii) reads; it runs at most through the claimed index, max(d, 1)
+    for a known t-degree d, else through mmax.
+
+    The plan is the stop= of the one vanishing_scan chain over depths.  On
+    a non-nilpotent map it ends the k=0 scan at its first nonzero value, the
+    witness check (i) reads.  On a nilpotent one it tries the exact
+    certificate (_nt_series_report) at each zero k=1 value and at the
+    depth, and ends the k=1 scan at the first m where it holds.
+    N -> H(z + t*N) has one fixed point in Q[[z, t]], so a certificate
+    proves every later value zero: the stabilization index is then the last
+    nonzero m, and scanning further adds no evidence.
     """
 
-    __slots__ = ("h", "known", "depth", "reached", "_tried")
+    __slots__ = ("h", "nilpotent", "known", "depths", "reached", "_tried")
 
-    def __init__(self, h: MapTuple, known_nt_degree: int | None, depth: int) -> None:
-        self.h, self.known, self.depth = h, known_nt_degree, depth
-        self.reached: int | None = None  # the m where the scan stopped
-        self._tried = None  # (the scan through its last nonzero value, its certificate)
+    def __init__(self, h: MapTuple, mmax: int, cert: NilpotencyCertificate,
+                 known_nt_degree: int | None) -> None:
+        if mmax < 1:
+            raise ContractViolation("mmax must be >= 1")
+        self.h, self.known = h, known_nt_degree
+        self.nilpotent = cert.nilpotent  # read once: each read compares with a fresh one
+        self.depths = {0: max(mmax, h.n)}
+        if self.nilpotent:
+            self.depths[1] = mmax if known_nt_degree is None else max(known_nt_degree, 1)
+        self.reached: int | None = None  # the m where the k=1 scan stopped
+        self._tried = None  # (the k=1 scan through its last nonzero value, its certificate)
 
-    def proof(self, scan: VanishingReport) -> IdentityReport:
-        """The certificate of the scan's series, built once per series."""
+    def _proof(self, scan: VanishingReport) -> IdentityReport:
+        """The certificate of the k=1 scan's series, built once per series."""
         head = scan.values[:(scan.last_nonzero or 0) + 1]
         if self._tried is None or self._tried[0] != head:
             self._tried = (head, _nt_series_report(self.h, scan))
         return self._tried[1]
 
     def __call__(self, scan: VanishingReport) -> bool:
-        if scan.k != 1:
-            return False
-        if self.reached is None:
+        """The stop= of the scan chain: True once the check that reads scan is settled."""
+        if not self.nilpotent:
+            return scan.k == 0 and not scan.all_zero
+        if scan.k == 1 and self.reached is None:
             m, v = scan.values[-1]
-            if m >= self.depth or (v.is_zero and self.proof(scan).passed):
+            if m >= self.depths[1] or (v.is_zero and self._proof(scan).passed):
                 self.reached = m
-        return self.reached is not None
+        return scan.k == 1 and self.reached is not None
 
-    def checks(self, scan: VanishingReport) -> tuple[Check, Check]:
-        """The index check and the certificate, on the k=1 scan this search stopped."""
+    def checks(self, scans) -> tuple[Check, ...]:
+        """Checks (i)-(iii) on the scans of depths, indexed by k, as this plan stopped them."""
+        scan0, n = scans[0], self.h.n
+        m = scan0.first_nonzero
+        if not self.nilpotent:
+            if m is not None and m <= n:
+                vanishes = passed_check(VANISHES, detail=(
+                    f"witness m={m} <= n={n}: {render_poly(scan0.value(m))}"))
+            else:
+                vanishes = failed_check(
+                    VANISHES, witness=f"first nonzero at m={m}",
+                    detail=f"non-nilpotent instance needs a witness at m <= n={n}")
+            return (vanishes, skipped_check(STABILIZES, detail="not nilpotent"),
+                    skipped_check("deformed Jacobian series", detail="not nilpotent"))
+        if m is None:
+            vanishes = passed_check(
+                VANISHES, detail=f"det certificate 1; scan zero through m={scan0.mmax}")
+        else:
+            vanishes = failed_check(VANISHES, witness=f"m={m}: {render_poly(scan0.value(m))}",
+                                    detail="nilpotent certificate but nonzero scan value")
+        index_checks = self._index_checks(scans[1])
+        oracle = _jacobian_series_report(self.h, scan0)
+        unit = IdentityReport(oracle.name, oracle.lhs, SparsePoly.one(oracle.lhs.vars),
+                              detail="equals 1, oracle agrees")
+        return (vanishes, *index_checks, first_failure((oracle, unit)).check)
+
+    def _index_checks(self, scan: VanishingReport) -> tuple[Check, Check]:
+        """Check (ii): the index check and the certificate, on the k=1 scan this plan stopped."""
         scan, d, m = scan.through(self.reached), self.known, self.reached
-        proof = self.proof(scan)
+        proof = self._proof(scan)
         index = (scan.last_nonzero or 0) if proof.passed else None  # H = 0: index 0
         if index is not None and d in (None, index):
             return (passed_check(STABILIZES, detail=(
@@ -414,54 +431,6 @@ class IndexSearch:
                     proof.check)
         return (skipped_check(STABILIZES, detail=f"no certificate through m={m}"),
                 skipped_check(proof.name, detail=f"through m={m}, first miss {proof.witness}"))
-
-
-def equivalence_checks(h: MapTuple, cert: NilpotencyCertificate,
-                       scans: tuple[VanishingReport, ...],
-                       search: IndexSearch | None) -> tuple[Check, ...]:
-    """The checks of check_equivalences, given the scans equivalence_depths names.
-
-    scans holds those scans in order of k, the k=1 scan stopped by search,
-    the IndexSearch of a nilpotent map (None otherwise).
-    """
-    scan0 = scans[0]
-    checks: list[Check] = []
-    if cert.nilpotent:
-        if scan0.all_zero:
-            checks.append(passed_check(
-                "nilpotent iff scan vanishes",
-                detail=f"det certificate 1; scan zero through m={scan0.mmax}"))
-        else:
-            m = scan0.first_nonzero
-            checks.append(failed_check(
-                "nilpotent iff scan vanishes",
-                witness=f"m={m}: {render_poly(scan0.value(m))}",
-                detail="nilpotent certificate but nonzero scan value"))
-    else:
-        m = scan0.first_nonzero
-        if m is not None and m <= h.n:
-            checks.append(passed_check(
-                "nilpotent iff scan vanishes",
-                detail=f"witness m={m} <= n={h.n}: {render_poly(scan0.value(m))}"))
-        else:
-            checks.append(failed_check(
-                "nilpotent iff scan vanishes",
-                witness=f"first nonzero at m={m}",
-                detail=f"non-nilpotent instance needs a witness at m <= n={h.n}"))
-
-    if search is not None:
-        checks.extend(search.checks(scans[1]))
-    else:
-        checks.append(skipped_check(STABILIZES, detail="not nilpotent"))
-
-    if cert.nilpotent:
-        oracle = _jacobian_series_report(h, scan0)
-        unit = IdentityReport(oracle.name, oracle.lhs, SparsePoly.one(oracle.lhs.vars),
-                              detail="equals 1, oracle agrees")
-        checks.append(first_failure((oracle, unit)).check)
-    else:
-        checks.append(skipped_check("deformed Jacobian series", detail="not nilpotent"))
-    return tuple(checks)
 
 
 def check_equivalences(h: MapTuple, mmax: int, *,
@@ -485,23 +454,21 @@ def check_equivalences(h: MapTuple, mmax: int, *,
           proved by then is a skip naming the m reached.
     (iii) the deformed-Jacobian series cross-checks (and equals 1 when
           nilpotent).  Skipped for non-nilpotent instances.
-    The report holds the certificate, the scans of equivalence_depths (read
-    off one vanishing_scan chain) and the checks; the series of (ii) and
-    (iii) are summed from the scans.  When the term ceiling trips, the
+    The report holds the certificate, the scans of an EquivalencePlan (read
+    off one vanishing_scan chain it stops) and the checks; the series of (ii)
+    and (iii) are summed from the scans.  When the term ceiling trips, the
     TermCeilingExceeded carries an EquivalenceReport with no checks: the
     certificate and every scan that reached its depth before the abort.
     """
     cert = is_nilpotent(h)
-    depths = equivalence_depths(h, mmax, cert, known_nt_degree)
-    search = IndexSearch(h, known_nt_degree, depths[1]) if 1 in depths else None
+    plan = EquivalencePlan(h, mmax, cert, known_nt_degree)
     try:
-        scans = vanishing_scan(h, depths, term_ceiling=term_ceiling,
-                               stop=search if cert.nilpotent else witness_found)
+        scans = vanishing_scan(h, plan.depths, term_ceiling=term_ceiling, stop=plan)
     except TermCeilingExceeded as err:
         finished = tuple(scan for scan in err.partial if scan.complete)
         err.partial = EquivalenceReport(label, cert, finished, ())
         raise
-    return EquivalenceReport(label, cert, scans, equivalence_checks(h, cert, scans, search))
+    return EquivalenceReport(label, cert, scans, plan.checks(scans))
 
 
 # -- corpus generation ---------------------------------------------------------

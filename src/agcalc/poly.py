@@ -761,9 +761,6 @@ class MapTuple(Record):
     def truncated(cls, components: Sequence[SparsePoly], trunc: int) -> "MapTuple":
         return cls(tuple(c.truncate_z(trunc) for c in components), trunc)
 
-    def apply(self, f: Callable[[SparsePoly], SparsePoly]) -> "MapTuple":
-        return MapTuple(tuple(f(c) for c in self.components), self.trunc)
-
 
 def xi_pairing(h: MapTuple) -> SparsePoly:
     """The phase polynomial sum_i xi_i * h_i over the xi-extended layout."""
@@ -967,32 +964,31 @@ def jacobian(h: MapTuple) -> PolyMatrix:
 
 
 def det(m: PolyMatrix, trunc: int | None = None) -> SparsePoly:
-    """Determinant by cofactor expansion with memoized minors; terms of
-    z-degree > trunc are dropped from every product when trunc is given."""
-    n = m.dim
-    vs = m.vars
-    memo: dict[tuple[int, int], SparsePoly] = {}
+    """Determinant by cofactor expansion along the rows, each minor formed once;
+    terms of z-degree > trunc are dropped from every product when trunc is given.
 
-    def minor(row: int, mask: int) -> SparsePoly:
-        if row == n:
-            return SparsePoly.one(vs)
-        key = (row, mask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc = SparsePoly.zero(vs)
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            e = m.rows[row][j]
-            if not e.is_zero:
-                sub = minor(row + 1, mask & ~bit)
-                contrib = e.mul(sub, trunc)
-                acc = acc + (contrib if sign > 0 else -contrib)
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
+    The minors of row r are taken on the column masks that nonzero entries
+    of rows 0..r-1 leave; those masks are found row by row going down, and
+    the minors are summed row by row coming up, so no call nests per row.
+    """
+    n, vs = m.dim, m.vars
+    # (bit of column j, entry) for each nonzero entry, per row, in order of j
+    entries = [[(1 << j, e) for j, e in enumerate(row) if not e.is_zero] for row in m.rows]
+    levels = [[(1 << n) - 1]]  # the masks of row 0, then of each row below it
+    for row in entries[:-1]:
+        levels.append(dict.fromkeys(mask & ~bit for mask in levels[-1]
+                                    for bit, _ in row if mask & bit))
+    below = {0: SparsePoly.one(vs)}  # the minor past the last row
+    for row, masks in zip(reversed(entries), reversed(levels)):
+        minors = {}
+        for mask in masks:
+            acc = SparsePoly.zero(vs)
+            for bit, e in row:
+                if mask & bit:
+                    contrib = e.mul(below[mask & ~bit], trunc)
+                    # the sign of column j alternates over the columns of mask before it
+                    odd = (mask & (bit - 1)).bit_count() & 1
+                    acc = acc + (-contrib if odd else contrib)
+            minors[mask] = acc
+        below = minors
+    return below[(1 << n) - 1]

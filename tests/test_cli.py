@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, report determinism, golden bytes."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import agcalc.lab
 import agcalc.weyl
 from agcalc.cli import main
 from agcalc.inversion import InversionResult
+from agcalc.lab import check_equivalences, standard_corpus
 from agcalc.mapfile import save_map_file
 from agcalc.poly import MapTuple, SparsePoly, VarSet
 
@@ -177,6 +179,12 @@ class TestVerify:
                        "--q", "1 + z1")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
+    def test_battery_exponents_are_the_small_product_tuples(self):
+        # built directly, in the order of the product they replace
+        for n in range(1, 7):
+            assert agcalc.cli._small_exponents(n) == [
+                e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2], n
+
     def test_window_cap_warning(self, triangular_map):
         proc = run_cli("verify", triangular_map, "--degree", "3", "--xi-degree", "9")
         assert proc.returncode == 0
@@ -238,6 +246,29 @@ PARTIAL_REPORTS = {
 
 
 class TestLab:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("claim_off", [-1, 0, 1])
+    def test_equiv_lists_the_checks_of_check_equivalences(self, seed, claim_off, tmp_path,
+                                                          capsys):
+        # every polynomial map of the corpus with its own nt_degree, and each
+        # nilpotent one with a claim wrong by one either way
+        items = [item for item in standard_corpus(seed) if item.is_polynomial
+                 and (claim_off == 0 or item.nilpotent and item.nt_degree + claim_off >= 0)]
+        assert items
+        for item in items:
+            claim = item.nt_degree if claim_off == 0 else item.nt_degree + claim_off
+            path = str(tmp_path / f"{item.item_id}.json")
+            save_map_file(path, item.h, {"name": item.item_id, "nt_degree": claim})
+            want = [c.to_dict()
+                    for c in check_equivalences(item.h, 4, known_nt_degree=claim).checks]
+            main(["lab", path, "--checks", "equiv", "--m-max", "4", "--format", "json"])
+            assert json.loads(capsys.readouterr().out)["checks"] == want, item.item_id
+            main(["lab", path, "--checks", "all", "--m-max", "4", "--format", "json"])
+            got = json.loads(capsys.readouterr().out)["checks"]
+            assert [c["name"] for c in got[:3]] == [
+                "nilpotency certificate", "vanishing scan k=0", "vanishing scan k=1"]
+            assert got[3:] == want, item.item_id
+
     def test_triangular_all_checks(self, triangular_map):
         proc = run_cli("lab", triangular_map, "--m-max", "6", "--format", "json")
         assert proc.returncode == 0, proc.stderr

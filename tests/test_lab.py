@@ -17,13 +17,12 @@ from agcalc.inversion import InversionResult, cross_method_results, invert_fixed
 from agcalc.lab import (
     FAMILIES,
     CorpusSpec,
+    EquivalencePlan,
     EquivalenceReport,
-    IndexSearch,
     NilpotencyCertificate,
     VanishingReport,
     check_equivalences,
     deformed_tail_components,
-    equivalence_checks,
     gen_corpus,
     gt_jacobian_series,
     is_nilpotent,
@@ -506,9 +505,9 @@ class TestWitnessStop:
         assert (scan0, scan1) == (full0.through(2), full1)
 
     def test_index_search_answers_only_for_k1(self):
-        search = IndexSearch(triangular_2d(), None, 4)
+        plan = EquivalencePlan(triangular_2d(), 4, is_nilpotent(triangular_2d()), None)
         (scan0,) = vanishing_scan(triangular_2d(), {0: 3})
-        assert not search(scan0) and search.reached is None
+        assert not plan(scan0) and plan.reached is None
 
     def test_trace_zero_map_stops_at_its_witness(self):
         # JH of (z2^2, z1^2) has trace 0, so the first nonzero value is at m=2
@@ -540,8 +539,8 @@ class TestWitnessStop:
             for item in gen_corpus(CorpusSpec(n=n, family="control", seed=seed)):
                 rep = check_equivalences(item.h, 5)
                 full = vanishing_scan(item.h, {0: max(5, n)})
-                assert rep.checks == equivalence_checks(item.h, rep.certificate, full, None), (
-                    item.item_id, seed)
+                plan = EquivalencePlan(item.h, 5, rep.certificate, None)
+                assert rep.checks == plan.checks(full), (item.item_id, seed)
 
 
 def _count_calls(monkeypatch, names):

@@ -247,6 +247,14 @@ class TestJacobianAndDet:
         m = deformation_matrix(MapTuple.exact((SparsePoly.zero(z3),) * 3))
         assert det(m) == SparsePoly.one(VarSet.zt(3))
 
+    def test_det_does_not_nest_per_row(self):
+        # far past the default recursion limit; one zero object fills every
+        # off-diagonal entry, so the matrix is cheap to build
+        vs, n = VarSet.z(1), 1100
+        zero, diagonal = SparsePoly.zero(vs), SparsePoly.monomial(vs, (1,), 2)
+        m = PolyMatrix([[diagonal if i == j else zero for j in range(n)] for i in range(n)])
+        assert det(m) == SparsePoly.monomial(vs, (n,), 2 ** n)
+
     def test_cofactor_matches_bareiss_random(self):
         rng = random.Random(99)
         vs = VarSet.z(3)
