@@ -46,6 +46,7 @@ from .lab import (
     CorpusSpec,
     EquivalencePlan,
     check_equivalences,
+    deformation_det,
     gen_corpus,
     is_nilpotent,
     standard_corpus,
@@ -258,7 +259,9 @@ def cmd_lab(args) -> Report:
     if wanted in ("nilpotent", "all"):
         checks.append(passed_check(
             "nilpotency certificate", detail=f"nilpotent={cert.nilpotent}"))
-        result["det_deformation"] = render_poly(cert.det_deformation)
+        # the report shows the whole determinant, which a cut certificate lacks
+        whole = deformation_det(h) if cert.cut else cert.det_deformation
+        result["det_deformation"] = render_poly(whole)
     if cert is not None:
         result["nilpotent"] = cert.nilpotent
     for rep in (scans[k].through(args.m_max) for k in shown if k in scans):

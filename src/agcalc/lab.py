@@ -8,6 +8,11 @@ maps are rejected, and every scan value is a genuine polynomial identity.
 The xi-degree-1 series is proved exactly, as the one fixed point
 N_t = H(z + t*N_t); the Jacobian series is compared with the deformed oracle.
 
+JH is nilpotent exactly when det(I - t*JH) = 1 - t*tr JH + O(t^2) is 1.
+is_nilpotent reads tr JH off the diagonal of JH first: a nonzero trace is
+the verdict, not nilpotent, and the certificate stops at t^1; the whole
+determinant is formed only when the trace is zero.
+
 Both vanishing scans, lambda^m(P^m) and lambda^m(P^(m+1)) for P = <xi, H>,
 are read off one chain of powers P^j: the k=1 value at m = j - 1 is a step
 on the way to the k=0 value at m = j.  lambda is applied to P^j only up to
@@ -78,20 +83,48 @@ def _require_exact(h: MapTuple) -> None:
 
 
 class NilpotencyCertificate(Record):
+    """det(I - t*JH) over (z, t), whole or cut at t^1, and the verdict it proves.
+
+    det(I - t*JH) = 1 - t*tr JH + O(t^2).  When tr JH != 0 that much already
+    differs from 1, so is_nilpotent holds the determinant only through t^1
+    (cut); when tr JH = 0 it holds the whole determinant, which is 1
+    exactly when JH is nilpotent.
+    """
+
     __slots__ = ("det_deformation",)
 
     def __init__(self, det_deformation: SparsePoly) -> None:
-        set_field(self, "det_deformation", det_deformation)  # det(I - t*JH) over (z, t)
+        set_field(self, "det_deformation", det_deformation)
 
     @property
     def nilpotent(self) -> bool:
         return self.det_deformation == SparsePoly.one(self.det_deformation.vars)
 
+    @property
+    def cut(self) -> bool:
+        """Its t^1 part, -t*tr JH, is nonzero: is_nilpotent stopped the determinant there."""
+        return self.det_deformation.truncate_t(1) != SparsePoly.one(self.det_deformation.vars)
+
+
+def deformation_det(h: MapTuple) -> SparsePoly:
+    """The whole det J(z - t*H) = det(I - t*JH) over (z, t), by cofactors."""
+    return det(jacobian(f_from_h(_deformed_map(h))))
+
 
 def is_nilpotent(h: MapTuple) -> NilpotencyCertificate:
-    """JH is nilpotent exactly when det J(z - t*H) = det(I - t*JH) collapses to 1."""
+    """JH is nilpotent exactly when det J(z - t*H) = det(I - t*JH) collapses to 1.
+
+    The determinant's t^1 coefficient is -tr JH, read off the diagonal of JH
+    with no product.  A nonzero trace decides the verdict, not nilpotent,
+    and the certificate is 1 - t*tr JH; only a map with tr JH = 0 (every
+    nilpotent one among them) has its whole determinant formed.
+    """
     _require_exact(h)
-    return NilpotencyCertificate(det(jacobian(f_from_h(_deformed_map(h)))))
+    trace = sum((c.diff_z(i) for i, c in enumerate(h.components)), SparsePoly.zero(h.vars))
+    if trace.is_zero:
+        return NilpotencyCertificate(deformation_det(h))
+    zt = VarSet.zt(h.n)
+    return NilpotencyCertificate(SparsePoly.one(zt) - trace.lift(zt).mul(SparsePoly.t_var(zt)))
 
 
 # -- vanishing scans ---------------------------------------------------------
@@ -294,9 +327,10 @@ def nt_pairing_series(h: MapTuple, mmax: int) -> SparsePoly:
     """
     cert = is_nilpotent(h)
     if not cert.nilpotent:
+        cut = " + O(t^2), cut at t^1" if cert.cut else ""
         raise PreconditionError(
             "the deformed-inverse series needs JH nilpotent (deformed Jacobian == 1); "
-            f"certificate: det(I - t*JH) = {cert.det_deformation}")
+            f"certificate: det(I - t*JH) = {cert.det_deformation}{cut}")
     (scan,) = vanishing_scan(h, {1: mmax})
     return _verified_series(_nt_series_report(h, scan))
 
@@ -618,7 +652,9 @@ def _control_map(rng, n: int, idx: int) -> MapTuple:
     """Item idx of a control cell, certified non-nilpotent by one is_nilpotent.
 
     For n = 1, and for item 0 of n = 2, it is the canonical (z1^2, 0, ...),
-    which draws nothing from rng.
+    which draws nothing from rng.  A draw is redrawn only when it is
+    nilpotent; its Jacobian trace decides that unless the trace cancels,
+    and only then is the whole det(I - t*JH) formed.
     """
     vs = VarSet.z(n)
     canonical = n == 1 or (n == 2 and idx == 0)

@@ -606,6 +606,22 @@ class TestWorkCounts:
             assert counts == {"is_nilpotent": int(checks not in ("scan0", "scan1")),
                               "vanishing_scan_poly": int(checks != "nilpotent")}, checks
 
+    def test_lab_forms_the_whole_determinant_at_most_once(self, control_map, tmp_path,
+                                                          monkeypatch, capsys):
+        # a nonzero trace decides the certificate, so only the modes that show
+        # det_deformation form it; with tr JH = 0 the certificate forms it and
+        # the report reuses it
+        swap = tmp_path / "swap.json"
+        save_map_file(swap, MapTuple.exact((SparsePoly.monomial(Z2, (0, 2)),
+                                            SparsePoly.monomial(Z2, (2, 0)))))
+        counts = _count_calls(monkeypatch, [agcalc.lab.deformation_det])
+        for path, formed in ((control_map, {"nilpotent": 1, "equiv": 0, "all": 1}),
+                             (str(swap), {"nilpotent": 1, "equiv": 1, "all": 1})):
+            for checks in ("nilpotent", "scan0", "scan1", "equiv", "all"):
+                counts.update(deformation_det=0)
+                assert main(["lab", path, "--checks", checks]) == 0
+                assert counts == {"deformation_det": formed.get(checks, 0)}, (path, checks)
+
 
 class TestStartup:
     def test_cli_import_loads_no_dataclasses(self):

@@ -22,6 +22,7 @@ from agcalc.lab import (
     NilpotencyCertificate,
     VanishingReport,
     check_equivalences,
+    deformation_det,
     deformed_tail_components,
     gen_corpus,
     gt_jacobian_series,
@@ -31,7 +32,7 @@ from agcalc.lab import (
     vanishing_scan,
     vanishing_scan_poly,
 )
-from agcalc.poly import MapTuple, SparsePoly, VarSet, det, xi_pairing
+from agcalc.poly import MapTuple, SparsePoly, VarSet, det, jacobian, xi_pairing
 from poly_reference import _det_bareiss, deformation_matrix, scan_value
 
 Z1 = VarSet.z(1)
@@ -56,6 +57,45 @@ def wide_2d():
     ))
 
 
+def random_maps(rng, ns):
+    """Three seeded maps per n in ns: 0-3 terms of degree 2-3 per component."""
+    maps = []
+    for n in ns:
+        vs = VarSet.z(n)
+        for _ in range(3):
+            comps = []
+            for _ in range(n):
+                terms = {}
+                for _ in range(rng.randint(0, 3)):
+                    exps = [0] * n
+                    for _ in range(rng.randint(2, 3)):
+                        exps[rng.randrange(n)] += 1
+                    terms[tuple(exps)] = rng.choice([-2, -1, 1, 2])
+                comps.append(SparsePoly(vs, terms))
+            maps.append(MapTuple.exact(tuple(comps)))
+    return maps
+
+
+def trace_zero_controls():
+    """(z2^2, z1^2) and (z2^2, z3^2, z1^2): tr JH = 0, yet JH is not nilpotent."""
+    z2, z3 = VarSet.z(2), VarSet.z(3)
+    return [MapTuple.exact((SparsePoly.monomial(z2, (0, 2)), SparsePoly.monomial(z2, (2, 0)))),
+            MapTuple.exact((SparsePoly.monomial(z3, (0, 2, 0)), SparsePoly.monomial(z3, (0, 0, 2)),
+                            SparsePoly.monomial(z3, (2, 0, 0))))]
+
+
+def nilpotency_maps():
+    """Seeded random maps (n = 1..5), triangular corpus maps (n = 1..4), trace-zero controls."""
+    triangular = [i.h for n in range(1, 5)
+                  for i in gen_corpus(CorpusSpec(n=n, family="triangular", count=2, seed=n))]
+    return random_maps(random.Random(31), range(1, 6)) + triangular + trace_zero_controls()
+
+
+def jacobian_trace(h):
+    jh = jacobian(h)
+    return sum((jh.entry(i, i) for i in range(h.n)), SparsePoly.zero(h.vars))
+
+
 class TestNilpotency:
     def test_triangular_is_nilpotent(self):
         cert = is_nilpotent(triangular_2d())
@@ -78,33 +118,62 @@ class TestNilpotency:
             is_nilpotent(h)
 
     def test_certificate_matches_entrywise_reference(self):
-        # the certificate is det J(z - t*H); the reference builds I - t*JH
-        # entry by entry and takes its determinant by cofactors and by Bareiss
-        rng = random.Random(17)
-        maps = []
+        # the whole determinant is det J(z - t*H); the reference builds
+        # I - t*JH entry by entry and takes its determinant by cofactors and
+        # by Bareiss.  The certificate is that determinant where tr JH = 0,
+        # and its part through t^1 where the trace already decides
+        maps = random_maps(random.Random(17), range(1, 5))
         for n in range(1, 5):
-            vs = VarSet.z(n)
-            for _ in range(3):
-                comps = []
-                for _ in range(n):
-                    terms = {}
-                    for _ in range(rng.randint(0, 3)):
-                        exps = [0] * n
-                        for _ in range(rng.randint(2, 3)):
-                            exps[rng.randrange(n)] += 1
-                        terms[tuple(exps)] = rng.choice([-2, -1, 1, 2])
-                    comps.append(SparsePoly(vs, terms))
-                maps.append(MapTuple.exact(tuple(comps)))
             families = ("triangular", "cubic") if n > 1 else ("triangular",)
             for family in families:
                 maps += [i.h for i in gen_corpus(CorpusSpec(n=n, family=family, count=2, seed=n))]
-        verdicts = set()
+        verdicts, cuts = set(), set()
         for h in maps:
             m = deformation_matrix(h)
+            whole = deformation_det(h)
+            assert whole == det(m) == _det_bareiss(m)
             cert = is_nilpotent(h)
-            assert cert.det_deformation == det(m) == _det_bareiss(m)
+            cut = not jacobian_trace(h).is_zero
+            assert cert.det_deformation == (det(m).truncate_t(1) if cut else det(m))
+            assert cert.cut == cut
             verdicts.add(cert.nilpotent)
-        assert verdicts == {True, False}
+            cuts.add(cut)
+        assert verdicts == cuts == {True, False}
+
+    def test_verdict_is_whether_the_determinant_is_one(self):
+        verdicts = set()
+        for h in nilpotency_maps():
+            whole = det(deformation_matrix(h))
+            cert = is_nilpotent(h)
+            assert cert.nilpotent == (whole == SparsePoly.one(whole.vars))
+            verdicts.add((cert.nilpotent, cert.cut))
+        # trace-zero maps that are not nilpotent are among them
+        assert verdicts == {(True, False), (False, False), (False, True)}
+        for h in trace_zero_controls():
+            cert = is_nilpotent(h)
+            assert not cert.nilpotent and not cert.cut
+
+    def test_nonzero_trace_forms_no_determinant(self, monkeypatch):
+        formed = []
+        real = agcalc.lab.det
+
+        def counted(m, *args, **kwargs):
+            formed.append(m.dim)
+            return real(m, *args, **kwargs)
+        monkeypatch.setattr(agcalc.lab, "det", counted)
+        assert not is_nilpotent(diagonal_2d()).nilpotent
+        assert formed == []
+        swap = trace_zero_controls()[0]  # (z2^2, z1^2)
+        assert is_nilpotent(swap).det_deformation == (
+            SparsePoly.one(ZT2) - SparsePoly.monomial(ZT2, (1, 1, 2), 4))
+        assert formed == [2]
+
+    def test_first_scan_value_is_the_trace(self):
+        # lambda(<xi, H>) = sum_i dH_i/dz_i: the k=0 scan at m=1 reads the
+        # trace off P, while is_nilpotent reads it off JH
+        for h in nilpotency_maps():
+            (scan,) = vanishing_scan(h, {0: 1})
+            assert scan.value(1).drop_xi() == jacobian_trace(h)
 
 
 class TestVanishingScan:
@@ -281,8 +350,12 @@ class TestNtSeries:
         assert series == SparsePoly.monomial(xizt, (1, 0, 0, 3, 0))
 
     def test_non_nilpotent_refused(self):
-        with pytest.raises(PreconditionError):
+        # the message says when the certificate it prints stops at t^1
+        cut = r"= -2\*z1\*t \+ 1 \+ O\(t\^2\), cut at t\^1$"
+        with pytest.raises(PreconditionError, match=cut):
             nt_pairing_series(diagonal_2d(), 3)
+        with pytest.raises(PreconditionError, match=r"= -4\*z1\*z2\*t\^2 \+ 1$"):
+            nt_pairing_series(trace_zero_controls()[0], 3)
 
     def test_components_recovered(self):
         n_t = deformed_tail_components(triangular_2d(), 4)
