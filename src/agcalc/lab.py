@@ -6,7 +6,8 @@ Jacobian of the deformed inverse, and its xi-degree-1 part recovers the
 deformed inverse tail itself.  Everything here is exact: series-truncated
 maps are rejected, and every scan value is a genuine polynomial identity.
 The xi-degree-1 series is proved exactly, as the one fixed point
-N_t = H(z + t*N_t); the Jacobian series is compared with the deformed oracle.
+N_t = H(z + t*N_t).  The Jacobian series is 1 on a nilpotent map, det JG_t
+by the chain rule; gt_jacobian_series also compares it with the oracle.
 
 JH is nilpotent exactly when det(I - t*JH) = 1 - t*tr JH + O(t^2) is 1.
 is_nilpotent reads tr JH off the diagonal of JH first: a nonzero trace is
@@ -268,16 +269,6 @@ def _scan_series(scan: VanishingReport) -> SparsePoly:
     return weighted_sum(xizt, terms())
 
 
-def _jacobian_series_report(h: MapTuple, scan0: VanishingReport) -> IdentityReport:
-    """The k=0 series against det(jacobian(G_t)), G_t the deformed oracle inverse."""
-    series = _scan_series(scan0).drop_xi()
-    z_window = max(int(series.degree()), 0)
-    oracle_bound = z_window + 1  # one extra degree: the determinant differentiates
-    oracle = invert_fixed_point(_deformed_map(h), oracle_bound)  # the z-cut bounds t too
-    jg = det(jacobian(oracle.G), trunc=z_window).truncate_t(scan0.mmax)
-    return IdentityReport("deformed Jacobian series", series, jg)
-
-
 def _nt_series_report(h: MapTuple, scan1: VanishingReport) -> IdentityReport:
     """The k=1 series against <xi, H(G_t)>, G_t = z + t*N_t with N_t read off the series.
 
@@ -314,7 +305,12 @@ def gt_jacobian_series(h: MapTuple, mmax: int) -> SparsePoly:
     VerificationError naming the offending coefficient.
     """
     (scan,) = vanishing_scan(h, {0: mmax})
-    return _verified_series(_jacobian_series_report(h, scan))
+    series = _scan_series(scan).drop_xi()
+    z_window = max(int(series.degree()), 0)
+    oracle_bound = z_window + 1  # one extra degree: the determinant differentiates
+    oracle = invert_fixed_point(_deformed_map(h), oracle_bound)  # the z-cut bounds t too
+    jg = det(jacobian(oracle.G), trunc=z_window).truncate_t(mmax)
+    return _verified_series(IdentityReport(JACOBIAN_SERIES, series, jg))
 
 
 def nt_pairing_series(h: MapTuple, mmax: int) -> SparsePoly:
@@ -371,6 +367,7 @@ class EquivalenceReport(Record):
 
 STABILIZES = "deformed inverse stabilizes at known t-degree"
 VANISHES = "nilpotent iff scan vanishes"
+JACOBIAN_SERIES = "deformed Jacobian series"
 
 
 class EquivalencePlan:
@@ -389,7 +386,8 @@ class EquivalencePlan:
     depth, and ends the k=1 scan at the first m where it holds.
     N -> H(z + t*N) has one fixed point in Q[[z, t]], so a certificate
     proves every later value zero: the stabilization index is then the last
-    nonzero m, and scanning further adds no evidence.
+    nonzero m, and scanning further adds no evidence.  Check (iii) forms no
+    inverse: it sets the k=0 series against 1, det JG_t by the chain rule.
     """
 
     __slots__ = ("h", "nilpotent", "known", "depths", "reached", "_tried")
@@ -436,18 +434,17 @@ class EquivalencePlan:
                     VANISHES, witness=f"first nonzero at m={m}",
                     detail=f"non-nilpotent instance needs a witness at m <= n={n}")
             return (vanishes, skipped_check(STABILIZES, detail="not nilpotent"),
-                    skipped_check("deformed Jacobian series", detail="not nilpotent"))
+                    skipped_check(JACOBIAN_SERIES, detail="not nilpotent"))
         if m is None:
             vanishes = passed_check(
                 VANISHES, detail=f"det certificate 1; scan zero through m={scan0.mmax}")
         else:
             vanishes = failed_check(VANISHES, witness=f"m={m}: {render_poly(scan0.value(m))}",
                                     detail="nilpotent certificate but nonzero scan value")
-        index_checks = self._index_checks(scans[1])
-        oracle = _jacobian_series_report(self.h, scan0)
-        unit = IdentityReport(oracle.name, oracle.lhs, SparsePoly.one(oracle.lhs.vars),
-                              detail="equals 1, oracle agrees")
-        return (vanishes, *index_checks, first_failure((oracle, unit)).check)
+        series = _scan_series(scan0).drop_xi()
+        unit = IdentityReport(JACOBIAN_SERIES, series, SparsePoly.one(series.vars), detail=(
+            "equals 1 = det JG_t, from the certificate by the chain rule"))
+        return (vanishes, *self._index_checks(scans[1]), unit.check)
 
     def _index_checks(self, scan: VanishingReport) -> tuple[Check, Check]:
         """Check (ii): the index check and the certificate, on the k=1 scan this plan stopped."""
@@ -486,8 +483,9 @@ def check_equivalences(h: MapTuple, mmax: int, *,
           known t-degree d bounds the scan at max(d, 1) and must equal the
           proved index; without one the scan runs to mmax, and an index not
           proved by then is a skip naming the m reached.
-    (iii) the deformed-Jacobian series cross-checks (and equals 1 when
-          nilpotent).  Skipped for non-nilpotent instances.
+    (iii) on a nilpotent instance, the k=0 series equals 1, as the
+          certificate gives det JG_t = 1 by the chain rule.  Skipped for
+          non-nilpotent instances.
     The report holds the certificate, the scans of an EquivalencePlan (read
     off one vanishing_scan chain it stops) and the checks; the series of (ii)
     and (iii) are summed from the scans.  When the term ceiling trips, the

@@ -69,17 +69,17 @@ GOLDEN = {  # (command key, format): sha256 of stdout
     ("invert-catalan", "text"):
         "f0944ebc784ce18e048d6e8655ef36c6e2faccf75e3f337d14b1de236162a5e8",
     ("lab-chain", "json"):
-        "95e5d30638867039de73414a947ee809fe8aa0b49933e32671b86a1155eba77b",
+        "901ad32dcec14607d1491c3cf9088569c3f05a173c1ad8e1705b3a6fc308e122",
     ("lab-chain", "text"):
-        "f49db8ae8f31a4b999c0bd2d6163c2114f7a04445097d94a8ce894f11390baa6",
+        "dc30c7ad490bbff814459ec19a9a31cb5d5302ec25e4200cfa5c1f8ecfc5eef3",
     ("lab-control", "json"):
         "9dd78e90cbbf595201dd937a7fc443e1cc5b1500ddfde483c4a86d3087f774de",
     ("lab-control", "text"):
         "9b0ab2cd8b319ffcf9440caa37fa4be8c96f21acd88eb61023641a38ae966cd1",
     ("lab-triangular", "json"):
-        "2e2689d4793984d43ca84308475faebb6a33e1a098b506fce6d56f87fe860e8b",
+        "24a8108a516e4e9eb16a47bdfdda4b1d2fefb08e9275c35acf8ab6815f26a37d",
     ("lab-triangular", "text"):
-        "2badf60ecd3483567f01aad2687207a82d3d353b585fb37fb39aaa5cb58762a9",
+        "7bf57cbb9ded5f7551347508e4e9c42a45e07b47cca4d85c50fab76daa18ce25",
     ("verify-square", "json"):
         "6d759063f579b473b6394551ce589015aea4a622c89c9d0fc5ac473eab8ec32e",
     ("verify-square", "text"):

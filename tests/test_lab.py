@@ -7,6 +7,7 @@ import time
 import pytest
 
 import agcalc.lab
+from agcalc import cli
 from agcalc.errors import (
     ContractViolation,
     PreconditionError,
@@ -32,8 +33,10 @@ from agcalc.lab import (
     vanishing_scan,
     vanishing_scan_poly,
 )
+from agcalc.mapfile import save_map_file
 from agcalc.poly import MapTuple, SparsePoly, VarSet, det, jacobian, xi_pairing
 from poly_reference import _det_bareiss, deformation_matrix, scan_value
+from test_golden import COMMANDS, FIXTURES
 
 Z1 = VarSet.z(1)
 Z2 = VarSet.z(2)
@@ -664,12 +667,12 @@ class TestEquivalenceWork:
     COUNTED = ("is_nilpotent", "vanishing_scan_poly", "invert_fixed_point")
 
     def test_nilpotent_item_scans_once_per_k(self, monkeypatch):
-        # both scans are read off one chain
+        # both scans are read off one chain, and check (iii) forms no inverse
         counts = _count_calls(monkeypatch, self.COUNTED)
         rep = check_equivalences(triangular_2d(), 4, known_nt_degree=0)
         assert rep.passed
         assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": 1,
-                          "invert_fixed_point": 1}
+                          "invert_fixed_point": 0}
 
     def test_control_item_scans_once(self, monkeypatch):
         counts = _count_calls(monkeypatch, self.COUNTED)
@@ -678,15 +681,25 @@ class TestEquivalenceWork:
         assert counts == {"is_nilpotent": 1, "vanishing_scan_poly": 1,
                           "invert_fixed_point": 0}
 
+    def test_checks_form_no_inverse(self, monkeypatch, tmp_path, capsys):
+        # check (iii) reads det JG_t = 1 off the certificate, in the library and the CLI
+        def refuse(*args, **kwargs):
+            raise AssertionError("the equivalence checks formed a fixed-point inverse")
+        monkeypatch.setattr(agcalc.lab, "invert_fixed_point", refuse)
+        for seed in range(3):
+            for item in standard_corpus(seed):
+                if item.is_polynomial:
+                    rep = check_equivalences(item.h, 4, known_nt_degree=item.nt_degree)
+                    assert rep.passed, item.item_id
+        monkeypatch.chdir(tmp_path)
+        for key in ("lab-triangular", "lab-chain"):  # the nilpotent golden fixtures
+            save_map_file(tmp_path / COMMANDS[key][1], *FIXTURES[COMMANDS[key][1]])
+            for checks in ("equiv", "all"):
+                assert cli.main(COMMANDS[key] + ["--checks", checks]) == 0, capsys.readouterr()
+
 
 class TestEquivalenceFailures:
     """A disagreeing side is a failing check naming the first differing monomial."""
-
-    def test_oracle_mismatch_witnesses(self, monkeypatch):
-        _perturb_oracle(monkeypatch, g=_add_z1_t, n=_add_z1_t)
-        checks = _checks_by_name(check_equivalences(triangular_2d(), 4, known_nt_degree=0))
-        jac = checks["deformed Jacobian series"]
-        assert (jac.status, jac.witness) == ("fail", "t: 0 vs 1")
 
     def test_series_not_xi_linear(self, monkeypatch):
         _add_to_k1_scan(monkeypatch, (2, 0, 0, 2))  # xi1^2*z2^2
@@ -703,7 +716,7 @@ class TestEquivalenceFailures:
         assert (cross.status, cross.witness) == ("fail", "xi1*z1^2: 1 vs 0")
 
     def test_jacobian_series_must_equal_one(self, monkeypatch):
-        # a false nilpotency verdict: the oracle agrees with the series, which is not 1
+        # a false nilpotency verdict: the certificate promises det JG_t = 1, the series is not 1
         monkeypatch.setattr(agcalc.lab, "is_nilpotent",
                             lambda h: NilpotencyCertificate(SparsePoly.one(ZT2)))
         rep = check_equivalences(diagonal_2d(), 2)
