@@ -296,6 +296,8 @@ def cmd_lab(args) -> Report:
 
 
 def _corpus_items(args):
+    # the mixed corpus draws its own counts, but every report records --count
+    _require_min(args.count, 1, "corpus count")
     if args.family == "mixed":
         return standard_corpus(seed=args.seed)
     if args.n is None:

@@ -146,7 +146,7 @@ def jacobian_factor(h: MapTuple, bound: int) -> SparsePoly:
 
 
 def _require_jf(h: MapTuple, jf: SparsePoly) -> SparsePoly:
-    if jf.vars != h.vars:
+    if jf.vars is not h.vars:
         raise ContractViolation(f"JF over {jf.vars.kind}(n={jf.vars.n}) does not meet a map "
                                 f"over {h.vars.kind}(n={h.vars.n})")
     return jf
@@ -164,7 +164,7 @@ def _route_result(tail: Sequence[SparsePoly], method: str, bound: int,
 
 def _require_oracle(oracle: InversionResult, h: MapTuple, need: int) -> None:
     if not (isinstance(oracle, InversionResult) and oracle.method == FIXED_POINT
-            and oracle.D >= need and oracle.G.vars == h.vars):
+            and oracle.D >= need and oracle.G.vars is h.vars):
         raise ContractViolation(f"oracle must be the fixed-point inverse to z-degree >= {need}"
                                 f" over the map's n={h.n} variables")
 

@@ -16,8 +16,9 @@ The kernel loops read that order.  A truncated mul walks the keys of its
 left operand in ascending order, as Monagan & Pearce process terms in
 sorted order, and bisects the sorted right operand for each row's window;
 since the key of a larger z-degree is larger, the rows only shrink, and
-the walk stops at the first empty one, so a product that is empty by
-order costs its sorts and one comparison.  lambda_apply groups the terms
+the walk stops at the first empty one.  A product that is empty by order
+costs the sort of its right operand and one min() of its left one, which
+is never sorted.  lambda_apply groups the terms
 by xi-part (key & xi_mask): terms of one group share the xi-exponents
 a_i, so each a_i is read once per group, and per term only the z-field of
 a nonzero a_i.  weighted_sum streams (term, weight) pairs into one dict
@@ -37,10 +38,12 @@ lambda_apply among them, lives here.
 
 The variable layout is fixed by a VarSet: an optional xi-block
 (xi1..xin), then the z-block (z1..zn), then an optional deformation
-variable t.  All four layouts share one exponent-tuple convention, and the
-z- and t-fields of a key sit at the same place in every layout with the
-same t, so moving a polynomial between compatible layouts is a shift of
-its keys (see SparsePoly.lift).
+variable t.  Layouts are interned, one object per (kind, n) that carries
+its key arithmetic, so a layout check is an identity test.  All four
+layouts share one exponent-tuple convention, and the z- and t-fields of a
+key sit at the same place in every layout with the same t, so moving a
+polynomial between compatible layouts is a shift of its keys (see
+SparsePoly.lift).
 
 Degrees and truncation are always measured in the z-block alone:
 order() is the minimal z-total-degree of any term (+inf for 0),
@@ -63,10 +66,10 @@ import math
 import struct
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import chain, islice
 from math import gcd, lcm, perm
-from operator import mul, or_
+from operator import index, mul, or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import CompositionError, ContractViolation, TruncationError
@@ -86,28 +89,43 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 MAX_EXPONENT = (1 << (_FIELD_BITS - 1)) - 1  # the top bit of a field is its guard
 
 
+_LAYOUTS: dict[tuple[str, int], "VarSet"] = {}  # the one VarSet of each (kind, n)
+
+
 class VarSet(Record):
-    """Variable layout (xi1..xin | z1..zn | t) restricted by kind."""
+    """Variable layout (xi1..xin | z1..zn | t) restricted by kind.
 
-    __slots__ = ("kind", "n")
+    There is one VarSet per (kind, n): the constructor, the classmethods,
+    with_xi, without_xi, pickle and copy all return it.  So two layouts are
+    equal exactly when they are one object, and equality and hash are those
+    of the object, as cheap as the kernel's checks need.  A layout is
+    validated once, when first asked for, and carries the key arithmetic of
+    its packed storage in _pk.
+    """
 
-    def __init__(self, kind: str, n: int) -> None:
-        if kind not in _ALL_KINDS:
-            raise ContractViolation(f"unknown variable kind {kind!r}")
-        if n < 1:
-            raise ContractViolation("variable count n must be >= 1")
-        set_field(self, "kind", kind)
-        set_field(self, "n", n)
+    __slots__ = ("kind", "n", "_pk")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    # spelled out, not read from Record: the kernel hashes and compares
-    # layouts on every product
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.kind == other.kind and self.n == other.n
-        return NotImplemented
+    def __new__(cls, kind: str, n: int) -> "VarSet":
+        vs = _LAYOUTS.get((kind, n))
+        if vs is None:
+            if kind not in _ALL_KINDS:
+                raise ContractViolation(f"unknown variable kind {kind!r}")
+            if n < 1:
+                raise ContractViolation("variable count n must be >= 1")
+            vs = object.__new__(cls)
+            set_field(vs, "kind", kind)
+            set_field(vs, "n", index(n))  # a plain int, so n=True is the layout of n=1
+            set_field(vs, "_pk", _Packing(vs))
+            _LAYOUTS[kind, vs.n] = vs
+        return vs
 
-    def __hash__(self) -> int:
-        return hash((self.kind, self.n))
+    def __reduce__(self):  # pickle and copy return the one layout
+        return (VarSet, (self.kind, self.n))
+
+    def __repr__(self) -> str:
+        return f"VarSet(kind={self.kind!r}, n={self.n!r})"
 
     @classmethod
     def z(cls, n: int) -> "VarSet":
@@ -206,11 +224,6 @@ class _Packing:
         return sum((key >> s) & _FIELD_MASK for s in self.xi_shifts)
 
 
-@cache
-def _packing(vs: VarSet) -> _Packing:
-    return _Packing(vs)
-
-
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -239,9 +252,9 @@ _new = object.__new__
 def _make(vs: VarSet, terms: dict[int, int], den: int) -> "SparsePoly":
     """A polynomial from storage that is already canonical."""
     p = _new(SparsePoly)
-    set_field(p, "vars", vs)
-    set_field(p, "_terms", terms)
-    set_field(p, "_den", den)
+    _set_vars(p, vs)
+    _set_terms(p, terms)
+    _set_den(p, den)
     return p
 
 
@@ -288,7 +301,7 @@ class SparsePoly(Record):
     __slots__ = ("vars", "_terms", "_den")
 
     def __init__(self, vars: VarSet, terms: Mapping[Exponent, Fraction | int | str]) -> None:
-        pk = _packing(vars)
+        pk = vars._pk
         nv = len(pk.shifts)
         try:
             keys = [tuple(e) for e in terms]
@@ -334,7 +347,7 @@ class SparsePoly(Record):
     def variable(cls, vs: VarSet, index: int) -> "SparsePoly":
         if not 0 <= index < vs.nvars:
             raise ContractViolation(f"variable index {index} out of range")
-        return _make(vs, {_packing(vs).units[index]: 1}, 1)
+        return _make(vs, {vs._pk.units[index]: 1}, 1)
 
     @classmethod
     def z_var(cls, vs: VarSet, i: int) -> "SparsePoly":
@@ -352,7 +365,7 @@ class SparsePoly(Record):
 
     def items(self) -> list[tuple[Exponent, Fraction]]:
         """The (exponent, coefficient) pairs, every coefficient nonzero."""
-        exps, den = _packing(self.vars).exps, self._den
+        exps, den = self.vars._pk.exps, self._den
         return [(exps(k), Fraction(v, den)) for k, v in self._terms.items()]
 
     @property
@@ -365,7 +378,7 @@ class SparsePoly(Record):
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
         exps = tuple(exps)
-        pk = _packing(self.vars)
+        pk = self.vars._pk
         if len(exps) != len(pk.shifts):
             raise ContractViolation(
                 f"exponent {exps} has {len(exps)} entries; layout "
@@ -379,13 +392,13 @@ class SparsePoly(Record):
         """Minimal z-total-degree of a term; +inf for the zero polynomial."""
         if not self._terms:
             return INF
-        return min(self._terms) >> _packing(self.vars).shift
+        return min(self._terms) >> self.vars._pk.shift
 
     def degree(self) -> int | float:
         """Maximal z-total-degree of a term; -inf for the zero polynomial."""
         if not self._terms:
             return NEG_INF
-        return max(self._terms) >> _packing(self.vars).shift
+        return max(self._terms) >> self.vars._pk.shift
 
     def eta(self) -> int | float:
         """Phase grading: min over terms of z-degree minus xi-degree (t ignored)."""
@@ -393,12 +406,12 @@ class SparsePoly(Record):
             raise ContractViolation("eta grading needs a xi-block")
         if not self._terms:
             return INF
-        pk = _packing(self.vars)
+        pk = self.vars._pk
         return min((k >> pk.shift) - pk.xi_degree(k) for k in self._terms)
 
     def xi_degrees(self) -> set[int]:
         """The xi-degrees of the terms, read once per distinct xi-part."""
-        pk = _packing(self.vars)
+        pk = self.vars._pk
         return set(map(pk.xi_degree, {k & pk.xi_mask for k in self._terms}))
 
     def max_t_degree(self) -> int:
@@ -411,10 +424,8 @@ class SparsePoly(Record):
     def _check_same(self, other: "SparsePoly") -> None:
         if not isinstance(other, SparsePoly):
             raise ContractViolation(f"expected SparsePoly, got {type(other).__name__}")
-        if other.vars is not self.vars and other.vars != self.vars:
-            raise ContractViolation(
-                f"variable layout mismatch: {self.vars.kind}(n={self.vars.n}) vs "
-                f"{other.vars.kind}(n={other.vars.n})")
+        if other.vars is not self.vars:
+            raise _layout_mismatch(self.vars, other.vars)
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_same(other)
@@ -444,9 +455,10 @@ class SparsePoly(Record):
         """Product; terms of z-total-degree > trunc are dropped when trunc is given."""
         self._check_same(other)
         a, b = self._terms, other._terms
+        vs = self.vars
         if not a or not b:
-            return SparsePoly.zero(self.vars)
-        pk = _packing(self.vars)
+            return _make(vs, {}, 1)
+        pk = vs._pk
         out: dict[int, int] = {}
         get = out.get
         if trunc is None:
@@ -461,8 +473,10 @@ class SparsePoly(Record):
             # from the first k1 >= stop on every row is empty
             limit = (trunc + 1) << pk.shift
             bk = sorted(b)
-            bl = [(k, b[k]) for k in bk]
             stop = limit - bk[0]
+            if min(a) >= stop:  # empty by order: a is not sorted
+                return _make(vs, {}, 1)
+            bl = [(k, b[k]) for k in bk]
             for k1 in sorted(a):
                 if k1 >= stop:
                     break
@@ -474,7 +488,7 @@ class SparsePoly(Record):
         if reduce(or_, out, 0) & pk.guard:
             raise ContractViolation(
                 f"product has an exponent above the per-variable limit {MAX_EXPONENT}")
-        return _reduced(self.vars, out, self._den * other._den)
+        return _reduced(vs, out, self._den * other._den)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         return self.mul(other)
@@ -493,7 +507,7 @@ class SparsePoly(Record):
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return (self._den == other._den and self._terms == other._terms
-                and self.vars == other.vars)
+                and self.vars is other.vars)
 
     __hash__ = None  # mutable mapping inside; equality is structural
 
@@ -503,7 +517,7 @@ class SparsePoly(Record):
         """Partial derivative with respect to the variable at absolute index."""
         if not 0 <= index < self.vars.nvars:
             raise ContractViolation(f"variable index {index} out of range")
-        pk = _packing(self.vars)
+        pk = self.vars._pk
         s, unit = pk.shifts[index], pk.units[index]
         out: dict[int, int] = {}
         for k, v in self._terms.items():
@@ -520,7 +534,7 @@ class SparsePoly(Record):
         vs = self.vars
         if len(alpha) != vs.n:
             raise ContractViolation("derivative multi-index length must equal n")
-        pk = _packing(vs)
+        pk = vs._pk
         zs = vs.z_start
         steps = [(pk.shifts[zs + i], a) for i, a in enumerate(alpha) if a]
         drop = sum(a * pk.units[zs + i] for i, a in enumerate(alpha))
@@ -546,7 +560,7 @@ class SparsePoly(Record):
         return _reduced(self.vars, kept, self._den)
 
     def truncate_z(self, bound: int) -> "SparsePoly":
-        limit = (bound + 1) << _packing(self.vars).shift
+        limit = (bound + 1) << self.vars._pk.shift
         if not self._terms or max(self._terms) < limit:
             return self
         return _reduced(self.vars, {k: v for k, v in self._terms.items() if k < limit},
@@ -558,18 +572,18 @@ class SparsePoly(Record):
         return self._where(lambda k: k & _FIELD_MASK <= bound)
 
     def restrict_xi(self, bound: int) -> "SparsePoly":
-        xd = _packing(self.vars).xi_degree
+        xd = self.vars._pk.xi_degree
         return self._where(lambda k: xd(k) <= bound)
 
     def xi_slice(self, k: int) -> "SparsePoly":
-        xd = _packing(self.vars).xi_degree
+        xd = self.vars._pk.xi_degree
         return self._where(lambda key: xd(key) == k)
 
     def _xi_free(self, keys: dict[int, int]) -> "SparsePoly":
         """keys, free of xi, re-read over the layout without the xi-block."""
         vs = self.vars
         target = vs.without_xi()
-        s, ts, low = _packing(vs).shift, _packing(target).shift, _packing(target).fields
+        s, ts, low = vs._pk.shift, target._pk.shift, target._pk.fields
         return _reduced(target, {((k >> s) << ts) | (k & low): v for k, v in keys.items()},
                         self._den)
 
@@ -577,14 +591,14 @@ class SparsePoly(Record):
         """Strip the xi-block; every term must have xi-degree zero."""
         if not self.vars.has_xi:
             raise ContractViolation(f"variable kind {self.vars.kind!r} has no xi-block")
-        xi_mask = _packing(self.vars).xi_mask
+        xi_mask = self.vars._pk.xi_mask
         if any(k & xi_mask for k in self._terms):
             raise ContractViolation("polynomial has xi-terms; cannot drop the xi-block")
         return self._xi_free(self._terms)
 
     def xi_linear_component(self, i: int) -> "SparsePoly":
         """Coefficient of xi_i among terms whose xi-part is exactly xi_i."""
-        pk = _packing(self.vars)
+        pk = self.vars._pk
         unit, xi_mask = 1 << pk.shifts[self.vars.xi_index(i)], pk.xi_mask
         return self._xi_free({k - unit: v for k, v in self._terms.items()
                               if k & xi_mask == unit})
@@ -592,7 +606,7 @@ class SparsePoly(Record):
     def lift(self, target: VarSet) -> "SparsePoly":
         """Reinterpret over a larger layout with the same n (new blocks get exponent 0)."""
         vs = self.vars
-        if target == vs:
+        if target is vs:
             return self
         if (target.n != vs.n or (vs.has_xi and not target.has_xi)
                 or (vs.has_t and not target.has_t)):
@@ -600,7 +614,7 @@ class SparsePoly(Record):
                 f"cannot lift {vs.kind}(n={vs.n}) into {target.kind}(n={target.n})")
         # a new xi-block sits above the old fields; a new t-field below them
         up = _FIELD_BITS if target.has_t and not vs.has_t else 0
-        src, ts = _packing(vs), _packing(target).shift
+        src, ts = vs._pk, target._pk.shift
         s, fields = src.shift, src.fields
         return _make(target, {((k >> s) << ts) | ((k & fields) << up): v
                               for k, v in self._terms.items()}, self._den)
@@ -608,7 +622,7 @@ class SparsePoly(Record):
     # -- rendering -------------------------------------------------------
 
     def sorted_exponents(self) -> list[Exponent]:
-        return sorted(map(_packing(self.vars).exps, self._terms), key=_grlex_key,
+        return sorted(map(self.vars._pk.exps, self._terms), key=_grlex_key,
                       reverse=True)
 
     def __str__(self) -> str:
@@ -616,6 +630,16 @@ class SparsePoly(Record):
 
     def __repr__(self) -> str:
         return f"SparsePoly[{self.vars.kind},n={self.vars.n}]({render_poly(self)})"
+
+
+# _make writes the slots through their descriptors, past the frozen __setattr__
+_set_vars, _set_terms, _set_den = (vars(SparsePoly)[name].__set__
+                                   for name in SparsePoly.__slots__)
+
+
+def _layout_mismatch(vs: VarSet, other: VarSet) -> ContractViolation:
+    return ContractViolation(f"variable layout mismatch: {vs.kind}(n={vs.n}) vs "
+                             f"{other.kind}(n={other.n})")
 
 
 def weighted_sum(vs: VarSet, pairs: Iterable[tuple[SparsePoly, Fraction | int]]) -> SparsePoly:
@@ -628,10 +652,8 @@ def weighted_sum(vs: VarSet, pairs: Iterable[tuple[SparsePoly, Fraction | int]])
     out: dict[int, int] = {}
     den = 1
     for term, weight in pairs:
-        if term.vars != vs:
-            raise ContractViolation(
-                f"variable layout mismatch: {vs.kind}(n={vs.n}) vs "
-                f"{term.vars.kind}(n={term.vars.n})")
+        if term.vars is not vs:
+            raise _layout_mismatch(vs, term.vars)
         if term._terms:
             w = _as_fraction(weight)
             den = _sum_into(out, den, term._terms, term._den * w.denominator, w.numerator)
@@ -669,7 +691,7 @@ def render_poly(p: SparsePoly) -> str:
 def first_difference(p: SparsePoly, q: SparsePoly
                      ) -> tuple[Exponent, Fraction, Fraction] | None:
     """First (lowest, in canonical order) monomial where p and q differ."""
-    if p.vars != q.vars:
+    if p.vars is not q.vars:
         raise ContractViolation("cannot diff polynomials over different layouts")
     a, b = dict(p.items()), dict(q.items())
     zero = Fraction(0)
@@ -705,7 +727,7 @@ class MapTuple(Record):
         if not comps:
             raise ContractViolation("map tuple needs at least one component")
         vs = comps[0].vars
-        if any(c.vars != vs for c in comps):
+        if any(c.vars is not vs for c in comps):
             raise ContractViolation("map components must share one variable layout")
         if vs.has_xi:
             raise ContractViolation("map components live in z-variables (optionally with t)")
@@ -767,7 +789,7 @@ def xi_pairing(h: MapTuple) -> SparsePoly:
     target = h.vars.with_xi()
     acc = SparsePoly.zero(target)
     # xi_i * h_i adds the key of xi_i, the i-th unit, to each key of a lift whose xi_i is 0
-    for hi, unit in zip(h.components, _packing(target).units):
+    for hi, unit in zip(h.components, target._pk.units):
         hi = hi.lift(target)
         acc = acc + _make(target, {k + unit: v for k, v in hi._terms.items()}, hi._den)
     return acc
@@ -778,7 +800,7 @@ def lambda_apply(f: SparsePoly) -> SparsePoly:
     vs = f.vars
     if not vs.has_xi:
         raise ContractViolation("the mixed derivative needs a xi-block")
-    pk = _packing(vs)
+    pk = vs._pk
     n = vs.n
     # per i: the fields of xi_i and z_i, and the key of xi_i*z_i
     pairs = [(pk.shifts[i], pk.shifts[n + i], pk.units[i] + pk.units[n + i])
@@ -884,7 +906,7 @@ def compose(u: SparsePoly, g: MapTuple, bound: int, *,
 
     n = vsg.n
     one = table.one
-    upk = _packing(vsu)
+    upk = vsu._pk
     out: dict[int, int] = {}
     den = 1
     for key, num in u._terms.items():
@@ -940,7 +962,7 @@ class PolyMatrix(Record):
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ContractViolation("matrix must be square and nonempty")
         vs = rows[0][0].vars
-        if any(e.vars != vs for r in rows for e in r):
+        if any(e.vars is not vs for r in rows for e in r):
             raise ContractViolation("matrix entries must share one variable layout")
         set_field(self, "rows", rows)
 

@@ -54,7 +54,7 @@ def normal_order(f: SparsePoly) -> SparsePoly:
     which _leibniz reorders into right-normal terms.
     """
     vs = f.vars
-    if vs != VarSet.xiz(vs.n):
+    if vs is not VarSet.xiz(vs.n):
         raise ContractViolation("a total symbol lives over the (xi, z) layout")
     n = vs.n
     out: dict[Exponent, Fraction] = {}

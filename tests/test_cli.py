@@ -500,6 +500,14 @@ class TestCorpus:
         assert main(["corpus", "--family", "triangular", "--n", "2"] + argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["triangular", "cubic", "control", "series", "mixed"])
+    def test_count_below_one_exits_2_for_every_family(self, family, capsys):
+        # the mixed corpus ignores --count, but its report would record it
+        assert main(["corpus", "--family", family, "--n", "2", "--count", "0",
+                     "--run", "lab"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "corpus count must be >= 1" in err
+
     @pytest.mark.parametrize("argv", [
         ["--run", "invert-all", "--degree", "3", "--m-max", "0"],
         ["--run", "lab", "--m-max", "2", "--xi-degree", "-1"],

@@ -26,6 +26,7 @@ from agcalc.poly import (
     first_difference,
     jacobian,
     render_poly,
+    weighted_sum,
     xi_pairing,
 )
 from poly_reference import _det_bareiss, deformation_matrix, exact_div
@@ -68,6 +69,62 @@ class TestVarSet:
             VarSet("w", 2)
         with pytest.raises(ContractViolation):
             VarSet.z(0)
+
+    def test_invalid_layout_leaves_no_entry(self):
+        before = dict(agcalc.poly._LAYOUTS)
+        with pytest.raises(ContractViolation, match="unknown variable kind 'w'"):
+            VarSet("w", 2)
+        with pytest.raises(ContractViolation, match="variable count n must be >= 1"):
+            VarSet("z", 0)
+        assert agcalc.poly._LAYOUTS == before
+
+    @pytest.mark.parametrize("kind", ["z", "xiz", "zt", "xizt"])
+    def test_one_object_per_layout(self, kind):
+        vs = VarSet(kind, 3)
+        toggled = vs.without_xi().with_xi() if vs.has_xi else vs.with_xi().without_xi()
+        for other in (VarSet(kind, 3), VarSet(kind=kind, n=3), getattr(VarSet, kind)(3),
+                      toggled, pickle.loads(pickle.dumps(vs)), copy.copy(vs),
+                      copy.deepcopy(vs)):
+            assert other is vs
+        assert VarSet(kind, 2) is not vs
+
+    def test_layout_count_is_a_plain_int(self):
+        class Count(int):  # equal to 29, so it keys the entry of n=29
+            pass
+
+        vs = VarSet("xizt", Count(29))
+        assert vs is VarSet.xizt(29) and type(vs.n) is int
+        assert repr(vs) == "VarSet(kind='xizt', n=29)"
+        assert VarSet("z", True) is VarSet.z(1) and type(VarSet.z(1).n) is int
+
+    def test_xi_toggles_return_the_one_layout(self):
+        assert VarSet.z(2).with_xi() is VarSet.xiz(2)
+        assert VarSet.zt(2).with_xi() is VarSet.xizt(2)
+        assert VarSet.xiz(2).without_xi() is VarSet.z(2)
+        assert VarSet.xizt(2).without_xi() is VarSet.zt(2)
+
+    def test_restored_polynomial_keeps_the_one_layout(self):
+        p = zvar(XIZ2, 1).scale(Fraction(2, 3)) + SparsePoly.xi_var(XIZ2, 0)
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert q == p and q.vars is XIZ2
+            assert (q * p).vars is XIZ2  # the restored layout passes the identity checks
+
+    def test_layout_mismatch_messages(self):
+        z, xi, zt = zvar(Z2, 0), SparsePoly.xi_var(XIZ2, 0), zvar(VarSet.zt(2), 1)
+        z_then_xi = r"^variable layout mismatch: z\(n=2\) vs xiz\(n=2\)$"
+        with pytest.raises(ContractViolation, match=z_then_xi):
+            z.mul(xi)
+        with pytest.raises(ContractViolation, match=r"^variable layout mismatch: xiz\(n=2\) vs z\(n=2\)$"):
+            xi + z
+        with pytest.raises(ContractViolation, match=z_then_xi):
+            weighted_sum(Z2, [(z, 1), (xi, 1)])
+        with pytest.raises(ContractViolation, match="map components must share one variable layout"):
+            MapTuple((z, zt))
+        with pytest.raises(ContractViolation, match="matrix entries must share one variable layout"):
+            PolyMatrix(((z, z), (z, zt)))
+        with pytest.raises(ContractViolation, match=r"cannot lift xiz\(n=2\) into z\(n=2\)"):
+            xi.lift(Z2)
+        assert z.lift(Z2) is z
 
 
 class TestArithmetic:
@@ -441,7 +498,7 @@ class TestRendering:
 class TestKernelBoundary:
     def test_storage_private_to_poly(self):
         # the packed storage and its internal constructors belong to poly.py alone
-        private = re.compile(r"\b(_terms|_den|_make|_reduced|_packing)\b")
+        private = re.compile(r"\b(_terms|_den|_make|_reduced|_Packing|_pk|_LAYOUTS)\b")
         package = Path(agcalc.__file__).parent
         touching = sorted(path.name for path in package.glob("*.py")
                           if path.name != "poly.py"

@@ -371,6 +371,54 @@ class TestPackedForm:
 
     @PROPERTY
     @given(st.data())
+    def test_product_empty_by_order_is_zero(self, data):
+        # order(a) + order(b) > trunc: zero over denominator 1, as the reference
+        vs = data.draw(layouts())
+        zs = ref.z_block(vs.kind, vs.n)
+
+        def shifted(p, k):  # p * z1^k
+            z1 = zs.start
+            return {e[:z1] + (e[z1] + k,) + e[z1 + 1:]: c for e, c in p.items()}
+
+        a = shifted(data.draw(polys(vs, max_exp=4, max_terms=14).filter(bool)),
+                    data.draw(st.integers(1, 3)))
+        b = shifted(data.draw(polys(vs, max_exp=4, max_terms=3).filter(bool)),
+                    data.draw(st.integers(0, 3)))
+        if data.draw(st.booleans()):
+            a, b = b, a
+        lo = min(sum(e[zs]) for e in a) + min(sum(e[zs]) for e in b)
+        trunc = data.draw(st.integers(0, lo - 1))
+        got = SparsePoly(vs, a).mul(SparsePoly(vs, b), trunc)
+        assert ref.mul(a, b, zs, trunc) == {} == as_dict(got)
+        assert got == SparsePoly.zero(vs)
+
+    @PROPERTY
+    @given(st.data())
+    def test_overflow_guard_inside_a_window(self, data):
+        # a product with terms in its window refuses a field past the limit,
+        # whichever operand is the large one and whatever the window drops
+        vs = data.draw(layouts())
+        zs = ref.z_block(vs.kind, vs.n)
+        i = data.draw(st.integers(0, vs.nvars - 1))
+        a = data.draw(st.integers(1, MAX_EXPONENT))
+
+        def power(k):
+            exps = [0] * vs.nvars
+            exps[i] = k
+            return tuple(exps)
+
+        big = data.draw(polys(vs, max_exp=4, max_terms=12))
+        big[power(a)] = Fraction(1)
+        small = {power(MAX_EXPONENT + 1 - a): Fraction(2)}
+        if data.draw(st.booleans()):
+            big, small = small, big
+        # the overflowing pair has z-degree MAX_EXPONENT + 1 when i is a z-variable, else 0
+        trunc = 2 * MAX_EXPONENT if zs.start <= i < zs.stop else data.draw(st.integers(0, 4))
+        with pytest.raises(ContractViolation, match="per-variable limit"):
+            SparsePoly(vs, big).mul(SparsePoly(vs, small), trunc)
+
+    @PROPERTY
+    @given(st.data())
     def test_associative_product(self, data):
         vs = data.draw(layouts())
         a, b, c = (SparsePoly(vs, data.draw(polys(vs, max_exp=2, max_terms=4)))
