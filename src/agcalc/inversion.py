@@ -4,23 +4,27 @@ fixed_point      climb N <- H(z + N) one z-degree per pass, at bounds 2..D,
                  each pass checked to keep the degrees below it; this is
                  the oracle every other route is checked against.
 abhyankar_gurjar evaluate the derivative sum over multi-indices alpha of
-                 d^alpha(u * H^alpha * JF) / alpha! once, on u = <xi, H>:
-                 d^alpha acts on z only and G = z + H(G), so the sum is
-                 <xi, H(G)> = <xi, N>; the order bound o(H^alpha) >= 2|alpha|
-                 stops it at |alpha| = D - 2.
+                 d^alpha(u * H^alpha * JF) / alpha! on each u = H_i, which
+                 is u(G) = H_i(G) = N_i as G = z + H(G); term alpha reads
+                 H_i * H^alpha = H^(alpha+e_i), so all n sums read one chain
+                 of products H^beta * JF, and the order bound
+                 o(H^alpha) >= 2|alpha| stops them at |alpha| = D - 2.
 lambda_series    evaluate the k = 1 phase series
                  sum_m lambda^m(P^(m+1) * JF) / (m! (m+1)!) with P = <xi, H>,
                  which is <xi, N>; it stops at m = D - 2.
 
-Both series routes read N_i off <xi, N> as the coefficient of xi_i.
+Route 2 sums each N_i in the z-layout; route 3 reads N_i off <xi, N> as
+the coefficient of xi_i.
 
 Each series route yields its shells from a generator (route 2 the terms
 with |alpha| = a, route 3 the one term m) into one loop, _sum_shells, which
 adds up shells 0..last; each route computes its own last, and neither
-calls the other's generator.  A shell is a run of (term, weight) pairs,
-the weight 1/alpha! (k!/(m! (m+k)!)) left off the term, and _sum_shells
-adds every kept term, times its weight, into one weighted_sum accumulator
-over a common denominator, reduced once at the end.  Every summation
+calls the other's generator.  A shell is a run of (terms, weight) pairs,
+one term per component of the sum (route 2 the n terms of alpha, one per
+N_i; route 3 and the sum of one u a single term), the weight 1/alpha!
+(k!/(m! (m+k)!)) left off the terms, and _sum_shells adds every kept term,
+times its weight, into its component's weighted_sum accumulator over a
+common denominator, reduced once at the end.  Every summation
 cutoff is justified by an order bound, and every sum checks it: the loop
 builds the first discarded shell as well, under the same truncations as
 the kept ones, and it must vanish; it never builds a shell past that one.
@@ -32,27 +36,29 @@ one per term on route 3, is reported on the result.
 
 Each product is formed once, and only to the z-degree the output window
 depends on.  The oracle composes H with z + N in one compose_map per pass,
-so its components share one table of monomials.  Term |alpha| = a of the
-derivative sum (term m of the phase series) needs u * H^alpha * JF
-(u * P^(m+k) * JF) only to z-degree D + a (D + m), the degrees the
+so its components share one table of monomials.  Term alpha of the
+derivative sum of u (term m of the phase series) needs u * H^alpha * JF
+(u * P^(m+k) * JF) only to z-degree D + |alpha| (D + m), the degrees the
 derivatives remove; each is one multiply by H_i (by P) from a term before
-it, truncated there.  That cut is the only one a term gets: d^alpha lowers
-the z-degree of every monomial it keeps by exactly a (lambda^m by exactly
-m), so a product cut at D + a (D + m) lands at z-degree <= D.
+it, truncated there.  Route 2 forms each H^beta * JF once, to
+D + |beta| - 1, and every alpha = beta - e_i with beta_i >= 1 reads it.
+That cut is the only one a term gets: d^alpha lowers the z-degree of
+every monomial it keeps by exactly |alpha| (lambda^m by exactly m), so a
+product cut at D + |alpha| (D + m) lands at z-degree <= D.
 
 The Jacobian factor JF = det J(z - H) is an input of the series, like H,
 computed once per map: cross_method_results forms it once and hands it to
 both series routes (keyword jf), and verify hands its one JF to every
 reader.  The routes read it only to z-degree max(D - 2, 0): their first
-product multiplies JF by <xi, H> (route 2) or by P = <xi, H> (route 3),
-both of order >= 2, truncated at D, and every later term grows from that
-product, so a term of JF above D - 2 only feeds products above D.  A route
+products multiply JF by each H_i (route 2) or by P = <xi, H> (route 3),
+all of order >= 2, truncated at D, and every later term grows from those
+products, so a term of JF above D - 2 only feeds products above D.  A route
 called without jf computes JF itself at that cut.  The oracle never reads
 JF, so a wrong shared JF still fails route_agreement.
 
 Series-truncated H is accepted when it is known deep enough.  The three
 routes, and so cross_method_results, need trunc(H) >= D: the oracle
-composes H to D, and the series routes read <xi, H> and each H_i to D and
+composes H to D, and the series routes read each H_i to D and
 JF only to D - 2, which H to D - 1 determines; a term of H past D only
 feeds products past their pads, as o(H) >= 2.  The entry points that read
 JF to z-degree D (xi_moment_series, verify_phi_exponential,
@@ -201,53 +207,81 @@ def invert_fixed_point(h: MapTuple, bound: int) -> InversionResult:
 # -- the shared summation loop ------------------------------------------------
 
 
-def _sum_shells(shells: Iterator[Iterable[tuple[SparsePoly, Fraction]]], vs: VarSet,
-                last: int, bound: int, *, where: str) -> tuple[SparsePoly, int]:
-    """Add up shells 0..last of a series; shell last + 1 must vanish.  A last
-    below -1 (an order bound past the window) sums no shell and checks shell 0.
+def _sum_shells(shells: Iterator[Iterable[tuple[tuple[SparsePoly, ...], Fraction]]],
+                vs: VarSet, last: int, bound: int, *, where: str,
+                width: int = 1) -> tuple[tuple[SparsePoly, ...], int]:
+    """Add up shells 0..last of a series of width components; shell last + 1
+    must vanish.  A last below -1 (an order bound past the window) sums no
+    shell and checks shell 0.
 
-    shells yields each shell as the (term, weight) pairs of its terms, built
-    only when asked for, so no shell past the last one taken is formed.  The
-    kept terms stream into one weighted_sum accumulator.  The discarded
-    shell is built under the same truncations as the kept ones, and a
-    vanishing truncated term verifies its discard.  Returns the sum over vs
-    and the count of checked discards, one per term of the discarded shell.
+    shells yields each shell as the (terms, weight) pairs of its terms, one
+    term per component, built only when asked for, so no shell past the
+    last one taken is formed.  Component i of the kept terms goes into one
+    weighted_sum accumulator.  The discarded shell is built under the same
+    truncations as the kept ones, and a vanishing truncated term verifies
+    its discard.  Returns the width sums over vs and the count of checked
+    discards, one per pair of the discarded shell.
     """
     last = max(last, -1)
-    total = weighted_sum(vs, chain.from_iterable(islice(shells, last + 1)))
+    kept = list(chain.from_iterable(islice(shells, last + 1)))
+    totals = tuple(weighted_sum(vs, ((terms[i], weight) for terms, weight in kept))
+                   for i in range(width))
     checked = 0
-    for term, weight in next(shells):
-        if not term.is_zero:
-            raise ConvergenceViolation(f"discarded {where}={last + 1} has order "
-                                       f"<= {bound}: {term.scale(weight)}")
+    for terms, weight in next(shells):
+        for i, term in enumerate(terms):
+            if not term.is_zero:
+                at = f" in component {i + 1}" if width > 1 else ""
+                raise ConvergenceViolation(f"discarded {where}={last + 1} has order "
+                                           f"<= {bound}: {term.scale(weight)}{at}")
         checked += 1
-    return total, checked
+    return totals, checked
 
 
 # -- route 2: the derivative sum --------------------------------------------
 
 
-def _derivative_shells(u: SparsePoly, h: MapTuple, bound: int, jf: SparsePoly
-                       ) -> Iterator[Iterator[tuple[SparsePoly, Fraction]]]:
-    """Shell a = 0, 1, ...: the pairs (d^alpha(u * H^alpha * jf), 1/alpha!) with |alpha| = a.
+def _raised(beta: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The multi-index beta + e_i."""
+    return beta[:i] + (beta[i] + 1,) + beta[i + 1:]
 
-    Shell a needs u * H^alpha * jf only to z-degree bound + a, the a degrees
-    the derivative removes.  It is grown from shell a - 1 by one multiply
-    per multi-index: alpha = beta + e_i for each beta of shell a - 1 and
-    each i up to beta's first nonzero index, so i is alpha's first nonzero
-    index and every alpha arises once, as (u H^beta jf) * H_i truncated at
-    bound + a.  Shell a - 1 is known only to bound + a - 1, which is
-    enough: o(H_i) >= 2, so a term it dropped would land past the pad.
+
+def _inverse_factorial(alpha: tuple[int, ...]) -> Fraction:
+    return Fraction(1, prod(map(factorial, alpha)))
+
+
+def _power_chain(base: SparsePoly, hs: Sequence[SparsePoly], pad: int
+                 ) -> Iterator[dict[tuple[int, ...], SparsePoly]]:
+    """Level b = 0, 1, ...: the products {beta: base * H^beta} with |beta| = b.
+
+    Level b is cut at z-degree pad + b, and base is level 0 as given.  Each
+    product is formed once, by one multiply from one predecessor: beta is
+    reached from beta - e_i, with i beta's first nonzero index, so level b
+    is grown from level b - 1 by multiplying each beta there by every H_i
+    with i up to beta's first nonzero index.  Level b - 1 is known only to
+    pad + b - 1, which is enough: o(H_i) >= 2, so a term it dropped would
+    land past pad + b.  Level b is formed only when asked for.
+    """
+    n = len(hs)
+    level = {(0,) * n: base}
+    for b in count(1):
+        yield level
+        level = {_raised(beta, i): y.mul(hs[i], trunc=pad + b)
+                 for beta, y in level.items()
+                 for i in range(next((j for j, e in enumerate(beta) if e), n - 1) + 1)}
+
+
+def _derivative_shells(u: SparsePoly, h: MapTuple, bound: int, jf: SparsePoly
+                       ) -> Iterator[Iterator[tuple[tuple[SparsePoly], Fraction]]]:
+    """Shell a = 0, 1, ...: the pairs ((d^alpha(u * H^alpha * jf),), 1/alpha!) with |alpha| = a.
+
+    Shell a reads level a of the power chain of u * jf, cut at bound + a:
+    the a degrees the derivative removes.
     """
     vs = u.vars
-    hs = [c.lift(vs) for c in h.components]
-    shell = {(0,) * h.n: u.mul(jf.lift(vs), trunc=bound)}  # u H^alpha jf for |alpha| = a
-    for a in count(1):
-        yield ((base.diff_z_multi(alpha), Fraction(1, prod(map(factorial, alpha))))
-               for alpha, base in shell.items())
-        shell = {beta[:i] + (beta[i] + 1,) + beta[i + 1:]: base.mul(hs[i], trunc=bound + a)
-                 for beta, base in shell.items()
-                 for i in range(next((j for j, b in enumerate(beta) if b), h.n - 1) + 1)}
+    levels = _power_chain(u.mul(jf.lift(vs), trunc=bound),
+                          [c.lift(vs) for c in h.components], bound)
+    return ((((y.diff_z_multi(alpha),), _inverse_factorial(alpha)) for alpha, y in level.items())
+            for level in levels)
 
 
 def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
@@ -255,12 +289,12 @@ def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
     """sum over |alpha| <= bound - o of d^alpha(u * H^alpha * jf) / alpha!.
 
     u lives over h's layout or its xi-extension: d^alpha acts on z only, so
-    a xi-block rides along (route 2 sums u = <xi, H>).  With o = min(o(u),
-    bound), term |alpha| = a has z-order >= o + 2a - a, so the sum stops at
-    a = bound - o.  The pads of _derivative_shells bound the sum at z-degree
-    bound, since d^alpha lowers every degree by exactly a.  jf is JF, or 1
-    for the sum without it.  Returns the sum, plus the count of verified
-    discarded terms, one per multi-index.
+    a xi-block rides along.  With o = min(o(u), bound), term |alpha| = a has
+    z-order >= o + 2a - a, so the sum stops at a = bound - o.  The pads of
+    the power chain bound the sum at z-degree bound, since d^alpha lowers
+    every degree by exactly a.  jf is JF, or 1 for the sum without it.
+    Returns the sum, plus the count of verified discarded terms, one per
+    multi-index.
     """
     vs = u.vars
     if vs not in (h.vars, h.vars.with_xi()):
@@ -268,23 +302,52 @@ def _derivative_sum(u: SparsePoly, h: MapTuple, bound: int, *,
                                 f"{h.vars.kind}(n={h.vars.n})")
     if u.is_zero:
         return u, 0
-    return _sum_shells(_derivative_shells(u, h, bound, _require_jf(h, jf)), vs,
-                       bound - min(u.order(), bound), bound,
-                       where="derivative-sum term at |alpha|")
+    (total,), checked = _sum_shells(_derivative_shells(u, h, bound, _require_jf(h, jf)), vs,
+                                    bound - min(u.order(), bound), bound,
+                                    where="derivative-sum term at |alpha|")
+    return total, checked
+
+
+def _component_shells(h: MapTuple, bound: int, jf: SparsePoly
+                      ) -> Iterator[list[tuple[tuple[SparsePoly, ...], Fraction]]]:
+    """Shell a = 0, 1, ...: per multi-index alpha with |alpha| = a, the pair
+    ((d^alpha(Y_(alpha+e_1)), ..., d^alpha(Y_(alpha+e_n))), 1/alpha!).
+
+    Y_beta = H^beta * jf is level |beta| of the power chain of jf, cut at
+    bound + |beta| - 1, and H_i * H^alpha = H^(alpha+e_i), so component i
+    of the pair is term alpha of the derivative sum of u = H_i.  Shell a
+    reads levels a and a + 1: every Y_beta with |beta| = a + 1 is formed
+    once and differentiated once per nonzero coordinate of beta (a zero
+    one, as every Y_beta of the discarded shell is on valid input, is not).
+    """
+    levels = _power_chain(jf, h.components, bound - 1)
+    alphas = next(levels)  # beta = 0: jf, no product
+    for products in levels:
+        yield [(tuple(y if y.is_zero else y.diff_z_multi(alpha)
+                      for y in (products[_raised(alpha, i)] for i in range(h.n))),
+                _inverse_factorial(alpha))
+               for alpha in alphas]
+        alphas = products
 
 
 def invert_ag(h: MapTuple, bound: int, *, jf: SparsePoly | None = None) -> InversionResult:
-    """Inverse via one derivative sum on u = <xi, H>, which is <xi, H(G)> = <xi, N>.
+    """Inverse via the derivative sum per component: N_i = H_i(G) is
+    sum_alpha d^alpha(H_i * H^alpha * JF) / alpha!.
 
-    jf, when given, is JF known to z-degree >= max(bound - 2, 0); otherwise
-    the route computes it to that degree.
+    Every term of N_i's sum at alpha has z-order >= o(H) + |alpha|, so the
+    sums stop at |alpha| = bound - o(H); where that is below 0 no term is
+    kept and shell 0 is the discard checked.  One loop adds the n sums,
+    from one chain of products H^beta * JF, each formed once.  jf, when
+    given, is JF known to z-degree >= max(bound - 2, 0); otherwise the
+    route computes it to that degree.
     """
     _require_h(h, bound, derivatives=False)
     if jf is None:
         jf = jacobian_factor(h, max(bound - 2, 0))
-    xi_n, checked = _derivative_sum(xi_pairing(h), h, bound, jf=jf)
-    return _route_result([xi_n.xi_linear_component(i) for i in range(h.n)],
-                         ABHYANKAR_GURJAR, bound, checked)
+    tail, checked = _sum_shells(_component_shells(h, bound, _require_jf(h, jf)), h.vars,
+                                bound - h.order(), bound,
+                                where="derivative-sum term at |alpha|", width=h.n)
+    return _route_result(tail, ABHYANKAR_GURJAR, bound, checked)
 
 
 def ag_jacobian_identity(u: SparsePoly, h: MapTuple, bound: int,
@@ -304,7 +367,7 @@ def ag_jacobian_identity(u: SparsePoly, h: MapTuple, bound: int,
 
 
 def _phase_terms(u: SparsePoly, h: MapTuple, bound: int, k: int, jf: SparsePoly
-                 ) -> Iterator[tuple[tuple[SparsePoly, Fraction]]]:
+                 ) -> Iterator[tuple[tuple[tuple[SparsePoly], Fraction]]]:
     """Term m = 0, 1, ... of the phase series, as a one-term shell, u over the xi-layout.
 
     Term m is the pair (lambda^m(u * P^(m+k) * JF), k! / (m! (m+k)!)), and
@@ -324,7 +387,7 @@ def _phase_terms(u: SparsePoly, h: MapTuple, bound: int, k: int, jf: SparsePoly
         term = lambda_pow(base, m)
         if not term.is_zero and term.xi_degrees() != {k}:
             raise AgcalcError(f"phase-series term has xi-degree other than {k}")
-        yield ((term, Fraction(factorial(k), factorial(m) * factorial(m + k))),)
+        yield (((term,), Fraction(factorial(k), factorial(m) * factorial(m + k))),)
 
 
 def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *, k: int,
@@ -339,9 +402,10 @@ def _lambda_sum(u: SparsePoly, h: MapTuple, bound: int, *, k: int,
     u = u.lift(h.vars.with_xi())
     if u.is_zero:
         return u, 0
-    return _sum_shells(_phase_terms(u, h, bound, k, _require_jf(h, jf)), u.vars,
-                       bound - 2 * k - min(u.order(), bound), bound,
-                       where="phase-series term at m")
+    (total,), checked = _sum_shells(_phase_terms(u, h, bound, k, _require_jf(h, jf)), u.vars,
+                                    bound - 2 * k - min(u.order(), bound), bound,
+                                    where="phase-series term at m")
+    return total, checked
 
 
 def invert_lambda(h: MapTuple, bound: int, *, jf: SparsePoly | None = None) -> InversionResult:

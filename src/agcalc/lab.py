@@ -299,14 +299,18 @@ def _verified_series(rep: IdentityReport) -> SparsePoly:
 def gt_jacobian_series(h: MapTuple, mmax: int) -> SparsePoly:
     """sum_m t^m lambda^m(P^m) / (m!)^2 over (z, t), cross-checked.
 
-    The sum is computed exactly to t-degree mmax, then compared in the
-    shared window against det(jacobian(G_t)) with G_t the fixed-point
-    inverse of z - t*H over Q[t].  A window mismatch raises
-    VerificationError naming the offending coefficient.
+    The sum is computed exactly to t-degree mmax, then compared against
+    det(jacobian(G_t)) with G_t the fixed-point inverse of z - t*H over
+    Q[t], in the window t <= mmax, z <= mmax * (deg H - 1) (0 for H = 0).
+    Both sides are exact there: the t^m coefficient of either has z-degree
+    <= m * (deg H - 1), on a nilpotent map too, where the series is 1.  A
+    window mismatch raises VerificationError naming the offending
+    coefficient.
     """
     (scan,) = vanishing_scan(h, {0: mmax})
     series = _scan_series(scan).drop_xi()
-    z_window = max(int(series.degree()), 0)
+    deg_h = max(c.degree() for c in h.components)
+    z_window = mmax * (deg_h - 1) if deg_h > 0 else 0  # H = 0 has degree -inf
     oracle_bound = z_window + 1  # one extra degree: the determinant differentiates
     oracle = invert_fixed_point(_deformed_map(h), oracle_bound)  # the z-cut bounds t too
     jg = det(jacobian(oracle.G), trunc=z_window).truncate_t(mmax)

@@ -1,6 +1,7 @@
 """The three inversion routes and the identities tying them together."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -180,10 +181,85 @@ class TestDerivativeSumRoute:
         def shells():
             for a in itertools.count():
                 asked.append(a)
-                yield [(SparsePoly.zero(Z1), Fraction(1, a + 1))] * (a + 1)
+                yield [((SparsePoly.zero(Z1),), Fraction(1, a + 1))] * (a + 1)
 
-        total, checked = agcalc.inversion._sum_shells(shells(), Z1, 3, 3, where="term at a")
+        (total,), checked = agcalc.inversion._sum_shells(shells(), Z1, 3, 3, where="term at a")
         assert (total, checked, asked) == (SparsePoly.zero(Z1), 5, [0, 1, 2, 3, 4])
+
+
+def rational_h(rng, n, trunc=None, terms=2, max_deg=4):
+    """A random map of order exactly 2 with rational coefficients; component
+    1 holds a z-degree-2 term, the others may be zero."""
+    vs = VarSet.z(n)
+    comps = []
+    for i in range(n):
+        t = {}
+        for j in range(rng.randint(1 if i == 0 else 0, terms)):
+            d = 2 if i == j == 0 else rng.randint(2, max_deg)
+            exps = [0] * n
+            for _ in range(d):
+                exps[rng.randrange(n)] += 1
+            t[tuple(exps)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        comps.append(SparsePoly(vs, t))
+    if trunc is None:
+        return MapTuple.exact(tuple(comps))
+    return MapTuple.truncated(tuple(comps), trunc)
+
+
+def equivalence_cases():
+    """(h, D): seeded rational maps with n = 1..5 at D = 1..6, exact and
+    truncated at D, and a map with a zero component."""
+    rng = random.Random(97)
+    for n in range(1, 6):
+        for bound in range(1, 7):
+            yield rational_h(rng, n, max_deg=min(bound + 1, 4)), bound
+            yield rational_h(rng, n, trunc=bound, max_deg=bound + 1), bound
+    z3 = VarSet.z(3)
+    with_zero = MapTuple.exact((SparsePoly.monomial(z3, (0, 1, 1), Fraction(2, 3)),
+                                SparsePoly.zero(z3),
+                                SparsePoly.monomial(z3, (2, 0, 0), Fraction(-1, 2))
+                                + SparsePoly.monomial(z3, (0, 2, 1))))
+    for bound in range(1, 7):
+        yield with_zero, bound
+
+
+class TestPerComponentDerivativeSum:
+    """Route 2 sums N_i = H_i(G) per component; it equals the sum on u = <xi, H>."""
+
+    def test_equals_the_xi_pairing_sum_and_the_sum_of_each_h_i(self):
+        for h, bound in equivalence_cases():
+            assert h.order() == 2 or bound == 1  # a cut at D = 1 leaves the zero map
+            jf = jacobian_factor(h, max(bound - 2, 0))
+            res = invert_ag(h, bound, jf=jf)
+            xi_n, _ = agcalc.inversion._derivative_sum(xi_pairing(h), h, bound, jf=jf)
+            assert res.N.components == tuple(xi_n.xi_linear_component(i) for i in range(h.n))
+            for h_i, n_i in zip(h.components, res.N.components):
+                assert agcalc.inversion._derivative_sum(h_i, h, bound, jf=jf)[0] == n_i
+            # one discard per multi-index of the shell |alpha| = D - 1
+            assert res.checked_discards == math.comb(bound + h.n - 2, h.n - 1)
+
+    def test_one_mul_per_multi_index(self, monkeypatch):
+        # each product H^beta * JF with 1 <= |beta| <= D is formed once, from
+        # one predecessor; JF itself is an input
+        rng = random.Random(101)
+        cases = [(MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP)), 5)]
+        cases += [(rational_h(rng, n), bound) for n in (1, 2, 3) for bound in (1, 3, 6)]
+        mul = SparsePoly.mul
+        calls = []
+
+        def counting_mul(self, other, trunc=None):
+            calls.append(trunc)
+            return mul(self, other, trunc)
+
+        for h, bound in cases:
+            jf = jacobian_factor(h, max(bound - 2, 0))
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(SparsePoly, "mul", counting_mul)
+                invert_ag(h, bound, jf=jf)
+            # the products of |beta| = b are cut at D + b - 1
+            assert calls == [bound + b - 1 for b in range(1, bound + 1)
+                             for _ in range(math.comb(b + h.n - 1, h.n - 1))]
 
 
 def compose_by_derivative_sum(u, h, bound):
@@ -551,6 +627,18 @@ class TestFailingChecks:
                            match=r"term at \|alpha\|=3 has order <= 3: 3/16\*z2$"):
             agcalc.inversion._derivative_sum(u, h, 3, jf=jf)
 
+    def test_route_two_discard_check_names_the_component(self, monkeypatch):
+        # the n terms of one multi-index are checked together; a nonzero one
+        # is named with its component, as the xi_i of <xi, N> named it before
+        sum_shells = agcalc.inversion._sum_shells
+
+        def early(shells, vs, last, bound, **kwargs):
+            return sum_shells(shells, vs, last - 1, bound, **kwargs)
+        monkeypatch.setattr(agcalc.inversion, "_sum_shells", early)
+        with pytest.raises(ConvergenceViolation,
+                           match=r"term at \|alpha\|=3 has order <= 5: 56\*z2\^5 in component 2$"):
+            invert_ag(MapTuple.exact((SparsePoly.zero(Z2), SparsePoly.monomial(Z2, (0, 2)))), 5)
+
     def test_phase_series_discard_check(self):
         u, h = SparsePoly.z_var(Z1, 0), self.order_one_tail()
         jf = jacobian_factor(h, 3)
@@ -739,7 +827,7 @@ class TestWorkCounts:
         h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
         results = cross_method_results(h, 5, debug=True)
         assert route_agreement(results).passed
-        assert counts == {"calls": 110, "pairs": 46936}
+        assert counts == {"calls": 130, "pairs": 38753}
 
     def test_fixed_point_passes(self, monkeypatch):
         # one compose_map per pass of the oracle, at bounds 2..D and none past

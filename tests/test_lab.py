@@ -730,6 +730,37 @@ class TestEquivalenceFailures:
         assert err.value.witness == "t: 0 vs 1"
 
 
+def _add_t_z1_squared(m: MapTuple) -> MapTuple:
+    vs = m.vars
+    bump = SparsePoly.monomial(vs, (2,) + (0,) * (vs.nvars - 1)).mul(SparsePoly.t_var(vs))
+    return MapTuple((m.components[0] + bump,) + m.components[1:], m.trunc)
+
+
+class TestGtJacobianSeriesWindow:
+    """The oracle comparison reads z <= mmax * (deg H - 1), also where the series is 1."""
+
+    def test_nilpotent_map_fails_a_perturbed_oracle(self, monkeypatch):
+        # d(t z1^2)/dz1 = 2 t z1 enters det JG_t at z-degree 1, past the series' degree 0
+        _perturb_oracle(monkeypatch, g=_add_t_z1_squared, n=_add_t_z1_squared)
+        with pytest.raises(VerificationError) as err:
+            gt_jacobian_series(triangular_2d(), 4)
+        assert err.value.witness == "z1*t: 0 vs 2"
+
+    def test_oracle_runs_one_past_the_window(self, monkeypatch):
+        bounds = []
+        real = agcalc.lab.invert_fixed_point
+
+        def spy(h, bound):
+            bounds.append(bound)
+            return real(h, bound)
+        monkeypatch.setattr(agcalc.lab, "invert_fixed_point", spy)
+        cubic = MapTuple.exact((SparsePoly.monomial(Z2, (0, 3)), SparsePoly.zero(Z2)))
+        for h, mmax in ((triangular_2d(), 4), (cubic, 3), (diagonal_2d(), 2),
+                        (MapTuple.exact((SparsePoly.zero(Z1),)), 3)):
+            gt_jacobian_series(h, mmax)
+        assert bounds == [4 * 1 + 1, 3 * 2 + 1, 2 * 1 + 1, 0 + 1]
+
+
 class TestCorpus:
     def test_deterministic(self):
         a = gen_corpus(CorpusSpec(n=2, family="triangular", count=3, seed=5))
