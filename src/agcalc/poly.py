@@ -38,8 +38,10 @@ lambda_apply among them, lives here.
 
 The variable layout is fixed by a VarSet: an optional xi-block
 (xi1..xin), then the z-block (z1..zn), then an optional deformation
-variable t.  Layouts are interned, one object per (kind, n) that carries
-its key arithmetic, so a layout check is an identity test.  All four
+variable t.  Layouts are interned, one object per (kind, n), so a layout
+check is an identity test.  That object itself carries its key arithmetic:
+the place of each variable's field in a key, the guard and xi masks, and
+pack and unpack, all worked out once, when the layout is interned.  All four
 layouts share one exponent-tuple convention, and the z- and t-fields of a
 key sit at the same place in every layout with the same t, so moving a
 polynomial between compatible layouts is a shift of its keys (see
@@ -80,9 +82,8 @@ Exponent = tuple[int, ...]
 INF = math.inf
 NEG_INF = -math.inf
 
-_XI_KINDS = frozenset({"xiz", "xizt"})
-_T_KINDS = frozenset({"zt", "xizt"})
-_ALL_KINDS = frozenset({"z", "xiz", "zt", "xizt"})
+# the kind table: whether a layout of each kind has a xi-block and a t variable
+_KINDS = {"z": (False, False), "xiz": (True, False), "zt": (False, True), "xizt": (True, True)}
 
 _FIELD_BITS = 16
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
@@ -99,26 +100,49 @@ class VarSet(Record):
     with_xi, without_xi, pickle and copy all return it.  So two layouts are
     equal exactly when they are one object, and equality and hash are those
     of the object, as cheap as the kernel's checks need.  A layout is
-    validated once, when first asked for, and carries the key arithmetic of
-    its packed storage in _pk.
+    validated once, when first asked for, and every fact about it is worked
+    out then and stored in a slot: its shape (has_xi, has_t, nvars,
+    z_start), and the key arithmetic of its packed storage (where each
+    variable's field sits in a key), private to this module.
     """
 
-    __slots__ = ("kind", "n", "_pk")
+    __slots__ = ("kind", "n", "has_xi", "has_t", "nvars", "z_start",
+                 "_shift", "_fields", "_guard_mask", "_shifts", "_units",
+                 "_xi_shifts", "_xi_mask", "_struct")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __new__(cls, kind: str, n: int) -> "VarSet":
+        try:
+            n = index(n)  # a plain int, so n=True is the layout of n=1
+        except TypeError:
+            raise ContractViolation(f"variable count n must be an integer, got {n!r}") from None
         vs = _LAYOUTS.get((kind, n))
         if vs is None:
-            if kind not in _ALL_KINDS:
+            if kind not in _KINDS:
                 raise ContractViolation(f"unknown variable kind {kind!r}")
             if n < 1:
                 raise ContractViolation("variable count n must be >= 1")
+            has_xi, has_t = _KINDS[kind]
+            nv = (2 * n if has_xi else n) + has_t
+            zs = n if has_xi else 0
+            shift = _FIELD_BITS * nv  # the z-degree field starts here
+            shifts = tuple(_FIELD_BITS * (nv - 1 - i) for i in range(nv))
+            xi_shifts = shifts[:n] if has_xi else ()
             vs = object.__new__(cls)
-            set_field(vs, "kind", kind)
-            set_field(vs, "n", index(n))  # a plain int, so n=True is the layout of n=1
-            set_field(vs, "_pk", _Packing(vs))
-            _LAYOUTS[kind, vs.n] = vs
+            for name, value in dict(
+                    kind=kind, n=n, has_xi=has_xi, has_t=has_t, nvars=nv, z_start=zs,
+                    _shift=shift, _fields=(1 << shift) - 1,
+                    _guard_mask=sum(1 << (s + _FIELD_BITS - 1) for s in shifts),
+                    _shifts=shifts,
+                    # the key of each variable: its field, plus the z-degree for z_i
+                    _units=tuple((1 << s) + (1 << shift if zs <= i < zs + n else 0)
+                                 for i, s in enumerate(shifts)),
+                    _xi_shifts=xi_shifts, _xi_mask=sum(_FIELD_MASK << s for s in xi_shifts),
+                    _struct=struct.Struct(f">{nv}H"),  # one unsigned 16-bit field each
+            ).items():
+                set_field(vs, name, value)
+            _LAYOUTS[kind, n] = vs
         return vs
 
     def __reduce__(self):  # pickle and copy return the one layout
@@ -142,22 +166,6 @@ class VarSet(Record):
     @classmethod
     def xizt(cls, n: int) -> "VarSet":
         return cls("xizt", n)
-
-    @property
-    def has_xi(self) -> bool:
-        return self.kind in _XI_KINDS
-
-    @property
-    def has_t(self) -> bool:
-        return self.kind in _T_KINDS
-
-    @property
-    def nvars(self) -> int:
-        return (2 * self.n if self.has_xi else self.n) + (1 if self.has_t else 0)
-
-    @property
-    def z_start(self) -> int:
-        return self.n if self.has_xi else 0
 
     def z_index(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -196,32 +204,16 @@ class VarSet(Record):
     def without_xi(self) -> "VarSet":
         return VarSet("zt" if self.has_t else "z", self.n)
 
+    # -- key arithmetic: private to this module ---------------------------
 
-class _Packing:
-    """The key arithmetic of one layout: where each variable's field sits."""
+    def _pack(self, exps: Exponent) -> int:
+        return sum(map(mul, exps, self._units))
 
-    def __init__(self, vs: VarSet) -> None:
-        nv = vs.nvars
-        zs = vs.z_start
-        self.shift = _FIELD_BITS * nv  # the z-degree field starts here
-        self.fields = (1 << self.shift) - 1
-        self.guard = sum(1 << (_FIELD_BITS - 1 + _FIELD_BITS * i) for i in range(nv))
-        self.shifts = tuple(_FIELD_BITS * (nv - 1 - i) for i in range(nv))
-        # the key of each variable: its field, plus the z-degree for z_i
-        self.units = tuple((1 << s) + (1 << self.shift if zs <= i < zs + vs.n else 0)
-                           for i, s in enumerate(self.shifts))
-        self.xi_shifts = self.shifts[:vs.n] if vs.has_xi else ()
-        self.xi_mask = sum(_FIELD_MASK << s for s in self.xi_shifts)
-        self._struct = struct.Struct(f">{nv}H")  # one unsigned 16-bit field each
+    def _exps(self, key: int) -> Exponent:
+        return self._struct.unpack((key & self._fields).to_bytes(2 * self.nvars, "big"))
 
-    def pack(self, exps: Exponent) -> int:
-        return sum(map(mul, exps, self.units))
-
-    def exps(self, key: int) -> Exponent:
-        return self._struct.unpack((key & self.fields).to_bytes(2 * len(self.shifts), "big"))
-
-    def xi_degree(self, key: int) -> int:
-        return sum((key >> s) & _FIELD_MASK for s in self.xi_shifts)
+    def _xi_degree(self, key: int) -> int:
+        return sum((key >> s) & _FIELD_MASK for s in self._xi_shifts)
 
 
 def _as_fraction(c) -> Fraction:
@@ -301,8 +293,7 @@ class SparsePoly(Record):
     __slots__ = ("vars", "_terms", "_den")
 
     def __init__(self, vars: VarSet, terms: Mapping[Exponent, Fraction | int | str]) -> None:
-        pk = vars._pk
-        nv = len(pk.shifts)
+        nv = vars.nvars
         try:
             keys = [tuple(e) for e in terms]
         except TypeError:
@@ -315,7 +306,7 @@ class SparsePoly(Record):
         ratios = [(c if type(c) is Fraction else _as_fraction(c)).as_integer_ratio()
                   for c in terms.values()]
         den = lcm(*[d for _, d in ratios])
-        pack = pk.pack
+        pack = vars._pack
         set_field(self, "vars", vars)
         set_field(self, "_terms", {pack(e): num * (den // d)
                                    for e, (num, d) in zip(keys, ratios) if num})
@@ -347,7 +338,7 @@ class SparsePoly(Record):
     def variable(cls, vs: VarSet, index: int) -> "SparsePoly":
         if not 0 <= index < vs.nvars:
             raise ContractViolation(f"variable index {index} out of range")
-        return _make(vs, {vs._pk.units[index]: 1}, 1)
+        return _make(vs, {vs._units[index]: 1}, 1)
 
     @classmethod
     def z_var(cls, vs: VarSet, i: int) -> "SparsePoly":
@@ -365,7 +356,7 @@ class SparsePoly(Record):
 
     def items(self) -> list[tuple[Exponent, Fraction]]:
         """The (exponent, coefficient) pairs, every coefficient nonzero."""
-        exps, den = self.vars._pk.exps, self._den
+        exps, den = self.vars._exps, self._den
         return [(exps(k), Fraction(v, den)) for k, v in self._terms.items()]
 
     @property
@@ -378,27 +369,27 @@ class SparsePoly(Record):
 
     def coeff(self, exps: Sequence[int]) -> Fraction:
         exps = tuple(exps)
-        pk = self.vars._pk
-        if len(exps) != len(pk.shifts):
+        vs = self.vars
+        if len(exps) != vs.nvars:
             raise ContractViolation(
                 f"exponent {exps} has {len(exps)} entries; layout "
-                f"{self.vars.kind}(n={self.vars.n}) has {len(pk.shifts)} variables")
+                f"{vs.kind}(n={vs.n}) has {vs.nvars} variables")
         if not all(0 <= e <= MAX_EXPONENT for e in exps):
             return Fraction(0)  # no stored term has such an exponent
-        v = self._terms.get(pk.pack(exps))
+        v = self._terms.get(vs._pack(exps))
         return Fraction(0) if v is None else Fraction(v, self._den)
 
     def order(self) -> int | float:
         """Minimal z-total-degree of a term; +inf for the zero polynomial."""
         if not self._terms:
             return INF
-        return min(self._terms) >> self.vars._pk.shift
+        return min(self._terms) >> self.vars._shift
 
     def degree(self) -> int | float:
         """Maximal z-total-degree of a term; -inf for the zero polynomial."""
         if not self._terms:
             return NEG_INF
-        return max(self._terms) >> self.vars._pk.shift
+        return max(self._terms) >> self.vars._shift
 
     def eta(self) -> int | float:
         """Phase grading: min over terms of z-degree minus xi-degree (t ignored)."""
@@ -406,13 +397,13 @@ class SparsePoly(Record):
             raise ContractViolation("eta grading needs a xi-block")
         if not self._terms:
             return INF
-        pk = self.vars._pk
-        return min((k >> pk.shift) - pk.xi_degree(k) for k in self._terms)
+        vs = self.vars
+        return min((k >> vs._shift) - vs._xi_degree(k) for k in self._terms)
 
     def xi_degrees(self) -> set[int]:
         """The xi-degrees of the terms, read once per distinct xi-part."""
-        pk = self.vars._pk
-        return set(map(pk.xi_degree, {k & pk.xi_mask for k in self._terms}))
+        vs = self.vars
+        return set(map(vs._xi_degree, {k & vs._xi_mask for k in self._terms}))
 
     def max_t_degree(self) -> int:
         if not self.vars.has_t:
@@ -458,7 +449,6 @@ class SparsePoly(Record):
         vs = self.vars
         if not a or not b:
             return _make(vs, {}, 1)
-        pk = vs._pk
         out: dict[int, int] = {}
         get = out.get
         if trunc is None:
@@ -471,7 +461,7 @@ class SparsePoly(Record):
             # k1 + k2 < limit exactly when the z-degrees sum to <= trunc; keys
             # order by z-degree first, so rows only shrink as k1 ascends, and
             # from the first k1 >= stop on every row is empty
-            limit = (trunc + 1) << pk.shift
+            limit = (trunc + 1) << vs._shift
             bk = sorted(b)
             stop = limit - bk[0]
             if min(a) >= stop:  # empty by order: a is not sorted
@@ -485,7 +475,7 @@ class SparsePoly(Record):
                     k = k1 + k2
                     out[k] = get(k, 0) + c1 * c2
         # an overflowing field sets its guard bit, and OR-ing the keys keeps it
-        if reduce(or_, out, 0) & pk.guard:
+        if reduce(or_, out, 0) & vs._guard_mask:
             raise ContractViolation(
                 f"product has an exponent above the per-variable limit {MAX_EXPONENT}")
         return _reduced(vs, out, self._den * other._den)
@@ -517,8 +507,7 @@ class SparsePoly(Record):
         """Partial derivative with respect to the variable at absolute index."""
         if not 0 <= index < self.vars.nvars:
             raise ContractViolation(f"variable index {index} out of range")
-        pk = self.vars._pk
-        s, unit = pk.shifts[index], pk.units[index]
+        s, unit = self.vars._shifts[index], self.vars._units[index]
         out: dict[int, int] = {}
         for k, v in self._terms.items():
             e = (k >> s) & _FIELD_MASK
@@ -534,10 +523,9 @@ class SparsePoly(Record):
         vs = self.vars
         if len(alpha) != vs.n:
             raise ContractViolation("derivative multi-index length must equal n")
-        pk = vs._pk
         zs = vs.z_start
-        steps = [(pk.shifts[zs + i], a) for i, a in enumerate(alpha) if a]
-        drop = sum(a * pk.units[zs + i] for i, a in enumerate(alpha))
+        steps = [(vs._shifts[zs + i], a) for i, a in enumerate(alpha) if a]
+        drop = sum(a * vs._units[zs + i] for i, a in enumerate(alpha))
         out: dict[int, int] = {}
         for k, v in self._terms.items():
             for s, a in steps:
@@ -560,7 +548,7 @@ class SparsePoly(Record):
         return _reduced(self.vars, kept, self._den)
 
     def truncate_z(self, bound: int) -> "SparsePoly":
-        limit = (bound + 1) << self.vars._pk.shift
+        limit = (bound + 1) << self.vars._shift
         if not self._terms or max(self._terms) < limit:
             return self
         return _reduced(self.vars, {k: v for k, v in self._terms.items() if k < limit},
@@ -572,18 +560,18 @@ class SparsePoly(Record):
         return self._where(lambda k: k & _FIELD_MASK <= bound)
 
     def restrict_xi(self, bound: int) -> "SparsePoly":
-        xd = self.vars._pk.xi_degree
+        xd = self.vars._xi_degree
         return self._where(lambda k: xd(k) <= bound)
 
     def xi_slice(self, k: int) -> "SparsePoly":
-        xd = self.vars._pk.xi_degree
+        xd = self.vars._xi_degree
         return self._where(lambda key: xd(key) == k)
 
     def _xi_free(self, keys: dict[int, int]) -> "SparsePoly":
         """keys, free of xi, re-read over the layout without the xi-block."""
         vs = self.vars
         target = vs.without_xi()
-        s, ts, low = vs._pk.shift, target._pk.shift, target._pk.fields
+        s, ts, low = vs._shift, target._shift, target._fields
         return _reduced(target, {((k >> s) << ts) | (k & low): v for k, v in keys.items()},
                         self._den)
 
@@ -591,15 +579,15 @@ class SparsePoly(Record):
         """Strip the xi-block; every term must have xi-degree zero."""
         if not self.vars.has_xi:
             raise ContractViolation(f"variable kind {self.vars.kind!r} has no xi-block")
-        xi_mask = self.vars._pk.xi_mask
+        xi_mask = self.vars._xi_mask
         if any(k & xi_mask for k in self._terms):
             raise ContractViolation("polynomial has xi-terms; cannot drop the xi-block")
         return self._xi_free(self._terms)
 
     def xi_linear_component(self, i: int) -> "SparsePoly":
         """Coefficient of xi_i among terms whose xi-part is exactly xi_i."""
-        pk = self.vars._pk
-        unit, xi_mask = 1 << pk.shifts[self.vars.xi_index(i)], pk.xi_mask
+        vs = self.vars
+        unit, xi_mask = 1 << vs._shifts[vs.xi_index(i)], vs._xi_mask
         return self._xi_free({k - unit: v for k, v in self._terms.items()
                               if k & xi_mask == unit})
 
@@ -614,15 +602,14 @@ class SparsePoly(Record):
                 f"cannot lift {vs.kind}(n={vs.n}) into {target.kind}(n={target.n})")
         # a new xi-block sits above the old fields; a new t-field below them
         up = _FIELD_BITS if target.has_t and not vs.has_t else 0
-        src, ts = vs._pk, target._pk.shift
-        s, fields = src.shift, src.fields
+        s, fields, ts = vs._shift, vs._fields, target._shift
         return _make(target, {((k >> s) << ts) | ((k & fields) << up): v
                               for k, v in self._terms.items()}, self._den)
 
     # -- rendering -------------------------------------------------------
 
     def sorted_exponents(self) -> list[Exponent]:
-        return sorted(map(self.vars._pk.exps, self._terms), key=_grlex_key,
+        return sorted(map(self.vars._exps, self._terms), key=_grlex_key,
                       reverse=True)
 
     def __str__(self) -> str:
@@ -789,7 +776,7 @@ def xi_pairing(h: MapTuple) -> SparsePoly:
     target = h.vars.with_xi()
     acc = SparsePoly.zero(target)
     # xi_i * h_i adds the key of xi_i, the i-th unit, to each key of a lift whose xi_i is 0
-    for hi, unit in zip(h.components, target._pk.units):
+    for hi, unit in zip(h.components, target._units):
         hi = hi.lift(target)
         acc = acc + _make(target, {k + unit: v for k, v in hi._terms.items()}, hi._den)
     return acc
@@ -800,14 +787,12 @@ def lambda_apply(f: SparsePoly) -> SparsePoly:
     vs = f.vars
     if not vs.has_xi:
         raise ContractViolation("the mixed derivative needs a xi-block")
-    pk = vs._pk
-    n = vs.n
+    n, shifts, units = vs.n, vs._shifts, vs._units
     # per i: the fields of xi_i and z_i, and the key of xi_i*z_i
-    pairs = [(pk.shifts[i], pk.shifts[n + i], pk.units[i] + pk.units[n + i])
-             for i in range(n)]
+    pairs = [(shifts[i], shifts[n + i], units[i] + units[n + i]) for i in range(n)]
     # terms that share a xi-part share its exponents a_i, so each a_i is read
     # once per xi-part, and per term only the z-field b_i of a nonzero a_i
-    xi_mask = pk.xi_mask
+    xi_mask = vs._xi_mask
     groups: dict[int, list[tuple[int, int]]] = {}
     for k, v in f._terms.items():
         group = groups.get(k & xi_mask)
@@ -906,11 +891,11 @@ def compose(u: SparsePoly, g: MapTuple, bound: int, *,
 
     n = vsg.n
     one = table.one
-    upk = vsu._pk
+    exps = vsu._exps
     out: dict[int, int] = {}
     den = 1
     for key, num in u._terms.items():
-        e = upk.exps(key)
+        e = exps(key)
         gp = table.power(e[:n])  # the z-block leads both z layouts
         if gp.is_zero:
             continue

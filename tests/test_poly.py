@@ -15,6 +15,7 @@ import agcalc
 from agcalc.errors import CompositionError, ContractViolation, TruncationError
 from agcalc.poly import (
     INF,
+    MAX_EXPONENT,
     NEG_INF,
     MapTuple,
     PolyMatrix,
@@ -70,23 +71,53 @@ class TestVarSet:
         with pytest.raises(ContractViolation):
             VarSet.z(0)
 
-    def test_invalid_layout_leaves_no_entry(self):
-        before = dict(agcalc.poly._LAYOUTS)
+    def test_invalid_layout_leaves_no_entry(self, monkeypatch):
+        monkeypatch.setattr(agcalc.poly, "_LAYOUTS", {})  # no layout exists yet
         with pytest.raises(ContractViolation, match="unknown variable kind 'w'"):
             VarSet("w", 2)
         with pytest.raises(ContractViolation, match="variable count n must be >= 1"):
             VarSet("z", 0)
-        assert agcalc.poly._LAYOUTS == before
+        # a non-integer count is refused alike before the layout of its value exists and after
+        for entries in ([], [("z", 7)]):
+            for n in (7.0, Fraction(7), "7"):
+                with pytest.raises(ContractViolation, match=re.escape(
+                        f"variable count n must be an integer, got {n!r}")):
+                    VarSet("z", n)
+            assert list(agcalc.poly._LAYOUTS) == entries
+            VarSet.z(7)
 
-    @pytest.mark.parametrize("kind", ["z", "xiz", "zt", "xizt"])
-    def test_one_object_per_layout(self, kind):
-        vs = VarSet(kind, 3)
-        toggled = vs.without_xi().with_xi() if vs.has_xi else vs.with_xi().without_xi()
-        for other in (VarSet(kind, 3), VarSet(kind=kind, n=3), getattr(VarSet, kind)(3),
-                      toggled, pickle.loads(pickle.dumps(vs)), copy.copy(vs),
-                      copy.deepcopy(vs)):
-            assert other is vs
-        assert VarSet(kind, 2) is not vs
+    @pytest.mark.parametrize("kind, has_xi, has_t", [
+        ("z", False, False), ("xiz", True, False), ("zt", False, True), ("xizt", True, True)],
+        ids=["z", "xiz", "zt", "xizt"])
+    def test_one_object_per_layout(self, kind, has_xi, has_t):
+        for n in (1, 2, 3, 29):
+            vs = VarSet(kind, n)
+            toggled = vs.without_xi().with_xi() if vs.has_xi else vs.with_xi().without_xi()
+            for other in (VarSet(kind, n), VarSet(kind=kind, n=n), getattr(VarSet, kind)(n),
+                          toggled, pickle.loads(pickle.dumps(vs)), copy.copy(vs),
+                          copy.deepcopy(vs)):
+                assert other is vs
+            assert VarSet(kind, n + 1) is not vs
+            # the shape of the layout, worked out once when it is interned
+            nvars = (2 * n if has_xi else n) + has_t
+            assert (vs.has_xi, vs.has_t, vs.nvars, vs.z_start) == (
+                has_xi, has_t, nvars, n if has_xi else 0)
+            assert vs.names() == ([f"xi{i + 1}" for i in range(n)] if has_xi else []) + [
+                f"z{i + 1}" for i in range(n)] + (["t"] if has_t else [])
+            if has_t:
+                assert vs.t_index == nvars - 1
+            else:
+                with pytest.raises(ContractViolation, match=f"^variable kind '{kind}' has no t"):
+                    vs.t_index
+            # the key arithmetic round-trips at 0 and at MAX_EXPONENT in each field,
+            # and the leading field of a key is the z-degree
+            one_hot = [tuple(MAX_EXPONENT * (j == i) for j in range(nvars)) for i in range(nvars)]
+            for e in [(0,) * nvars, (MAX_EXPONENT,) * nvars] + one_hot:
+                key = vs._pack(e)
+                assert vs._exps(key) == e and key >> vs._shift == vs.z_degree(e)
+            for name in VarSet.__slots__:
+                with pytest.raises(AttributeError, match="VarSet is immutable"):
+                    setattr(vs, name, getattr(vs, name))
 
     def test_layout_count_is_a_plain_int(self):
         class Count(int):  # equal to 29, so it keys the entry of n=29
@@ -498,7 +529,8 @@ class TestRendering:
 class TestKernelBoundary:
     def test_storage_private_to_poly(self):
         # the packed storage and its internal constructors belong to poly.py alone
-        private = re.compile(r"\b(_terms|_den|_make|_reduced|_Packing|_pk|_LAYOUTS)\b")
+        private = re.compile(r"\b(_terms|_den|_make|_reduced|_LAYOUTS|_shift|_fields|_guard_mask"
+                             r"|_shifts|_units|_xi_shifts|_xi_mask|_struct|_pack|_exps|_xi_degree)\b")
         package = Path(agcalc.__file__).parent
         touching = sorted(path.name for path in package.glob("*.py")
                           if path.name != "poly.py"
