@@ -1,8 +1,9 @@
 """Formal inversion of maps F = z - H with o(H) >= 2, by three independent routes.
 
-fixed_point      climb N <- H(z + N) one z-degree per pass, at bounds 2..D,
-                 each pass checked to keep the degrees below it; this is
-                 the oracle every other route is checked against.
+fixed_point      climb N <- H(z + N) one z-degree per pass, at bounds 3..D,
+                 from N = H mod z-degree > 2, each pass checked to keep the
+                 degrees below it; this is the oracle every other route is
+                 checked against.
 abhyankar_gurjar evaluate the derivative sum over multi-indices alpha of
                  d^alpha(u * H^alpha * JF) / alpha! on each u = H_i, which
                  is u(G) = H_i(G) = N_i as G = z + H(G); term alpha reads
@@ -36,7 +37,9 @@ one per term on route 3, is reported on the result.
 
 Each product is formed once, and only to the z-degree the output window
 depends on.  The oracle composes H with z + N in one compose_map per pass,
-so its components share one table of monomials.  Term alpha of the
+so its components share one table of monomials; it starts at pass 3, as
+N = H to degree 2 when o(H) >= 2, and a pass at bound 2 would compose H
+with the identity map.  Term alpha of the
 derivative sum of u (term m of the phase series) needs u * H^alpha * JF
 (u * P^(m+k) * JF) only to z-degree D + |alpha| (D + m), the degrees the
 derivatives remove; each is one multiply by H_i (by P) from a term before
@@ -181,18 +184,22 @@ def _require_oracle(oracle: InversionResult, h: MapTuple, need: int) -> None:
 def invert_fixed_point(h: MapTuple, bound: int) -> InversionResult:
     """Oracle inverse: N = H(z + N) mod z-degree > bound, one degree per pass.
 
-    Pass j = 2..bound composes at bound j from N known below j.  As o(H) >= 2,
-    degree j of H(z + N) reads N only below j, so pass j gives N exactly to
-    degree j; it must give back every lower degree unchanged, or it raises
-    naming the component and monomial.  No pass confirms bound: pass bound's
-    check shows N = H(z + N) below bound, and degree bound does not read N
-    there.  A t in the layout rides along: the z-cut alone bounds the passes.
+    The climb starts from H mod z-degree > 2, which is N to degree 2: as
+    o(H) >= 2, H(z + N) agrees with H(z) to degree 2, so a pass at bound 2
+    would compose H with the identity and check only that nothing lies
+    below degree 2, which _require_h has already enforced.  Pass
+    j = 3..bound composes at bound j from N known below j.  Degree j of
+    H(z + N) reads N only below j, so pass j gives N exactly to degree j;
+    it must give back every lower degree unchanged, or it raises naming
+    the component and monomial.  No pass confirms bound: pass bound's check
+    shows N = H(z + N) below bound, and degree bound does not read N there.
+    A t in the layout rides along: the z-cut alone bounds the passes.
     """
     _require_h(h, bound, derivatives=False)
     vs = h.vars
     zs = tuple(SparsePoly.z_var(vs, i) for i in range(vs.n))
-    n_comps = tuple(SparsePoly.zero(vs) for _ in range(vs.n))
-    for j in range(2, bound + 1):
+    n_comps = tuple(c.truncate_z(min(bound, 2)) for c in h.components)
+    for j in range(3, bound + 1):
         g = MapTuple(tuple(z + c for z, c in zip(zs, n_comps)), j)
         new_comps = compose_map(h, g, j).components
         name = f"fixed-point pass at bound {j}"

@@ -16,6 +16,13 @@ A map file holds the tail H of F = z - H:
       }
     }
 
+"n" is at most MAX_N (1,000), and "components" must list exactly n
+components; both are checked before any variable layout is built, as a
+layout's memory grows with n squared.  On a 2-vCPU x86_64 host under
+CPython 3.11, the lab command on the zero map with n = 1,000 ran in about
+2 s and peaked at about 150 MiB; at n = 2,000 it took about 10 s and
+560 MiB.
+
 Coefficients are JSON integers or ASCII strings, a signed integer, p/q or
 decimal fraction ("-3/4", ".5"), canonicalized on load.  Exponent notation
 ("1e999999" is a million digits) and any other JSON number, which the JSON
@@ -37,6 +44,8 @@ from pathlib import Path
 
 from .errors import MapFileError
 from .poly import Exponent, MapTuple, SparsePoly, VarSet
+
+MAX_N = 1000  # the most variables a map file may declare
 
 _VAR_RE = re.compile(r"^(xi|z|t)(\d*)(?:\^(\d+))?$", re.ASCII)
 _RAT_RE = re.compile(r"^\d+(?:/\d+)?$", re.ASCII)
@@ -134,10 +143,13 @@ def entries_to_poly(entries, vs: VarSet) -> SparsePoly:
     return SparsePoly(vs, terms)
 
 
-def _components_from_obj(obj, vs: VarSet, trunc: int | None, role: str) -> MapTuple:
-    comps = obj
-    if not isinstance(comps, list) or len(comps) != vs.n:
-        raise MapFileError(f"{role} must list exactly n={vs.n} components")
+def _component_list(obj, n: int, role: str) -> list:
+    if not isinstance(obj, list) or len(obj) != n:
+        raise MapFileError(f"{role} must list exactly n={n} components")
+    return obj
+
+
+def _components_from_obj(comps: list, vs: VarSet, trunc: int | None, role: str) -> MapTuple:
     polys = tuple(entries_to_poly(c, vs) for c in comps)
     try:
         if trunc is None:
@@ -153,11 +165,14 @@ def parse_map_obj(obj: dict) -> tuple[MapTuple, dict]:
     n = obj.get("n")
     if not _is_count(n, 1):
         raise MapFileError("field 'n' must be a positive integer")
+    if n > MAX_N:
+        raise MapFileError(f"field 'n' is {n}; a map file may declare at most {MAX_N} variables")
     trunc = obj.get("trunc")
     if trunc is not None and not _is_count(trunc, 0):
         raise MapFileError("field 'trunc' must be null or a non-negative integer")
+    comps = _component_list(obj.get("components"), n, "components")
     vs = VarSet.z(n)
-    h = _components_from_obj(obj.get("components"), vs, trunc, "components")
+    h = _components_from_obj(comps, vs, trunc, "components")
     if h.order() < 2:
         raise MapFileError(
             f"map tail must have order >= 2 componentwise; got order {h.order()}")
@@ -167,8 +182,9 @@ def parse_map_obj(obj: dict) -> tuple[MapTuple, dict]:
     if not isinstance(metadata, dict):
         raise MapFileError("metadata must be an object")
     if "known_inverse" in metadata and metadata["known_inverse"] is not None:
-        known = _components_from_obj(metadata["known_inverse"], vs, None,
-                                     "metadata.known_inverse")
+        role = "metadata.known_inverse"
+        known = _components_from_obj(_component_list(metadata["known_inverse"], n, role),
+                                     vs, None, role)
         metadata = dict(metadata)
         metadata["known_inverse"] = known
     if "nt_degree" in metadata and metadata["nt_degree"] is not None:

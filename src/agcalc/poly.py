@@ -9,8 +9,16 @@ sparse polynomial multiplication using heaps" (ISSAC 2009):
   A monomial product is an int add, the truncation test "z-degree <= trunc"
   is key < (trunc + 1) << shift, and order() and degree() read key >> shift.
 - The coefficients are int numerators over one positive common
-  denominator, kept canonical: no numerator is zero and
-  gcd(den, *numerators) == 1, so equality is a plain structural compare.
+  denominator: no numerator is zero, and zero is stored over 1.  The
+  denominator need not be the least one.  A product, a derivative and
+  lambda_apply keep the product of their operands' denominators and divide
+  out no common factor, as their result is most often multiplied again or
+  added into a sum; the least denominator is restored, by one gcd over
+  the result, only where a sum or a cut forms new storage (__add__,
+  weighted_sum, compose, scale and the truncations).  So __eq__ compares
+  the dicts when the denominators are equal and cross-multiplies over
+  equal key sets when they are not, and every coefficient leaves the
+  kernel, through items() or coeff(), as a reduced Fraction.
 
 The kernel loops read that order.  A truncated mul walks the keys of its
 left operand in ascending order, as Monagan & Pearce process terms in
@@ -242,7 +250,8 @@ _new = object.__new__
 
 
 def _make(vs: VarSet, terms: dict[int, int], den: int) -> "SparsePoly":
-    """A polynomial from storage that is already canonical."""
+    """A polynomial from storage already in form: no zero numerator, den > 0,
+    and den 1 when terms is empty; den need not be the least denominator."""
     p = _new(SparsePoly)
     _set_vars(p, vs)
     _set_terms(p, terms)
@@ -250,10 +259,22 @@ def _make(vs: VarSet, terms: dict[int, int], den: int) -> "SparsePoly":
     return p
 
 
-def _reduced(vs: VarSet, terms: dict[int, int], den: int) -> "SparsePoly":
-    """A polynomial from numerators over den > 0, dropping zeros and common factors.
+def _nonzero(vs: VarSet, terms: dict[int, int], den: int) -> "SparsePoly":
+    """A polynomial from numerators over den > 0, dropping zeros but no common factor.
 
     terms may become the new polynomial's storage, so callers pass a dict of their own.
+    """
+    if 0 in terms.values():
+        terms = {k: v for k, v in terms.items() if v}
+    return _make(vs, terms, den if terms else 1)
+
+
+def _reduced(vs: VarSet, terms: dict[int, int], den: int) -> "SparsePoly":
+    """A polynomial from numerators over den > 0, dropping zeros and dividing out
+    the common factor of den and the numerators, so den is the least denominator.
+
+    The sums and cuts build their storage here; terms may become it, so
+    callers pass a dict of their own.
     """
     if 0 in terms.values():
         terms = {k: v for k, v in terms.items() if v}
@@ -443,7 +464,10 @@ class SparsePoly(Record):
                         self._den * c.denominator)
 
     def mul(self, other: "SparsePoly", trunc: int | None = None) -> "SparsePoly":
-        """Product; terms of z-total-degree > trunc are dropped when trunc is given."""
+        """Product; terms of z-total-degree > trunc are dropped when trunc is given.
+
+        The product is over the product of the denominators, unreduced.
+        """
         self._check_same(other)
         a, b = self._terms, other._terms
         vs = self.vars
@@ -478,7 +502,7 @@ class SparsePoly(Record):
         if reduce(or_, out, 0) & vs._guard_mask:
             raise ContractViolation(
                 f"product has an exponent above the per-variable limit {MAX_EXPONENT}")
-        return _reduced(vs, out, self._den * other._den)
+        return _nonzero(vs, out, self._den * other._den)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         return self.mul(other)
@@ -496,15 +520,21 @@ class SparsePoly(Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return (self._den == other._den and self._terms == other._terms
-                and self.vars is other.vars)
+        if self.vars is not other.vars:
+            return False
+        a, b, da, db = self._terms, other._terms, self._den, other._den
+        if da == db:
+            return a == b
+        # a/da == b/db termwise: one key set, and a*db == b*da per key
+        return a.keys() == b.keys() and all(v * db == b[k] * da for k, v in a.items())
 
-    __hash__ = None  # mutable mapping inside; equality is structural
+    __hash__ = None  # mutable mapping inside; equality is by value
 
     # -- calculus -------------------------------------------------------
 
     def diff(self, index: int) -> "SparsePoly":
-        """Partial derivative with respect to the variable at absolute index."""
+        """Partial derivative with respect to the variable at absolute index;
+        the result keeps the denominator, unreduced."""
         if not 0 <= index < self.vars.nvars:
             raise ContractViolation(f"variable index {index} out of range")
         s, unit = self.vars._shifts[index], self.vars._units[index]
@@ -513,13 +543,15 @@ class SparsePoly(Record):
             e = (k >> s) & _FIELD_MASK
             if e:
                 out[k - unit] = v * e
-        return _reduced(self.vars, out, self._den)
+        # no numerator of out is zero, and distinct keys stay distinct
+        return _make(self.vars, out, self._den if out else 1)
 
     def diff_z(self, i: int) -> "SparsePoly":
         return self.diff(self.vars.z_index(i))
 
     def diff_z_multi(self, alpha: Sequence[int]) -> "SparsePoly":
-        """Iterated z-derivative d^alpha, via falling factorials on exponents."""
+        """Iterated z-derivative d^alpha, via falling factorials on exponents;
+        the result keeps the denominator, unreduced."""
         vs = self.vars
         if len(alpha) != vs.n:
             raise ContractViolation("derivative multi-index length must equal n")
@@ -535,7 +567,8 @@ class SparsePoly(Record):
                 v *= perm(e, a)
             else:
                 out[k - drop] = v
-        return _reduced(vs, out, self._den)
+        # no numerator of out is zero: e >= a makes every perm(e, a) nonzero
+        return _make(vs, out, self._den if out else 1)
 
     # -- truncation and slicing -----------------------------------------
 
@@ -783,7 +816,8 @@ def xi_pairing(h: MapTuple) -> SparsePoly:
 
 
 def lambda_apply(f: SparsePoly) -> SparsePoly:
-    """One application of the mixed derivative sum_i d_xi_i d_z_i."""
+    """One application of the mixed derivative sum_i d_xi_i d_z_i; the result
+    keeps the denominator, unreduced."""
     vs = f.vars
     if not vs.has_xi:
         raise ContractViolation("the mixed derivative needs a xi-block")
@@ -811,7 +845,7 @@ def lambda_apply(f: SparsePoly) -> SparsePoly:
                     if b:
                         nk = k - step
                         out[nk] = get(nk, 0) + v * (a * b)
-    return _reduced(vs, out, f._den)
+    return _nonzero(vs, out, f._den)
 
 
 # -- composition ----------------------------------------------------------

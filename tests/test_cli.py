@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -120,6 +121,31 @@ class TestInvert:
         path.write_bytes(b'{"n": 1, "components": [[]], "metadata": {"name": "\xe9"}}')
         assert main(["invert", str(path), "--degree", "3"]) == 2
         assert "is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        ('{"n": 100000}', "field 'n' is 100000"),
+        ('{"n": 1001, "components": []}', "field 'n' is 1001"),
+        ('{"n": 100000, "components": [[]]}', "field 'n' is 100000"),
+        ('{"n": 900, "components": [[]]}', "components must list exactly n=900 components")])
+    def test_large_n_or_wrong_component_count_exits_2_at_once(self, tmp_path, capsys,
+                                                             body, message):
+        # a layout's memory grows with n squared, about 20 GB at n = 100,000;
+        # the map file grammar refuses such an n, or a component count other
+        # than n, before any layout is built
+        path = tmp_path / "wide.json"
+        path.write_text(body)
+        tracemalloc.start()
+        try:
+            code = main(["lab", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        proc = run_cli("invert", str(path), "--degree", "3", timeout=10)
+        assert proc.returncode == 2 and message in proc.stderr
 
     def test_deeply_nested_file_exits_2(self, tmp_path, capsys):
         # the JSON reader gives up with a RecursionError, not a JSONDecodeError

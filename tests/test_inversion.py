@@ -38,6 +38,7 @@ from agcalc.poly import (
     SparsePoly,
     VarSet,
     compose,
+    compose_map,
     det,
     jacobian,
     xi_pairing,
@@ -120,6 +121,27 @@ class TestFixedPoint:
         monkeypatch.setattr(agcalc.inversion, "compose_map", perturbed)
         with pytest.raises(AgcalcError, match=r"pass at bound 3 .*component 2: z1\*z2: 1 vs 0"):
             invert_fixed_point(triangular_2d(), 5)
+
+    def test_climb_from_h_cut_at_two_matches_climb_from_zero(self):
+        # the climb from N = H mod z-degree > 2 must give the tail that a
+        # climb from N = 0, with its pass at bound 2, gives; bounds 1 and 2
+        # run no pass at all
+        def climb_from_zero(h, bound):
+            vs = h.vars
+            tail = tuple(SparsePoly.zero(vs) for _ in range(vs.n))
+            for j in range(2, bound + 1):
+                g = MapTuple(tuple(SparsePoly.z_var(vs, i) + c for i, c in enumerate(tail)), j)
+                tail = compose_map(h, g, j).components
+            return tail
+
+        ZT2 = VarSet.zt(2)
+        work = tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP)
+        deformed = MapTuple.exact((
+            SparsePoly(ZT2, {(0, 2, 1): "1/2", (1, 1, 0): -3, (2, 1, 2): "2/3"}),
+            SparsePoly(ZT2, {(0, 3, 1): 1, (2, 0, 0): "-5/4"})))
+        for bound in range(1, 6):
+            for h in (MapTuple.exact(work), deformed, MapTuple.truncated(work, bound)):
+                assert invert_fixed_point(h, bound).N.components == climb_from_zero(h, bound)
 
     def test_order_precondition(self):
         h = MapTuple.exact((SparsePoly.z_var(Z1, 0),))  # order 1
@@ -827,11 +849,12 @@ class TestWorkCounts:
         h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
         results = cross_method_results(h, 5, debug=True)
         assert route_agreement(results).passed
-        assert counts == {"calls": 130, "pairs": 38753}
+        assert counts == {"calls": 118, "pairs": 38741}
 
     def test_fixed_point_passes(self, monkeypatch):
-        # one compose_map per pass of the oracle, at bounds 2..D and none past
-        # D; sharing the monomial table across components must not change them
+        # one compose_map per pass of the oracle, at bounds 3..D and none past
+        # D, as the climb starts from H mod z-degree > 2; sharing the monomial
+        # table across components must not change them
         passes = []
         compose_map = agcalc.inversion.compose_map
 
@@ -842,4 +865,4 @@ class TestWorkCounts:
         monkeypatch.setattr(agcalc.inversion, "compose_map", counting)
         h = MapTuple.exact(tuple(SparsePoly(VarSet.z(3), c) for c in WORK_MAP))
         invert_fixed_point(h, 5)
-        assert passes == [2, 3, 4, 5]
+        assert passes == [3, 4, 5]

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import agcalc.poly
 from agcalc.errors import MapFileError
 from agcalc.mapfile import (
+    MAX_N,
     entries_to_poly,
     load_map_file,
     parse_map_obj,
@@ -113,6 +115,19 @@ class TestMapFiles:
             parse_map_obj({"n": 1, "components": [[{"coeff": "1", "exps": [2, 0]}]]})
         with pytest.raises(MapFileError):
             parse_map_obj([1, 2])
+
+    def test_n_and_component_count_checked_before_any_layout(self, monkeypatch):
+        # VarSet interns every layout it builds; an empty table shows none was
+        monkeypatch.setattr(agcalc.poly, "_LAYOUTS", {})
+        with pytest.raises(MapFileError, match=f"at most {MAX_N} variables"):
+            parse_map_obj({"n": MAX_N + 1, "components": [[]] * (MAX_N + 1)})
+        with pytest.raises(MapFileError, match="exactly n=5 components"):
+            parse_map_obj({"n": 5, "components": [[]] * 4})
+        with pytest.raises(MapFileError, match="exactly n=5 components"):
+            parse_map_obj({"n": 5, "components": None})
+        assert agcalc.poly._LAYOUTS == {}
+        h, _ = parse_map_obj({"n": MAX_N, "components": [[]] * MAX_N})
+        assert h.n == MAX_N and h.vars is VarSet.z(MAX_N)
 
     @pytest.mark.parametrize("field, message", [
         ("n", "field 'n'"), ("trunc", "field 'trunc'"),

@@ -14,6 +14,7 @@ directory.
 """
 
 import gc
+import pickle
 import tempfile
 from fractions import Fraction
 
@@ -37,9 +38,11 @@ from agcalc.poly import (  # noqa: E402
     compose,
     compose_map,
     det,
+    render_poly,
     weighted_sum,
     xi_pairing,
 )
+from agcalc.mapfile import poly_to_entries  # noqa: E402
 from agcalc.inversion import invert_fixed_point  # noqa: E402
 from agcalc.lab import vanishing_scan_poly  # noqa: E402
 from agcalc.weyl import lambda_apply  # noqa: E402
@@ -194,6 +197,109 @@ class TestKernelLoops:
         z2 = VarSet.z(2)
         with pytest.raises(ContractViolation, match="layout mismatch"):
             weighted_sum(z2, [(SparsePoly.one(z2), 1), (SparsePoly.one(VarSet.zt(2)), 1)])
+
+
+@st.composite
+def unreduced_twins(draw):
+    """A polynomial p with rational coefficients and two twins, p * r * (1/r)
+    for two rationals r: products, which keep their denominator, leave a
+    common factor of the stored denominator and numerators in each twin."""
+    vs = draw(layouts())
+    p = SparsePoly(vs, draw(polys(vs)))
+    twins = []
+    for _ in range(2):
+        r = Fraction(draw(st.sampled_from((2, 3, 5, 6))), draw(st.sampled_from((7, 10, 21))))
+        twins.append(p.mul(SparsePoly.const(vs, r)).mul(SparsePoly.const(vs, 1 / r)))
+    return vs, p, twins
+
+
+class TestUnreducedDenominators:
+    """Products, derivatives and lambda_apply keep their operands' common
+    denominator; only sums and cuts divide the common factor out.  Values
+    and every output stay those of the least denominator."""
+
+    def test_common_factor_left_by_a_product(self):
+        vs = VarSet.z(2)
+        z1, z2 = SparsePoly.z_var(vs, 0), SparsePoly.z_var(vs, 1)
+        p = z1.scale(Fraction(2, 3)).mul(z2.scale(Fraction(3, 2)))
+        assert p._den == 6  # 6 * z1 * z2 over 6, not reduced
+        assert p == z1.mul(z2) == SparsePoly.monomial(vs, (1, 1))
+        assert SparsePoly.monomial(vs, (1, 1)) == p
+        assert p.items() == [((1, 1), 1)] and str(p) == "z1*z2"
+        assert p + SparsePoly.zero(vs) == p and (p + p)._den == 1
+        # the cross terms of (a + b)(a - b) cancel and leave no zero numerator
+        a, b = z1.scale(Fraction(1, 2)), z2.scale(Fraction(2, 3))
+        for trunc in (None, 2):
+            q = (a + b).mul(a - b, trunc)
+            assert q.nterms == 2 and q == a.mul(a) - b.mul(b)
+
+    @PROPERTY
+    @given(st.data())
+    def test_kernels_on_unreduced_operands_match_reference(self, data):
+        # every operand below is itself a product, over an unreduced denominator
+        vs = data.draw(layouts())
+        zs = ref.z_block(vs.kind, vs.n)
+        a, b, c = (data.draw(polys(vs, max_exp=2, max_terms=4)) for _ in range(3))
+        t1, t2 = (data.draw(st.none() | st.integers(0, 6)) for _ in range(2))
+        ab = SparsePoly(vs, a).mul(SparsePoly(vs, b), t1)
+        ref_ab = ref.mul(a, b, zs, t1)
+        results = [(ab, ref_ab), (ab.mul(SparsePoly(vs, c), t2), ref.mul(ref_ab, c, zs, t2))]
+        alpha = data.draw(st.tuples(*[st.integers(0, 2)] * vs.n))
+        results.append((ab.diff_z_multi(alpha), ref.diff_z_multi(ref_ab, alpha, zs)))
+        if vs.has_xi:
+            results.append((lambda_apply(ab), ref.lambda_apply(ref_ab, vs.n)))
+            results.append((lambda_apply(lambda_apply(ab)),
+                            ref.lambda_apply(ref.lambda_apply(ref_ab, vs.n), vs.n)))
+        for got, want in results:
+            assert as_dict(got) == want
+            assert got.nterms == len(want) and 0 not in want.values()
+            assert got == SparsePoly(vs, want) and SparsePoly(vs, want) == got
+
+    @PROPERTY
+    @given(unreduced_twins())
+    def test_equality_across_twins(self, case):
+        vs, p, (t1, t2) = case
+        if not p.is_zero:  # the twins must store an unreduced denominator
+            assert t1._den != p._den and t2._den != p._den
+        for x, y in [(p, t1), (p, t2), (t1, t2)]:
+            assert x == y and y == x and not x != y
+        other = p + SparsePoly.one(vs)
+        for x in (p, t1, t2):
+            assert x != other and other != x
+            assert x.mul(other) == t1.mul(other) == other.mul(t2)
+            assert x.scale(3) == p.scale(3) and x + other == other + p
+
+    @PROPERTY
+    @given(unreduced_twins())
+    def test_twins_read_out_identically(self, case):
+        vs, p, twins = case
+        for twin in twins:
+            assert twin.items() == p.items()
+            assert render_poly(twin) == render_poly(p) and repr(twin) == repr(p)
+            assert poly_to_entries(twin) == poly_to_entries(p)
+            assert [(e, twin.coeff(e)) for e, _ in p.items()] == p.items()
+            assert pickle.dumps(twin) == pickle.dumps(p)
+            back = pickle.loads(pickle.dumps(twin))
+            assert back == twin and back == p and back.items() == p.items()
+
+    @PROPERTY
+    @given(st.data(), coeffs)
+    def test_cancellation_to_zero_is_the_zero_polynomial(self, data, r):
+        # lambda of r * (xi1*z1 - xi2*z2) * m, for m free of xi, z1 and z2,
+        # cancels, as does d/dz1 of a z1-free product; each must be zero
+        # over denominator 1
+        vs = data.draw(st.builds(VarSet, st.sampled_from(("xiz", "xizt")), st.integers(2, 3)))
+        n = vs.n
+        xi, z = SparsePoly.xi_var, SparsePoly.z_var
+        m = SparsePoly(vs, {e: c for e, c in data.draw(polys(vs, max_exp=2, max_terms=3)).items()
+                            if not any(e[:n]) and not e[n] and not e[n + 1]}) + SparsePoly.one(vs)
+        diagonal = xi(vs, 0).mul(z(vs, 0)) - xi(vs, 1).mul(z(vs, 1))
+        f = SparsePoly.const(vs, r).mul(diagonal).mul(m)
+        g = SparsePoly.const(vs, r).mul(m)
+        for zero in (lambda_apply(f), g.diff_z(0), g.diff_z_multi((1,) + (0,) * (n - 1))):
+            assert zero == SparsePoly.zero(vs) and SparsePoly.zero(vs) == zero
+            assert zero.is_zero and zero._den == 1 and zero.items() == []
+            assert pickle.dumps(zero) == pickle.dumps(SparsePoly.zero(vs))
 
 
 class TestComposeMap:
